@@ -96,7 +96,9 @@ class SigmaSurface:
         """Euclidean closest point on {w = 0}.
 
         Returns ``(foot, ok)``; ``ok`` is False where the KKT Newton
-        iteration failed to converge (point outside the tube).
+        iteration failed to converge (point outside the tube) or met a
+        singular system.  A point stops iterating as soon as its own KKT
+        residual is at most ``tol``; only the others are assembled and solved.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -109,29 +111,31 @@ class SigmaSurface:
         )
         max_step = 0.25 * self.domain.chart_diameter()
         ok = np.ones(len(pts), dtype=bool)
+        active = np.arange(len(pts))
         for _ in range(max_iter):
-            wv = self.w.value(y)
-            gw = self.w.gradient(y)
-            Hw = self.w.hessian(y)
-            res_y = y - pts + lam[:, None] * gw
-            res = np.concatenate([res_y, wv[:, None]], axis=-1)
-            if np.all(np.linalg.norm(res, axis=-1) <= tol):
+            ya, la = y[active], lam[active]
+            gw = self.w.gradient(ya)
+            res_y = ya - pts[active] + la[:, None] * gw
+            res = np.concatenate([res_y, self.w.value(ya)[:, None]], axis=-1)
+            moving = np.linalg.norm(res, axis=-1) > tol
+            if not np.any(moving):
                 break
-            J = np.zeros((len(pts), n + 1, n + 1))
-            J[:, :n, :n] = np.eye(n) + lam[:, None, None] * Hw
+            active, ya, la, gw, res = (
+                active[moving], ya[moving], la[moving], gw[moving], res[moving]
+            )
+            J = np.zeros((len(active), n + 1, n + 1))
+            J[:, :n, :n] = np.eye(n) + la[:, None, None] * self.w.hessian(ya)
             J[:, :n, n] = gw
             J[:, n, :n] = gw
-            try:
-                step = np.linalg.solve(J, res[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                ok[:] = False
-                break
+            step, solved = _solve_rows(J, res)
+            ok[active[~solved]] = False
+            active, step = active[solved], step[solved]
             # damp overlong steps; keeps far-away starts from exploding
             norms = np.linalg.norm(step[:, :n], axis=-1)
             scale = np.minimum(1.0, max_step / np.maximum(norms, 1e-300))
             step = step * scale[:, None]
-            y = y - step[:, :n]
-            lam = lam - step[:, n]
+            y[active] -= step[:, :n]
+            lam[active] -= step[:, n]
         final = np.abs(self.w.value(y))
         grad_final = self.w.gradient(y)
         align = y - pts + lam[:, None] * grad_final
@@ -140,6 +144,26 @@ class SigmaSurface:
         if single:
             return y[0], bool(ok[0])
         return y.reshape(x.shape), ok.reshape(x.shape[:-1])
+
+
+def _solve_rows(J, rhs):
+    """Solve the batch ``J s = rhs``; returns ``(s, solved)``.
+
+    A singular system fails only its own row: ``solved`` is False there and
+    the row of ``s`` is zero.
+    """
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(rhs)
+    solved = np.ones(len(J), dtype=bool)
+    for i in range(len(J)):
+        try:
+            step[i] = np.linalg.solve(J[i], rhs[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return step, solved
 
 
 # --------------------------------------------------------------------------
@@ -508,29 +532,37 @@ class BarrierVectorField(VectorField):
         self.bundle = bundle
         self.n = bundle.p.shape[0]
 
-    def _eval(self, x):
-        x = np.asarray(x, dtype=float)
+    def from_tube(self, data):
+        """``(live, phi, value, jacobian)`` of X from tube data at the points.
+
+        ``live`` marks the points of the open tube ``0 <= u < eps``; phi is
+        the cutoff there and 0 elsewhere.
+        """
         b = self.bundle
-        data = tube_eval(b.sigma, x, b.scale_factor)
+        c = b.scale_factor
         u = data.u
         live = data.valid & (u >= 0.0) & (u < b.epsilon)
         u_safe = np.where(live, u, b.epsilon)
         phi = cutoff(u_safe, b.epsilon)
         dphi = cutoff_derivative(u_safe, b.epsilon)
-        return data, live, phi, dphi
-
-    def value(self, x):
-        data, live, phi, _ = self._eval(x)
-        return np.where(live[..., None], phi[..., None] * data.nu, 0.0)
-
-    def jacobian(self, x):
-        data, live, phi, dphi = self._eval(x)
-        c = self.bundle.scale_factor
+        value = np.where(live[..., None], phi[..., None] * data.nu, 0.0)
         nu_e = data.nu * c  # euclidean unit normal
         outer = nu_e[..., :, None] * nu_e[..., None, :]
         # data.hess_u is the coordinate Hessian of u = c * u_e, hence the c^2
         J = dphi[..., None, None] * outer + (phi / c**2)[..., None, None] * data.hess_u
-        return np.where(live[..., None, None], J, 0.0)
+        return live, phi, value, np.where(live[..., None, None], J, 0.0)
+
+    def evaluate(self, x):
+        """X and its jacobian from a single tube evaluation."""
+        b = self.bundle
+        _, _, value, J = self.from_tube(tube_eval(b.sigma, x, b.scale_factor))
+        return value, J
+
+    def value(self, x):
+        return self.evaluate(x)[0]
+
+    def jacobian(self, x):
+        return self.evaluate(x)[1]
 
 
 def psi(X, x, m, metric):
@@ -601,7 +633,6 @@ def chart_grid(chart, resolution):
 
 def verify_barrier(
     bundle,
-    X=None,
     grid_resolution=50,
     tolerance=1e-7,
     threads=1,
@@ -611,31 +642,30 @@ def verify_barrier(
 
     Margins are normalized by phi(u) (1 + K); points at or beyond the cutoff
     contribute an exact zero.  The report carries the worst margin and its
-    location.
+    location.  Each grid point is evaluated in the tube once.
     """
     b = bundle
-    X = X or b.field()
+    X = b.field()
     pts = chart_grid(b.chart, grid_resolution)
     pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
     metric = b.domain.metric
-    gmat = None if metric.is_euclidean else metric.matrix(np.zeros(b.p.shape))
 
     def margins_for(chunk):
-        data = tube_eval(b.sigma, chunk, b.scale_factor)
-        u = data.u
-        live = data.valid & (u >= 0.0) & (u < b.epsilon)
+        live, phi, _, J = X.from_tube(tube_eval(b.sigma, chunk, b.scale_factor))
         # phi underflows to an exact 0 just below the cutoff; X vanishes there
-        live = live & (cutoff(np.where(live, u, b.epsilon), b.epsilon) > 0.0)
+        live = live & (phi > 0.0)
         out = np.zeros(len(chunk))
         if not np.any(live):
-            return out, np.zeros(len(chunk), dtype=bool)
+            return out, live
         sub = chunk[live]
-        Q = bilinear_form_Q(X, sub, metric)
+        # barriers exist only for constant multiples of the euclidean metric,
+        # where the covariant gradient of X is its jacobian
+        Q = geo.lower_index(J[live], sub, metric)
         if metric.is_euclidean:
             top = top_m_eigensum(Q, b.m)
         else:
             top = top_m_eigensum(Q, b.m, metric_matrix=metric.matrix(sub))
-        phi = cutoff(u[live], b.epsilon)
+        phi = phi[live]
         raw = top + b.eta * phi
         out[live] = raw / (phi * (1.0 + b.K))
         return out, live

@@ -254,6 +254,11 @@ class VectorField:
     def jacobian(self, x):
         raise NotImplementedError
 
+    def evaluate(self, x):
+        """``(value(x), jacobian(x))``; fields whose two outputs share work
+        override this to compute it once."""
+        return self.value(x), self.jacobian(x)
+
 
 class ExprVectorField(VectorField):
     def __init__(self, components, n):
@@ -542,21 +547,35 @@ def christoffel(metric, x):
 
 
 def covariant_gradient(X, x, metric):
-    """Matrix of the endomorphism v -> grad_v X: ``[..., k, i] = (grad_i X)^k``."""
-    J = X.jacobian(x)
-    if metric.is_euclidean:
+    """Matrix of the endomorphism v -> grad_v X: ``[..., k, i] = (grad_i X)^k``.
+
+    When g is a constant multiple of the euclidean metric its Christoffel
+    symbols vanish identically, so the jacobian is the whole answer and X is
+    not evaluated a second time for a term that is exactly zero.
+    """
+    if metric.constant_factor() is not None:
+        return X.jacobian(x)
+    return covariant_from_jacobian(*X.evaluate(x), x, metric)
+
+
+def covariant_from_jacobian(value, J, x, metric):
+    """``grad_i X^k = d_i X^k + Gamma^k_ij X^j`` from X and its jacobian at x."""
+    if metric.constant_factor() is not None:
         return J
     gam = christoffel(metric, x)
-    return J + np.einsum("...kij,...j->...ki", gam, X.value(x))
+    return J + np.einsum("...kij,...j->...ki", gam, value)
+
+
+def lower_index(A, x, metric):
+    """``g A``: the bilinear form (u, v) -> <u, A v>_g in chart coordinates."""
+    if metric.is_euclidean:
+        return A
+    return np.einsum("...ab,...bi->...ai", metric.matrix(x), A)
 
 
 def bilinear_form_Q(X, x, metric):
     """Matrix of Q(u, v) = <u, grad_v X>_g in chart coordinates."""
-    A = covariant_gradient(X, x, metric)
-    if metric.is_euclidean:
-        return A
-    g = metric.matrix(x)
-    return np.einsum("...ab,...bi->...ai", g, A)
+    return lower_index(covariant_gradient(X, x, metric), x, metric)
 
 
 def metric_gradient(f, x, metric):

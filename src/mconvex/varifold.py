@@ -352,7 +352,11 @@ def area(mesh, metric=None, order=2):
 def first_variation(V, X, metric=None):
     """delta V(X) = sum of weights x trace of the covariant gradient on P."""
     metric = metric or geo.metric_euclidean(V.points.shape[1])
-    A = geo.covariant_gradient(X, V.points, metric)  # (N, n, n), [k, i]
+    return _first_variation(V, geo.covariant_gradient(X, V.points, metric), metric)
+
+
+def _first_variation(V, A, metric):
+    """Weighted sum of the traces of A (``[f, k, i]``) over the atom planes."""
     if metric.is_euclidean:
         terms = np.einsum("fae,fek,fak->f", V.frames, A, V.frames)
     else:
@@ -367,14 +371,15 @@ def weight_integral(V, f):
     return float(np.sum(V.weights * vals))
 
 
+def _magnitude(vals, pts, metric):
+    if metric is None or metric.is_euclidean:
+        return np.linalg.norm(vals, axis=-1)
+    return metric.norm(pts, vals)
+
+
 def field_magnitude(X, metric=None):
     """|X|_g as a callable on point batches, for weight_integral."""
-    def f(pts):
-        vals = X.value(pts)
-        if metric is None or metric.is_euclidean:
-            return np.linalg.norm(vals, axis=-1)
-        return metric.norm(pts, vals)
-    return f
+    return lambda pts: _magnitude(X.value(pts), pts, metric)
 
 
 def flow_mesh(mesh, X, t, steps=8, domain=None):
@@ -447,16 +452,22 @@ def check_first_order_minimizing(V, domain, fields, tolerance=None, seed=0):
 
 
 def check_bounded_mc(V, X, h, metric=None, tolerance=None):
-    """delta V(X) + h * integral of |X|; pass iff >= -tolerance."""
+    """delta V(X) + h * integral of |X|; pass iff >= -tolerance.
+
+    X and its jacobian are evaluated once at the atoms and shared by the
+    first variation, the mass of |X| and the default tolerance.
+    """
     if h < 0:
         raise ValueError("h must be nonnegative")
     metric = metric or geo.metric_euclidean(V.points.shape[1])
-    dv = first_variation(V, X, metric)
-    mass = weight_integral(V, field_magnitude(X, metric))
+    vals, J = X.evaluate(V.points)
+    A = geo.covariant_from_jacobian(vals, J, V.points, metric)
+    dv = _first_variation(V, A, metric)
+    mass = weight_integral(V, lambda pts: _magnitude(vals, pts, metric))
     value = dv + h * mass
     if tolerance is None:
         tolerance = 1e-6 * V.total_weight * max(
-            float(np.max(np.linalg.norm(X.value(V.points), axis=-1))), 1.0
+            float(np.max(np.linalg.norm(vals, axis=-1))), 1.0
         )
     return {
         "value": float(value),

@@ -77,6 +77,100 @@ class TestConstruction:
             bar.build_barrier(dom, north_pole, m=2)
 
 
+def _full_batch_project(sigma, x, tol=1e-12, max_iter=60):
+    """Reference KKT Newton projection that steps every point of the batch
+    until all of them have converged (the loop before the active set)."""
+    pts = np.asarray(x, dtype=float)
+    n = pts.shape[-1]
+    y = pts.copy()
+    gw = sigma.w.gradient(y)
+    lam = sigma.w.value(y) / np.maximum(np.einsum("...i,...i->...", gw, gw), 1e-20)
+    max_step = 0.25 * sigma.domain.chart_diameter()
+    ok = np.ones(len(pts), dtype=bool)
+    for _ in range(max_iter):
+        wv = sigma.w.value(y)
+        gw = sigma.w.gradient(y)
+        Hw = sigma.w.hessian(y)
+        res_y = y - pts + lam[:, None] * gw
+        res = np.concatenate([res_y, wv[:, None]], axis=-1)
+        if np.all(np.linalg.norm(res, axis=-1) <= tol):
+            break
+        J = np.zeros((len(pts), n + 1, n + 1))
+        J[:, :n, :n] = np.eye(n) + lam[:, None, None] * Hw
+        J[:, :n, n] = gw
+        J[:, n, :n] = gw
+        try:
+            step = np.linalg.solve(J, res[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            ok[:] = False
+            break
+        norms = np.linalg.norm(step[:, :n], axis=-1)
+        scale = np.minimum(1.0, max_step / np.maximum(norms, 1e-300))
+        step = step * scale[:, None]
+        y = y - step[:, :n]
+        lam = lam - step[:, n]
+    final = np.abs(sigma.w.value(y))
+    align = y - pts + lam[:, None] * sigma.w.gradient(y)
+    ok = ok & (final <= 1e-9) & (np.linalg.norm(align, axis=-1) <= 1e-7)
+    ok = ok & np.all(np.isfinite(y), axis=-1)
+    return y, ok
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_bundle(north_pole):
+    dom = geo.domain_levelset("1 - x1^2/4 - x2^2/4 - x3^2", [[-2.0, 2.0]] * 3)
+    return bar.build_barrier(dom, north_pole, m=2)
+
+
+class _VanishingAt(geo.ScalarField):
+    """w with its gradient and Hessian set to zero at one point."""
+
+    def __init__(self, w, q):
+        self.w, self.q, self.n = w, np.asarray(q, dtype=float), w.n
+
+    def _at_q(self, x):
+        return np.all(np.asarray(x) == self.q, axis=-1)
+
+    def value(self, x):
+        return self.w.value(x)
+
+    def gradient(self, x):
+        return np.where(self._at_q(x)[..., None], 0.0, self.w.gradient(x))
+
+    def hessian(self, x):
+        return np.where(self._at_q(x)[..., None, None], 0.0, self.w.hessian(x))
+
+
+class TestProjection:
+    @pytest.mark.parametrize("name", ["ball_bundle", "scaled_ball_bundle", "ellipsoid_bundle"])
+    def test_active_set_matches_full_batch(self, name, request):
+        b = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        lo, hi = b.chart[:, 0], b.chart[:, 1]
+        near = lo + (hi - lo) * rng.random((1500, 3))
+        # a box of half-width 1.5 around p reaches far outside the tube; on
+        # the balls a few of these points never converge
+        far = b.p + 1.5 * (2.0 * rng.random((1000, 3)) - 1.0)
+        pts = np.concatenate([near, far])
+        foot, ok = b.sigma.project(pts)
+        ref_foot, ref_ok = _full_batch_project(b.sigma, pts)
+        np.testing.assert_array_equal(ok, ref_ok)
+        assert np.any(ok)
+        # a stopped point has KKT residual <= tol = 1e-12; the reference
+        # steps it further by about that much
+        np.testing.assert_allclose(foot[ok], ref_foot[ok], rtol=1e-12, atol=1e-12)
+
+    def test_singular_system_fails_only_its_point(self, ball_domain, north_pole):
+        sigma = bar.SigmaSurface(ball_domain, north_pole)
+        pts = np.array([[0.1, 0.0, 0.95], [0.0, 0.2, 0.9], [-0.1, 0.1, 1.05]])
+        expect, expect_ok = sigma.project(pts)
+        assert np.all(expect_ok)
+        sigma.w = _VanishingAt(sigma.w, pts[1])
+        foot, ok = sigma.project(pts)
+        np.testing.assert_array_equal(ok, [True, False, True])
+        np.testing.assert_array_equal(foot[ok], expect[ok])
+
+
 class TestBarrierField:
     def test_magnitude_at_p(self, ball_bundle):
         X = ball_bundle.field()
@@ -220,6 +314,19 @@ class TestVerification:
         rep = bar.verify_barrier(b, grid_resolution=25)
         assert not rep.passed
         assert rep.worst_margin > 0.0
+
+    def test_one_tube_evaluation_per_grid_point(self, ball_bundle, monkeypatch):
+        seen = []
+        tube_eval = bar.tube_eval
+
+        def counting(sigma, x, *args):
+            seen.append(len(x))
+            return tube_eval(sigma, x, *args)
+
+        monkeypatch.setattr(bar, "tube_eval", counting)
+        rep = bar.verify_barrier(ball_bundle, grid_resolution=25)
+        assert rep.n_tube > 0
+        assert sum(seen) == rep.n_grid
 
     def test_thread_count_invariance(self, ball_bundle):
         r1 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=1)

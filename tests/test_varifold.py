@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mconvex import barrier as bar
 from mconvex import geometry as geo
 from mconvex import meshes
 from mconvex import varifold as vf
@@ -212,8 +213,33 @@ class TestMinimizingChecks:
     def test_bounded_mc_h0_is_sign_test(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
         X = geo.BumpVectorField(np.array([0.2, 0.0, 0.0]), 0.4, np.array([0, 0, 1.0]))
-        rep = vf.check_bounded_mc(V, X, 0.0)
-        assert rep["value"] == pytest.approx(vf.first_variation(V, X))
+        for h in (0.0, 1.5):
+            rep = vf.check_bounded_mc(V, X, h)
+            assert rep["value"] == (
+                vf.first_variation(V, X)
+                + h * vf.weight_integral(V, vf.field_magnitude(X)))
+
+    def test_bounded_mc_evaluates_barrier_field_once(
+            self, scaled_ball_domain, scaled_ball_bundle, monkeypatch):
+        metric = scaled_ball_domain.metric
+        V = vf.varifold_from_mesh(
+            meshes.sphere_cap_mesh(rings=6, segments=40), metric)
+        X = scaled_ball_bundle.field()
+        h = 1.0
+        expected = (vf.first_variation(V, X, metric)
+                    + h * vf.weight_integral(V, vf.field_magnitude(X, metric)))
+        seen = []
+        tube_eval = bar.tube_eval
+
+        def counting(sigma, x, *args):
+            seen.append(len(x))
+            return tube_eval(sigma, x, *args)
+
+        monkeypatch.setattr(bar, "tube_eval", counting)
+        rep = vf.check_bounded_mc(V, X, h, metric)
+        assert sum(seen) == len(V.points)
+        assert rep["mass_X"] > 0.0
+        assert rep["value"] == expected
 
     def test_sphere_saturates_bounded_mc(self):
         # radius m/h sphere (|H| = h) flowed inward: dV(X) = -h * mass(X)
