@@ -44,10 +44,7 @@ def main():
               f"{bundle.eta:6.2f} {rep.worst_margin:13.3e} {rep.passed}")
         failures += not rep.passed
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("x1,x2,x3,margin\n")
-                for pt, mg in zip(rep.points, rep.margins):
-                    fh.write(f"{pt[0]!r},{pt[1]!r},{pt[2]!r},{mg!r}\n")
+            rep.write_margins(args.out)
     return 1 if failures else 0
 
 

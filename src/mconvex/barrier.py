@@ -8,11 +8,11 @@ exponential cutoff phi, and the vectorfield X = phi(u) nu.  It then checks,
 on a grid, that the top-m eigenvalue sum of the symmetrized covariant
 differential of X stays below -eta |X|.
 
-The analytic evaluation path (exact foot points plus the tube transformation
-k(u) = kappa / (1 - u kappa) of principal curvatures) is available for the
-euclidean metric and for constant conformal rescalings of it; general
-metrics fall back to geodesic shooting for distances and finite differences
-for derivatives, at correspondingly looser tolerances.
+Barriers exist for the euclidean metric and for constant multiples
+g = c^2 * euclidean of it: foot points are exact euclidean projections, the
+tube transformation k(u) = kappa / (1 - u kappa) gives the principal
+curvatures, and Sigma converts every tube quantity to metric units with c.
+Any other metric is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .geometry import (
     QuarticGapField,
     VectorField,
     bilinear_form_Q,
-    christoffel,
     levelset_shape,
     top_m_eigensum,
 )
@@ -80,14 +79,23 @@ class SigmaSurface:
 
     w is positive on N away from p, so the zero set touches N only at p and
     makes second-order contact with the boundary there (the gap over the
-    boundary is quartic in the distance to p).
+    boundary is quartic in the distance to p).  ``c`` is the constant with
+    g = c^2 * euclidean; a metric without one has no barrier here.
     """
 
     domain: Domain
     p: np.ndarray
     w: ScalarField = field(init=False)
+    c: float = field(init=False)
 
     def __post_init__(self):
+        c = self.domain.metric.constant_factor()
+        if c is None:
+            raise GeometryError(
+                "barrier construction needs the euclidean metric or a constant "
+                "conformal rescaling of it"
+            )
+        self.c = float(c)
         self.p = np.asarray(self.p, dtype=float)
         gram = np.asarray(self.domain.metric.matrix(self.p), dtype=float)
         self.w = SumField([self.domain.u0, QuarticGapField(self.p, gram)])
@@ -170,15 +178,6 @@ def _solve_rows(J, rhs):
 # tube evaluation (foot points, distances, curvatures)
 
 
-_EUCLID_CACHE = {}
-
-
-def _euclid(n):
-    if n not in _EUCLID_CACHE:
-        _EUCLID_CACHE[n] = geo.EuclideanMetric(n)
-    return _EUCLID_CACHE[n]
-
-
 @dataclass
 class TubeData:
     """Per-point geometric data of the signed-distance foliation of Sigma.
@@ -197,20 +196,20 @@ class TubeData:
     valid: np.ndarray
 
 
-def tube_eval(sigma, x, scale_factor=1.0):
+def tube_eval(sigma, x):
     """Evaluate distance/normal/curvature data at points ``x``.
 
-    ``scale_factor`` is the constant c with g = c^2 * euclidean; the
-    evaluation is exact up to the Newton projection tolerance.
+    Exact up to the Newton projection tolerance; euclidean quantities are
+    converted to metric units with Sigma's constant c.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        data = tube_eval(sigma, x[None, :], scale_factor)
+        data = tube_eval(sigma, x[None, :])
         return TubeData(*[np.asarray(v)[0] for v in (
             data.u, data.nu, data.curvatures, data.frame, data.hess_u,
             data.foot, data.valid,
         )])
-    c = float(scale_factor)
+    c = sigma.c
     foot, ok = sigma.project(x)
     w_x = sigma.w.value(x)
     sgn = np.where(w_x >= 0.0, 1.0, -1.0)
@@ -218,7 +217,8 @@ def tube_eval(sigma, x, scale_factor=1.0):
     d_e = np.linalg.norm(diff, axis=-1)
     u_e = sgn * d_e
 
-    shp = levelset_shape(sigma.w, np.where(ok[..., None], foot, sigma.p), _euclid(sigma.p.shape[0]))
+    shp = levelset_shape(sigma.w, np.where(ok[..., None], foot, sigma.p),
+                         geo.EuclideanMetric(sigma.p.shape[0]))
     kappa = shp.values  # Sigma curvatures at the foot, euclidean units
     denom = 1.0 - u_e[..., None] * kappa
     valid = ok & np.all(denom > 0.05, axis=-1)
@@ -243,13 +243,12 @@ def tube_eval(sigma, x, scale_factor=1.0):
 class DistanceToSigmaField(ScalarField):
     """Signed distance to Sigma as a scalar field with exact derivatives."""
 
-    def __init__(self, sigma, scale_factor=1.0):
+    def __init__(self, sigma):
         self.sigma = sigma
-        self.c = float(scale_factor)
         self.n = sigma.p.shape[0]
 
     def _tube(self, x):
-        data = tube_eval(self.sigma, x, self.c)
+        data = tube_eval(self.sigma, x)
         if not np.all(data.valid):
             raise TubeError("signed distance queried outside the tube")
         return data
@@ -259,94 +258,12 @@ class DistanceToSigmaField(ScalarField):
 
     def gradient(self, x):
         data = self._tube(x)
+        c = self.sigma.c
         # coordinate partials of u: c * euclidean unit normal
-        return self.c * (data.nu * self.c)
+        return c * (data.nu * c)
 
     def hessian(self, x):
         return self._tube(x).hess_u
-
-
-def signed_distance(sigma, x, metric, rk_steps=64):
-    """Signed geodesic distance from x to Sigma, nonnegative on N.
-
-    Exact closest-point projection when the metric is euclidean up to a
-    constant conformal factor; otherwise a shooting solve along normal
-    geodesics integrated with classical RK4.
-    """
-    c = metric.constant_factor()
-    if c is not None:
-        data = tube_eval(sigma, x, c)
-        if not np.all(data.valid):
-            raise TubeError("point outside the tube of Sigma")
-        return data.u
-    return _geodesic_signed_distance(sigma, np.asarray(x, dtype=float), metric, rk_steps)
-
-
-def _geodesic_flow(metric, y, v, length, steps):
-    """Integrate the geodesic ODE from (y, v) for the given parameter length."""
-    h = length / steps
-
-    def acc(y, v):
-        gam = christoffel(metric, y)
-        return -np.einsum("kij,i,j->k", gam, v, v)
-
-    for _ in range(steps):
-        k1y, k1v = v, acc(y, v)
-        k2y, k2v = v + 0.5 * h * k1v, acc(y + 0.5 * h * k1y, v + 0.5 * h * k1v)
-        k3y, k3v = v + 0.5 * h * k2v, acc(y + 0.5 * h * k2y, v + 0.5 * h * k2v)
-        k4y, k4v = v + h * k3v, acc(y + h * k3y, v + h * k3v)
-        y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return y, v
-
-
-def _geodesic_signed_distance(sigma, x, metric, rk_steps):
-    if x.ndim > 1:
-        return np.array(
-            [_geodesic_signed_distance(sigma, xi, metric, rk_steps) for xi in x]
-        )
-    n = x.shape[0]
-    foot0, ok = sigma.project(x)
-    if not ok:
-        raise TubeError("euclidean initialization of geodesic projection failed")
-    sgn = 1.0 if sigma.w.value(x) >= 0 else -1.0
-
-    shp = levelset_shape(sigma.w, foot0, metric)
-    tangents = shp.directions  # (n-1, n), g-orthonormal at foot0
-
-    def endpoint(params):
-        a, s = params[:-1], params[-1]
-        y = sigma.project(foot0 + a @ tangents)[0]
-        nu = levelset_shape(sigma.w, y, metric).normal
-        z, _ = _geodesic_flow(metric, y, sgn * nu, s, rk_steps)
-        return z - x
-
-    params = np.zeros(n)
-    params[-1] = abs(float(np.linalg.norm(x - foot0))) * float(
-        metric.norm(foot0, (x - foot0) / max(np.linalg.norm(x - foot0), 1e-300))
-        if np.linalg.norm(x - foot0) > 1e-14
-        else 1.0
-    )
-    if params[-1] < 1e-14:
-        return 0.0
-    for _ in range(30):
-        r = endpoint(params)
-        if np.linalg.norm(r) < 1e-10:
-            break
-        # finite-difference Jacobian of the shooting residual
-        J = np.zeros((n, n))
-        h = 1e-6
-        for j in range(n):
-            dp = params.copy()
-            dp[j] += h
-            J[:, j] = (endpoint(dp) - r) / h
-        try:
-            params = params - np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            raise TubeError("geodesic shooting Jacobian is singular")
-    else:
-        raise TubeError("geodesic shooting did not converge")
-    return sgn * params[-1]
 
 
 # --------------------------------------------------------------------------
@@ -368,21 +285,17 @@ class BarrierBundle:
     K: float
     epsilon: float
     sigma: SigmaSurface
-    scale_factor: float
     kappa_sum_p: float
     chart: np.ndarray
 
     def u_field(self):
-        return DistanceToSigmaField(self.sigma, self.scale_factor)
-
-    def tube(self, x):
-        return tube_eval(self.sigma, x, self.scale_factor)
+        return DistanceToSigmaField(self.sigma)
 
     def field(self):
         return BarrierVectorField(self)
 
 
-def _tube_curvatures(sigma, chart, p, scale_factor, sample_budget, seed):
+def tube_curvatures(sigma, chart, sample_budget=2000, seed=0):
     """Sample level-set curvature lists over the prospective tube in a chart.
 
     Feet are obtained by projecting random chart points onto Sigma; each foot
@@ -391,7 +304,7 @@ def _tube_curvatures(sigma, chart, p, scale_factor, sample_budget, seed):
     sampled ascending curvature lists in metric units.
     """
     rng = np.random.default_rng(seed)
-    c = float(scale_factor)
+    p = sigma.p
     lo, hi = chart[:, 0], chart[:, 1]
     n = len(lo)
     pts = lo + (hi - lo) * rng.random((sample_budget, n))
@@ -405,34 +318,20 @@ def _tube_curvatures(sigma, chart, p, scale_factor, sample_budget, seed):
     foot = foot[ok]
     t_max = 0.5 * float(np.min(np.minimum(p - lo, hi - p)))
     t = t_max * rng.random((len(foot), 1))
-    kappa = levelset_shape(sigma.w, foot, _euclid(n)).values
+    kappa = levelset_shape(sigma.w, foot, geo.EuclideanMetric(n)).values
     denom = np.maximum(1.0 - t * kappa, 0.1)
-    return (kappa / denom) / c
+    return (kappa / denom) / sigma.c
 
 
-def curvature_bound(sigma, chart, p, scale_factor=1.0, sample_budget=2000, seed=0, cap=1e4):
-    """Sampled bound K on the level-set principal curvatures over the tube.
-
-    K is 1.25 times the largest curvature magnitude seen (metric units).
-    """
-    if sample_budget < 10:
-        raise ValueError("sample budget too small")
-    k = _tube_curvatures(sigma, chart, p, scale_factor, sample_budget, seed)
-    K = 1.25 * float(np.max(np.abs(k)))
-    if K > cap:
-        raise TubeError(f"curvature blow-up detected: K = {K:.3g}")
-    return K
-
-
-def select_epsilon(K, chart, p, scale_factor=1.0):
+def select_epsilon(K, chart, sigma):
     """eps = min(K^{-1/2}, half the metric distance from p to the chart edge)."""
     if K <= 0:
         raise ValueError("K must be positive")
-    p = np.asarray(p, dtype=float)
+    p = sigma.p
     chart = np.asarray(chart, dtype=float)
     lo, hi = chart[:, 0], chart[:, 1]
     margin = float(np.min(np.minimum(p - lo, hi - p)))
-    eps = min(K ** -0.5, 0.5 * float(scale_factor) * margin)
+    eps = min(K ** -0.5, 0.5 * sigma.c * margin)
     if eps <= 0:
         raise GeometryError("no positive epsilon fits the chart")
     return eps
@@ -469,12 +368,6 @@ def build_barrier(
         raise BarrierRefusal(
             f"curvature sum {kappa_sum:.6g} at p does not exceed eta = {eta:.6g}"
         )
-    c = domain.metric.constant_factor()
-    if c is None:
-        raise GeometryError(
-            "barrier construction needs the euclidean metric or a constant "
-            "conformal rescaling of it"
-        )
     sigma = SigmaSurface(domain, p)
 
     dlo, dhi = domain.chart[:, 0], domain.chart[:, 1]
@@ -488,7 +381,7 @@ def build_barrier(
         chart = np.stack(
             [np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1
         )
-        k_samples = _tube_curvatures(sigma, chart, p, c, sample_budget, seed)
+        k_samples = tube_curvatures(sigma, chart, sample_budget, seed)
         if not shrinkable:
             break
         if float(np.min(np.sum(k_samples[..., :m], axis=-1))) > goal:
@@ -502,7 +395,7 @@ def build_barrier(
     K = 1.25 * float(np.max(np.abs(k_samples)))
     if K > 1e4:
         raise TubeError(f"curvature blow-up detected: K = {K:.3g}")
-    eps = select_epsilon(K, chart, p, scale_factor=c)
+    eps = select_epsilon(K, chart, sigma)
     if epsilon_override is not None:
         if not 0 < epsilon_override <= eps:
             raise ValueError("epsilon override must lie in (0, selected epsilon]")
@@ -515,7 +408,6 @@ def build_barrier(
         K=float(K),
         epsilon=float(eps),
         sigma=sigma,
-        scale_factor=float(c),
         kappa_sum_p=float(kappa_sum),
         chart=chart,
     )
@@ -539,7 +431,7 @@ class BarrierVectorField(VectorField):
         the cutoff there and 0 elsewhere.
         """
         b = self.bundle
-        c = b.scale_factor
+        c = b.sigma.c
         u = data.u
         live = data.valid & (u >= 0.0) & (u < b.epsilon)
         u_safe = np.where(live, u, b.epsilon)
@@ -555,7 +447,7 @@ class BarrierVectorField(VectorField):
     def evaluate(self, x):
         """X and its jacobian from a single tube evaluation."""
         b = self.bundle
-        _, _, value, J = self.from_tube(tube_eval(b.sigma, x, b.scale_factor))
+        _, _, value, J = self.from_tube(tube_eval(b.sigma, x))
         return value, J
 
     def value(self, x):
@@ -580,11 +472,12 @@ def adapted_frame_Q(bundle, q):
     """
     q = np.asarray(q, dtype=float)
     b = bundle
-    data = tube_eval(b.sigma, q, b.scale_factor)
+    data = tube_eval(b.sigma, q)
     if not np.all(data.valid & (data.u < b.epsilon)):
         raise TubeError("adapted frame requested outside the open tube")
-    X = b.field()
-    Qc = bilinear_form_Q(X, q, b.domain.metric)
+    # the covariant gradient of X is its jacobian under g = c^2 * euclidean
+    _, _, _, J = b.field().from_tube(data)
+    Qc = geo.lower_index(J, q, b.domain.metric)
     frame = np.concatenate([data.frame, data.nu[..., None, :]], axis=-2)
     return np.einsum("...ai,...ij,...bj->...ab", frame, Qc, frame)
 
@@ -622,6 +515,17 @@ class BarrierReport:
             "tolerance": float(self.tolerance),
         }
 
+    def write_margins(self, path):
+        """CSV with one ``x1,...,xn,margin`` row per grid point (needs a
+        report made with ``keep_margins``)."""
+        if self.margins is None:
+            raise ValueError("report was made without keep_margins")
+        with open(path, "w") as fh:
+            n = self.points.shape[-1]
+            fh.write(",".join(f"x{i + 1}" for i in range(n)) + ",margin\n")
+            for pt, mg in zip(self.points, self.margins):
+                fh.write(",".join(repr(v) for v in pt) + f",{mg!r}\n")
+
 
 def chart_grid(chart, resolution):
     axes = [
@@ -651,7 +555,7 @@ def verify_barrier(
     metric = b.domain.metric
 
     def margins_for(chunk):
-        live, phi, _, J = X.from_tube(tube_eval(b.sigma, chunk, b.scale_factor))
+        live, phi, _, J = X.from_tube(tube_eval(b.sigma, chunk))
         # phi underflows to an exact 0 just below the cutoff; X vanishes there
         live = live & (phi > 0.0)
         out = np.zeros(len(chunk))

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from importlib import resources
 
 import numpy as np
 
@@ -172,7 +171,7 @@ def cmd_barrier_build(args):
         "eta": bundle.eta,
         "curvature_sum_at_p": bundle.kappa_sum_p,
         "chart": bundle.chart.tolist(),
-        "scale_factor": bundle.scale_factor,
+        "scale_factor": bundle.sigma.c,
     })
 
 
@@ -185,10 +184,7 @@ def cmd_barrier_verify(args):
         threads=_threads(args), keep_margins=args.out is not None,
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("x1,x2,x3,margin\n")
-            for pt, mg in zip(report.points, report.margins):
-                fh.write(f"{pt[0]!r},{pt[1]!r},{pt[2]!r},{mg!r}\n")
+        report.write_margins(args.out)
     return _emit(args, "barrier-verify", report.passed, report.to_dict())
 
 

@@ -211,31 +211,6 @@ class SumField(ScalarField):
         return sum(f.hessian(x) for f in self.fields)
 
 
-class ComposedField(ScalarField):
-    """psi(f(x)) for a smooth scalar map psi given with two derivatives."""
-
-    def __init__(self, inner, psi, dpsi, d2psi):
-        self.inner = inner
-        self.psi, self.dpsi, self.d2psi = psi, dpsi, d2psi
-        self.n = inner.n
-
-    def value(self, x):
-        return self.psi(self.inner.value(x))
-
-    def gradient(self, x):
-        v = self.inner.value(x)
-        return self.dpsi(v)[..., None] * self.inner.gradient(x)
-
-    def hessian(self, x):
-        v = self.inner.value(x)
-        g = self.inner.gradient(x)
-        outer = g[..., :, None] * g[..., None, :]
-        return (
-            self.dpsi(v)[..., None, None] * self.inner.hessian(x)
-            + self.d2psi(v)[..., None, None] * outer
-        )
-
-
 # --------------------------------------------------------------------------
 # vector fields
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import barrier as bar
 from . import geometry as geo
@@ -21,31 +20,32 @@ from . import minimizer as mz
 from . import varifold as vf
 
 
+# entries of one row block of the distance matrix in hausdorff_distance
+_BLOCK_ENTRIES = 1 << 18
+
+
 class ScenarioError(Exception):
     pass
 
 
-@dataclass
-class PointSet:
-    """Finite point sample standing in for a support or a limit set."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if len(self.points) == 0:
-            raise ScenarioError("empty point set")
-
-
 def hausdorff_distance(A, B):
-    """Symmetric Hausdorff distance between two finite point sets."""
-    a = A.points if isinstance(A, PointSet) else np.atleast_2d(np.asarray(A, float))
-    b = B.points if isinstance(B, PointSet) else np.atleast_2d(np.asarray(B, float))
+    """Symmetric Hausdorff distance between two finite point sets.
+
+    The distance matrix is formed in row blocks, so memory stays bounded for
+    large sets.
+    """
+    a = np.atleast_2d(np.asarray(A, float))
+    b = np.atleast_2d(np.asarray(B, float))
     if len(a) == 0 or len(b) == 0:
         raise ScenarioError("empty point set")
-    d_ab = float(np.max(cKDTree(b).query(a)[0]))
-    d_ba = float(np.max(cKDTree(a).query(b)[0]))
-    return max(d_ab, d_ba)
+    rows = max(1, _BLOCK_ENTRIES // len(b))
+    d_ab = 0.0
+    to_a = np.full(len(b), np.inf)  # distance from each point of b to a
+    for start in range(0, len(a), rows):
+        d = np.linalg.norm(a[start:start + rows, None, :] - b[None, :, :], axis=-1)
+        d_ab = max(d_ab, float(np.max(np.min(d, axis=1))))
+        np.minimum(to_a, np.min(d, axis=0), out=to_a)
+    return max(d_ab, float(np.max(to_a)))
 
 
 @dataclass
@@ -194,8 +194,7 @@ def _check_u_properties(bundle, domain, samples=4000, seed=0):
     else:
         prop_iii, iii_margin = True, float("nan")
     # (iv): tube curvature sums, re-sampled from the construction
-    k = bar._tube_curvatures(bundle.sigma, bundle.chart, p, bundle.scale_factor,
-                             2000, seed)
+    k = bar.tube_curvatures(bundle.sigma, bundle.chart, seed=seed)
     sums = np.sum(k[:, : bundle.m], axis=-1)
     prop_iv = bool(np.min(sums) > bundle.eta)
     return {
@@ -319,8 +318,7 @@ def scenario_theorem4(cfg=None, varifold_mesh=None, boundary_mesh=None):
             bundle = bar.build_barrier(domain, q, m, seed=cfg.seed)
             # distance measured on the mesh support itself: the contact
             # vertex lies on dN, so any positive epsilon is a contradiction
-            c = domain.metric.constant_factor() or 1.0
-            dist = c * float(np.min(np.linalg.norm(support - q, axis=-1)))
+            dist = bundle.sigma.c * float(np.min(np.linalg.norm(support - q, axis=-1)))
             contact = {"point": q.tolist(), "curvature_sum": float(ksum)}
             contradiction = {
                 "support_distance": float(dist),

@@ -164,17 +164,6 @@ def cylinder_mesh(radius=1.0, z_range=(-0.5, 0.5), rings=16, segments=96, multip
     return _surface(verts, tris, multiplicity * np.ones(len(tris)))
 
 
-def circle_polyline(radius=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0),
-                    segments=256, multiplicity=1.0):
-    """Closed polygonal circle as a 1-dimensional mesh."""
-    center = np.asarray(center, dtype=float)
-    e1, e2 = _orthonormal_complement(normal)
-    theta = 2 * np.pi * np.arange(segments) / segments
-    verts = center + radius * (np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2))
-    segs = [(j, (j + 1) % segments) for j in range(segments)]
-    return _surface(verts, segs, multiplicity * np.ones(len(segs)))
-
-
 def chord_polyline(a, b, segments=32, multiplicity=1.0):
     """Straight polyline from a to b."""
     a = np.asarray(a, dtype=float)
@@ -196,10 +185,10 @@ def random_tube_mesh(bundle, rng, patch_scale=0.25, rings=3, segments=12):
     lo, hi = bundle.chart[:, 0], bundle.chart[:, 1]
     for _ in range(400):
         c = lo + (hi - lo) * rng.random(len(lo))
-        r = patch_scale * bundle.epsilon / bundle.scale_factor
+        r = patch_scale * bundle.epsilon / bundle.sigma.c
         normal = rng.standard_normal(3)
         mesh = disk_mesh(radius=r, center=c, normal=normal, rings=rings, segments=segments)
-        data = bar.tube_eval(bundle.sigma, mesh.vertices, bundle.scale_factor)
+        data = bar.tube_eval(bundle.sigma, mesh.vertices)
         if np.all(data.valid) and np.all(data.u >= 0.05 * bundle.epsilon) \
                 and np.all(data.u <= 0.9 * bundle.epsilon) \
                 and np.all(bundle.domain.contains(mesh.vertices)):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry as geo
 
@@ -597,7 +596,7 @@ def support_distance(V, p, metric=None):
     if len(V.points) == 0:
         raise VarifoldError("empty varifold has no support")
     p = np.asarray(p, dtype=float)
-    d = float(cKDTree(V.points).query(p)[0])
+    d = float(np.min(np.linalg.norm(V.points - p, axis=-1)))
     if metric is None or metric.is_euclidean:
         return d
     c = metric.constant_factor()

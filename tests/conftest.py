@@ -33,21 +33,38 @@ def scaled_ball_bundle(scaled_ball_domain, north_pole):
     return bar.build_barrier(scaled_ball_domain, north_pole, m=2)
 
 
-@pytest.fixture(scope="session")
-def tube_points(ball_bundle):
-    """1000 chart points with 0 <= u < eps and phi(u) > 0, plus tube data."""
-    b = ball_bundle
+def _tube_points(b):
+    """1000 chart points of bundle ``b`` with 0 <= u < eps and phi(u) > 0."""
     rng = np.random.default_rng(7)
     lo, hi = b.chart[:, 0], b.chart[:, 1]
     collected = []
     while sum(len(c) for c in collected) < 1000:
         pts = lo + (hi - lo) * rng.random((4000, 3))
-        data = bar.tube_eval(b.sigma, pts, b.scale_factor)
+        data = bar.tube_eval(b.sigma, pts)
         live = data.valid & (data.u >= 0.0) & (data.u < 0.95 * b.epsilon)
         live &= np.asarray(b.domain.contains(pts), dtype=bool)
         live &= bar.cutoff(np.where(live, data.u, b.epsilon), b.epsilon) > 0.0
         collected.append(pts[live])
     return np.concatenate(collected)[:1000]
+
+
+@pytest.fixture(scope="session")
+def tube_points(ball_bundle):
+    return _tube_points(ball_bundle)
+
+
+@pytest.fixture(scope="session")
+def scaled_tube_points(scaled_ball_bundle):
+    return _tube_points(scaled_ball_bundle)
+
+
+@pytest.fixture(params=["ball_bundle", "scaled_ball_bundle"])
+def tube_case(request):
+    """``(bundle, tube points)`` for g = euclidean (c = 1) and g = delta/4
+    (c = 1/2), so a wrong power of c shows."""
+    points = {"ball_bundle": "tube_points", "scaled_ball_bundle": "scaled_tube_points"}
+    return (request.getfixturevalue(request.param),
+            request.getfixturevalue(points[request.param]))
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ def test_criterion_2_adapted_frame(ball_bundle, tube_points, capsys):
     chain_ok = True
     for q in tube_points:
         M = bar.adapted_frame_Q(b, q)
-        data = bar.tube_eval(b.sigma, q, b.scale_factor)
+        data = bar.tube_eval(b.sigma, q)
         phi = bar.cutoff(data.u, b.epsilon)
         dphi = bar.cutoff_derivative(data.u, b.epsilon)
         bound = phi * b.K + abs(dphi)
@@ -72,7 +72,7 @@ def test_criterion_3_psi_oracle(ball_bundle, tube_points, capsys):
         dominated &= bool(np.all(tr <= top + 1e-10))
         best = np.maximum(best, tr)
     gap = float(np.max(top - best))
-    data = bar.tube_eval(b.sigma, pts, b.scale_factor)
+    data = bar.tube_eval(b.sigma, pts)
     closed = -bar.cutoff(data.u, b.epsilon) * np.sum(data.curvatures[:, :b.m], axis=-1)
     closed_err = float(np.max(np.abs(top - closed)))
     ok = dominated and gap <= 1e-2 and closed_err <= 1e-5
@@ -213,9 +213,8 @@ def test_criterion_10_eikonal_and_cutoff(ball_bundle, tube_points, capsys):
     grad = u.gradient(tube_points)
     eikonal = float(np.max(np.abs(np.linalg.norm(grad, axis=-1) - 1.0)))
     h = 1e-5
-    data0 = bar.tube_eval(b.sigma, tube_points, b.scale_factor)
-    data1 = bar.tube_eval(b.sigma, tube_points + h * data0.nu * b.scale_factor,
-                          b.scale_factor)
+    data0 = bar.tube_eval(b.sigma, tube_points)
+    data1 = bar.tube_eval(b.sigma, tube_points + h * data0.nu * b.sigma.c)
     conn = float(np.max(np.linalg.norm((data1.nu - data0.nu) / h, axis=-1)))
     t = np.linspace(0.0, b.epsilon * (1 - 1e-12), 1000)
     phi = bar.cutoff(t, b.epsilon)

@@ -46,7 +46,7 @@ class TestConstruction:
         assert b.kappa_sum_p == pytest.approx(2.0)
 
     def test_contact_at_p(self, ball_bundle):
-        data = bar.tube_eval(ball_bundle.sigma, ball_bundle.p, 1.0)
+        data = bar.tube_eval(ball_bundle.sigma, ball_bundle.p)
         assert data.u == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(data.nu, [0.0, 0.0, -1.0], atol=1e-8)
         np.testing.assert_allclose(data.curvatures, [1.0, 1.0], atol=5e-3)
@@ -199,9 +199,10 @@ class TestBarrierField:
         inner = np.einsum("fe,fe->f", X.value(bnd), ball_domain.inward_normal(bnd))
         assert np.min(inner) >= -1e-12
 
-    def test_jacobian_fd(self, ball_bundle, tube_points):
-        X = ball_bundle.field()
-        pts = tube_points[:20]
+    def test_jacobian_fd(self, tube_case):
+        b, points = tube_case
+        X = b.field()
+        pts = points[:20]
         J = X.jacobian(pts)
         h = 1e-6
         for i in range(3):
@@ -211,29 +212,33 @@ class TestBarrierField:
 
 
 class TestTubeInvariants:
-    def test_eikonal(self, ball_bundle, tube_points):
-        u = ball_bundle.u_field()
-        grad = u.gradient(tube_points)
-        norms = np.linalg.norm(grad, axis=-1)  # euclidean metric: |grad u| = 1
-        np.testing.assert_allclose(norms, 1.0, atol=1e-6)
+    def test_eikonal(self, tube_case):
+        b, points = tube_case
+        grad = b.u_field().gradient(points)
+        # |grad u|_g = 1, so the euclidean length of the coordinate gradient
+        # du is c (g^{ij} = c^-2 delta)
+        norms = np.linalg.norm(grad, axis=-1)
+        np.testing.assert_allclose(norms, b.sigma.c, atol=1e-6)
 
     def test_normal_geodesic(self, ball_bundle, tube_points):
         """grad_nu nu = 0: the unit normal is parallel along its own flow."""
         b = ball_bundle
         pts = tube_points[:200]
         h = 1e-5
-        data0 = bar.tube_eval(b.sigma, pts, b.scale_factor)
-        nu_e = data0.nu * b.scale_factor
-        data1 = bar.tube_eval(b.sigma, pts + h * nu_e, b.scale_factor)
+        data0 = bar.tube_eval(b.sigma, pts)
+        nu_e = data0.nu * b.sigma.c
+        data1 = bar.tube_eval(b.sigma, pts + h * nu_e)
         deriv = (data1.nu - data0.nu) / h
         assert np.max(np.linalg.norm(deriv, axis=-1)) <= 1e-5
 
-    def test_signed_distance_agrees_with_projection(self, ball_bundle, tube_points):
-        b = ball_bundle
-        d = bar.signed_distance(b.sigma, tube_points[:50], b.domain.metric)
-        data = bar.tube_eval(b.sigma, tube_points[:50], b.scale_factor)
-        feet_dist = np.linalg.norm(tube_points[:50] - data.foot, axis=-1)
-        np.testing.assert_allclose(np.abs(d), feet_dist, atol=1e-9)
+    def test_signed_distance_agrees_with_projection(self, tube_case):
+        """u is c times the euclidean distance to the projected foot."""
+        b, points = tube_case
+        pts = points[:50]
+        d = b.u_field().value(pts)
+        data = bar.tube_eval(b.sigma, pts)
+        feet_dist = np.linalg.norm(pts - data.foot, axis=-1)
+        np.testing.assert_allclose(np.abs(d), b.sigma.c * feet_dist, atol=1e-9)
 
 
 class TestPsi:
@@ -252,7 +257,7 @@ class TestPsi:
         X = b.field()
         pts = tube_points[:300]
         vals = bar.psi(X, pts, b.m, b.domain.metric)
-        data = bar.tube_eval(b.sigma, pts, b.scale_factor)
+        data = bar.tube_eval(b.sigma, pts)
         phi = bar.cutoff(data.u, b.epsilon)
         closed = -phi * np.sum(data.curvatures[:, : b.m], axis=-1)
         np.testing.assert_allclose(vals, closed, atol=1e-5)
@@ -278,7 +283,7 @@ class TestAdaptedFrame:
         b = ball_bundle
         for q in tube_points[:50]:
             M = bar.adapted_frame_Q(b, q)
-            data = bar.tube_eval(b.sigma, q, b.scale_factor)
+            data = bar.tube_eval(b.sigma, q)
             phi = bar.cutoff(data.u, b.epsilon)
             dphi = bar.cutoff_derivative(data.u, b.epsilon)
             off = M - np.diag(np.diagonal(M))
@@ -288,6 +293,19 @@ class TestAdaptedFrame:
             diag = np.diagonal(M)
             # -phi k_1 >= ... >= -phi k_{n-1} >= phi'
             assert np.all(np.diff(diag) <= 1e-10)
+
+    def test_one_tube_evaluation_per_call(self, ball_bundle, tube_points, monkeypatch):
+        seen = []
+        tube_eval = bar.tube_eval
+
+        def counting(sigma, x):
+            seen.append(len(x))
+            return tube_eval(sigma, x)
+
+        monkeypatch.setattr(bar, "tube_eval", counting)
+        M = bar.adapted_frame_Q(ball_bundle, tube_points[:20])
+        assert M.shape == (20, 3, 3)
+        assert seen == [20]
 
 
 class TestVerification:
@@ -303,7 +321,7 @@ class TestVerification:
     def test_outside_cutoff_margin_zero(self, ball_bundle):
         rep = bar.verify_barrier(ball_bundle, grid_resolution=25, keep_margins=True)
         b = ball_bundle
-        data = bar.tube_eval(b.sigma, rep.points, b.scale_factor)
+        data = bar.tube_eval(b.sigma, rep.points)
         outside = ~(data.valid & (data.u >= 0) & (data.u < b.epsilon))
         assert np.max(np.abs(rep.margins[outside])) == 0.0
 
@@ -319,9 +337,9 @@ class TestVerification:
         seen = []
         tube_eval = bar.tube_eval
 
-        def counting(sigma, x, *args):
+        def counting(sigma, x):
             seen.append(len(x))
-            return tube_eval(sigma, x, *args)
+            return tube_eval(sigma, x)
 
         monkeypatch.setattr(bar, "tube_eval", counting)
         rep = bar.verify_barrier(ball_bundle, grid_resolution=25)

@@ -1,5 +1,9 @@
 """CLI exit codes, JSON schema conformance, and reproducibility."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,3 +192,16 @@ class TestOutputContract:
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
+
+    def test_schema_matches_docs(self):
+        path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report_schema.json"
+        assert cli._SCHEMA == json.loads(path.read_text())
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys, mconvex, mconvex.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -29,6 +29,18 @@ class TestHausdorff:
         assert hz.hausdorff_distance(np.zeros((1, 3)),
                                      np.array([[3.0, 4.0, 0.0]])) == 5.0
 
+    def test_chunking_does_not_change_the_distance(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(300, 3))
+        B = rng.normal(size=(400, 3)) + 0.5
+        whole = hz.hausdorff_distance(A, B)
+        d_ab = np.max(np.min(np.linalg.norm(A[:, None] - B[None], axis=-1), axis=1))
+        d_ba = np.max(np.min(np.linalg.norm(B[:, None] - A[None], axis=-1), axis=1))
+        assert whole == max(d_ab, d_ba)
+        # 7 rows of A per block: the last block is partial
+        monkeypatch.setattr(hz, "_BLOCK_ENTRIES", 7 * 400)
+        assert hz.hausdorff_distance(A, B) == whole
+
 
 class TestRefusals:
     def test_halfspace_refused(self):

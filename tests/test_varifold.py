@@ -231,9 +231,9 @@ class TestMinimizingChecks:
         seen = []
         tube_eval = bar.tube_eval
 
-        def counting(sigma, x, *args):
+        def counting(sigma, x):
             seen.append(len(x))
-            return tube_eval(sigma, x, *args)
+            return tube_eval(sigma, x)
 
         monkeypatch.setattr(bar, "tube_eval", counting)
         rep = vf.check_bounded_mc(V, X, h, metric)
