@@ -29,15 +29,10 @@ def main():
 
     domain = geo.domain_ball(radius=1.0)
     p = np.array([0.0, 0.0, 1.0])
-    disk = meshes.disk_mesh(radius=0.3, center=(0, 0, 0.85),
-                            rings=args.rings, segments=args.segments)
-    rim = disk.boundary_vertices()
-    verts = disk.vertices.copy()
-    interior = np.setdiff1d(np.arange(len(verts)), rim)
-    r = np.linalg.norm(verts[interior, :2], axis=1)
-    verts[interior, 2] += args.bulge * np.cos(np.pi * r / 0.6)
+    start = meshes.bulged_disk_mesh(args.rings, args.segments, args.bulge)
+    rim = start.boundary_vertices()
 
-    problem = mz.MinimizeProblem(domain, disk.with_vertices(verts), anchored=rim,
+    problem = mz.MinimizeProblem(domain, start, anchored=rim,
                                  tolerance=args.tolerance)
     final, report = mz.minimize(problem)
     report.to_csv(args.out)

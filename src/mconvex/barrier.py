@@ -524,7 +524,7 @@ class BarrierReport:
             n = self.points.shape[-1]
             fh.write(",".join(f"x{i + 1}" for i in range(n)) + ",margin\n")
             for pt, mg in zip(self.points, self.margins):
-                fh.write(",".join(repr(v) for v in pt) + f",{mg!r}\n")
+                fh.write(",".join(repr(float(v)) for v in pt) + f",{float(mg)!r}\n")
 
 
 def chart_grid(chart, resolution):

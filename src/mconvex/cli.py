@@ -258,11 +258,14 @@ def cmd_scenario(args):
     }
     if args.name not in runners:
         raise UsageError(f"unknown scenario {args.name!r}; have {sorted(runners)}")
+    h = args.h
+    if h is None:
+        h = hz.BOUNDED_MC_H if args.name in ("theorem5", "theorem6") else 0.0
     cfg = hz.ScenarioConfig(
         domain=_parse_domain(args.domain, args.metric) if args.domain else None,
         p=_parse_point(args.p),
         m=args.m,
-        h=args.h,
+        h=h,
         seed=args.seed,
         grid_resolution=args.grid,
     )
@@ -353,7 +356,8 @@ def build_parser():
     sp.add_argument("--domain", default=None)
     sp.add_argument("--p", default="0,0,1")
     sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--h", type=float, default=0.0)
+    sp.add_argument("--h", type=float, default=None,
+                    help="mean-curvature bound (default: 1 for theorem5/6, 0 otherwise)")
     sp.add_argument("--grid", type=int, default=40)
     _add_common(sp)
     sp.set_defaults(func=cmd_scenario)

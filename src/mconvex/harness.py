@@ -23,6 +23,10 @@ from . import varifold as vf
 # entries of one row block of the distance matrix in hausdorff_distance
 _BLOCK_ENTRIES = 1 << 18
 
+# the mean-curvature bound h of the theorem5 and theorem6 pipelines when the
+# caller gives none (the default sphere cap has |H| = 1)
+BOUNDED_MC_H = 1.0
+
 
 class ScenarioError(Exception):
     pass
@@ -349,7 +353,7 @@ def scenario_theorem4(cfg=None, varifold_mesh=None, boundary_mesh=None):
 
 def scenario_theorem5(cfg=None):
     """Bounded-mean-curvature exclusion: curvature sum must exceed h."""
-    cfg = cfg or ScenarioConfig(h=1.0)
+    cfg = cfg or ScenarioConfig(h=BOUNDED_MC_H)
     domain = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)
     if cfg.h < 0:
@@ -389,7 +393,7 @@ def scenario_theorem5(cfg=None):
 
 def scenario_theorem6(cfg=None):
     """Theorem 3 pipeline with the bounded-mean-curvature condition."""
-    cfg = cfg or ScenarioConfig(h=1.0, metric_family=default_metric_family)
+    cfg = cfg or ScenarioConfig(h=BOUNDED_MC_H, metric_family=default_metric_family)
     family = cfg.metric_family or default_metric_family
     base = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)

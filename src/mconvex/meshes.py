@@ -56,6 +56,17 @@ def disk_mesh(radius=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0),
     return _surface(verts, tris, multiplicity * np.ones(len(tris)))
 
 
+def bulged_disk_mesh(rings=6, segments=48, amplitude=0.05):
+    """Plateau start: the disk of radius 0.3 at z = 0.85 with its interior
+    lifted by ``amplitude * cos(pi r / 0.6)`` and its rim unchanged."""
+    disk = disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=rings, segments=segments)
+    verts = disk.vertices.copy()
+    interior = np.setdiff1d(np.arange(len(verts)), disk.boundary_vertices())
+    r = np.linalg.norm(verts[interior, :2], axis=1)
+    verts[interior, 2] += amplitude * np.cos(np.pi * r / 0.6)
+    return disk.with_vertices(verts)
+
+
 def square_mesh(side=1.0, center=(0.5, 0.5, 0.0), divisions=1, multiplicity=1.0):
     """Axis-aligned square in the plane z = center_z."""
     cx, cy, cz = np.asarray(center, dtype=float)

@@ -61,27 +61,16 @@ def project_to_domain(x, domain, tol=1e-10, max_iter=50):
 def area_gradient(mesh, metric=None):
     """Gradient of metric area w.r.t. vertex positions.
 
-    Analytic for metrics that are euclidean up to a constant conformal
-    factor (area scales by c^m); central finite differences otherwise.
+    The euclidean cotangent form, scaled by c^m for a metric that is a
+    constant multiple c^2 of the euclidean one; the closed-form
+    ``vf.metric_area_gradient`` otherwise.
     """
     if metric is None or metric.is_euclidean:
         return vf.area_vertex_gradient(mesh)
     c = metric.constant_factor()
     if c is not None:
         return (c ** mesh.m) * vf.area_vertex_gradient(mesh)
-    return _fd_area_gradient(mesh, metric)
-
-
-def _fd_area_gradient(mesh, metric, h=1e-6):
-    grad = np.zeros_like(mesh.vertices)
-    for v in range(len(mesh.vertices)):
-        for k in range(mesh.n):
-            for s, sign in ((h, 1.0), (-h, -1.0)):
-                pert = mesh.vertices.copy()
-                pert[v, k] += s
-                grad[v, k] += sign * vf.area(mesh.with_vertices(pert), metric)
-            grad[v, k] /= 2 * h
-    return grad
+    return vf.metric_area_gradient(mesh, metric)
 
 
 def _triangle_aspect(verts, tris):

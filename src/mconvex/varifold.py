@@ -287,13 +287,49 @@ def _quadrature(m, order):
     return rules[order]
 
 
-def _metric_frames(E, points, metric):
-    """Gram-Schmidt the edge vectors into g-orthonormal frames at each point."""
-    F, m, n = E.shape
+@dataclass
+class _MeshQuadrature:
+    """Quadrature nodes of a mesh and the metric data shared by the lowering,
+    the area and its vertex gradient.
+
+    ``g`` is None for the euclidean metric, else ``(F, Q, n, n)``; ``weights``
+    is multiplicity x quadrature weight x metric m-volume, one per node in
+    simplex-major order.
+    """
+
+    nodes: np.ndarray    # (Q, m+1) barycentric
+    points: np.ndarray   # (F*Q, n)
+    E: np.ndarray        # (F, m, n) edge vectors
+    g: Optional[np.ndarray]
+    gram: np.ndarray     # (F, m, m) euclidean or (F, Q, m, m) metric
+    weights: np.ndarray  # (F*Q,)
+
+
+def _mesh_quadrature(mesh, metric, order):
+    mesh.check()
+    nodes, wq = _quadrature(mesh.m, order)
+    v = mesh.vertices[mesh.simplices]          # (F, m+1, n)
+    pts = np.einsum("qb,fbn->fqn", nodes, v)   # (F, Q, n)
+    E = mesh.edge_matrices()                   # (F, m, n)
+    fact = np.prod(np.arange(1, mesh.m + 1))
+    F, Q = pts.shape[:2]
+    flat = pts.reshape(F * Q, mesh.n)
     if metric.is_euclidean:
         g = None
+        gram = np.einsum("fae,fbe->fab", E, E)
+        vol_node = np.repeat(np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact, Q)
     else:
-        g = metric.matrix(points)
+        g = metric.matrix(flat).reshape(F, Q, mesh.n, mesh.n)
+        gram = np.einsum("fae,fqec,fbc->fqab", E, g, E)
+        vol_node = (np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact).ravel()
+    weights = np.repeat(mesh.multiplicity, Q) * np.tile(wq, F) * vol_node
+    return _MeshQuadrature(nodes, flat, E, g, gram, weights)
+
+
+def _metric_frames(E, g):
+    """Gram-Schmidt the edge vectors into g-orthonormal frames at each point
+    (``g`` is None for the euclidean metric)."""
+    F, m, n = E.shape
 
     def inner(a, b):
         if g is None:
@@ -320,32 +356,56 @@ def varifold_from_mesh(mesh, metric=None, order=2):
     the same rule).
     """
     metric = metric or geo.metric_euclidean(mesh.n)
-    mesh.check()
-    nodes, wq = _quadrature(mesh.m, order)
-    v = mesh.vertices[mesh.simplices]          # (F, m+1, n)
-    pts = np.einsum("qb,fbn->fqn", nodes, v)   # (F, Q, n)
-    E = mesh.edge_matrices()                   # (F, m, n)
-    fact = np.prod(np.arange(1, mesh.m + 1))
-    F, Q = pts.shape[:2]
-    flat = pts.reshape(F * Q, mesh.n)
-    if metric.is_euclidean:
-        gram = np.einsum("fae,fbe->fab", E, E)
-        vol_node = np.repeat(np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact, Q)
-    else:
-        g = metric.matrix(flat).reshape(F, Q, mesh.n, mesh.n)
-        gram = np.einsum("fae,fqec,fbc->fqab", E, g, E)
-        vol_node = (np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact).ravel()
-    weights = np.repeat(mesh.multiplicity, Q) * np.tile(wq, F) * vol_node
-    frames = _metric_frames(
-        np.repeat(E, Q, axis=0), flat, metric
-    )
-    keep = weights > 0
-    return DiscreteVarifold(mesh.m, flat[keep], frames[keep], weights[keep], mesh=mesh)
+    quad = _mesh_quadrature(mesh, metric, order)
+    Q = len(quad.nodes)
+    g = None if quad.g is None else quad.g.reshape(len(quad.points), mesh.n, mesh.n)
+    frames = _metric_frames(np.repeat(quad.E, Q, axis=0), g)
+    keep = quad.weights > 0
+    return DiscreteVarifold(mesh.m, quad.points[keep], frames[keep], quad.weights[keep],
+                            mesh=mesh)
 
 
 def area(mesh, metric=None, order=2):
-    """Total metric m-area of the mesh (multiplicity-weighted)."""
-    return varifold_from_mesh(mesh, metric, order=order).total_weight
+    """Total metric m-area of the mesh (multiplicity-weighted).
+
+    The same node weights and sum as ``varifold_from_mesh(...).total_weight``,
+    without building the frames.
+    """
+    metric = metric or geo.metric_euclidean(mesh.n)
+    weights = _mesh_quadrature(mesh, metric, order).weights
+    return float(np.sum(weights[weights > 0]))
+
+
+def metric_area_gradient(mesh, metric=None, order=2):
+    """Exact vertex gradient of ``area(mesh, metric, order)``, shape (V, n).
+
+    At a node x_q = sum_b lambda_qb v_b with G_q = E^T g(x_q) E and
+    vol_q = sqrt(det G_q) / m!, the differential is
+    d vol_q = vol_q sum_a <dE_a, P_a> + 1/2 vol_q lambda_qb s_k dv_b^k with
+    P_a = sum_b (G_q^-1)_ab g E_b and s_k = sum_ab (G_q^-1)_ab E_a^T d_k g E_b;
+    each node is weighted by multiplicity x quadrature weight.
+    """
+    metric = metric or geo.metric_euclidean(mesh.n)
+    quad = _mesh_quadrature(mesh, metric, order)
+    F, m, n = quad.E.shape
+    w = quad.weights.reshape(F, -1)
+    ginv = np.linalg.inv(quad.gram)
+    # per simplex: d(weighted area) / d(edge a), then / d(corner b)
+    if quad.g is None:
+        dE = w.sum(axis=1)[:, None, None] * np.einsum("fab,fbe->fae", ginv, quad.E)
+        d_corner = np.zeros((F, m + 1, n))
+    else:
+        gE = np.einsum("fqec,fbc->fqbe", quad.g, quad.E)
+        dE = np.einsum("fq,fqab,fqbe->fae", w, ginv, gE)
+        dg = metric.dmatrix(quad.points).reshape(F, -1, n, n, n)
+        s = np.einsum("fqab,fae,fqkec,fbc->fqk", ginv, quad.E, dg, quad.E, optimize=True)
+        d_corner = 0.5 * np.einsum("fq,qb,fqk->fbk", w, quad.nodes, s)
+    d_corner[:, 1:] += dE
+    d_corner[:, 0] -= dE.sum(axis=1)
+    idx = mesh.simplices.ravel()
+    flat = d_corner.reshape(-1, n)
+    return np.stack([np.bincount(idx, flat[:, k], minlength=len(mesh.vertices))
+                     for k in range(n)], axis=-1)
 
 
 def first_variation(V, X, metric=None):

@@ -85,12 +85,15 @@ class TestBarrier:
 
     def test_verify_margin_csv(self, capsys, tmp_path):
         out = tmp_path / "margins.csv"
-        code, _, _ = run(capsys, "barrier-verify", "--domain", "ball:1",
-                         "--p", "0,0,1", "--m", "2", "--grid", "15",
-                         "--out", str(out))
+        code, doc, _ = run(capsys, "barrier-verify", "--domain", "ball:1",
+                           "--p", "0,0,1", "--m", "2", "--grid", "15",
+                           "--out", str(out))
         assert code == cli.EXIT_PASS
-        header = out.read_text().splitlines()[0]
+        header, *rows = out.read_text().splitlines()
         assert header == "x1,x2,x3,margin"
+        assert len(rows) == doc["report"]["n_grid"] > 0
+        for row in rows:
+            assert len([float(v) for v in row.split(",")]) == 4
 
 
 class TestFirstVariation:
@@ -125,6 +128,16 @@ class TestMinimize:
         assert doc["report"]["projected_gradient_residual"] <= 1e-6
         final = vf.read_svmesh(out_mesh)
         assert final.vertices.shape == mesh.vertices.shape
+
+    def test_bulged_disk_nonconstant_conformal(self, capsys, tmp_path):
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=2, segments=16, amplitude=0.05),
+                        path)
+        code, doc, _ = run(capsys, "minimize", "--mesh", str(path), "--domain", "ball:1",
+                           "--metric", "conformal:0.1*x1", "--tolerance", "1e-5",
+                           "--no-timestamp")
+        assert code == cli.EXIT_PASS
+        assert doc["report"]["final_area"] == pytest.approx(0.27565293, rel=1e-7)
 
 
 class TestDecompose:
@@ -162,6 +175,11 @@ class TestScenarioCommand:
                            "--h", "3.0")
         assert code == cli.EXIT_ASSERTION
         assert doc["report"]["status"] == "refused"
+
+    def test_theorem5_default_h(self, capsys):
+        code, doc, _ = run(capsys, "scenario", "--name", "theorem5", "--no-timestamp")
+        assert code == cli.EXIT_PASS
+        assert doc["report"]["provenance"]["h"] == 1.0
 
     def test_unknown_scenario(self, capsys):
         code, _, _ = run(capsys, "scenario", "--name", "theorem2")

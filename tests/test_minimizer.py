@@ -8,6 +8,39 @@ from mconvex import minimizer as mini
 from mconvex import varifold as vf
 
 
+def _fd_area_gradient(mesh, metric, h=1e-6):
+    """Central finite differences of ``vf.area``: the reference gradient."""
+    grad = np.zeros_like(mesh.vertices)
+    for v in range(len(mesh.vertices)):
+        for k in range(mesh.n):
+            for s, sign in ((h, 1.0), (-h, -1.0)):
+                pert = mesh.vertices.copy()
+                pert[v, k] += s
+                grad[v, k] += sign * vf.area(mesh.with_vertices(pert), metric)
+            grad[v, k] /= 2 * h
+    return grad
+
+
+def _perturbed(mesh, seed):
+    """``mesh`` with jittered vertices and multiplicities 1 to 3."""
+    rng = np.random.default_rng(seed)
+    verts = mesh.vertices + 0.02 * rng.normal(size=mesh.vertices.shape)
+    mult = rng.integers(1, 4, size=len(mesh.simplices)).astype(float)
+    return vf.SimplicialSurface(verts, mesh.simplices, mult)
+
+
+_DISK = _perturbed(meshes.disk_mesh(radius=0.3, center=(0.1, 0.0, 0.5), rings=2,
+                                    segments=8), seed=1)
+_POLYLINE = _perturbed(meshes.chord_polyline(np.array([-0.5, 0.0, 0.1]),
+                                             np.array([0.5, 0.2, 0.3]), segments=10),
+                       seed=2)
+_NON_CONSTANT = {
+    "conformal_x1": geo.metric_conformal("0.1*x1"),
+    "conformal_x1_squared": geo.metric_conformal("x1^2"),
+    "matrix": geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3", "0.3*x1*x3", "1.5"]),
+}
+
+
 @pytest.fixture(scope="module")
 def plateau_problem():
     """Disk with rim anchored at height 0.85 inside the unit ball."""
@@ -83,6 +116,48 @@ class TestGradient:
         mesh = meshes.disk_mesh(radius=0.5, rings=3, segments=12)
         g = mini.area_gradient(mesh)
         np.testing.assert_allclose(np.sum(g, axis=0), 0.0, atol=1e-10)
+
+
+class TestMetricAreaGradient:
+    # the finite-difference oracle has an h^2 truncation and an area-rounding
+    # floor of about 1e-16 / h; both lie far below 1e-8 on these meshes
+    @pytest.mark.parametrize("metric", sorted(_NON_CONSTANT))
+    @pytest.mark.parametrize("mesh", [_DISK, _POLYLINE], ids=["disk", "polyline"])
+    def test_matches_finite_differences(self, mesh, metric):
+        metric = _NON_CONSTANT[metric]
+        np.testing.assert_allclose(vf.metric_area_gradient(mesh, metric),
+                                   _fd_area_gradient(mesh, metric), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("metric, c", [
+        pytest.param(None, 1.0, id="euclidean"),
+        pytest.param(geo.metric_conformal("0 - log(2)"), 0.5, id="conformal_constant"),
+    ])
+    @pytest.mark.parametrize("mesh", [_DISK, _POLYLINE], ids=["disk", "polyline"])
+    def test_constant_factor_scales_euclidean_gradient(self, mesh, metric, c):
+        np.testing.assert_allclose(vf.metric_area_gradient(mesh, metric),
+                                   c ** mesh.m * vf.area_vertex_gradient(mesh),
+                                   rtol=0, atol=1e-12)
+
+    def test_translation_invariance_of_constant_metric(self):
+        metric = geo.metric_matrix(["2", "0.3", "0.1", "1.5", "0.2", "1"])
+        g = vf.metric_area_gradient(_DISK, metric)
+        assert np.max(np.abs(g)) > 0.1
+        np.testing.assert_allclose(np.sum(g, axis=0), 0.0, atol=1e-12)
+
+    def test_minimizer_lowers_no_varifold(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("area", "varifold_from_mesh"):
+            monkeypatch.setattr(vf, name, counting(getattr(vf, name)))
+        g = mini.area_gradient(_DISK, _NON_CONSTANT["conformal_x1"])
+        assert g.shape == _DISK.vertices.shape
+        assert calls == []
 
 
 class TestMinimize:

@@ -89,6 +89,33 @@ class TestFromMesh:
             vf.varifold_from_mesh(mesh)
 
 
+class TestArea:
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("metric", [
+        pytest.param(None, id="euclidean"),
+        pytest.param(geo.metric_conformal("0 - log(2)"), id="conformal_constant"),
+        pytest.param(geo.metric_conformal("0.1*x1"), id="conformal_x1"),
+        pytest.param(geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3",
+                                        "0.3*x1*x3", "1.5"]), id="matrix"),
+    ])
+    def test_equals_lowered_total_weight(self, metric, order):
+        mesh = meshes.disk_mesh(radius=0.4, center=(0.1, 0.0, 0.5), rings=3, segments=12)
+        rng = np.random.default_rng(3)
+        mesh = vf.SimplicialSurface(
+            mesh.vertices + 0.02 * rng.normal(size=mesh.vertices.shape), mesh.simplices,
+            rng.integers(1, 4, size=len(mesh.simplices)).astype(float))
+        assert (vf.area(mesh, metric, order)
+                == vf.varifold_from_mesh(mesh, metric, order).total_weight)
+
+    def test_collapsed_triangle_rejected(self):
+        mesh = meshes.disk_mesh(radius=0.4, rings=2, segments=8)
+        verts = mesh.vertices.copy()
+        a, b, c = mesh.simplices[0]
+        verts[c] = 0.5 * (verts[a] + verts[b])
+        with pytest.raises(vf.DegenerateSimplexError):
+            vf.area(mesh.with_vertices(verts), geo.metric_conformal("0.1*x1"))
+
+
 class TestFirstVariation:
     def test_constant_field_on_disk(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
