@@ -15,17 +15,10 @@ def main():
     ap.add_argument("--out", default=None, help="write all reports to one JSON file")
     args = ap.parse_args()
 
-    runs = {
-        "theorem1": lambda: hz.scenario_theorem1(hz.ScenarioConfig(seed=args.seed)),
-        "theorem3": lambda: hz.scenario_theorem3(hz.ScenarioConfig(seed=args.seed)),
-        "theorem4": lambda: hz.scenario_theorem4(hz.ScenarioConfig(seed=args.seed)),
-        "theorem5": lambda: hz.scenario_theorem5(hz.ScenarioConfig(h=1.0, seed=args.seed)),
-        "theorem6": lambda: hz.scenario_theorem6(hz.ScenarioConfig(h=1.0, seed=args.seed)),
-    }
     reports = {}
     failures = 0
-    for name, run in runs.items():
-        report = run()
+    for name in hz.SCENARIO_H:
+        report = hz.run_scenario(name, seed=args.seed)
         reports[name] = report
         print(f"{name}: {report['status']}")
         failures += report["status"] != "passed"

@@ -249,27 +249,15 @@ def cmd_decompose(args):
 
 
 def cmd_scenario(args):
-    runners = {
-        "theorem1": hz.scenario_theorem1,
-        "theorem3": hz.scenario_theorem3,
-        "theorem4": hz.scenario_theorem4,
-        "theorem5": hz.scenario_theorem5,
-        "theorem6": hz.scenario_theorem6,
-    }
-    if args.name not in runners:
-        raise UsageError(f"unknown scenario {args.name!r}; have {sorted(runners)}")
-    h = args.h
-    if h is None:
-        h = hz.BOUNDED_MC_H if args.name in ("theorem5", "theorem6") else 0.0
-    cfg = hz.ScenarioConfig(
+    report = hz.run_scenario(
+        args.name,
+        h=args.h,
         domain=_parse_domain(args.domain, args.metric) if args.domain else None,
         p=_parse_point(args.p),
         m=args.m,
-        h=h,
         seed=args.seed,
         grid_resolution=args.grid,
     )
-    report = runners[args.name](cfg)
     return _emit(args, f"scenario:{args.name}", report.get("status") == "passed", report)
 
 
@@ -351,13 +339,12 @@ def build_parser():
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("scenario", help="run a theorem-level pipeline")
-    sp.add_argument("--name", required=True,
-                    help="theorem1 | theorem3 | theorem4 | theorem5 | theorem6")
+    sp.add_argument("--name", required=True, help=" | ".join(hz.SCENARIO_H))
     sp.add_argument("--domain", default=None)
     sp.add_argument("--p", default="0,0,1")
     sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--h", type=float, default=None,
-                    help="mean-curvature bound (default: 1 for theorem5/6, 0 otherwise)")
+    sp.add_argument("--h", type=float, default=None, help="mean-curvature bound (default: "
+                    + ", ".join(f"{k} {v:g}" for k, v in hz.SCENARIO_H.items()) + ")")
     sp.add_argument("--grid", type=int, default=40)
     _add_common(sp)
     sp.set_defaults(func=cmd_scenario)

@@ -23,9 +23,11 @@ from . import varifold as vf
 # entries of one row block of the distance matrix in hausdorff_distance
 _BLOCK_ENTRIES = 1 << 18
 
-# the mean-curvature bound h of the theorem5 and theorem6 pipelines when the
-# caller gives none (the default sphere cap has |H| = 1)
-BOUNDED_MC_H = 1.0
+# every scenario, run by scenario_<name>, with the mean-curvature bound h it
+# runs at when the caller gives none: theorem1, theorem3 and theorem4 read no h
+# and refuse a nonzero one; the default sphere cap of theorem5/6 has |H| = 1
+SCENARIO_H = {"theorem1": 0.0, "theorem3": 0.0, "theorem4": 0.0,
+              "theorem5": 1.0, "theorem6": 1.0}
 
 
 class ScenarioError(Exception):
@@ -54,23 +56,29 @@ def hausdorff_distance(A, B):
 
 @dataclass
 class ScenarioConfig:
-    """Shared scenario knobs; scenario functions read what they need."""
+    """Shared scenario knobs; the comment on each field names the scenarios
+    that read it.  Every report records seed, grid_resolution, m, h and p."""
 
-    domain: Optional[geo.Domain] = None
-    p: np.ndarray = dc_field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    m: int = 2
-    h: float = 0.0
-    seed: int = 0
-    grid_resolution: int = 40
-    mesh: Optional[vf.SimplicialSurface] = None
-    anchored: Optional[np.ndarray] = None
-    max_iterations: int = 3000
-    tolerance: float = 1e-6
-    metric_family: Optional[object] = None  # callable i -> MetricField
-    family_range: tuple = (0, 10)
+    domain: Optional[geo.Domain] = None  # all scenarios; default the unit ball
+    p: np.ndarray = dc_field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))  # theorem1/3/5/6
+    m: int = 2  # theorem1/3/5/6 (theorem4 uses n - 1)
+    h: float = 0.0  # theorem5/6; theorem1/3/4 raise ScenarioError unless h = 0
+    seed: int = 0  # all: barrier curvature samples; theorem3 also u and metric samples
+    grid_resolution: int = 40  # theorem1: barrier verification grid
+    mesh: Optional[vf.SimplicialSurface] = None  # minimized by theorem1/3, checked by theorem5/6
+    family_range: tuple = (0, 10)  # theorem3/6: indices i of metric_family, at most 40
 
     def resolved_domain(self):
         return self.domain if self.domain is not None else geo.domain_ball(radius=1.0)
+
+
+def run_scenario(name, h=None, **fields):
+    """Run scenario_<name> on ScenarioConfig(h=h, **fields), h None meaning its
+    SCENARIO_H default; looked up at call time, so a wrapper set on it runs."""
+    if name not in SCENARIO_H:
+        raise ScenarioError(f"unknown scenario {name!r}; have {sorted(SCENARIO_H)}")
+    cfg = ScenarioConfig(h=SCENARIO_H[name] if h is None else h, **fields)
+    return globals()[f"scenario_{name}"](cfg)
 
 
 def _provenance(cfg, bundle=None):
@@ -95,25 +103,61 @@ def _refusal(cfg, reason):
     }
 
 
-def _default_plateau_mesh(rng=None):
+def _reads_no_h(cfg, name):
+    if cfg.h != 0.0:
+        raise ScenarioError(f"{name} reads no mean-curvature bound; got h = {cfg.h:g}")
+
+
+def _default_plateau_mesh():
     """The anchored-circle test surface: radius 0.3, plane z = 0.85."""
-    disk = meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=6, segments=48)
-    return disk, disk.boundary_vertices()
+    return meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=6, segments=48)
 
 
-def _minimize_mesh(cfg, domain, mesh=None, anchored=None):
-    if mesh is None:
-        mesh, anchored = _default_plateau_mesh()
-    problem = mz.MinimizeProblem(
-        domain, mesh, anchored=anchored,
-        max_iterations=cfg.max_iterations, tolerance=cfg.tolerance,
-    )
+def _cap_mesh(cfg):
+    """cfg.mesh, or the unit sphere cap (|H| = 1) of the bounded-MC checks."""
+    return cfg.mesh if cfg.mesh is not None else meshes.sphere_cap_mesh(rings=25, segments=100)
+
+
+def _minimize(cfg, domain):
+    """Minimize cfg.mesh (default the Plateau disk) in domain, rim anchored."""
+    mesh = cfg.mesh if cfg.mesh is not None else _default_plateau_mesh()
+    problem = mz.MinimizeProblem(domain, mesh, anchored=mesh.boundary_vertices(),
+                                 max_iterations=3000, tolerance=1e-6)
     return mz.minimize(problem)
+
+
+def _exclusion(V, mesh, bundle):
+    """Support distance of V from p, chord tolerance (twice the longest edge of
+    the mesh V came from) and exclusion margin, dist - (epsilon - chord_tol)."""
+    dist = vf.support_distance(V, bundle.p, bundle.domain.metric)
+    chord_tol = 2.0 * mesh.max_edge_length()
+    return {
+        "support_distance": float(dist),
+        "epsilon": float(bundle.epsilon),
+        "chord_tolerance": float(chord_tol),
+        "exclusion_margin": float(dist - bundle.epsilon + chord_tol),
+    }
+
+
+def _minimize_and_exclude(cfg, bundle):
+    """Minimize cfg.mesh under the barrier's metric; returns (mesh, report, exclusion)."""
+    final, report = _minimize(cfg, bundle.domain)
+    V = vf.varifold_from_mesh(final, bundle.domain.metric)
+    return final, report, _exclusion(V, final, bundle)
+
+
+def _bounded_mc_and_exclude(mesh, bundle, h):
+    """check_bounded_mc of mesh against the barrier field; returns (check, exclusion)."""
+    metric = bundle.domain.metric
+    V = vf.varifold_from_mesh(mesh, metric)
+    mc = vf.check_bounded_mc(V, bundle.field(), h, metric)
+    return mc, _exclusion(V, mesh, bundle)
 
 
 def scenario_theorem1(cfg=None):
     """Exclusion of first-order minimizers from a strongly m-convex point."""
     cfg = cfg or ScenarioConfig()
+    _reads_no_h(cfg, "theorem1")
     domain = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
@@ -123,18 +167,12 @@ def scenario_theorem1(cfg=None):
     verify = bar.verify_barrier(bundle, grid_resolution=cfg.grid_resolution)
     if not verify.passed:
         raise ScenarioError("barrier verification failed on a convex configuration")
-    final, report = _minimize_mesh(cfg, domain, cfg.mesh, cfg.anchored)
-    V = vf.varifold_from_mesh(final, domain.metric)
-    dist = vf.support_distance(V, p, domain.metric)
-    chord_tol = 2.0 * final.max_edge_length()
-    passed = report.converged and dist >= bundle.epsilon - chord_tol
+    _, report, exclusion = _minimize_and_exclude(cfg, bundle)
+    passed = report.converged and exclusion["exclusion_margin"] >= 0.0
     return {
         "status": "passed" if passed else "failed",
         "passed": bool(passed),
-        "support_distance": float(dist),
-        "epsilon": float(bundle.epsilon),
-        "chord_tolerance": float(chord_tol),
-        "exclusion_margin": float(dist - bundle.epsilon + chord_tol),
+        **exclusion,
         "minimizer": {
             "converged": bool(report.converged),
             "iterations": int(report.iterations),
@@ -146,7 +184,7 @@ def scenario_theorem1(cfg=None):
     }
 
 
-def default_metric_family(i):
+def metric_family(i):
     """g(i) = (1 + 2^{-i}) x euclidean, converging to the euclidean metric."""
     factor = 1.0 + 2.0 ** (-i)
     # conformal convention g = e^{2f} delta, so f = log(factor) / 2
@@ -162,7 +200,29 @@ def _family_c2_distance(metric, limit, chart, samples=64, seed=0):
     return float(np.max(np.abs(metric.matrix(pts) - limit.matrix(pts))))
 
 
-def _check_u_properties(bundle, domain, samples=4000, seed=0):
+def _family_sweep(cfg, base, h, check):
+    """Build the barrier with bound h under each metric_family(i) in place of
+    base's metric and add check(bundle_i), which holds "ok", to run i; an i
+    whose curvature sum at p is at most h fails unbuilt.  Returns runs, the
+    first passing index i0 (or None) and whether every run from i0 on passed."""
+    p = np.asarray(cfg.p, dtype=float)
+    i_lo, i_hi = cfg.family_range
+    runs, i0 = [], None
+    for i in range(i_lo, min(i_hi, 40) + 1):
+        dom_i = geo.Domain(metric_family(i), base.u0, base.chart)
+        if geo.m_convexity(dom_i, p, cfg.m)[0] <= h:
+            runs.append({"i": i, "ok": False, "reason": "curvature sum below h"})
+            continue
+        bundle_i = bar.build_barrier(dom_i, p, cfg.m, h=h, seed=cfg.seed)
+        run = {"i": i, **check(bundle_i)}
+        if run["ok"] and i0 is None:
+            i0 = i
+        runs.append(run)
+    tail_ok = i0 is not None and all(r["ok"] for r in runs if r["i"] >= i0)
+    return runs, i0, tail_ok
+
+
+def _check_u_properties(bundle, samples=4000, seed=0):
     """Sampled checks of the auxiliary-function properties.
 
     (i) u(p) = 0 and u > 0 elsewhere on N; (ii) {u <= eps} is compact
@@ -170,6 +230,7 @@ def _check_u_properties(bundle, domain, samples=4000, seed=0):
     exceed eta on the sublevel set; (iv) tube curvature sums exceed eta.
     """
     rng = np.random.default_rng(seed)
+    domain = bundle.domain
     w = bundle.sigma.w
     p = bundle.p
     lo, hi = bundle.chart[:, 0], bundle.chart[:, 1]
@@ -214,66 +275,47 @@ def _check_u_properties(bundle, domain, samples=4000, seed=0):
 
 def scenario_theorem3(cfg=None):
     """Exclusion persists along a smoothly converging metric family."""
-    cfg = cfg or ScenarioConfig(metric_family=default_metric_family)
-    family = cfg.metric_family or default_metric_family
+    cfg = cfg or ScenarioConfig()
+    _reads_no_h(cfg, "theorem3")
     base = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)
-    limit_metric = base.metric
 
-    ksum, kind, _ = geo.m_convexity(base, p, cfg.m)
+    _, kind, _ = geo.m_convexity(base, p, cfg.m)
     if kind != "strongly m-convex":
         return _refusal(cfg, f"limit metric: point is {kind}")
     limit_bundle = bar.build_barrier(base, p, cfg.m, seed=cfg.seed)
-    limit_props = _check_u_properties(limit_bundle, base, seed=cfg.seed)
+    limit_props = _check_u_properties(limit_bundle, seed=cfg.seed)
     if not limit_props["all"]:
         raise ScenarioError(
             f"auxiliary-function properties fail under the limit metric: {limit_props}"
         )
-    limit_mesh, limit_rep = _minimize_mesh(cfg, base, cfg.mesh, cfg.anchored)
+    limit_mesh, limit_rep = _minimize(cfg, base)
     limit_support = vf.support_points(limit_mesh)
 
-    i_lo, i_hi = cfg.family_range
-    i_hi = min(i_hi, 40)
-    runs = []
-    i0 = None
-    for i in range(i_lo, i_hi + 1):
-        metric_i = family(i)
-        dom_i = geo.Domain(metric_i, base.u0, base.chart)
-        eta = 0.5 * geo.m_convexity(dom_i, p, cfg.m)[0]
-        try:
-            bundle_i = bar.build_barrier(dom_i, p, cfg.m, seed=cfg.seed)
-        except bar.BarrierRefusal:
-            runs.append({"i": i, "ok": False, "reason": "barrier refusal"})
-            continue
-        props = _check_u_properties(bundle_i, dom_i, seed=cfg.seed)
-        mesh_i, rep_i = _minimize_mesh(cfg, dom_i, cfg.mesh, cfg.anchored)
-        V_i = vf.varifold_from_mesh(mesh_i, metric_i)
-        dist = vf.support_distance(V_i, p, metric_i)
-        chord_tol = 2.0 * mesh_i.max_edge_length()
-        margin = float(dist - bundle_i.epsilon + chord_tol)
-        ok = props["all"] and rep_i.converged and margin >= 0.0
-        if ok and i0 is None:
-            i0 = i
-        runs.append({
-            "i": i,
-            "ok": bool(ok),
+    def check(bundle_i):
+        props = _check_u_properties(bundle_i, seed=cfg.seed)
+        mesh_i, rep_i, exclusion = _minimize_and_exclude(cfg, bundle_i)
+        return {
+            "ok": bool(props["all"] and rep_i.converged
+                       and exclusion["exclusion_margin"] >= 0.0),
             "properties": props,
-            "epsilon": float(bundle_i.epsilon),
-            "support_distance": float(dist),
-            "exclusion_margin": margin,
-            "metric_c2_gap": _family_c2_distance(metric_i, limit_metric, base.chart,
-                                                 seed=cfg.seed),
+            "epsilon": exclusion["epsilon"],
+            "support_distance": exclusion["support_distance"],
+            "exclusion_margin": exclusion["exclusion_margin"],
+            "metric_c2_gap": _family_c2_distance(bundle_i.domain.metric, base.metric,
+                                                 base.chart, seed=cfg.seed),
             "hausdorff_to_limit": hausdorff_distance(
                 vf.support_points(mesh_i), limit_support
             ),
-        })
+        }
+
+    runs, i0, tail_ok = _family_sweep(cfg, base, 0.0, check)
     if i0 is None:
         return {
             "status": "failed", "passed": False, "runs": runs,
             "reason": "no index in the family satisfied the exclusion",
             "provenance": _provenance(cfg, limit_bundle),
         }
-    tail_ok = all(r["ok"] for r in runs if r.get("i", -1) >= i0 and "ok" in r)
     # minimum-point check: u restricted to the support stays strictly positive
     u_min = float(np.min(limit_bundle.sigma.w.value(limit_support)))
     passed = tail_ok and u_min > 0.0
@@ -289,22 +331,21 @@ def scenario_theorem3(cfg=None):
     }
 
 
-def scenario_theorem4(cfg=None, varifold_mesh=None, boundary_mesh=None):
+def scenario_theorem4(cfg=None):
     """Hypersurface case: barrier contradiction at mean-convex contact plus
     the boundary decomposition of integral varifolds."""
     cfg = cfg or ScenarioConfig()
+    _reads_no_h(cfg, "theorem4")
     domain = cfg.resolved_domain()
-    if boundary_mesh is None:
-        boundary_mesh = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
-    if varifold_mesh is None:
-        interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
-        varifold_mesh = vf.SimplicialSurface(
-            np.vstack([boundary_mesh.vertices, interior.vertices]),
-            np.vstack([boundary_mesh.simplices,
-                       interior.simplices + len(boundary_mesh.vertices)]),
-            np.concatenate([2 * np.ones(len(boundary_mesh.simplices)),
-                            np.ones(len(interior.simplices))]),
-        )
+    boundary_mesh = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
+    interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
+    varifold_mesh = vf.SimplicialSurface(
+        np.vstack([boundary_mesh.vertices, interior.vertices]),
+        np.vstack([boundary_mesh.simplices,
+                   interior.simplices + len(boundary_mesh.vertices)]),
+        np.concatenate([2 * np.ones(len(boundary_mesh.simplices)),
+                        np.ones(len(interior.simplices))]),
+    )
     n = domain.n
     m = n - 1
     # (a) contact with a strictly mean-convex boundary point forces the
@@ -353,7 +394,7 @@ def scenario_theorem4(cfg=None, varifold_mesh=None, boundary_mesh=None):
 
 def scenario_theorem5(cfg=None):
     """Bounded-mean-curvature exclusion: curvature sum must exceed h."""
-    cfg = cfg or ScenarioConfig(h=BOUNDED_MC_H)
+    cfg = cfg or ScenarioConfig(h=SCENARIO_H["theorem5"])
     domain = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)
     if cfg.h < 0:
@@ -364,27 +405,20 @@ def scenario_theorem5(cfg=None):
     bundle = bar.build_barrier(domain, p, cfg.m, h=cfg.h, seed=cfg.seed)
     if not (cfg.h < bundle.eta < ksum):
         raise ScenarioError("eta landed outside (h, curvature sum)")
-    mesh = cfg.mesh if cfg.mesh is not None else meshes.sphere_cap_mesh(
-        rings=25, segments=100
-    )
-    V = vf.varifold_from_mesh(mesh, domain.metric)
-    X = bundle.field()
-    mc = vf.check_bounded_mc(V, X, cfg.h, domain.metric)
-    dist = vf.support_distance(V, p, domain.metric)
-    chord_tol = 2.0 * mesh.max_edge_length()
-    excluded = dist >= bundle.epsilon - chord_tol
+    mesh = _cap_mesh(cfg)
+    mc, exclusion = _bounded_mc_and_exclude(mesh, bundle, cfg.h)
     # two-part interpretation on the smooth test mesh
     H, interior = vf.mesh_mean_curvature(mesh, domain.metric)
     interior_max = float(np.max(np.linalg.norm(H[interior], axis=-1))) if np.any(interior) else 0.0
     mc_interior_ok = interior_max <= cfg.h * 1.05 if cfg.h > 0 else interior_max <= 1e-8
-    passed = mc["passed"] and excluded and mc_interior_ok
+    passed = mc["passed"] and exclusion["exclusion_margin"] >= 0.0 and mc_interior_ok
     return {
         "status": "passed" if passed else "failed",
         "passed": bool(passed),
         "bounded_mc_check": mc,
-        "support_distance": float(dist),
-        "epsilon": float(bundle.epsilon),
-        "chord_tolerance": float(chord_tol),
+        "support_distance": exclusion["support_distance"],
+        "epsilon": exclusion["epsilon"],
+        "chord_tolerance": exclusion["chord_tolerance"],
         "interior_H_max": interior_max,
         "boundary_vertex_count": int(np.sum(~interior)),
         "provenance": _provenance(cfg, bundle),
@@ -393,41 +427,26 @@ def scenario_theorem5(cfg=None):
 
 def scenario_theorem6(cfg=None):
     """Theorem 3 pipeline with the bounded-mean-curvature condition."""
-    cfg = cfg or ScenarioConfig(h=BOUNDED_MC_H, metric_family=default_metric_family)
-    family = cfg.metric_family or default_metric_family
+    cfg = cfg or ScenarioConfig(h=SCENARIO_H["theorem6"])
     base = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)
+    if cfg.h < 0:
+        raise ScenarioError("h must be nonnegative")
     ksum, _, _ = geo.m_convexity(base, p, cfg.m)
     if ksum <= cfg.h:
         return _refusal(cfg, f"curvature sum {ksum:.6g} <= h = {cfg.h:.6g}")
-    mesh = cfg.mesh if cfg.mesh is not None else meshes.sphere_cap_mesh(
-        rings=25, segments=100
-    )
-    i_lo, i_hi = cfg.family_range
-    runs = []
-    i0 = None
-    for i in range(i_lo, min(i_hi, 40) + 1):
-        metric_i = family(i)
-        dom_i = geo.Domain(metric_i, base.u0, base.chart)
-        ksum_i = geo.m_convexity(dom_i, p, cfg.m)[0]
-        if ksum_i <= cfg.h:
-            runs.append({"i": i, "ok": False, "reason": "curvature sum below h"})
-            continue
-        bundle_i = bar.build_barrier(dom_i, p, cfg.m, h=cfg.h, seed=cfg.seed)
-        V_i = vf.varifold_from_mesh(mesh, metric_i)
-        mc = vf.check_bounded_mc(V_i, bundle_i.field(), cfg.h, metric_i)
-        dist = vf.support_distance(V_i, p, metric_i)
-        chord_tol = 2.0 * mesh.max_edge_length()
-        margin = float(dist - bundle_i.epsilon + chord_tol)
-        ok = mc["passed"] and margin >= 0.0
-        if ok and i0 is None:
-            i0 = i
-        runs.append({
-            "i": i, "ok": bool(ok), "exclusion_margin": margin,
-            "epsilon": float(bundle_i.epsilon),
+    mesh = _cap_mesh(cfg)
+
+    def check(bundle_i):
+        mc, exclusion = _bounded_mc_and_exclude(mesh, bundle_i, cfg.h)
+        return {
+            "ok": bool(mc["passed"] and exclusion["exclusion_margin"] >= 0.0),
+            "exclusion_margin": exclusion["exclusion_margin"],
+            "epsilon": exclusion["epsilon"],
             "bounded_mc_value": mc["value"],
-        })
-    passed = i0 is not None and all(r["ok"] for r in runs if r.get("i", -1) >= i0)
+        }
+
+    runs, i0, passed = _family_sweep(cfg, base, cfg.h, check)
     return {
         "status": "passed" if passed else "failed",
         "passed": bool(passed),

@@ -167,7 +167,7 @@ def test_criterion_8_metric_family_pipeline(capsys):
     margins_ok = all(r["exclusion_margin"] >= 0.0 for r in runs
                      if r["i"] >= r3["i0"])
     hd = [r["hausdorff_to_limit"] for r in runs]
-    mesh_tol = 2.0 * hz._default_plateau_mesh()[0].max_edge_length()
+    mesh_tol = 2.0 * hz._default_plateau_mesh().max_edge_length()
     hausdorff_ok = all(b <= a + 2.0 * mesh_tol for a, b in zip(hd, hd[1:]))
     ok = (r3["status"] == "passed" and r6["status"] == "passed"
           and margins_ok and hausdorff_ok)

@@ -1,4 +1,5 @@
 """CLI exit codes, JSON schema conformance, and reproducibility."""
+import importlib.util
 import json
 import os
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 from jsonschema import validate
 
 from mconvex import cli
+from mconvex import harness as hz
 from mconvex import meshes
 from mconvex import varifold as vf
 
@@ -184,6 +186,33 @@ class TestScenarioCommand:
     def test_unknown_scenario(self, capsys):
         code, _, _ = run(capsys, "scenario", "--name", "theorem2")
         assert code == cli.EXIT_USAGE
+
+    def test_h_refused_where_unread(self, capsys):
+        code, doc, _ = run(capsys, "scenario", "--name", "theorem1", "--h", "0.5")
+        assert code == cli.EXIT_USAGE
+        assert doc is None
+
+    def test_scenarios_looked_up_at_call_time(self, capsys, monkeypatch):
+        # a wrapper set on the harness attribute (a tracing span) must run
+        called = []
+        for name in hz.SCENARIO_H:
+            def stub(cfg, name=name):
+                called.append((name, cfg.h))
+                return {"status": "passed"}
+            monkeypatch.setattr(hz, f"scenario_{name}", stub)
+        code, doc, _ = run(capsys, "scenario", "--name", "theorem4", "--no-timestamp")
+        assert code == cli.EXIT_PASS
+        assert doc["report"] == {"status": "passed"}
+        assert called == [("theorem4", 0.0)]
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py"
+        spec = importlib.util.spec_from_file_location("run_scenarios", path)
+        runner = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(runner)
+        monkeypatch.setattr(sys, "argv", [str(path)])
+        called.clear()
+        assert runner.main() == 0
+        assert called == list(hz.SCENARIO_H.items())
 
 
 class TestOutputContract:

@@ -68,15 +68,22 @@ class TestRefusals:
         with pytest.raises(hz.ScenarioError):
             hz.scenario_theorem5(hz.ScenarioConfig(h=-1.0))
 
+    def test_theorem6_negative_h_is_an_error(self):
+        with pytest.raises(hz.ScenarioError, match="nonnegative"):
+            hz.scenario_theorem6(hz.ScenarioConfig(h=-1.0))
+
+    @pytest.mark.parametrize("name", ["theorem1", "theorem3", "theorem4"])
+    def test_h_is_an_error_where_unread(self, name):
+        with pytest.raises(hz.ScenarioError, match="reads no mean-curvature bound"):
+            getattr(hz, f"scenario_{name}")(hz.ScenarioConfig(h=0.5))
+
 
 @pytest.fixture(scope="module")
 def quick_cfg():
     """Coarse but honest configuration so scenario runs stay fast."""
     mesh = meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=4,
                             segments=24)
-    return hz.ScenarioConfig(mesh=mesh, anchored=mesh.boundary_vertices(),
-                             grid_resolution=20, max_iterations=1500,
-                             tolerance=1e-6)
+    return hz.ScenarioConfig(mesh=mesh, grid_resolution=20)
 
 
 class TestScenarios:
@@ -118,6 +125,15 @@ class TestScenarios:
         rep = hz.scenario_theorem6(cfg)
         assert rep["status"] == "passed"
         assert rep["i0"] is not None
+
+    def test_theorem6_gate_fails_indices_below_h(self):
+        # g(0) = 2 x euclidean scales the curvature sum 2 at p by 1/sqrt(2),
+        # to 1.41 < h; g(1) takes it to 2/sqrt(1.5) = 1.63 > h
+        rep = hz.scenario_theorem6(hz.ScenarioConfig(h=1.5, family_range=(0, 3)))
+        assert rep["status"] == "passed"
+        assert rep["i0"] == 1
+        assert rep["runs"][0] == {"i": 0, "ok": False, "reason": "curvature sum below h"}
+        assert all(r["ok"] for r in rep["runs"][1:])
 
 
 class TestDeterminism:
