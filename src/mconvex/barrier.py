@@ -30,7 +30,6 @@ from .geometry import (
     SumField,
     QuarticGapField,
     VectorField,
-    bilinear_form_Q,
     levelset_shape,
     top_m_eigensum,
 )
@@ -295,7 +294,10 @@ class BarrierBundle:
         return BarrierVectorField(self)
 
 
-def tube_curvatures(sigma, chart, sample_budget=2000, seed=0):
+TUBE_SAMPLES = 2000  # random chart points projected by tube_curvatures
+
+
+def tube_curvatures(sigma, chart, seed=0):
     """Sample level-set curvature lists over the prospective tube in a chart.
 
     Feet are obtained by projecting random chart points onto Sigma; each foot
@@ -307,7 +309,7 @@ def tube_curvatures(sigma, chart, sample_budget=2000, seed=0):
     p = sigma.p
     lo, hi = chart[:, 0], chart[:, 1]
     n = len(lo)
-    pts = lo + (hi - lo) * rng.random((sample_budget, n))
+    pts = lo + (hi - lo) * rng.random((TUBE_SAMPLES, n))
     corners = np.stack(np.meshgrid(*np.stack([lo, hi], axis=-1), indexing="ij"), axis=-1)
     pts = np.concatenate([pts, corners.reshape(-1, n), p[None, :]], axis=0)
     # keep every foot a chart point projects to, even just outside the box:
@@ -343,10 +345,8 @@ def build_barrier(
     m,
     eta=None,
     h=0.0,
-    sample_budget=2000,
     seed=0,
     enforce_hypothesis=True,
-    initial_halfwidth=None,
     epsilon_override=None,
 ):
     """Construct the full barrier bundle at a boundary point p.
@@ -372,7 +372,7 @@ def build_barrier(
 
     dlo, dhi = domain.chart[:, 0], domain.chart[:, 1]
     span = float(np.min(np.maximum(np.minimum(p - dlo, dhi - p), 0.25 * (dhi - dlo))))
-    w = initial_halfwidth if initial_halfwidth is not None else 0.5 * span
+    w = 0.5 * span
     goal = eta + 0.02 * max(kappa_sum - eta, 0.0)
     shrinkable = kappa_sum > eta
     k_samples = None
@@ -381,7 +381,7 @@ def build_barrier(
         chart = np.stack(
             [np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1
         )
-        k_samples = tube_curvatures(sigma, chart, sample_budget, seed)
+        k_samples = tube_curvatures(sigma, chart, seed)
         if not shrinkable:
             break
         if float(np.min(np.sum(k_samples[..., :m], axis=-1))) > goal:
@@ -455,14 +455,6 @@ class BarrierVectorField(VectorField):
 
     def jacobian(self, x):
         return self.evaluate(x)[1]
-
-
-def psi(X, x, m, metric):
-    """Largest trace of the covariant differential of X over m-planes."""
-    Q = bilinear_form_Q(X, x, metric)
-    if metric.is_euclidean:
-        return top_m_eigensum(Q, m)
-    return top_m_eigensum(Q, m, metric_matrix=metric.matrix(x))
 
 
 def adapted_frame_Q(bundle, q):
@@ -552,7 +544,6 @@ def verify_barrier(
     X = b.field()
     pts = chart_grid(b.chart, grid_resolution)
     pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
-    metric = b.domain.metric
 
     def margins_for(chunk):
         live, phi, _, J = X.from_tube(tube_eval(b.sigma, chunk))
@@ -561,14 +552,10 @@ def verify_barrier(
         out = np.zeros(len(chunk))
         if not np.any(live):
             return out, live
-        sub = chunk[live]
-        # barriers exist only for constant multiples of the euclidean metric,
-        # where the covariant gradient of X is its jacobian
-        Q = geo.lower_index(J[live], sub, metric)
-        if metric.is_euclidean:
-            top = top_m_eigensum(Q, b.m)
-        else:
-            top = top_m_eigensum(Q, b.m, metric_matrix=metric.matrix(sub))
+        # barriers exist only for g = c^2 * euclidean: the covariant gradient
+        # of X is its jacobian J, and the top-m trace of Q = c^2 J over
+        # g-orthonormal m-frames is the top-m eigenvalue sum of J
+        top = top_m_eigensum(J[live], b.m)
         phi = phi[live]
         raw = top + b.eta * phi
         out[live] = raw / (phi * (1.0 + b.K))

@@ -358,12 +358,12 @@ class MetricField:
     def inverse(self, x):
         return np.linalg.inv(self.matrix(x))
 
-    @property
-    def is_euclidean(self):
-        return False
-
     def constant_factor(self):
-        """If g = c^2 * euclidean with constant c, return c, else None."""
+        """If g = c^2 * euclidean with constant c, return c, else None.
+
+        Every metric-dependent quantity takes the euclidean formula scaled by
+        a power of c when this is not None, and the general path otherwise.
+        """
         return None
 
     def check_spd(self, x):
@@ -373,12 +373,11 @@ class MetricField:
             raise MetricError("metric is not positive definite at a queried point")
 
     def norm(self, x, v):
+        c = self.constant_factor()
+        if c is not None:
+            return c * np.linalg.norm(v, axis=-1)
         g = self.matrix(x)
         return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
-
-    def inner(self, x, u, v):
-        g = self.matrix(x)
-        return np.einsum("...i,...ij,...j->...", u, g, v)
 
 
 class EuclideanMetric(MetricField):
@@ -395,10 +394,6 @@ class EuclideanMetric(MetricField):
 
     def inverse(self, x):
         return self.matrix(x)
-
-    @property
-    def is_euclidean(self):
-        return True
 
     def constant_factor(self):
         return 1.0
@@ -417,6 +412,11 @@ class ConformalMetric(MetricField):
             f = ExprScalarField(f, n)
         self.f = f
         self.n = n
+        self._c = None
+        if isinstance(f, ExprScalarField) and all(
+            g == exprfield.Const(0.0) for g in f._grads
+        ):
+            self._c = float(np.exp(float(f.value(np.zeros(n)))))
 
     def factor(self, x):
         return np.exp(2.0 * self.f.value(x))
@@ -437,11 +437,7 @@ class ConformalMetric(MetricField):
         return (1.0 / self.factor(x))[..., None, None] * np.eye(self.n)
 
     def constant_factor(self):
-        if isinstance(self.f, ExprScalarField):
-            if all(g == exprfield.Const(0.0) for g in self.f._grads):
-                f0 = float(self.f.value(np.zeros(self.n)))
-                return float(np.exp(f0))
-        return None
+        return self._c
 
     def check_spd(self, x):
         pass  # e^{2f} delta is always positive definite
@@ -506,7 +502,7 @@ class MatrixMetric(MetricField):
 def christoffel(metric, x):
     """Connection coefficients ``[..., k, i, j] = Gamma^k_ij``."""
     metric.check_spd(x)
-    if metric.is_euclidean:
+    if metric.constant_factor() is not None:
         x = np.asarray(x)
         n = metric.n
         return np.zeros(x.shape[:-1] + (n, n, n))
@@ -543,8 +539,9 @@ def covariant_from_jacobian(value, J, x, metric):
 
 def lower_index(A, x, metric):
     """``g A``: the bilinear form (u, v) -> <u, A v>_g in chart coordinates."""
-    if metric.is_euclidean:
-        return A
+    c = metric.constant_factor()
+    if c is not None:
+        return c * c * A
     return np.einsum("...ab,...bi->...ai", metric.matrix(x), A)
 
 
@@ -556,8 +553,9 @@ def bilinear_form_Q(X, x, metric):
 def metric_gradient(f, x, metric):
     """Raise the differential of f: grad^i = g^{ij} d_j f."""
     df = f.gradient(x)
-    if metric.is_euclidean:
-        return df
+    c = metric.constant_factor()
+    if c is not None:
+        return df / (c * c)
     return np.einsum("...ij,...j->...i", metric.inverse(x), df)
 
 
@@ -595,17 +593,21 @@ def levelset_shape(f, x, metric):
     Returns a :class:`PrincipalCurvatureList` with respect to the unit normal
     ``grad f / |grad f|_g``; for a boundary function that is positive inside,
     that normal points inward and a convex domain has positive curvatures.
+    Under g = c^2 * euclidean the values, directions and normal are the
+    euclidean ones divided by c.
     """
     x = np.asarray(x, dtype=float)
     n = metric.n
     metric.check_spd(x)
     df = f.gradient(x)
     H = f.hessian(x)
-    if metric.is_euclidean:
-        g = None
+    c = metric.constant_factor()
+    if c is not None:
+        L = None  # the euclidean computation, rescaled at the end
         grad = df
         Hc = H
     else:
+        L = np.linalg.cholesky(metric.matrix(x))
         gam = christoffel(metric, x)
         Hc = H - np.einsum("...kij,...k->...ij", gam, df)
         grad = metric_gradient(f, x, metric)
@@ -622,12 +624,10 @@ def levelset_shape(f, x, metric):
     Pi = eye - nu[..., :, None] * nu_flat[..., None, :]
     Bt = np.einsum("...ai,...ab,...bj->...ij", Pi, B, Pi)
 
-    if metric.is_euclidean:
+    if L is None:
         C = Bt
         nu_hat = nu
     else:
-        gmat = metric.matrix(x)
-        L = np.linalg.cholesky(gmat)
         W = np.swapaxes(np.linalg.solve(L, Bt), -1, -2)  # B_t L^{-T}
         C = np.linalg.solve(L, W)
         nu_hat = np.einsum("...ji,...j->...i", L, nu)  # L^T nu, unit length
@@ -642,32 +642,26 @@ def levelset_shape(f, x, metric):
     keep = np.broadcast_to(np.arange(n) != idx[..., None], w.shape)
     vals = w[keep].reshape(w.shape[:-1] + (n - 1,))
     vecs_hat = np.swapaxes(V, -1, -2)[keep].reshape(w.shape[:-1] + (n - 1, n))
-    if metric.is_euclidean:
-        vecs = vecs_hat
-    else:
-        LT = np.swapaxes(L, -1, -2)
-        vecs = np.swapaxes(
-            np.linalg.solve(LT[..., None, :, :], vecs_hat[..., :, :, None]), -1, -2
-        )[..., 0, :]
+    if L is None:
+        return PrincipalCurvatureList(vals / c, _fix_signs(vecs_hat) / c, nu / c)
+    LT = np.swapaxes(L, -1, -2)
+    vecs = np.swapaxes(
+        np.linalg.solve(LT[..., None, :, :], vecs_hat[..., :, :, None]), -1, -2
+    )[..., 0, :]
     return PrincipalCurvatureList(vals, _fix_signs(vecs), nu)
 
 
-def top_m_eigensum(S, m, metric_matrix=None):
-    """Sum of the m largest eigenvalues of a symmetric bilinear form.
+def top_m_eigensum(S, m):
+    """Sum of the m largest eigenvalues of a symmetric matrix.
 
     Equals the maximum over m-dimensional subspaces P of trace(S|P) in the
-    metric inner product; the input is symmetrized first.
+    euclidean inner product; the input is symmetrized first.
     """
     S = np.asarray(S, dtype=float)
     n = S.shape[-1]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    if metric_matrix is not None:
-        L = np.linalg.cholesky(np.asarray(metric_matrix, dtype=float))
-        W = np.swapaxes(np.linalg.solve(L, S), -1, -2)
-        S = np.linalg.solve(L, W)
-        S = 0.5 * (S + np.swapaxes(S, -1, -2))
     w = np.linalg.eigvalsh(S)
     return np.sum(w[..., n - m:], axis=-1)
 

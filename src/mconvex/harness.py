@@ -409,7 +409,8 @@ def scenario_theorem5(cfg=None):
     mc, exclusion = _bounded_mc_and_exclude(mesh, bundle, cfg.h)
     # two-part interpretation on the smooth test mesh
     H, interior = vf.mesh_mean_curvature(mesh, domain.metric)
-    interior_max = float(np.max(np.linalg.norm(H[interior], axis=-1))) if np.any(interior) else 0.0
+    interior_max = (float(np.max(domain.metric.norm(mesh.vertices[interior], H[interior])))
+                    if np.any(interior) else 0.0)
     mc_interior_ok = interior_max <= cfg.h * 1.05 if cfg.h > 0 else interior_max <= 1e-8
     passed = mc["passed"] and exclusion["exclusion_margin"] >= 0.0 and mc_interior_ok
     return {

@@ -32,27 +32,33 @@ def _orthonormal_complement(normal):
     return e1, e2
 
 
+def _ring_strips(first, strips, segments):
+    """Triangles joining ``strips + 1`` consecutive rings of ``segments``
+    vertices each, the first ring starting at vertex ``first``; two triangles
+    per quad, ring by ring."""
+    tris = []
+    for r in range(strips):
+        a = first + r * segments
+        b = a + segments
+        for j in range(segments):
+            jn = (j + 1) % segments
+            tris.append((a + j, b + j, b + jn))
+            tris.append((a + j, b + jn, a + jn))
+    return tris
+
+
 def disk_mesh(radius=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0),
               rings=8, segments=64, multiplicity=1.0):
     """Flat triangulated disk: concentric rings around the center vertex."""
     center = np.asarray(center, dtype=float)
     e1, e2 = _orthonormal_complement(normal)
     verts = [center]
-    ring_start = [None]
     for r in range(1, rings + 1):
         rho = radius * r / rings
-        ring_start.append(len(verts))
         theta = 2 * np.pi * np.arange(segments) / segments
         verts.extend(center + rho * (np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)))
-    tris = []
-    for j in range(segments):
-        tris.append((0, 1 + j, 1 + (j + 1) % segments))
-    for r in range(1, rings):
-        a, b = ring_start[r], ring_start[r + 1]
-        for j in range(segments):
-            jn = (j + 1) % segments
-            tris.append((a + j, b + j, b + jn))
-            tris.append((a + j, b + jn, a + jn))
+    tris = [(0, 1 + j, 1 + (j + 1) % segments) for j in range(segments)]
+    tris.extend(_ring_strips(1, rings - 1, segments))
     return _surface(verts, tris, multiplicity * np.ones(len(tris)))
 
 
@@ -145,13 +151,7 @@ def sphere_cap_mesh(radius=2.0, center=(0.0, 0.0, -1.2), z_range=(0.68, 0.79),
             np.full(segments, z),
         ], axis=-1)
         verts.extend(ring)
-    tris = []
-    for r in range(rings):
-        a, b = r * segments, (r + 1) * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            tris.append((a + j, b + j, b + jn))
-            tris.append((a + j, b + jn, a + jn))
+    tris = _ring_strips(0, rings, segments)
     return _surface(verts, tris, multiplicity * np.ones(len(tris)))
 
 
@@ -165,13 +165,7 @@ def cylinder_mesh(radius=1.0, z_range=(-0.5, 0.5), rings=16, segments=96, multip
         verts.extend(np.stack([
             radius * np.cos(theta), radius * np.sin(theta), np.full(segments, z)
         ], axis=-1))
-    tris = []
-    for r in range(rings):
-        a, b = r * segments, (r + 1) * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            tris.append((a + j, b + j, b + jn))
-            tris.append((a + j, b + jn, a + jn))
+    tris = _ring_strips(0, rings, segments)
     return _surface(verts, tris, multiplicity * np.ones(len(tris)))
 
 

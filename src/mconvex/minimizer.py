@@ -9,7 +9,6 @@ rest of the package tests against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -26,10 +25,8 @@ class MinimizeProblem:
     domain: geo.Domain
     mesh: vf.SimplicialSurface
     anchored: np.ndarray
-    step_size: Optional[float] = None
     max_iterations: int = 2000
     tolerance: float = 1e-6
-    aspect_limit: float = 20.0
 
     def __post_init__(self):
         self.anchored = np.asarray(self.anchored, dtype=int)
@@ -65,12 +62,13 @@ def area_gradient(mesh, metric=None):
     constant multiple c^2 of the euclidean one; the closed-form
     ``vf.metric_area_gradient`` otherwise.
     """
-    if metric is None or metric.is_euclidean:
-        return vf.area_vertex_gradient(mesh)
-    c = metric.constant_factor()
-    if c is not None:
-        return (c ** mesh.m) * vf.area_vertex_gradient(mesh)
-    return vf.metric_area_gradient(mesh, metric)
+    c = 1.0 if metric is None else metric.constant_factor()
+    if c is None:
+        return vf.metric_area_gradient(mesh, metric)
+    return (c ** mesh.m) * vf.area_vertex_gradient(mesh)
+
+
+ASPECT_LIMIT = 20.0  # triangles above this aspect ratio get their diagonal flipped
 
 
 def _triangle_aspect(verts, tris):
@@ -82,8 +80,9 @@ def _triangle_aspect(verts, tris):
     return np.max(lengths, axis=1) * np.sum(lengths, axis=1) / np.maximum(4.0 * areas, 1e-300)
 
 
-def flip_bad_edges(mesh, aspect_limit=20.0):
-    """Flip the diagonal of sliver triangle pairs (euclidean criterion).
+def flip_bad_edges(mesh):
+    """Flip the diagonal of sliver triangle pairs (euclidean aspect ratio
+    above ``ASPECT_LIMIT``).
 
     Conservative: flips only interior edges whose two triangles share the
     same multiplicity and whose worst aspect ratio improves.
@@ -93,7 +92,7 @@ def flip_bad_edges(mesh, aspect_limit=20.0):
     tris = mesh.simplices.copy()
     mult = mesh.multiplicity.copy()
     aspect = _triangle_aspect(mesh.vertices, tris)
-    if np.all(aspect <= aspect_limit):
+    if np.all(aspect <= ASPECT_LIMIT):
         return mesh, 0
     edge_faces = {}
     for f, tri in enumerate(tris):
@@ -108,7 +107,7 @@ def flip_bad_edges(mesh, aspect_limit=20.0):
         f0, f1 = faces
         if f0 in touched or f1 in touched or mult[f0] != mult[f1]:
             continue
-        if max(aspect[f0], aspect[f1]) <= aspect_limit:
+        if max(aspect[f0], aspect[f1]) <= ASPECT_LIMIT:
             continue
         c = [v for v in tris[f0] if v not in (a, b)][0]
         d = [v for v in tris[f1] if v not in (a, b)][0]
@@ -147,7 +146,7 @@ def minimize(problem):
     free[problem.anchored] = False
     a = area(mesh, metric)
     edge = mesh.max_edge_length()
-    step = problem.step_size or 0.25 * edge
+    step = 0.25 * edge
     history = []
     prev_v = prev_g = None
     residual = np.inf
@@ -174,7 +173,6 @@ def minimize(problem):
         for _ in range(50):
             cand = mesh.vertices - trial_step * grad
             cand[free] = project_to_domain(cand[free], dom)
-            cand[~free] = mesh.vertices[~free]
             try:
                 new_area = area(mesh.with_vertices(cand), metric)
             except vf.DegenerateSimplexError:
@@ -188,7 +186,7 @@ def minimize(problem):
             break
         mesh = mesh.with_vertices(cand)
         a = new_area
-        mesh, flips = flip_bad_edges(mesh, problem.aspect_limit)
+        mesh, flips = flip_bad_edges(mesh)
         if flips:
             a = area(mesh, metric)
     converged = residual <= problem.tolerance
@@ -205,12 +203,12 @@ def _projected_residual(mesh, grad, dom, free, probe=1e-4):
     """Norm of the constraint-projected gradient (max over vertices).
 
     Measured as |v - project(v - probe * g)| / probe with a small probe step,
-    which reduces to max |g| wherever the constraint is inactive.
+    which reduces to max |g| wherever the constraint is inactive.  ``grad``
+    is 0 on anchored vertices, so they stay put.
     """
     scale = probe * max(mesh.max_edge_length(), 1e-12) / max(np.max(np.abs(grad)), 1e-300)
     cand = mesh.vertices - scale * grad
     cand[free] = project_to_domain(cand[free], dom)
-    cand[~free] = mesh.vertices[~free]
     return float(np.max(np.linalg.norm(cand - mesh.vertices, axis=-1))) / scale
 
 

@@ -87,26 +87,23 @@ class SimplicialSurface:
         v = self.vertices[self.simplices]
         return v[:, 1:, :] - v[:, :1, :]
 
-    def euclidean_volumes(self):
-        E = self.edge_matrices()
-        gram = np.einsum("fae,fbe->fab", E, E)
-        det = np.linalg.det(gram)
-        fact = np.prod(np.arange(1, self.m + 1))
-        return np.sqrt(np.maximum(det, 0.0)) / fact
-
     def mesh_scale(self):
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo)) or 1.0
 
     def check(self):
-        vols = self.euclidean_volumes()
-        if np.any(vols <= 1e-12 * self.mesh_scale() ** self.m):
+        """Euclidean simplex volumes, shape (F,); raises on degenerate simplices."""
+        E = self.edge_matrices()
+        gram = np.einsum("fae,fbe->fab", E, E)
+        fact = np.prod(np.arange(1, self.m + 1))
+        vols = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact
+        degenerate = vols <= 1e-12 * self.mesh_scale() ** self.m
+        if np.any(degenerate):
             raise DegenerateSimplexError(
-                f"{int(np.sum(vols <= 1e-12 * self.mesh_scale() ** self.m))} "
-                "degenerate simplices"
+                f"{int(np.sum(degenerate))} degenerate simplices"
             )
-        return self
+        return vols
 
     def max_edge_length(self):
         v = self.vertices[self.simplices]
@@ -219,7 +216,6 @@ class DiscreteVarifold:
     points: np.ndarray
     frames: np.ndarray  # (N, m, n), rows g-orthonormal at the point
     weights: np.ndarray
-    mesh: Optional[SimplicialSurface] = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -233,12 +229,12 @@ class DiscreteVarifold:
         return float(np.sum(self.weights))
 
     def check_frames(self, metric, tol=1e-10):
-        g = None if metric.is_euclidean else metric.matrix(self.points)
-        if g is None:
-            gram = np.einsum("fae,fbe->fab", self.frames, self.frames)
+        c = metric.constant_factor()
+        if c is not None:
+            gram = c * c * np.einsum("fae,fbe->fab", self.frames, self.frames)
         else:
-            gram = np.einsum("fae,fef_,fbf_->fab".replace("f_", "c"),
-                             self.frames, g, self.frames)
+            gram = np.einsum("fae,fec,fbc->fab",
+                             self.frames, metric.matrix(self.points), self.frames)
         eye = np.eye(self.m)
         err = float(np.max(np.abs(gram - eye)))
         if err > tol:
@@ -292,38 +288,41 @@ class _MeshQuadrature:
     """Quadrature nodes of a mesh and the metric data shared by the lowering,
     the area and its vertex gradient.
 
-    ``g`` is None for the euclidean metric, else ``(F, Q, n, n)``; ``weights``
-    is multiplicity x quadrature weight x metric m-volume, one per node in
+    ``c`` is the constant factor of a metric g = c^2 * euclidean, with ``g``
+    and ``gram`` None; otherwise ``c`` is None, ``g`` is ``(F, Q, n, n)`` and
+    ``gram`` the metric Gram matrices ``(F, Q, m, m)``.  ``weights`` is
+    multiplicity x quadrature weight x metric m-volume, one per node in
     simplex-major order.
     """
 
     nodes: np.ndarray    # (Q, m+1) barycentric
     points: np.ndarray   # (F*Q, n)
     E: np.ndarray        # (F, m, n) edge vectors
+    c: Optional[float]
     g: Optional[np.ndarray]
-    gram: np.ndarray     # (F, m, m) euclidean or (F, Q, m, m) metric
+    gram: Optional[np.ndarray]
     weights: np.ndarray  # (F*Q,)
 
 
 def _mesh_quadrature(mesh, metric, order):
-    mesh.check()
+    vols = mesh.check()
     nodes, wq = _quadrature(mesh.m, order)
     v = mesh.vertices[mesh.simplices]          # (F, m+1, n)
     pts = np.einsum("qb,fbn->fqn", nodes, v)   # (F, Q, n)
     E = mesh.edge_matrices()                   # (F, m, n)
-    fact = np.prod(np.arange(1, mesh.m + 1))
     F, Q = pts.shape[:2]
     flat = pts.reshape(F * Q, mesh.n)
-    if metric.is_euclidean:
-        g = None
-        gram = np.einsum("fae,fbe->fab", E, E)
-        vol_node = np.repeat(np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact, Q)
-    else:
-        g = metric.matrix(flat).reshape(F, Q, mesh.n, mesh.n)
-        gram = np.einsum("fae,fqec,fbc->fqab", E, g, E)
-        vol_node = (np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact).ravel()
-    weights = np.repeat(mesh.multiplicity, Q) * np.tile(wq, F) * vol_node
-    return _MeshQuadrature(nodes, flat, E, g, gram, weights)
+    weights = np.repeat(mesh.multiplicity, Q) * np.tile(wq, F)
+    c = metric.constant_factor()
+    if c is not None:
+        # metric m-volume = c^m x euclidean volume
+        weights = c ** mesh.m * (weights * np.repeat(vols, Q))
+        return _MeshQuadrature(nodes, flat, E, c, None, None, weights)
+    g = metric.matrix(flat).reshape(F, Q, mesh.n, mesh.n)
+    gram = np.einsum("fae,fqec,fbc->fqab", E, g, E)
+    fact = np.prod(np.arange(1, mesh.m + 1))
+    weights = weights * (np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact).ravel()
+    return _MeshQuadrature(nodes, flat, E, None, g, gram, weights)
 
 
 def _metric_frames(E, g):
@@ -353,16 +352,18 @@ def varifold_from_mesh(mesh, metric=None, order=2):
 
     Atom weight = multiplicity x quadrature weight x metric m-volume of the
     simplex evaluated at the node (so curved-metric area is integrated with
-    the same rule).
+    the same rule).  Under g = c^2 * euclidean the frames are the euclidean
+    ones divided by c.
     """
     metric = metric or geo.metric_euclidean(mesh.n)
     quad = _mesh_quadrature(mesh, metric, order)
-    Q = len(quad.nodes)
-    g = None if quad.g is None else quad.g.reshape(len(quad.points), mesh.n, mesh.n)
-    frames = _metric_frames(np.repeat(quad.E, Q, axis=0), g)
+    E = np.repeat(quad.E, len(quad.nodes), axis=0)
+    if quad.c is not None:
+        frames = _metric_frames(E, None) / quad.c
+    else:
+        frames = _metric_frames(E, quad.g.reshape(len(quad.points), mesh.n, mesh.n))
     keep = quad.weights > 0
-    return DiscreteVarifold(mesh.m, quad.points[keep], frames[keep], quad.weights[keep],
-                            mesh=mesh)
+    return DiscreteVarifold(mesh.m, quad.points[keep], frames[keep], quad.weights[keep])
 
 
 def area(mesh, metric=None, order=2):
@@ -383,18 +384,20 @@ def metric_area_gradient(mesh, metric=None, order=2):
     vol_q = sqrt(det G_q) / m!, the differential is
     d vol_q = vol_q sum_a <dE_a, P_a> + 1/2 vol_q lambda_qb s_k dv_b^k with
     P_a = sum_b (G_q^-1)_ab g E_b and s_k = sum_ab (G_q^-1)_ab E_a^T d_k g E_b;
-    each node is weighted by multiplicity x quadrature weight.
+    each node is weighted by multiplicity x quadrature weight.  Under
+    g = c^2 * euclidean, s vanishes and P_a is the euclidean one.
     """
     metric = metric or geo.metric_euclidean(mesh.n)
     quad = _mesh_quadrature(mesh, metric, order)
     F, m, n = quad.E.shape
     w = quad.weights.reshape(F, -1)
-    ginv = np.linalg.inv(quad.gram)
     # per simplex: d(weighted area) / d(edge a), then / d(corner b)
-    if quad.g is None:
+    if quad.c is not None:
+        ginv = np.linalg.inv(np.einsum("fae,fbe->fab", quad.E, quad.E))
         dE = w.sum(axis=1)[:, None, None] * np.einsum("fab,fbe->fae", ginv, quad.E)
         d_corner = np.zeros((F, m + 1, n))
     else:
+        ginv = np.linalg.inv(quad.gram)
         gE = np.einsum("fqec,fbc->fqbe", quad.g, quad.E)
         dE = np.einsum("fq,fqab,fqbe->fae", w, ginv, gE)
         dg = metric.dmatrix(quad.points).reshape(F, -1, n, n, n)
@@ -416,8 +419,9 @@ def first_variation(V, X, metric=None):
 
 def _first_variation(V, A, metric):
     """Weighted sum of the traces of A (``[f, k, i]``) over the atom planes."""
-    if metric.is_euclidean:
-        terms = np.einsum("fae,fek,fak->f", V.frames, A, V.frames)
+    c = metric.constant_factor()
+    if c is not None:
+        terms = c * c * np.einsum("fae,fek,fak->f", V.frames, A, V.frames)
     else:
         g = metric.matrix(V.points)
         terms = np.einsum("fae,fec,fck,fak->f", V.frames, g, A, V.frames)
@@ -430,15 +434,10 @@ def weight_integral(V, f):
     return float(np.sum(V.weights * vals))
 
 
-def _magnitude(vals, pts, metric):
-    if metric is None or metric.is_euclidean:
-        return np.linalg.norm(vals, axis=-1)
-    return metric.norm(pts, vals)
-
-
 def field_magnitude(X, metric=None):
     """|X|_g as a callable on point batches, for weight_integral."""
-    return lambda pts: _magnitude(X.value(pts), pts, metric)
+    metric = metric or geo.metric_euclidean(X.n)
+    return lambda pts: metric.norm(pts, X.value(pts))
 
 
 def flow_mesh(mesh, X, t, steps=8, domain=None):
@@ -469,8 +468,9 @@ def _admissibility_margin(X, domain, rng, samples=1000):
         raise geo.GeometryError("no boundary samples found in the chart")
     nu = domain.inward_normal(bnd)
     vals = X.value(bnd)
-    if domain.metric.is_euclidean:
-        inner = np.einsum("fe,fe->f", vals, nu)
+    c = domain.metric.constant_factor()
+    if c is not None:
+        inner = c * c * np.einsum("fe,fe->f", vals, nu)
     else:
         g = domain.metric.matrix(bnd)
         inner = np.einsum("fe,fec,fc->f", vals, g, nu)
@@ -522,7 +522,7 @@ def check_bounded_mc(V, X, h, metric=None, tolerance=None):
     vals, J = X.evaluate(V.points)
     A = geo.covariant_from_jacobian(vals, J, V.points, metric)
     dv = _first_variation(V, A, metric)
-    mass = weight_integral(V, lambda pts: _magnitude(vals, pts, metric))
+    mass = weight_integral(V, lambda pts: metric.norm(pts, vals))
     value = dv + h * mass
     if tolerance is None:
         tolerance = 1e-6 * V.total_weight * max(
@@ -538,24 +538,26 @@ def check_bounded_mc(V, X, h, metric=None, tolerance=None):
 
 
 def mesh_mean_curvature(mesh, metric=None):
-    """Discrete mean-curvature vectors (area-gradient form), euclidean only.
+    """Discrete mean-curvature vectors (area-gradient form).
 
     Returns (H, interior_mask): H[v] = -(vertex area gradient) / (barycentric
     vertex area).  Interior vertices of a flat mesh get H = 0; a unit sphere
-    converges to |H| = 2 under refinement.
+    converges to |H| = 2 under refinement.  Under g = c^2 * euclidean, H is
+    the euclidean vector divided by c^2 (so |H|_g is the euclidean |H| / c);
+    other metrics are refused.
     """
-    if metric is not None and not metric.is_euclidean:
-        raise VarifoldError("mean curvature is implemented for the euclidean metric")
+    c = 1.0 if metric is None else metric.constant_factor()
+    if c is None:
+        raise VarifoldError("mean curvature needs a constant-factor metric")
     if mesh.m != 2:
         raise VarifoldError("mean curvature needs a 2-dimensional mesh")
-    mesh.check()
+    vols = mesh.check() * mesh.multiplicity
     grad = area_vertex_gradient(mesh)
-    vols = mesh.euclidean_volumes() * mesh.multiplicity
     vert_area = np.zeros(len(mesh.vertices))
     np.add.at(vert_area, mesh.simplices.ravel(), np.repeat(vols / 3.0, 3))
     if np.any(vert_area <= 0):
         raise VarifoldError("isolated vertex in mean-curvature computation")
-    H = -grad / vert_area[:, None]
+    H = -grad / (c * c * vert_area[:, None])
     interior = np.ones(len(mesh.vertices), dtype=bool)
     interior[mesh.boundary_vertices()] = False
     return H, interior
@@ -656,20 +658,12 @@ def support_distance(V, p, metric=None):
     if len(V.points) == 0:
         raise VarifoldError("empty varifold has no support")
     p = np.asarray(p, dtype=float)
-    d = float(np.min(np.linalg.norm(V.points - p, axis=-1)))
-    if metric is None or metric.is_euclidean:
-        return d
-    c = metric.constant_factor()
+    c = 1.0 if metric is None else metric.constant_factor()
     if c is None:
         raise VarifoldError("support distance needs a constant-factor metric")
-    return c * d
+    return c * float(np.min(np.linalg.norm(V.points - p, axis=-1)))
 
 
-def support_points(mesh_or_varifold):
-    pts = getattr(mesh_or_varifold, "points", None)
-    if pts is None:
-        # only vertices actually referenced by a simplex carry support
-        mesh = mesh_or_varifold
-        used = np.unique(mesh.simplices.ravel())
-        pts = mesh.vertices[used]
-    return np.asarray(pts, dtype=float)
+def support_points(mesh):
+    """The vertices referenced by a simplex: only those carry support."""
+    return mesh.vertices[np.unique(mesh.simplices.ravel())]

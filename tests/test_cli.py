@@ -245,6 +245,38 @@ class TestOutputContract:
         assert cli._SCHEMA == json.loads(path.read_text())
 
 
+def test_bench_tracer_wraps_every_binding_and_restores_them():
+    # the benchmark wraps mconvex functions by name from outside the package;
+    # install() raises on a name that no longer exists
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def namespaces():
+        return {name: {k: id(v) for k, v in vars(module).items()}
+                for name, module in list(sys.modules.items())
+                if module is not None and name.split(".")[0] == "mconvex"}
+
+    def bound(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    before = namespaces()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        patches = list(trace._patches)
+        assert patches
+        assert all(bound(owner, attr) is not original for owner, attr, original in patches)
+        # a function imported by name into another module is wrapped there too
+        assert {(owner.__name__, attr) for owner, attr, _ in patches} >= {
+            ("mconvex.barrier", "levelset_shape"), ("mconvex.barrier", "top_m_eigensum")}
+    finally:
+        trace.uninstall()
+    assert all(bound(owner, attr) is original for owner, attr, original in patches)
+    assert namespaces() == before
+
+
 def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = ("import sys, mconvex, mconvex.cli; "

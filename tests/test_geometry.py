@@ -67,6 +67,21 @@ class TestLevelsetShape:
         shp = geo.levelset_shape(scaled_ball_domain.u0, p, scaled_ball_domain.metric)
         np.testing.assert_allclose(shp.values, [2.0, 2.0], atol=1e-8)
 
+    @pytest.mark.parametrize("f", ["0", "0 - log(2)", "0.1"],
+                             ids=["c_1", "c_half", "c_e0.1"])
+    def test_constant_factor_rescales_euclidean(self, f):
+        # under g = c^2 delta: curvatures, g-orthonormal directions and the
+        # g-unit normal are the euclidean ones divided by c
+        metric = geo.metric_conformal(f)
+        c = metric.constant_factor()
+        u0 = geo.ExprScalarField("1 - x1^2/4 - x2^2 - x3^2/2", 3)
+        pts = np.random.default_rng(4).uniform(-0.5, 0.5, size=(40, 3))
+        shp = geo.levelset_shape(u0, pts, metric)
+        ref = geo.levelset_shape(u0, pts, geo.metric_euclidean(3))
+        for got, want in ((shp.values, ref.values), (shp.directions, ref.directions),
+                          (shp.normal, ref.normal)):
+            np.testing.assert_allclose(c * got, want, rtol=0, atol=1e-12)
+
     def test_normal_is_unit(self, ball_domain):
         p = np.array([0.0, 0.6, 0.0])
         shp = geo.levelset_shape(ball_domain.u0, p, ball_domain.metric)
@@ -93,12 +108,6 @@ class TestTopMEigensum:
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         assert geo.top_m_eigensum(Q @ S @ Q.T, 2) == pytest.approx(
             geo.top_m_eigensum(S, 2))
-
-    def test_generalized_with_metric(self):
-        # Q = g * diag(a): generalized eigenvalues are a
-        g = 4.0 * np.eye(3)
-        Q = g @ np.diag([2.0, -1.0, 0.5])
-        assert geo.top_m_eigensum(Q, 2, metric_matrix=g) == pytest.approx(2.5)
 
 
 class TestMConvexity:

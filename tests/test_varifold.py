@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 from mconvex import barrier as bar
 from mconvex import geometry as geo
 from mconvex import meshes
+from mconvex import minimizer as mz
 from mconvex import varifold as vf
+
+# metrics g = c^2 * euclidean with c = 1, 1/2 and e^0.1
+_CONSTANT_FACTOR = [
+    pytest.param(geo.metric_euclidean(), id="euclidean"),
+    pytest.param(geo.metric_conformal("0 - log(2)"), id="conformal_constant"),
+    pytest.param(geo.metric_conformal("0.1"), id="conformal_e0.1"),
+]
 
 
 class TestSVMesh:
@@ -67,20 +75,37 @@ class TestFromMesh:
         V = vf.varifold_from_mesh(mesh)
         assert V.total_weight == pytest.approx(4 * np.pi, rel=0.01)
 
-    def test_frames_orthonormal(self, unit_disk_mesh):
-        V = vf.varifold_from_mesh(unit_disk_mesh)
-        assert V.check_frames(geo.metric_euclidean()) <= 1e-10
-
-    def test_frames_orthonormal_conformal(self, unit_disk_mesh):
-        metric = geo.metric_conformal("0 - log(2)")
+    @pytest.mark.parametrize("metric", _CONSTANT_FACTOR)
+    def test_frames_orthonormal(self, unit_disk_mesh, metric):
         V = vf.varifold_from_mesh(unit_disk_mesh, metric)
         assert V.check_frames(metric) <= 1e-10
 
-    def test_conformal_area_scaling(self, unit_disk_mesh):
-        metric = geo.metric_conformal("0 - log(2)")  # lengths scale by 1/2
-        V = vf.varifold_from_mesh(unit_disk_mesh)
+    @pytest.mark.parametrize("metric", _CONSTANT_FACTOR)
+    def test_constant_factor_area_scaling(self, unit_disk_mesh, metric):
+        # lengths scale by c, so 2-areas by c^2
+        c = metric.constant_factor()
+        euclidean = vf.area(unit_disk_mesh)
+        assert vf.area(unit_disk_mesh, metric) == pytest.approx(c ** 2 * euclidean,
+                                                                rel=1e-14, abs=0)
         Vc = vf.varifold_from_mesh(unit_disk_mesh, metric)
-        assert Vc.total_weight == pytest.approx(0.25 * V.total_weight)
+        assert Vc.total_weight == pytest.approx(c ** 2 * euclidean, rel=1e-14, abs=0)
+
+    def test_constant_factor_evaluates_no_metric(self, monkeypatch, scaled_ball_bundle):
+        # g = c^2 * euclidean is the euclidean computation scaled by powers of c
+        b = scaled_ball_bundle
+        metric = b.domain.metric
+        calls = []
+        for name in ("matrix", "dmatrix", "inverse"):
+            def counting(self, x, name=name, fn=getattr(geo.ConformalMetric, name)):
+                calls.append(name)
+                return fn(self, x)
+            monkeypatch.setattr(geo.ConformalMetric, name, counting)
+        mesh = meshes.disk_mesh(radius=0.4, center=(0.1, 0.0, 0.5), rings=3, segments=12)
+        vf.area(mesh, metric)
+        vf.varifold_from_mesh(mesh, metric)
+        mz.area_gradient(mesh, metric)
+        assert bar.verify_barrier(b, grid_resolution=12).n_tube > 0
+        assert calls == []
 
     def test_degenerate_simplex_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
