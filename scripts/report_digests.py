@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Print a short sha256 digest of each ``--no-timestamp`` CLI report.
+
+Runs twelve fixed CLI inputs (every theorem scenario, theorem6 at h = 1.5 and
+six barrier-verify grids) in process and prints one line per input: its name,
+the exit code and the first 16 hex digits of the sha256 of its report.  Two
+trees print the same lines exactly when their reports are byte-identical.
+
+    PYTHONPATH=src python scripts/report_digests.py
+"""
+import contextlib
+import hashlib
+import io
+import sys
+
+from mconvex import cli
+
+_VERIFY = ("barrier-verify", "--threads", "2", "--m", "2")
+
+INPUTS = (
+    ("theorem1", ("scenario", "--name", "theorem1")),
+    ("theorem3", ("scenario", "--name", "theorem3")),
+    ("theorem4", ("scenario", "--name", "theorem4")),
+    ("theorem5", ("scenario", "--name", "theorem5")),
+    ("theorem6", ("scenario", "--name", "theorem6")),
+    ("theorem6_h1.5", ("scenario", "--name", "theorem6", "--h", "1.5")),
+    ("ball_grid50", _VERIFY + ("--domain", "ball:1", "--p", "0,0,1", "--grid", "50")),
+    ("ball_grid100", _VERIFY + ("--domain", "ball:1", "--p", "0,0,1", "--grid", "100")),
+    ("ball_conformal_grid60", _VERIFY + ("--domain", "ball:1", "--metric", "conformal:0-log(2)",
+                                         "--p", "0,0,1", "--grid", "60")),
+    ("ellipsoid_grid60", _VERIFY + ("--domain", "levelset:1-x1^2/4-x2^2/4-x3^2@-2,2",
+                                    "--p", "0,0,1", "--grid", "60")),
+    ("halfspace_control", _VERIFY + ("--domain", "halfspace", "--p", "0,0,0", "--eta", "0.1",
+                                     "--grid", "60")),
+    ("cylinder_grid40", _VERIFY + ("--domain", "cylinder:1", "--p", "1,0,0", "--grid", "40")),
+)
+
+
+def digest(argv):
+    """(exit code, first 16 hex digits of the sha256 of the report)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv) + ["--no-timestamp"])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
+def main():
+    for name, argv in INPUTS:
+        code, hexdigest = digest(argv)
+        print(f"{name:22s} exit {code}  {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

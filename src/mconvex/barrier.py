@@ -72,6 +72,10 @@ def cutoff_derivative(t, eps):
 # the contact surface
 
 
+# |w| at most this at a foot point that ``SigmaSurface.project`` accepts
+FOOT_TOLERANCE = 1e-9
+
+
 @dataclass
 class SigmaSurface:
     """Implicit surface {w = 0} with w = u0 + |x - p|_g(p)^4.
@@ -86,6 +90,7 @@ class SigmaSurface:
     p: np.ndarray
     w: ScalarField = field(init=False)
     c: float = field(init=False)
+    gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
         c = self.domain.metric.constant_factor()
@@ -96,8 +101,29 @@ class SigmaSurface:
             )
         self.c = float(c)
         self.p = np.asarray(self.p, dtype=float)
-        gram = np.asarray(self.domain.metric.matrix(self.p), dtype=float)
-        self.w = SumField([self.domain.u0, QuarticGapField(self.p, gram)])
+        self.gram = np.asarray(self.domain.metric.matrix(self.p), dtype=float)
+        self.w = SumField([self.domain.u0, QuarticGapField(self.p, self.gram)])
+
+    def misses(self, x, radius):
+        """True where no accepted foot can lie within euclidean ``radius`` of x.
+
+        On the ball B(x, radius), w(z) >= u0(x) - L radius
+        + (|x - p|_G - sqrt(lambda_max(G)) radius)_+^4, with L the Lipschitz
+        constant of u0 and G the quartic gram; where that bound exceeds
+        FOOT_TOLERANCE, no z in the ball passes ``project``'s acceptance
+        test.  Accepted feet have |w| near the Newton tolerance 1e-12, far
+        below FOOT_TOLERANCE, so rounding in the bound cannot drop a point
+        that has one.  A u0 without a Lipschitz constant marks no point.
+        """
+        x = np.asarray(x, dtype=float)
+        L = self.domain.u0.lipschitz
+        if L is None:
+            return np.zeros(x.shape[:-1], dtype=bool)
+        d = x - self.p
+        dist_g = np.sqrt(np.einsum("...i,ij,...j->...", d, self.gram, d))
+        reach = np.sqrt(np.max(np.linalg.eigvalsh(self.gram))) * radius
+        gap = np.maximum(dist_g - reach, 0.0)
+        return self.domain.u0.value(x) - L * radius + gap**4 > FOOT_TOLERANCE
 
     def project(self, x, tol=1e-12, max_iter=60):
         """Euclidean closest point on {w = 0}.
@@ -146,7 +172,7 @@ class SigmaSurface:
         final = np.abs(self.w.value(y))
         grad_final = self.w.gradient(y)
         align = y - pts + lam[:, None] * grad_final
-        ok = ok & (final <= 1e-9) & (np.linalg.norm(align, axis=-1) <= 1e-7)
+        ok = ok & (final <= FOOT_TOLERANCE) & (np.linalg.norm(align, axis=-1) <= 1e-7)
         ok = ok & np.all(np.isfinite(y), axis=-1)
         if single:
             return y[0], bool(ok[0])
@@ -444,10 +470,32 @@ class BarrierVectorField(VectorField):
         J = dphi[..., None, None] * outer + (phi / c**2)[..., None, None] * data.hess_u
         return live, phi, value, np.where(live[..., None, None], J, 0.0)
 
-    def evaluate(self, x):
-        """X and its jacobian from a single tube evaluation."""
+    def evaluate_live(self, x):
+        """``(live, phi, value, jacobian)`` of X at points ``x``, as from_tube.
+
+        A live point has a foot within euclidean distance eps / c, so only
+        the points whose eps/c-ball Sigma may reach go to tube_eval, once;
+        the others are outside the tube and get exact zeros.
+        """
         b = self.bundle
-        _, _, value, J = self.from_tube(tube_eval(b.sigma, x))
+        x = np.asarray(x, dtype=float)
+        shape, n = x.shape[:-1], x.shape[-1]
+        pts = x.reshape(-1, n)
+        live = np.zeros(len(pts), dtype=bool)
+        phi = np.zeros(len(pts))
+        value = np.zeros((len(pts), n))
+        J = np.zeros((len(pts), n, n))
+        cand = ~b.sigma.misses(pts, b.epsilon / b.sigma.c)
+        if np.any(cand):
+            live[cand], phi[cand], value[cand], J[cand] = self.from_tube(
+                tube_eval(b.sigma, pts[cand])
+            )
+        return (live.reshape(shape), phi.reshape(shape),
+                value.reshape(x.shape), J.reshape(shape + (n, n)))
+
+    def evaluate(self, x):
+        """X and its jacobian; each point reaches the tube at most once."""
+        _, _, value, J = self.evaluate_live(x)
         return value, J
 
     def value(self, x):
@@ -538,7 +586,11 @@ def verify_barrier(
 
     Margins are normalized by phi(u) (1 + K); points at or beyond the cutoff
     contribute an exact zero.  The report carries the worst margin and its
-    location.  Each grid point is evaluated in the tube once.
+    location.  Each grid point is evaluated in the tube at most once: a point
+    x is skipped, with margin 0, where u0(x) - L r + (|x - p|_G -
+    sqrt(lambda_max(G)) r)_+^4 > FOOT_TOLERANCE for r = eps / c (see
+    ``SigmaSurface.misses``), since then no foot of Sigma lies close enough
+    for x to be in the tube.
     """
     b = bundle
     X = b.field()
@@ -546,7 +598,7 @@ def verify_barrier(
     pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
 
     def margins_for(chunk):
-        live, phi, _, J = X.from_tube(tube_eval(b.sigma, chunk))
+        live, phi, _, J = X.evaluate_live(chunk)
         # phi underflows to an exact 0 just below the cutoff; X vanishes there
         live = live & (phi > 0.0)
         out = np.zeros(len(chunk))

@@ -252,7 +252,7 @@ def cmd_scenario(args):
     report = hz.run_scenario(
         args.name,
         h=args.h,
-        domain=_parse_domain(args.domain, args.metric) if args.domain else None,
+        domain=_parse_domain(args.domain, args.metric),
         p=_parse_point(args.p),
         m=args.m,
         seed=args.seed,
@@ -340,7 +340,8 @@ def build_parser():
 
     sp = sub.add_parser("scenario", help="run a theorem-level pipeline")
     sp.add_argument("--name", required=True, help=" | ".join(hz.SCENARIO_H))
-    sp.add_argument("--domain", default=None)
+    sp.add_argument("--domain", default="ball:1",
+                    help="ball:R | halfspace | cylinder:R | levelset:EXPR[@lo,hi] (default ball:1)")
     sp.add_argument("--p", default="0,0,1")
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--h", type=float, default=None, help="mean-curvature bound (default: "

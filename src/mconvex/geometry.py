@@ -43,9 +43,14 @@ class BoundaryError(GeometryError):
 
 
 class ScalarField:
-    """Scalar function on the chart with first and second derivatives."""
+    """Scalar function on the chart with first and second derivatives.
+
+    ``lipschitz`` is a euclidean Lipschitz constant of the value on all of
+    R^n, or None where none is known.
+    """
 
     n: int
+    lipschitz: float | None = None
 
     def value(self, x):
         raise NotImplementedError
@@ -94,6 +99,7 @@ class LinearField(ScalarField):
         self.a = np.asarray(a, dtype=float)
         self.b = float(b)
         self.n = self.a.shape[0]
+        self.lipschitz = float(np.linalg.norm(self.a))
 
     def value(self, x):
         return np.asarray(x)[..., :] @ self.a + self.b
@@ -109,6 +115,8 @@ class LinearField(ScalarField):
 
 class RadialDistanceField(ScalarField):
     """R - |x - c| over all n coordinates: euclidean signed distance to a sphere."""
+
+    lipschitz = 1.0
 
     def __init__(self, radius, center, n=3):
         self.radius = float(radius)
@@ -140,6 +148,8 @@ class RadialDistanceField(ScalarField):
 
 class AxialDistanceField(ScalarField):
     """R - sqrt(x1^2 + ... ) over the coordinates transverse to ``axis``."""
+
+    lipschitz = 1.0
 
     def __init__(self, radius, axis=2, n=3):
         self.radius = float(radius)
@@ -326,19 +336,6 @@ class BumpVectorField(VectorField):
         d, _, _, dval = self._profile(x)
         ds = 2.0 * d / self.radius**2  # gradient of s
         return self.direction[:, None] * dval[..., None, None] * ds[..., None, :]
-
-
-class CombinationVectorField(VectorField):
-    def __init__(self, terms):
-        """terms: list of (coefficient, VectorField)."""
-        self.terms = [(float(a), X) for a, X in terms]
-        self.n = self.terms[0][1].n
-
-    def value(self, x):
-        return sum(a * X.value(x) for a, X in self.terms)
-
-    def jacobian(self, x):
-        return sum(a * X.jacobian(x) for a, X in self.terms)
 
 
 # --------------------------------------------------------------------------

@@ -445,6 +445,7 @@ def scenario_theorem6(cfg=None):
             "exclusion_margin": exclusion["exclusion_margin"],
             "epsilon": exclusion["epsilon"],
             "bounded_mc_value": mc["value"],
+            "bounded_mc_n_live": mc["n_live"],
         }
 
     runs, i0, passed = _family_sweep(cfg, base, cfg.h, check)

@@ -440,23 +440,6 @@ def field_magnitude(X, metric=None):
     return lambda pts: metric.norm(pts, X.value(pts))
 
 
-def flow_mesh(mesh, X, t, steps=8, domain=None):
-    """Advance mesh vertices along X for time t with classical RK4."""
-    y = mesh.vertices.copy()
-    h = t / steps
-    for _ in range(steps):
-        k1 = X.value(y)
-        k2 = X.value(y + 0.5 * h * k1)
-        k3 = X.value(y + 0.5 * h * k2)
-        k4 = X.value(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if domain is not None:
-        lo, hi = domain.chart[:, 0], domain.chart[:, 1]
-        if np.any(y < lo) or np.any(y > hi):
-            raise VarifoldError("flow pushed a vertex out of the chart")
-    return mesh.with_vertices(y)
-
-
 def _admissibility_margin(X, domain, rng, samples=1000):
     """min over boundary samples of <X, nu_N>_g."""
     pts = domain.sample_chart(rng, 8 * samples)
@@ -514,7 +497,10 @@ def check_bounded_mc(V, X, h, metric=None, tolerance=None):
     """delta V(X) + h * integral of |X|; pass iff >= -tolerance.
 
     X and its jacobian are evaluated once at the atoms and shared by the
-    first variation, the mass of |X| and the default tolerance.
+    first variation, the mass of |X| and the default tolerance.  ``n_live``
+    counts the atoms where X does not vanish; for a barrier field these are
+    the atoms of the open tube where phi(u) > 0, and 0 means the check is
+    vacuous.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -532,6 +518,7 @@ def check_bounded_mc(V, X, h, metric=None, tolerance=None):
         "value": float(value),
         "delta_V": float(dv),
         "mass_X": float(mass),
+        "n_live": int(np.count_nonzero(np.any(vals != 0.0, axis=-1))),
         "passed": bool(value >= -tolerance),
         "tolerance": float(tolerance),
     }

@@ -5,6 +5,7 @@ import pytest
 from mconvex import barrier as bar
 from mconvex import geometry as geo
 from mconvex import meshes
+from mconvex import varifold as vf
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,18 @@ def north_pole():
 @pytest.fixture(scope="session")
 def ball_bundle(ball_domain, north_pole):
     return bar.build_barrier(ball_domain, north_pole, m=2, eta=1.0)
+
+
+@pytest.fixture(scope="session")
+def theorem5_bundle(ball_domain, north_pole):
+    """The barrier theorem5 builds by default (h = 1)."""
+    return bar.build_barrier(ball_domain, north_pole, m=2, h=1.0)
+
+
+@pytest.fixture(scope="session")
+def theorem5_cap():
+    """theorem5's default test surface: the |H| = 1 sphere band."""
+    return meshes.sphere_cap_mesh(rings=25, segments=100)
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +83,27 @@ def tube_case(request):
 @pytest.fixture(scope="session")
 def unit_disk_mesh():
     return meshes.disk_mesh(radius=1.0, rings=24, segments=256)
+
+
+def _flow_mesh(mesh, X, t, steps=8, domain=None):
+    """Advance mesh vertices along X for time t with classical RK4; with a
+    domain, a vertex leaving its chart raises VarifoldError."""
+    y = mesh.vertices.copy()
+    h = t / steps
+    for _ in range(steps):
+        k1 = X.value(y)
+        k2 = X.value(y + 0.5 * h * k1)
+        k3 = X.value(y + 0.5 * h * k2)
+        k4 = X.value(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if domain is not None:
+        lo, hi = domain.chart[:, 0], domain.chart[:, 1]
+        if np.any(y < lo) or np.any(y > hi):
+            raise vf.VarifoldError("flow pushed a vertex out of the chart")
+    return mesh.with_vertices(y)
+
+
+@pytest.fixture(scope="session")
+def flow_mesh():
+    """The RK4 mesh flow that finite-difference oracles of delta V use."""
+    return _flow_mesh

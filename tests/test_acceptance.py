@@ -91,7 +91,7 @@ def tube_mesh_battery(ball_bundle):
 
 
 def test_criterion_4_first_variation_oracle(ball_bundle, tube_mesh_battery,
-                                            unit_disk_mesh, capsys):
+                                            unit_disk_mesh, flow_mesh, capsys):
     X = ball_bundle.field()
     worst_C = 0.0
     stable = True
@@ -99,7 +99,7 @@ def test_criterion_4_first_variation_oracle(ball_bundle, tube_mesh_battery,
         V = vf.varifold_from_mesh(mesh, order=4)
         dv = vf.first_variation(V, X)
         base = vf.area(mesh, order=4)
-        C = [abs(dv - (vf.area(vf.flow_mesh(mesh, X, t), order=4) - base) / t) / t
+        C = [abs(dv - (vf.area(flow_mesh(mesh, X, t), order=4) - base) / t) / t
              for t in (1e-2, 1e-3, 1e-4)]
         worst_C = max(worst_C, max(C))
         stable &= max(C) <= 10.0 * min(C) + 1e-6

@@ -4,6 +4,7 @@ import pytest
 
 from mconvex import barrier as bar
 from mconvex import geometry as geo
+from mconvex import varifold as vf
 
 
 class TestCutoff:
@@ -338,7 +339,70 @@ class TestVerification:
         assert not rep.passed
         assert rep.worst_margin > 0.0
 
-    def test_one_tube_evaluation_per_grid_point(self, ball_bundle, monkeypatch):
+    def test_grid_points_reach_the_tube_at_most_once(self, ball_bundle, monkeypatch):
+        b = ball_bundle
+        seen = []
+        tube_eval = bar.tube_eval
+
+        def counting(sigma, x):
+            seen.append(np.array(x, copy=True))
+            return tube_eval(sigma, x)
+
+        monkeypatch.setattr(bar, "tube_eval", counting)
+        rep = bar.verify_barrier(b, grid_resolution=25, keep_margins=True)
+        monkeypatch.undo()
+        evaluated = np.concatenate(seen)
+        reached = {tuple(q) for q in evaluated}
+        # grid points are distinct, so no point reached the tube twice
+        assert len(reached) == len(evaluated)
+        assert reached <= {tuple(q) for q in rep.points}
+        candidates = ~b.sigma.misses(rep.points, b.epsilon / b.sigma.c)
+        assert len(evaluated) == np.count_nonzero(candidates) < rep.n_grid
+        live = b.field().from_tube(bar.tube_eval(b.sigma, rep.points))[0]
+        assert rep.n_tube > 0
+        assert {tuple(q) for q in rep.points[live]} <= reached
+
+    def test_thread_count_invariance(self, ball_bundle):
+        r1 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=1)
+        r2 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=4)
+        assert r1.worst_margin == r2.worst_margin
+        assert r1.worst_point == r2.worst_point
+
+
+@pytest.fixture(scope="module")
+def halfspace_bundle():
+    return bar.build_barrier(geo.domain_halfspace(), np.zeros(3), m=2, eta=0.1,
+                             enforce_hypothesis=False)
+
+
+@pytest.fixture(scope="module")
+def cylinder_bundle():
+    return bar.build_barrier(geo.domain_cylinder(1.0), np.array([1.0, 0.0, 0.0]), m=2)
+
+
+class TestTubeExclusion:
+    """Points whose eps/c-ball Sigma provably misses skip the tube."""
+
+    @pytest.mark.parametrize("name", ["ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
+                                      "cylinder_bundle", "theorem5_bundle"])
+    def test_dropped_points_are_not_live(self, name, request, theorem5_cap):
+        b = request.getfixturevalue(name)
+        cap_atoms = vf.varifold_from_mesh(theorem5_cap).points
+        pts = np.concatenate([bar.chart_grid(b.chart, 30), cap_atoms])
+        X = b.field()
+        live, _, value, J = X.from_tube(bar.tube_eval(b.sigma, pts))
+        dropped = b.sigma.misses(pts, b.epsilon / b.sigma.c)
+        assert np.any(live) and np.any(dropped)
+        assert not np.any(live & dropped)
+        got_value, got_J = X.evaluate(pts)
+        assert np.array_equal(got_value, value)
+        assert np.array_equal(got_J, J)
+
+    def test_levelset_domain_drops_nothing(self, ellipsoid_bundle, monkeypatch):
+        b = ellipsoid_bundle
+        assert b.domain.u0.lipschitz is None
+        pts = bar.chart_grid(b.chart, 20)
+        assert not np.any(b.sigma.misses(pts, b.epsilon / b.sigma.c))
         seen = []
         tube_eval = bar.tube_eval
 
@@ -347,12 +411,14 @@ class TestVerification:
             return tube_eval(sigma, x)
 
         monkeypatch.setattr(bar, "tube_eval", counting)
-        rep = bar.verify_barrier(ball_bundle, grid_resolution=25)
-        assert rep.n_tube > 0
-        assert sum(seen) == rep.n_grid
+        b.field().evaluate(pts)
+        assert seen == [len(pts)]
 
-    def test_thread_count_invariance(self, ball_bundle):
-        r1 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=1)
-        r2 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=4)
-        assert r1.worst_margin == r2.worst_margin
-        assert r1.worst_point == r2.worst_point
+    def test_single_point(self, ball_bundle):
+        b = ball_bundle
+        X = b.field()
+        for q in (b.p, np.array([0.0, 0.0, 0.5])):
+            value, J = X.evaluate(q)
+            ref_value, ref_J = X.evaluate(q[None, :])
+            assert value.shape == (3,) and J.shape == (3, 3)
+            assert np.array_equal(value, ref_value[0]) and np.array_equal(J, ref_J[0])

@@ -183,6 +183,22 @@ class TestScenarioCommand:
         assert code == cli.EXIT_PASS
         assert doc["report"]["provenance"]["h"] == 1.0
 
+    def test_metric_alone_applies_to_the_unit_ball(self, capsys):
+        metric = ("--metric", "conformal:0-log(2)")
+        _, alone, _ = run(capsys, "scenario", "--name", "theorem5", "--no-timestamp", *metric)
+        _, ball, _ = run(capsys, "scenario", "--name", "theorem5", "--no-timestamp",
+                         "--domain", "ball:1", *metric)
+        _, plain, _ = run(capsys, "scenario", "--name", "theorem5", "--no-timestamp")
+        assert alone == ball
+        assert alone["report"]["epsilon"] != plain["report"]["epsilon"]
+
+    def test_metric_without_barrier_refused(self, capsys):
+        code = cli.main(["scenario", "--name", "theorem5", "--metric", "conformal:0.1*x1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: barrier construction needs")
+
     def test_unknown_scenario(self, capsys):
         code, _, _ = run(capsys, "scenario", "--name", "theorem2")
         assert code == cli.EXIT_USAGE

@@ -126,6 +126,11 @@ class TestScenarios:
         assert rep["status"] == "passed"
         assert rep["i0"] is not None
 
+    def test_theorem6_runs_report_live_atoms(self):
+        # the default cap stays outside every tube: the checks are vacuous
+        rep = hz.scenario_theorem6(hz.ScenarioConfig(h=1.0, family_range=(0, 2)))
+        assert [r["bounded_mc_n_live"] for r in rep["runs"]] == [0, 0, 0]
+
     def test_theorem6_gate_fails_indices_below_h(self):
         # g(0) = 2 x euclidean scales the curvature sum 2 at p by 1/sqrt(2),
         # to 1.41 < h; g(1) takes it to 2/sqrt(1.5) = 1.63 > h

@@ -19,6 +19,20 @@ _CONSTANT_FACTOR = [
 ]
 
 
+class _Combination(geo.VectorField):
+    """sum of a_i X_i for terms (a_i, X_i)."""
+
+    def __init__(self, terms):
+        self.terms = [(float(a), X) for a, X in terms]
+        self.n = self.terms[0][1].n
+
+    def value(self, x):
+        return sum(a * X.value(x) for a, X in self.terms)
+
+    def jacobian(self, x):
+        return sum(a * X.jacobian(x) for a, X in self.terms)
+
+
 class TestSVMesh:
     def test_roundtrip(self):
         mesh = meshes.square_mesh(divisions=3)
@@ -156,7 +170,7 @@ class TestFirstVariation:
         V = vf.varifold_from_mesh(unit_disk_mesh)
         X = geo.BumpVectorField(np.array([0.2, 0, 0]), 0.5, np.array([0, 0, 1.0]))
         Y = geo.ExprVectorField(["x2", "x3", "x1"], 3)
-        combo = geo.CombinationVectorField([(2.5, X), (-1.5, Y)])
+        combo = _Combination([(2.5, X), (-1.5, Y)])
         lhs = vf.first_variation(V, combo)
         rhs = 2.5 * vf.first_variation(V, X) - 1.5 * vf.first_variation(V, Y)
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -194,16 +208,16 @@ class TestFirstVariation:
 
 
 class TestFlow:
-    def test_zero_field_identity(self, unit_disk_mesh):
-        out = vf.flow_mesh(unit_disk_mesh, geo.ConstantVectorField(np.zeros(3)), 1.0)
+    def test_zero_field_identity(self, unit_disk_mesh, flow_mesh):
+        out = flow_mesh(unit_disk_mesh, geo.ConstantVectorField(np.zeros(3)), 1.0)
         np.testing.assert_array_equal(out.vertices, unit_disk_mesh.vertices)
 
-    def test_constant_field_translates(self, unit_disk_mesh):
+    def test_constant_field_translates(self, unit_disk_mesh, flow_mesh):
         v = np.array([0.1, -0.2, 0.3])
-        out = vf.flow_mesh(unit_disk_mesh, geo.ConstantVectorField(v), 1.0)
+        out = flow_mesh(unit_disk_mesh, geo.ConstantVectorField(v), 1.0)
         np.testing.assert_allclose(out.vertices, unit_disk_mesh.vertices + v, atol=1e-12)
 
-    def test_flow_derivative_matches_first_variation(self, unit_disk_mesh):
+    def test_flow_derivative_matches_first_variation(self, unit_disk_mesh, flow_mesh):
         X = geo.BumpVectorField(np.array([0.2, 0.0, 0.0]), 0.6,
                                 np.array([0.1, 0.2, 0.9]))
         V = vf.varifold_from_mesh(unit_disk_mesh, order=4)
@@ -211,16 +225,16 @@ class TestFlow:
         base = vf.area(unit_disk_mesh, order=4)
         ratios = []
         for t in (1e-2, 1e-3, 1e-4):
-            fd = (vf.area(vf.flow_mesh(unit_disk_mesh, X, t), order=4) - base) / t
+            fd = (vf.area(flow_mesh(unit_disk_mesh, X, t), order=4) - base) / t
             ratios.append(abs(dv - fd) / t)
         # |dV - FD| <= C t with C stable under t-halving
         assert max(ratios) <= 2.0 * min(ratios) + 1e-9
 
-    def test_chart_escape_raises(self, unit_disk_mesh):
+    def test_chart_escape_raises(self, unit_disk_mesh, flow_mesh):
         dom = geo.domain_ball(radius=1.0)
         X = geo.ConstantVectorField(np.array([10.0, 0.0, 0.0]))
         with pytest.raises(vf.VarifoldError):
-            vf.flow_mesh(unit_disk_mesh, X, 1.0, domain=dom)
+            flow_mesh(unit_disk_mesh, X, 1.0, domain=dom)
 
 
 class TestMinimizingChecks:
@@ -292,6 +306,32 @@ class TestMinimizingChecks:
         assert sum(seen) == len(V.points)
         assert rep["mass_X"] > 0.0
         assert rep["value"] == expected
+
+    def test_bounded_mc_default_cap_reaches_no_tube(
+            self, theorem5_bundle, theorem5_cap, monkeypatch):
+        seen = []
+        tube_eval = bar.tube_eval
+
+        def counting(sigma, x):
+            seen.append(len(x))
+            return tube_eval(sigma, x)
+
+        monkeypatch.setattr(bar, "tube_eval", counting)
+        V = vf.varifold_from_mesh(theorem5_cap)
+        rep = vf.check_bounded_mc(V, theorem5_bundle.field(), 1.0)
+        assert seen == []
+        assert rep["n_live"] == 0 and rep["mass_X"] == 0.0
+
+    def test_bounded_mc_counts_live_atoms(self, theorem5_bundle):
+        # a radius-0.8 sphere tangent to the unit ball at p enters the tube
+        mesh = meshes.sphere_cap_mesh(radius=0.8, center=(0.0, 0.0, 0.2),
+                                      z_range=(0.9, 0.9999), rings=10, segments=40)
+        V = vf.varifold_from_mesh(mesh)
+        X = theorem5_bundle.field()
+        rep = vf.check_bounded_mc(V, X, 1.0)
+        nonzero = np.any(X.value(V.points) != 0.0, axis=-1)
+        assert rep["n_live"] == np.count_nonzero(nonzero) > 0
+        assert rep["mass_X"] > 0.0
 
     def test_sphere_saturates_bounded_mc(self):
         # radius m/h sphere (|H| = h) flowed inward: dV(X) = -h * mass(X)
