@@ -12,6 +12,7 @@ import numpy as np
 
 from mconvex import barrier as bar
 from mconvex import geometry as geo
+from mconvex import harness as hz
 from mconvex import meshes
 from mconvex import minimizer as mz
 from mconvex import varifold as vf
@@ -40,16 +41,15 @@ def main():
         vf.write_svmesh(final, args.out_mesh)
 
     bundle = bar.build_barrier(domain, p, m=2)
-    V = vf.varifold_from_mesh(final, domain.metric)
-    dist = vf.support_distance(V, p, domain.metric)
-    chord = 2.0 * final.max_edge_length()
+    ex = hz.exclusion(vf.varifold_from_mesh(final, domain.metric), final, bundle)
     print(f"converged={report.converged} iterations={report.iterations} "
           f"residual={report.residual:.3e}")
     print(f"final area = {report.final_area:.8f} (flat polygon: "
           f"{0.5 * args.segments * np.sin(2 * np.pi / args.segments) * 0.09:.8f})")
-    print(f"support distance to pole = {dist:.6f}, epsilon = {bundle.epsilon:.6f}, "
-          f"chord tolerance = {chord:.6f}")
-    ok = report.converged and dist >= bundle.epsilon - chord
+    print(f"support distance to pole = {ex['support_distance']:.6f}, "
+          f"epsilon = {ex['epsilon']:.6f}, chord tolerance = {ex['chord_tolerance']:.6f}, "
+          f"exclusion margin = {ex['exclusion_margin']:.6f}")
+    ok = report.converged and ex["exclusion_margin"] >= 0.0
     print("exclusion holds" if ok else "EXCLUSION VIOLATED")
     return 0 if ok else 1
 

@@ -58,16 +58,6 @@ def cutoff(t, eps):
     return out
 
 
-def cutoff_derivative(t, eps):
-    """phi'(t) = -phi(t) / (t - eps)^2 on [0, eps), 0 for t >= eps."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("cutoff argument must be nonnegative")
-    inside = t < eps
-    denom = np.where(inside, (t - eps) ** 2, 1.0)
-    return np.where(inside, -cutoff(t, eps) / denom, 0.0)
-
-
 # --------------------------------------------------------------------------
 # the contact surface
 
@@ -134,8 +124,7 @@ class SigmaSurface:
         residual is at most ``tol``; only the others are assembled and solved.
         """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x.reshape(-1, x.shape[-1])
+        pts = x.reshape(-1, x.shape[-1])
         n = pts.shape[-1]
         y = pts.copy()
         gw = self.w.gradient(y)
@@ -174,8 +163,6 @@ class SigmaSurface:
         align = y - pts + lam[:, None] * grad_final
         ok = ok & (final <= FOOT_TOLERANCE) & (np.linalg.norm(align, axis=-1) <= 1e-7)
         ok = ok & np.all(np.isfinite(y), axis=-1)
-        if single:
-            return y[0], bool(ok[0])
         return y.reshape(x.shape), ok.reshape(x.shape[:-1])
 
 
@@ -228,12 +215,6 @@ def tube_eval(sigma, x):
     converted to metric units with Sigma's constant c.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        data = tube_eval(sigma, x[None, :])
-        return TubeData(*[np.asarray(v)[0] for v in (
-            data.u, data.nu, data.curvatures, data.frame, data.hess_u,
-            data.foot, data.valid,
-        )])
     c = sigma.c
     foot, ok = sigma.project(x)
     w_x = sigma.w.value(x)
@@ -265,32 +246,6 @@ def tube_eval(sigma, x):
     )
 
 
-class DistanceToSigmaField(ScalarField):
-    """Signed distance to Sigma as a scalar field with exact derivatives."""
-
-    def __init__(self, sigma):
-        self.sigma = sigma
-        self.n = sigma.p.shape[0]
-
-    def _tube(self, x):
-        data = tube_eval(self.sigma, x)
-        if not np.all(data.valid):
-            raise TubeError("signed distance queried outside the tube")
-        return data
-
-    def value(self, x):
-        return self._tube(x).u
-
-    def gradient(self, x):
-        data = self._tube(x)
-        c = self.sigma.c
-        # coordinate partials of u: c * euclidean unit normal
-        return c * (data.nu * c)
-
-    def hessian(self, x):
-        return self._tube(x).hess_u
-
-
 # --------------------------------------------------------------------------
 # bundle
 
@@ -301,6 +256,8 @@ class BarrierBundle:
 
     ``chart`` is the working box around p (the shrunken ambient ball of the
     construction); everything about the barrier lives inside it.
+    ``tube_ksum_min`` is the least k_1 + ... + k_m over the tube sample
+    ``tube_curvatures`` drew for that chart.
     """
 
     domain: Domain
@@ -312,9 +269,7 @@ class BarrierBundle:
     sigma: SigmaSurface
     kappa_sum_p: float
     chart: np.ndarray
-
-    def u_field(self):
-        return DistanceToSigmaField(self.sigma)
+    tube_ksum_min: float
 
     def field(self):
         return BarrierVectorField(self)
@@ -323,13 +278,14 @@ class BarrierBundle:
 TUBE_SAMPLES = 2000  # random chart points projected by tube_curvatures
 
 
-def tube_curvatures(sigma, chart, seed=0):
+def tube_curvatures(sigma, chart, face_gap, seed=0):
     """Sample level-set curvature lists over the prospective tube in a chart.
 
     Feet are obtained by projecting random chart points onto Sigma; each foot
-    is pushed inward by a random offset up to half the distance from p to the
-    chart faces (the largest value epsilon can later take).  Returns the
-    sampled ascending curvature lists in metric units.
+    is pushed inward by a random offset up to half ``face_gap``, the
+    euclidean distance from p to the chart faces (the largest value epsilon
+    can later take).  Returns the sampled ascending curvature lists in metric
+    units.
     """
     rng = np.random.default_rng(seed)
     p = sigma.p
@@ -344,25 +300,10 @@ def tube_curvatures(sigma, chart, seed=0):
     if not np.any(ok):
         raise TubeError("no Sigma feet found inside the chart")
     foot = foot[ok]
-    t_max = 0.5 * float(np.min(np.minimum(p - lo, hi - p)))
-    t = t_max * rng.random((len(foot), 1))
+    t = 0.5 * face_gap * rng.random((len(foot), 1))
     kappa = levelset_shape(sigma.w, foot, geo.EuclideanMetric(n)).values
     denom = np.maximum(1.0 - t * kappa, 0.1)
     return (kappa / denom) / sigma.c
-
-
-def select_epsilon(K, chart, sigma):
-    """eps = min(K^{-1/2}, half the metric distance from p to the chart edge)."""
-    if K <= 0:
-        raise ValueError("K must be positive")
-    p = sigma.p
-    chart = np.asarray(chart, dtype=float)
-    lo, hi = chart[:, 0], chart[:, 1]
-    margin = float(np.min(np.minimum(p - lo, hi - p)))
-    eps = min(K ** -0.5, 0.5 * sigma.c * margin)
-    if eps <= 0:
-        raise GeometryError("no positive epsilon fits the chart")
-    return eps
 
 
 def build_barrier(
@@ -384,7 +325,8 @@ def build_barrier(
     The working chart starts as a box around p clipped to the domain chart
     and is shrunk until the sampled tube satisfies k_1 + ... + k_m > eta
     everywhere, mirroring the "sufficiently small ball around p" step of the
-    underlying construction.
+    underlying construction.  epsilon is then min(K^{-1/2}, half the metric
+    distance from p to the chart faces).
     """
     p = np.asarray(p, dtype=float)
     kappa_sum, _, _ = geo.m_convexity(domain, p, m)
@@ -401,16 +343,14 @@ def build_barrier(
     w = 0.5 * span
     goal = eta + 0.02 * max(kappa_sum - eta, 0.0)
     shrinkable = kappa_sum > eta
-    k_samples = None
-    chart = None
     for _ in range(18):
         chart = np.stack(
             [np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1
         )
-        k_samples = tube_curvatures(sigma, chart, seed)
-        if not shrinkable:
-            break
-        if float(np.min(np.sum(k_samples[..., :m], axis=-1))) > goal:
+        face_gap = float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
+        k_samples = tube_curvatures(sigma, chart, face_gap, seed)
+        ksum_min = float(np.min(np.sum(k_samples[..., :m], axis=-1)))
+        if not shrinkable or ksum_min > goal:
             break
         w *= 0.7
     else:
@@ -419,9 +359,11 @@ def build_barrier(
         )
 
     K = 1.25 * float(np.max(np.abs(k_samples)))
-    if K > 1e4:
-        raise TubeError(f"curvature blow-up detected: K = {K:.3g}")
-    eps = select_epsilon(K, chart, sigma)
+    if not 0 < K <= 1e4:
+        raise TubeError(f"no usable curvature bound: K = {K:.3g}")
+    eps = min(K ** -0.5, 0.5 * sigma.c * face_gap)
+    if eps <= 0:
+        raise GeometryError("no positive epsilon fits the chart")
     if epsilon_override is not None:
         if not 0 < epsilon_override <= eps:
             raise ValueError("epsilon override must lie in (0, selected epsilon]")
@@ -436,6 +378,7 @@ def build_barrier(
         sigma=sigma,
         kappa_sum_p=float(kappa_sum),
         chart=chart,
+        tube_ksum_min=ksum_min,
     )
 
 
@@ -451,27 +394,29 @@ class BarrierVectorField(VectorField):
         self.n = bundle.p.shape[0]
 
     def from_tube(self, data):
-        """``(live, phi, value, jacobian)`` of X from tube data at the points.
+        """``(live, phi, value, S)`` of X from tube data at the points.
 
         ``live`` marks the points of the open tube ``0 <= u < eps``; phi is
-        the cutoff there and 0 elsewhere.
+        the cutoff there and 0 elsewhere.  S = jacobian / phi
+        = -(u - eps)^-2 nu_e nu_e^T + Hess u / c^2 on live points (0
+        elsewhere) stays finite where phi underflows.
         """
         b = self.bundle
         c = b.sigma.c
         u = data.u
         live = data.valid & (u >= 0.0) & (u < b.epsilon)
-        u_safe = np.where(live, u, b.epsilon)
-        phi = cutoff(u_safe, b.epsilon)
-        dphi = cutoff_derivative(u_safe, b.epsilon)
+        u_safe = np.where(live, u, 0.0)
+        phi = np.where(live, cutoff(u_safe, b.epsilon), 0.0)
         value = np.where(live[..., None], phi[..., None] * data.nu, 0.0)
         nu_e = data.nu * c  # euclidean unit normal
         outer = nu_e[..., :, None] * nu_e[..., None, :]
-        # data.hess_u is the coordinate Hessian of u = c * u_e, hence the c^2
-        J = dphi[..., None, None] * outer + (phi / c**2)[..., None, None] * data.hess_u
-        return live, phi, value, np.where(live[..., None, None], J, 0.0)
+        # phi'/phi = -(u - eps)^-2; data.hess_u is the coordinate Hessian of
+        # u = c * u_e, hence the c^2
+        S = (-(u_safe - b.epsilon) ** -2)[..., None, None] * outer + data.hess_u / c**2
+        return live, phi, value, np.where(live[..., None, None], S, 0.0)
 
     def evaluate_live(self, x):
-        """``(live, phi, value, jacobian)`` of X at points ``x``, as from_tube.
+        """``(live, phi, value, S)`` of X at points ``x``, as from_tube.
 
         A live point has a foot within euclidean distance eps / c, so only
         the points whose eps/c-ball Sigma may reach go to tube_eval, once;
@@ -484,19 +429,19 @@ class BarrierVectorField(VectorField):
         live = np.zeros(len(pts), dtype=bool)
         phi = np.zeros(len(pts))
         value = np.zeros((len(pts), n))
-        J = np.zeros((len(pts), n, n))
+        S = np.zeros((len(pts), n, n))
         cand = ~b.sigma.misses(pts, b.epsilon / b.sigma.c)
         if np.any(cand):
-            live[cand], phi[cand], value[cand], J[cand] = self.from_tube(
+            live[cand], phi[cand], value[cand], S[cand] = self.from_tube(
                 tube_eval(b.sigma, pts[cand])
             )
         return (live.reshape(shape), phi.reshape(shape),
-                value.reshape(x.shape), J.reshape(shape + (n, n)))
+                value.reshape(x.shape), S.reshape(shape + (n, n)))
 
     def evaluate(self, x):
-        """X and its jacobian; each point reaches the tube at most once."""
-        _, _, value, J = self.evaluate_live(x)
-        return value, J
+        """X and its jacobian phi S; each point reaches the tube at most once."""
+        _, phi, value, S = self.evaluate_live(x)
+        return value, phi[..., None, None] * S
 
     def value(self, x):
         return self.evaluate(x)[0]
@@ -515,9 +460,9 @@ def adapted_frame_Q(bundle, q):
     data = tube_eval(b.sigma, q)
     if not np.all(data.valid & (data.u < b.epsilon)):
         raise TubeError("adapted frame requested outside the open tube")
-    # the covariant gradient of X is its jacobian under g = c^2 * euclidean
-    _, _, _, J = b.field().from_tube(data)
-    Qc = geo.lower_index(J, q, b.domain.metric)
+    # the covariant gradient of X is its jacobian phi S under g = c^2 * euclidean
+    _, phi, _, S = b.field().from_tube(data)
+    Qc = geo.lower_index(phi[..., None, None] * S, q, b.domain.metric)
     frame = np.concatenate([data.frame, data.nu[..., None, :]], axis=-2)
     return np.einsum("...ai,...ij,...bj->...ab", frame, Qc, frame)
 
@@ -584,7 +529,9 @@ def verify_barrier(
 ):
     """Check Psi_X + eta |X| <= 0 on a chart grid intersected with N.
 
-    Margins are normalized by phi(u) (1 + K); points at or beyond the cutoff
+    Margins are normalized by phi(u) (1 + K), so a live point's margin is
+    (top_m(S) + eta) / (1 + K) with S = jacobian / phi (see
+    ``BarrierVectorField.from_tube``); points at or beyond the cutoff
     contribute an exact zero.  The report carries the worst margin and its
     location.  Each grid point is evaluated in the tube at most once: a point
     x is skipped, with margin 0, where u0(x) - L r + (|x - p|_G -
@@ -598,31 +545,24 @@ def verify_barrier(
     pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
 
     def margins_for(chunk):
-        live, phi, _, J = X.evaluate_live(chunk)
+        live, phi, _, S = X.evaluate_live(chunk)
         # phi underflows to an exact 0 just below the cutoff; X vanishes there
         live = live & (phi > 0.0)
         out = np.zeros(len(chunk))
         if not np.any(live):
             return out, live
         # barriers exist only for g = c^2 * euclidean: the covariant gradient
-        # of X is its jacobian J, and the top-m trace of Q = c^2 J over
-        # g-orthonormal m-frames is the top-m eigenvalue sum of J
-        top = top_m_eigensum(J[live], b.m)
-        phi = phi[live]
-        raw = top + b.eta * phi
-        out[live] = raw / (phi * (1.0 + b.K))
+        # of X is its jacobian phi S, and the top-m trace of Q = c^2 phi S
+        # over g-orthonormal m-frames is phi times the top-m eigenvalue sum of S
+        out[live] = (top_m_eigensum(S[live], b.m) + b.eta) / (1.0 + b.K)
         return out, live
 
-    chunks = np.array_split(pts, max(1, threads * 8))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(margins_for, chunks))
-    else:
-        results = [margins_for(ch) for ch in chunks]
-    margins = np.concatenate([r[0] for r in results]) if len(pts) else np.zeros(0)
-    live = np.concatenate([r[1] for r in results]) if len(pts) else np.zeros(0, bool)
     if len(pts) == 0:
         raise GeometryError("verification grid is empty")
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        results = list(ex.map(margins_for, np.array_split(pts, threads * 8)))
+    margins = np.concatenate([r[0] for r in results])
+    live = np.concatenate([r[1] for r in results])
     worst = int(np.argmax(margins))
     report = BarrierReport(
         passed=bool(margins[worst] <= tolerance),

@@ -125,15 +125,6 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
-def _threads(args):
-    if args.threads:
-        return args.threads
-    env = os.environ.get("MCONVEX_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -178,10 +169,12 @@ def cmd_barrier_build(args):
 def cmd_barrier_verify(args):
     # hypothesis is deliberately not enforced here so that expected-failure
     # demonstrations (half-space) run and exit 2 on their bad margins
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     _, bundle = _build(args, enforce=False)
     report = bar.verify_barrier(
         bundle, grid_resolution=args.grid, tolerance=args.tolerance,
-        threads=_threads(args), keep_margins=args.out is not None,
+        threads=args.threads, keep_margins=args.out is not None,
     )
     if args.out:
         report.write_margins(args.out)
@@ -264,14 +257,15 @@ def cmd_scenario(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--metric", default=None,
-                    help="euclidean | conformal:EXPR | matrix:g11;g12;g13;g22;g23;g33")
+def _add_common(sp, metric=True, seed=False):
+    """--no-timestamp, and --metric / --seed where the subcommand reads them."""
+    if metric:
+        sp.add_argument("--metric", default=None,
+                        help="euclidean | conformal:EXPR | matrix:g11;g12;g13;g22;g23;g33")
     sp.add_argument("--no-timestamp", action="store_true",
                     help="omit the timestamp for byte-identical reruns")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: MCONVEX_THREADS or cpu count)")
-    sp.add_argument("--seed", type=int, default=0)
+    if seed:
+        sp.add_argument("--seed", type=int, default=0)
 
 
 def _add_barrier_args(sp):
@@ -301,7 +295,7 @@ def build_parser():
 
     sp = sub.add_parser("barrier-build", help="construct the barrier bundle")
     _add_barrier_args(sp)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_barrier_build)
 
     sp = sub.add_parser("barrier-verify", help="verify the barrier inequality on a grid")
@@ -309,7 +303,9 @@ def build_parser():
     sp.add_argument("--grid", type=int, default=50)
     sp.add_argument("--tolerance", type=float, default=1e-7)
     sp.add_argument("--out", default=None, help="CSV of per-point margins")
-    _add_common(sp)
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker threads, at least 1 (default: cpu count)")
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_barrier_verify)
 
     sp = sub.add_parser("first-variation", help="delta V(X) of a mesh varifold")
@@ -328,14 +324,14 @@ def build_parser():
     sp.add_argument("--tolerance", type=float, default=1e-6)
     sp.add_argument("--out-mesh", default=None)
     sp.add_argument("--out", default=None, help="convergence CSV")
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_minimize)
 
     sp = sub.add_parser("decompose", help="boundary + interior split of an integral varifold")
     sp.add_argument("--mesh", required=True)
     sp.add_argument("--boundary-mesh", required=True)
     sp.add_argument("--out-mesh", default=None, help="write the interior part")
-    _add_common(sp)
+    _add_common(sp, metric=False)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("scenario", help="run a theorem-level pipeline")
@@ -347,7 +343,7 @@ def build_parser():
     sp.add_argument("--h", type=float, default=None, help="mean-curvature bound (default: "
                     + ", ".join(f"{k} {v:g}" for k, v in hz.SCENARIO_H.items()) + ")")
     sp.add_argument("--grid", type=int, default=40)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_scenario)
 
     return ap

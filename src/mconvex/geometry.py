@@ -14,7 +14,7 @@ positive principal curvatures with respect to the inward normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,55 +113,25 @@ class LinearField(ScalarField):
         return np.zeros(x.shape[:-1] + (self.n, self.n))
 
 
-class RadialDistanceField(ScalarField):
-    """R - |x - c| over all n coordinates: euclidean signed distance to a sphere."""
+class DistanceField(ScalarField):
+    """R - |x - c| over the coordinates in ``axes`` (default all): euclidean
+    signed distance to a sphere, or with ``axes`` a subset to a round
+    cylinder whose axis is spanned by the other coordinates."""
 
     lipschitz = 1.0
 
-    def __init__(self, radius, center, n=3):
+    def __init__(self, radius, center, axes=None):
         self.radius = float(radius)
         self.center = np.asarray(center, dtype=float)
-        self.n = n
+        self.n = self.center.shape[0]
+        self.mask = (np.ones(self.n) if axes is None
+                     else np.isin(np.arange(self.n), axes).astype(float))
 
     def _r(self, x, need_derivatives=False):
-        d = np.asarray(x, dtype=float) - self.center
+        d = (np.asarray(x, dtype=float) - self.center) * self.mask
         r = np.linalg.norm(d, axis=-1)
         if need_derivatives and np.any(r < 1e-14):
-            raise VanishingGradientError("radial field differentiated at its center")
-        return d, r
-
-    def value(self, x):
-        _, r = self._r(x)
-        return self.radius - r
-
-    def gradient(self, x):
-        d, r = self._r(x, need_derivatives=True)
-        return -d / r[..., None]
-
-    def hessian(self, x):
-        d, r = self._r(x, need_derivatives=True)
-        u = d / r[..., None]
-        eye = np.eye(self.n)
-        proj = eye - u[..., :, None] * u[..., None, :]
-        return -proj / r[..., None, None]
-
-
-class AxialDistanceField(ScalarField):
-    """R - sqrt(x1^2 + ... ) over the coordinates transverse to ``axis``."""
-
-    lipschitz = 1.0
-
-    def __init__(self, radius, axis=2, n=3):
-        self.radius = float(radius)
-        self.axis = axis
-        self.n = n
-        self.mask = np.array([i != axis for i in range(n)], dtype=float)
-
-    def _r(self, x, need_derivatives=False):
-        d = np.asarray(x, dtype=float) * self.mask
-        r = np.linalg.norm(d, axis=-1)
-        if need_derivatives and np.any(r < 1e-14):
-            raise VanishingGradientError("axial field differentiated on its axis")
+            raise VanishingGradientError("distance field differentiated on its center set")
         return d, r
 
     def value(self, x):
@@ -797,7 +767,7 @@ def domain_ball(radius=1.0, n=3, metric=None, chart=None):
         chart = np.array([[-w, w]] * n)
     return Domain(
         metric or EuclideanMetric(n),
-        RadialDistanceField(radius, np.zeros(n), n),
+        DistanceField(radius, np.zeros(n)),
         chart,
         name=f"ball:{radius:g}",
     )
@@ -810,7 +780,7 @@ def domain_cylinder(radius=1.0, metric=None, chart=None):
         chart = np.array([[-w, w], [-w, w], [-2.0, 2.0]])
     return Domain(
         metric or EuclideanMetric(3),
-        AxialDistanceField(radius, axis=2, n=3),
+        DistanceField(radius, np.zeros(3), axes=(0, 1)),
         chart,
         name=f"cylinder:{radius:g}",
     )

@@ -126,11 +126,12 @@ def _minimize(cfg, domain):
     return mz.minimize(problem)
 
 
-def _exclusion(V, mesh, bundle):
-    """Support distance of V from p, chord tolerance (twice the longest edge of
-    the mesh V came from) and exclusion margin, dist - (epsilon - chord_tol)."""
-    dist = vf.support_distance(V, bundle.p, bundle.domain.metric)
-    chord_tol = 2.0 * mesh.max_edge_length()
+def exclusion(V, mesh, bundle):
+    """Support distance of V from p, chord tolerance (twice the metric length
+    c * max_edge of the longest edge of the mesh V came from) and exclusion
+    margin, dist - (epsilon - chord_tol); all three in metric units."""
+    dist = vf.support_distance(V.points, bundle.p, bundle.domain.metric)
+    chord_tol = bundle.sigma.c * 2.0 * mesh.max_edge_length()
     return {
         "support_distance": float(dist),
         "epsilon": float(bundle.epsilon),
@@ -143,7 +144,7 @@ def _minimize_and_exclude(cfg, bundle):
     """Minimize cfg.mesh under the barrier's metric; returns (mesh, report, exclusion)."""
     final, report = _minimize(cfg, bundle.domain)
     V = vf.varifold_from_mesh(final, bundle.domain.metric)
-    return final, report, _exclusion(V, final, bundle)
+    return final, report, exclusion(V, final, bundle)
 
 
 def _bounded_mc_and_exclude(mesh, bundle, h):
@@ -151,7 +152,7 @@ def _bounded_mc_and_exclude(mesh, bundle, h):
     metric = bundle.domain.metric
     V = vf.varifold_from_mesh(mesh, metric)
     mc = vf.check_bounded_mc(V, bundle.field(), h, metric)
-    return mc, _exclusion(V, mesh, bundle)
+    return mc, exclusion(V, mesh, bundle)
 
 
 def scenario_theorem1(cfg=None):
@@ -200,6 +201,16 @@ def _family_c2_distance(metric, limit, chart, samples=64, seed=0):
     return float(np.max(np.abs(metric.matrix(pts) - limit.matrix(pts))))
 
 
+def _family_base(cfg, name):
+    """cfg's domain; metric_family converges to the euclidean metric, so
+    theorem3 and theorem6 refuse a domain with any other metric."""
+    base = cfg.resolved_domain()
+    if base.metric.constant_factor() != 1.0:
+        raise ScenarioError(f"{name} sweeps metrics converging to the euclidean one; "
+                            "the domain's metric must be euclidean")
+    return base
+
+
 def _family_sweep(cfg, base, h, check):
     """Build the barrier with bound h under each metric_family(i) in place of
     base's metric and add check(bundle_i), which holds "ok", to run i; an i
@@ -227,7 +238,8 @@ def _check_u_properties(bundle, samples=4000, seed=0):
 
     (i) u(p) = 0 and u > 0 elsewhere on N; (ii) {u <= eps} is compact
     (closed + bounded inside the chart box); (iii) boundary curvature sums
-    exceed eta on the sublevel set; (iv) tube curvature sums exceed eta.
+    exceed eta on the sublevel set; (iv) tube curvature sums exceed eta on
+    the tube sample the construction drew.
     """
     rng = np.random.default_rng(seed)
     domain = bundle.domain
@@ -258,17 +270,14 @@ def _check_u_properties(bundle, samples=4000, seed=0):
         iii_margin = float(np.min(sums) - bundle.eta)
     else:
         prop_iii, iii_margin = True, float("nan")
-    # (iv): tube curvature sums, re-sampled from the construction
-    k = bar.tube_curvatures(bundle.sigma, bundle.chart, seed=seed)
-    sums = np.sum(k[:, : bundle.m], axis=-1)
-    prop_iv = bool(np.min(sums) > bundle.eta)
+    prop_iv = bool(bundle.tube_ksum_min > bundle.eta)
     return {
         "i": prop_i,
         "ii": prop_ii,
         "iii": prop_iii,
         "iii_margin": iii_margin,
         "iv": prop_iv,
-        "iv_margin": float(np.min(sums) - bundle.eta),
+        "iv_margin": float(bundle.tube_ksum_min - bundle.eta),
         "all": bool(prop_i and prop_ii and prop_iii and prop_iv),
     }
 
@@ -277,7 +286,7 @@ def scenario_theorem3(cfg=None):
     """Exclusion persists along a smoothly converging metric family."""
     cfg = cfg or ScenarioConfig()
     _reads_no_h(cfg, "theorem3")
-    base = cfg.resolved_domain()
+    base = _family_base(cfg, "theorem3")
     p = np.asarray(cfg.p, dtype=float)
 
     _, kind, _ = geo.m_convexity(base, p, cfg.m)
@@ -350,7 +359,6 @@ def scenario_theorem4(cfg=None):
     m = n - 1
     # (a) contact with a strictly mean-convex boundary point forces the
     # Theorem 1-style contradiction: support inside the barrier's epsilon ball
-    V = vf.varifold_from_mesh(varifold_mesh, domain.metric)
     support = vf.support_points(varifold_mesh)
     u0_vals = domain.u0.value(support)
     touch = np.argmin(np.abs(u0_vals))
@@ -363,7 +371,7 @@ def scenario_theorem4(cfg=None):
             bundle = bar.build_barrier(domain, q, m, seed=cfg.seed)
             # distance measured on the mesh support itself: the contact
             # vertex lies on dN, so any positive epsilon is a contradiction
-            dist = bundle.sigma.c * float(np.min(np.linalg.norm(support - q, axis=-1)))
+            dist = vf.support_distance(support, q, domain.metric)
             contact = {"point": q.tolist(), "curvature_sum": float(ksum)}
             contradiction = {
                 "support_distance": float(dist),
@@ -429,7 +437,7 @@ def scenario_theorem5(cfg=None):
 def scenario_theorem6(cfg=None):
     """Theorem 3 pipeline with the bounded-mean-curvature condition."""
     cfg = cfg or ScenarioConfig(h=SCENARIO_H["theorem6"])
-    base = cfg.resolved_domain()
+    base = _family_base(cfg, "theorem6")
     p = np.asarray(cfg.p, dtype=float)
     if cfg.h < 0:
         raise ScenarioError("h must be nonnegative")

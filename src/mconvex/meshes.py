@@ -177,25 +177,3 @@ def chord_polyline(a, b, segments=32, multiplicity=1.0):
     verts = (1 - t) * a + t * b
     segs = [(j, j + 1) for j in range(segments)]
     return _surface(verts, segs, multiplicity * np.ones(len(segs)))
-
-
-def random_tube_mesh(bundle, rng, patch_scale=0.25, rings=3, segments=12):
-    """Small random disk inside the tube of a barrier bundle.
-
-    Draws a center in the working chart until the whole patch lies inside N
-    with 0 <= u < epsilon, so the barrier field is genuinely nonzero on it.
-    """
-    from . import barrier as bar
-
-    lo, hi = bundle.chart[:, 0], bundle.chart[:, 1]
-    for _ in range(400):
-        c = lo + (hi - lo) * rng.random(len(lo))
-        r = patch_scale * bundle.epsilon / bundle.sigma.c
-        normal = rng.standard_normal(3)
-        mesh = disk_mesh(radius=r, center=c, normal=normal, rings=rings, segments=segments)
-        data = bar.tube_eval(bundle.sigma, mesh.vertices)
-        if np.all(data.valid) and np.all(data.u >= 0.05 * bundle.epsilon) \
-                and np.all(data.u <= 0.9 * bundle.epsilon) \
-                and np.all(bundle.domain.contains(mesh.vertices)):
-            return mesh
-    raise RuntimeError("could not place a random mesh inside the tube")

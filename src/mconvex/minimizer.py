@@ -43,29 +43,19 @@ def area(mesh, metric=None, order=2):
 
 def project_to_domain(x, domain, tol=1e-10, max_iter=50):
     """Snap points with u0 < 0 back onto the boundary {u0 = 0}."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :].copy() if single else x.copy()
+    pts = np.array(x, dtype=float)
     viol = domain.u0.value(pts) < 0.0
     if np.any(viol):
         moved = geo.newton_level_project(domain.u0, pts[viol], tol=tol, max_iter=max_iter)
         if np.any(np.abs(domain.u0.value(moved)) > tol):
             raise MinimizeError("boundary projection failed to converge")
         pts[viol] = moved
-    return pts[0] if single else pts
+    return pts
 
 
 def area_gradient(mesh, metric=None):
-    """Gradient of metric area w.r.t. vertex positions.
-
-    The euclidean cotangent form, scaled by c^m for a metric that is a
-    constant multiple c^2 of the euclidean one; the closed-form
-    ``vf.metric_area_gradient`` otherwise.
-    """
-    c = 1.0 if metric is None else metric.constant_factor()
-    if c is None:
-        return vf.metric_area_gradient(mesh, metric)
-    return (c ** mesh.m) * vf.area_vertex_gradient(mesh)
+    """Gradient of metric area w.r.t. vertex positions."""
+    return vf.metric_area_gradient(mesh, metric)
 
 
 ASPECT_LIMIT = 20.0  # triangles above this aspect ratio get their diagonal flipped

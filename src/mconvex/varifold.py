@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -228,19 +228,6 @@ class DiscreteVarifold:
     def total_weight(self):
         return float(np.sum(self.weights))
 
-    def check_frames(self, metric, tol=1e-10):
-        c = metric.constant_factor()
-        if c is not None:
-            gram = c * c * np.einsum("fae,fbe->fab", self.frames, self.frames)
-        else:
-            gram = np.einsum("fae,fec,fbc->fab",
-                             self.frames, metric.matrix(self.points), self.frames)
-        eye = np.eye(self.m)
-        err = float(np.max(np.abs(gram - eye)))
-        if err > tol:
-            raise VarifoldError(f"frames not orthonormal: deviation {err:.3g}")
-        return err
-
 
 # barycentric quadrature rules on the reference simplex, exact to the stated
 # polynomial degree; (nodes in barycentric coordinates, weights summing to 1)
@@ -385,24 +372,22 @@ def metric_area_gradient(mesh, metric=None, order=2):
     d vol_q = vol_q sum_a <dE_a, P_a> + 1/2 vol_q lambda_qb s_k dv_b^k with
     P_a = sum_b (G_q^-1)_ab g E_b and s_k = sum_ab (G_q^-1)_ab E_a^T d_k g E_b;
     each node is weighted by multiplicity x quadrature weight.  Under
-    g = c^2 * euclidean, s vanishes and P_a is the euclidean one.
+    g = c^2 * euclidean the area is c^m times the euclidean one, whose
+    gradient is ``area_vertex_gradient``.
     """
-    metric = metric or geo.metric_euclidean(mesh.n)
+    c = 1.0 if metric is None else metric.constant_factor()
+    if c is not None:
+        return c ** mesh.m * area_vertex_gradient(mesh)
     quad = _mesh_quadrature(mesh, metric, order)
     F, m, n = quad.E.shape
     w = quad.weights.reshape(F, -1)
     # per simplex: d(weighted area) / d(edge a), then / d(corner b)
-    if quad.c is not None:
-        ginv = np.linalg.inv(np.einsum("fae,fbe->fab", quad.E, quad.E))
-        dE = w.sum(axis=1)[:, None, None] * np.einsum("fab,fbe->fae", ginv, quad.E)
-        d_corner = np.zeros((F, m + 1, n))
-    else:
-        ginv = np.linalg.inv(quad.gram)
-        gE = np.einsum("fqec,fbc->fqbe", quad.g, quad.E)
-        dE = np.einsum("fq,fqab,fqbe->fae", w, ginv, gE)
-        dg = metric.dmatrix(quad.points).reshape(F, -1, n, n, n)
-        s = np.einsum("fqab,fae,fqkec,fbc->fqk", ginv, quad.E, dg, quad.E, optimize=True)
-        d_corner = 0.5 * np.einsum("fq,qb,fqk->fbk", w, quad.nodes, s)
+    ginv = np.linalg.inv(quad.gram)
+    gE = np.einsum("fqec,fbc->fqbe", quad.g, quad.E)
+    dE = np.einsum("fq,fqab,fqbe->fae", w, ginv, gE)
+    dg = metric.dmatrix(quad.points).reshape(F, -1, n, n, n)
+    s = np.einsum("fqab,fae,fqkec,fbc->fqk", ginv, quad.E, dg, quad.E, optimize=True)
+    d_corner = 0.5 * np.einsum("fq,qb,fqk->fbk", w, quad.nodes, s)
     d_corner[:, 1:] += dE
     d_corner[:, 0] -= dE.sum(axis=1)
     idx = mesh.simplices.ravel()
@@ -640,15 +625,17 @@ def decompose_integral(V_mesh, boundary_mesh, tol=1e-9):
     return W, Wp, d
 
 
-def support_distance(V, p, metric=None):
-    """Distance from p to the support (min over atom points)."""
-    if len(V.points) == 0:
-        raise VarifoldError("empty varifold has no support")
+def support_distance(points, p, metric=None):
+    """Metric distance from p to the nearest of ``points`` (atom points or
+    mesh vertices carrying the support)."""
+    points = np.asarray(points, dtype=float)
+    if len(points) == 0:
+        raise VarifoldError("empty point set has no support")
     p = np.asarray(p, dtype=float)
     c = 1.0 if metric is None else metric.constant_factor()
     if c is None:
         raise VarifoldError("support distance needs a constant-factor metric")
-    return c * float(np.min(np.linalg.norm(V.points - p, axis=-1)))
+    return c * float(np.min(np.linalg.norm(points - p, axis=-1)))
 
 
 def support_points(mesh):

@@ -80,6 +80,54 @@ def tube_case(request):
             request.getfixturevalue(points[request.param]))
 
 
+class DistanceToSigmaField(geo.ScalarField):
+    """Signed distance to Sigma as a scalar field with exact derivatives."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.n = sigma.p.shape[0]
+
+    def _tube(self, x):
+        data = bar.tube_eval(self.sigma, x)
+        if not np.all(data.valid):
+            raise bar.TubeError("signed distance queried outside the tube")
+        return data
+
+    def value(self, x):
+        return self._tube(x).u
+
+    def gradient(self, x):
+        data = self._tube(x)
+        c = self.sigma.c
+        # coordinate partials of u: c * euclidean unit normal
+        return c * (data.nu * c)
+
+    def hessian(self, x):
+        return self._tube(x).hess_u
+
+
+def _cutoff_derivative(t, eps):
+    """phi'(t) = -phi(t) / (t - eps)^2 on [0, eps), 0 for t >= eps."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("cutoff argument must be nonnegative")
+    inside = t < eps
+    denom = np.where(inside, (t - eps) ** 2, 1.0)
+    return np.where(inside, -bar.cutoff(t, eps) / denom, 0.0)
+
+
+@pytest.fixture(scope="session")
+def cutoff_derivative():
+    """phi', the independent derivative of ``bar.cutoff`` the tests compare with."""
+    return _cutoff_derivative
+
+
+@pytest.fixture(scope="session")
+def u_field():
+    """The signed distance u to a bundle's Sigma, as a scalar field."""
+    return lambda bundle: DistanceToSigmaField(bundle.sigma)
+
+
 @pytest.fixture(scope="session")
 def unit_disk_mesh():
     return meshes.disk_mesh(radius=1.0, rings=24, segments=256)

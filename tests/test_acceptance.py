@@ -12,8 +12,28 @@ from mconvex import barrier as bar
 from mconvex import geometry as geo
 from mconvex import harness as hz
 from mconvex import meshes
-from mconvex import minimizer as mini
 from mconvex import varifold as vf
+
+
+def _random_tube_mesh(bundle, rng, patch_scale=0.25, rings=3, segments=12):
+    """Small random disk inside the tube of a barrier bundle.
+
+    Draws a center in the working chart until the whole patch lies inside N
+    with 0 <= u < epsilon, so the barrier field is genuinely nonzero on it.
+    """
+    lo, hi = bundle.chart[:, 0], bundle.chart[:, 1]
+    for _ in range(400):
+        c = lo + (hi - lo) * rng.random(len(lo))
+        r = patch_scale * bundle.epsilon / bundle.sigma.c
+        normal = rng.standard_normal(3)
+        mesh = meshes.disk_mesh(radius=r, center=c, normal=normal, rings=rings,
+                                segments=segments)
+        data = bar.tube_eval(bundle.sigma, mesh.vertices)
+        if np.all(data.valid) and np.all(data.u >= 0.05 * bundle.epsilon) \
+                and np.all(data.u <= 0.9 * bundle.epsilon) \
+                and np.all(bundle.domain.contains(mesh.vertices)):
+            return mesh
+    raise RuntimeError("could not place a random mesh inside the tube")
 
 
 def _report(capsys, num, ok, detail):
@@ -35,7 +55,7 @@ def test_criterion_1_barrier_certificate(ball_bundle, capsys):
             f"K={b.K:.3f}, eps={b.epsilon:.4f}, {elapsed:.1f}s single-threaded")
 
 
-def test_criterion_2_adapted_frame(ball_bundle, tube_points, capsys):
+def test_criterion_2_adapted_frame(ball_bundle, tube_points, cutoff_derivative, capsys):
     b = ball_bundle
     worst_off = 0.0
     chain_ok = True
@@ -43,7 +63,7 @@ def test_criterion_2_adapted_frame(ball_bundle, tube_points, capsys):
         M = bar.adapted_frame_Q(b, q)
         data = bar.tube_eval(b.sigma, q)
         phi = bar.cutoff(data.u, b.epsilon)
-        dphi = bar.cutoff_derivative(data.u, b.epsilon)
+        dphi = cutoff_derivative(data.u, b.epsilon)
         bound = phi * b.K + abs(dphi)
         off = np.max(np.abs(M - np.diag(np.diagonal(M))))
         worst_off = max(worst_off, off / bound)
@@ -86,7 +106,7 @@ def tube_mesh_battery(ball_bundle):
     meshes_ = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        meshes_.append(meshes.random_tube_mesh(ball_bundle, rng))
+        meshes_.append(_random_tube_mesh(ball_bundle, rng))
     return meshes_
 
 
@@ -207,9 +227,10 @@ def test_criterion_9_decomposition(capsys):
             f"2^-i-multiplicity planes rejected as non-integral: {rejected}")
 
 
-def test_criterion_10_eikonal_and_cutoff(ball_bundle, tube_points, capsys):
+def test_criterion_10_eikonal_and_cutoff(ball_bundle, tube_points, u_field,
+                                        cutoff_derivative, capsys):
     b = ball_bundle
-    u = b.u_field()
+    u = u_field(b)
     grad = u.gradient(tube_points)
     eikonal = float(np.max(np.abs(np.linalg.norm(grad, axis=-1) - 1.0)))
     h = 1e-5
@@ -218,7 +239,7 @@ def test_criterion_10_eikonal_and_cutoff(ball_bundle, tube_points, capsys):
     conn = float(np.max(np.linalg.norm((data1.nu - data0.nu) / h, axis=-1)))
     t = np.linspace(0.0, b.epsilon * (1 - 1e-12), 1000)
     phi = bar.cutoff(t, b.epsilon)
-    dphi = bar.cutoff_derivative(t, b.epsilon)
+    dphi = cutoff_derivative(t, b.epsilon)
     bound_eps = bool(np.all(dphi <= -phi / b.epsilon ** 2 + 1e-300))
     bound_K = bool(np.all(dphi <= -b.K * phi + 1e-300))
     ok = eikonal <= 1e-6 and conn <= 1e-5 and bound_eps and bound_K

@@ -11,29 +11,29 @@ class TestCutoff:
     def test_value_at_zero(self):
         assert bar.cutoff(0.0, 0.5) == pytest.approx(np.exp(-2.0))
 
-    def test_vanishes_at_and_past_epsilon(self):
+    def test_vanishes_at_and_past_epsilon(self, cutoff_derivative):
         assert bar.cutoff(0.5, 0.5) == 0.0
         assert bar.cutoff(0.7, 0.5) == 0.0
-        assert bar.cutoff_derivative(0.5, 0.5) == 0.0
-        assert bar.cutoff_derivative(0.7, 0.5) == 0.0
+        assert cutoff_derivative(0.5, 0.5) == 0.0
+        assert cutoff_derivative(0.7, 0.5) == 0.0
 
-    def test_log_derivative_identity(self):
+    def test_log_derivative_identity(self, cutoff_derivative):
         # phi'/phi = -1/(t - eps)^2
         t, eps = 0.25, 0.5
-        ratio = bar.cutoff_derivative(t, eps) / bar.cutoff(t, eps)
+        ratio = cutoff_derivative(t, eps) / bar.cutoff(t, eps)
         assert ratio == pytest.approx(-16.0)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             bar.cutoff(-0.1, 0.5)
 
-    def test_phi_bounds_on_grid(self):
+    def test_phi_bounds_on_grid(self, cutoff_derivative):
         """phi' <= -phi/eps^2 everywhere; phi' <= -K phi after selection."""
         eps = 0.125
         K = eps ** -2  # any K <= 1/eps^2, the selected value satisfies K <= eps^-2
         t = np.linspace(0.0, eps * (1 - 1e-12), 1000)
         phi = bar.cutoff(t, eps)
-        dphi = bar.cutoff_derivative(t, eps)
+        dphi = cutoff_derivative(t, eps)
         assert np.all(dphi <= -phi / eps ** 2 + 1e-300)
         assert np.all(dphi <= -K * phi + 1e-300)
 
@@ -213,9 +213,9 @@ class TestBarrierField:
 
 
 class TestTubeInvariants:
-    def test_eikonal(self, tube_case):
+    def test_eikonal(self, tube_case, u_field):
         b, points = tube_case
-        grad = b.u_field().gradient(points)
+        grad = u_field(b).gradient(points)
         # |grad u|_g = 1, so the euclidean length of the coordinate gradient
         # du is c (g^{ij} = c^-2 delta)
         norms = np.linalg.norm(grad, axis=-1)
@@ -232,11 +232,11 @@ class TestTubeInvariants:
         deriv = (data1.nu - data0.nu) / h
         assert np.max(np.linalg.norm(deriv, axis=-1)) <= 1e-5
 
-    def test_signed_distance_agrees_with_projection(self, tube_case):
+    def test_signed_distance_agrees_with_projection(self, tube_case, u_field):
         """u is c times the euclidean distance to the projected foot."""
         b, points = tube_case
         pts = points[:50]
-        d = b.u_field().value(pts)
+        d = u_field(b).value(pts)
         data = bar.tube_eval(b.sigma, pts)
         feet_dist = np.linalg.norm(pts - data.foot, axis=-1)
         np.testing.assert_allclose(np.abs(d), b.sigma.c * feet_dist, atol=1e-9)
@@ -285,13 +285,13 @@ class TestPsi:
 
 
 class TestAdaptedFrame:
-    def test_diagonality_and_ordering(self, ball_bundle, tube_points):
+    def test_diagonality_and_ordering(self, ball_bundle, tube_points, cutoff_derivative):
         b = ball_bundle
         for q in tube_points[:50]:
             M = bar.adapted_frame_Q(b, q)
             data = bar.tube_eval(b.sigma, q)
             phi = bar.cutoff(data.u, b.epsilon)
-            dphi = bar.cutoff_derivative(data.u, b.epsilon)
+            dphi = cutoff_derivative(data.u, b.epsilon)
             off = M - np.diag(np.diagonal(M))
             assert np.max(np.abs(off)) <= 1e-6 * (phi * b.K + abs(dphi))
             # entry (n, n) is phi'(u)
@@ -312,6 +312,25 @@ class TestAdaptedFrame:
         M = bar.adapted_frame_Q(ball_bundle, tube_points[:20])
         assert M.shape == (20, 3, 3)
         assert seen == [20]
+
+
+def _closed_form_margins(b, points):
+    """``(live, margin, scale)`` at points from the principal curvatures alone.
+
+    At a live point (0 <= u < eps, phi(u) > 0) S = jacobian / phi has the
+    eigenvalues -k_1, ..., -k_{n-1} along the level set and -(u - eps)^-2
+    along nu, so the margin is (sum of the m largest + eta) / (1 + K).
+    ``scale`` is the largest |eigenvalue| / (1 + K), the size of the rounding
+    an eigenvalue solver makes on S.
+    """
+    data = bar.tube_eval(b.sigma, points)
+    live = data.valid & (data.u >= 0.0) & (data.u < b.epsilon)
+    u = np.where(live, data.u, 0.0)
+    live &= bar.cutoff(u, b.epsilon) > 0.0
+    eig = np.concatenate([-data.curvatures, -(u - b.epsilon)[:, None] ** -2.0], axis=-1)
+    top = np.sum(np.sort(eig, axis=-1)[:, -b.m:], axis=-1)
+    scale = np.max(np.abs(eig), axis=-1) / (1.0 + b.K)
+    return live, (top + b.eta) / (1.0 + b.K), scale
 
 
 class TestVerification:
@@ -362,6 +381,27 @@ class TestVerification:
         assert rep.n_tube > 0
         assert {tuple(q) for q in rep.points[live]} <= reached
 
+    @pytest.mark.parametrize("name", ["ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
+                                      "cylinder_bundle", "ellipsoid_bundle"])
+    def test_live_margins_match_closed_form(self, name, request):
+        b = request.getfixturevalue(name)
+        rep = bar.verify_barrier(b, grid_resolution=30, keep_margins=True)
+        live, oracle, scale = _closed_form_margins(b, rep.points)
+        assert np.count_nonzero(live) == rep.n_tube > 0
+        assert np.all(np.abs(rep.margins[live] - oracle[live]) <= 1e-12 * scale[live])
+        assert np.all(rep.margins[~live] == 0.0)
+
+    def test_ellipsoid_grid60_live_margins(self, ellipsoid_bundle):
+        """phi underflows to subnormal values at grid 60; the margin, computed
+        without dividing by phi, stays clearly negative at every live point."""
+        b = ellipsoid_bundle
+        rep = bar.verify_barrier(b, grid_resolution=60, threads=2, keep_margins=True)
+        live, oracle, scale = _closed_form_margins(b, rep.points)
+        assert rep.passed
+        assert np.count_nonzero(live) == rep.n_tube > 0
+        assert np.max(rep.margins[live]) <= -0.01
+        assert np.all(np.abs(rep.margins[live] - oracle[live]) <= 1e-12 * scale[live])
+
     def test_thread_count_invariance(self, ball_bundle):
         r1 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=1)
         r2 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=4)
@@ -390,13 +430,13 @@ class TestTubeExclusion:
         cap_atoms = vf.varifold_from_mesh(theorem5_cap).points
         pts = np.concatenate([bar.chart_grid(b.chart, 30), cap_atoms])
         X = b.field()
-        live, _, value, J = X.from_tube(bar.tube_eval(b.sigma, pts))
+        live, phi, value, S = X.from_tube(bar.tube_eval(b.sigma, pts))
         dropped = b.sigma.misses(pts, b.epsilon / b.sigma.c)
         assert np.any(live) and np.any(dropped)
         assert not np.any(live & dropped)
         got_value, got_J = X.evaluate(pts)
         assert np.array_equal(got_value, value)
-        assert np.array_equal(got_J, J)
+        assert np.array_equal(got_J, phi[..., None, None] * S)
 
     def test_levelset_domain_drops_nothing(self, ellipsoid_bundle, monkeypatch):
         b = ellipsoid_bundle

@@ -199,6 +199,14 @@ class TestScenarioCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: barrier construction needs")
 
+    @pytest.mark.parametrize("name", ["theorem3", "theorem6"])
+    def test_family_with_a_non_euclidean_metric_refused(self, capsys, name):
+        code = cli.main(["scenario", "--name", name, "--metric", "conformal:0.1*x1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "must be euclidean" in captured.err
+
     def test_unknown_scenario(self, capsys):
         code, _, _ = run(capsys, "scenario", "--name", "theorem2")
         assert code == cli.EXIT_USAGE
@@ -255,6 +263,23 @@ class TestOutputContract:
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("convexity", "--domain", "ball:1", "--p", "0,0,1", "--m", "2", "--seed", "1"),
+        ("decompose", "--mesh", "a.svmesh", "--boundary-mesh", "b.svmesh",
+         "--metric", "conformal:0"),
+        ("scenario", "--name", "theorem4", "--threads", "2"),
+    ], ids=["convexity_seed", "decompose_metric", "scenario_threads"])
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, capsys, argv):
+        assert cli.main(list(argv)) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_threads_below_one_is_a_usage_error(self, capsys, threads):
+        code = cli.main(["barrier-verify", "--domain", "ball:1", "--p", "0,0,1", "--m", "2",
+                         "--grid", "10", "--threads", threads])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_schema_matches_docs(self):
         path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report_schema.json"

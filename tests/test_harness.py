@@ -7,6 +7,7 @@ import pytest
 from mconvex import geometry as geo
 from mconvex import harness as hz
 from mconvex import meshes
+from mconvex import varifold as vf
 
 
 class TestHausdorff:
@@ -71,6 +72,13 @@ class TestRefusals:
     def test_theorem6_negative_h_is_an_error(self):
         with pytest.raises(hz.ScenarioError, match="nonnegative"):
             hz.scenario_theorem6(hz.ScenarioConfig(h=-1.0))
+
+    @pytest.mark.parametrize("name", ["theorem3", "theorem6"])
+    @pytest.mark.parametrize("metric", ["0.1", "0.1*x1"])
+    def test_family_refuses_a_non_euclidean_limit(self, name, metric):
+        dom = geo.domain_ball(1.0, metric=geo.metric_conformal(metric))
+        with pytest.raises(hz.ScenarioError, match="must be euclidean"):
+            hz.run_scenario(name, domain=dom)
 
     @pytest.mark.parametrize("name", ["theorem1", "theorem3", "theorem4"])
     def test_h_is_an_error_where_unread(self, name):
@@ -139,6 +147,22 @@ class TestScenarios:
         assert rep["i0"] == 1
         assert rep["runs"][0] == {"i": 0, "ok": False, "reason": "curvature sum below h"}
         assert all(r["ok"] for r in rep["runs"][1:])
+
+
+class TestExclusion:
+    def test_metric_units(self, scaled_ball_bundle):
+        """Support distance, epsilon and chord tolerance are all metric lengths."""
+        b = scaled_ball_bundle
+        c = b.sigma.c
+        assert c == 0.5
+        mesh = meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=4, segments=24)
+        V = vf.varifold_from_mesh(mesh, b.domain.metric)
+        ex = hz.exclusion(V, mesh, b)
+        dist = c * float(np.min(np.linalg.norm(V.points - b.p, axis=-1)))
+        chord = c * 2.0 * mesh.max_edge_length()
+        assert ex == {"support_distance": dist, "epsilon": b.epsilon,
+                      "chord_tolerance": chord,
+                      "exclusion_margin": dist - b.epsilon + chord}
 
 
 class TestDeterminism:

@@ -134,9 +134,12 @@ class TestMetricAreaGradient:
     ])
     @pytest.mark.parametrize("mesh", [_DISK, _POLYLINE], ids=["disk", "polyline"])
     def test_constant_factor_scales_euclidean_gradient(self, mesh, metric, c):
-        np.testing.assert_allclose(vf.metric_area_gradient(mesh, metric),
-                                   c ** mesh.m * vf.area_vertex_gradient(mesh),
-                                   rtol=0, atol=1e-12)
+        # the constant-c path returns c^m times the altitude-form euclidean
+        # gradient; the finite-difference oracle checks both factors
+        g = vf.metric_area_gradient(mesh, metric)
+        np.testing.assert_allclose(g, _fd_area_gradient(mesh, metric), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(g, c ** mesh.m * _fd_area_gradient(mesh, None),
+                                   rtol=0, atol=1e-8)
 
     def test_translation_invariance_of_constant_metric(self):
         metric = geo.metric_matrix(["2", "0.3", "0.1", "1.5", "0.2", "1"])
