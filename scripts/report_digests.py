@@ -1,20 +1,28 @@
 #!/usr/bin/env python3
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
-Runs fourteen fixed CLI inputs (every theorem scenario, theorem6 at h = 1.5,
-theorem1 and theorem6 under constant conformal metrics, and six
-barrier-verify grids) in process and prints one line per input: its name,
-the exit code and the first 16 hex digits of the sha256 of its report.  Two
-trees print the same lines exactly when their reports are byte-identical.
+Runs sixteen fixed CLI inputs (every theorem scenario, theorem6 at h = 1.5,
+theorem1 and theorem6 under constant conformal metrics, six barrier-verify
+grids, and two minimize starts written to temporary SVMESH files: the
+513-vertex bulged disk and the 1537-vertex cap of the unit sphere) in process
+and prints one line per input: its name, the exit code and the first 16 hex
+digits of the sha256 of its report.  Two trees print the same lines exactly
+when their reports are byte-identical.
 
     PYTHONPATH=src python scripts/report_digests.py
 """
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
+
+import numpy as np
 
 from mconvex import cli
+from mconvex import meshes
+from mconvex import varifold as vf
 
 _VERIFY = ("barrier-verify", "--threads", "2", "--m", "2")
 
@@ -39,6 +47,27 @@ INPUTS = (
 )
 
 
+def sphere_cap():
+    """The 1537-vertex cap of the unit sphere over the disk of radius 0.5,
+    scaled by 1 - 1e-4 so that its rim lies inside the unit ball."""
+    disk = meshes.disk_mesh(radius=0.5, rings=16, segments=96)
+    verts = disk.vertices.copy()
+    verts[:, 2] = np.sqrt(1.0 - np.sum(verts[:, :2] ** 2, axis=1))
+    return disk.with_vertices((1.0 - 1e-4) * verts)
+
+
+def minimize_inputs(workdir):
+    """The minimize inputs, their start meshes written under ``workdir``."""
+    starts = (("minimize_disk513", meshes.bulged_disk_mesh(8, 64, 0.05)),
+              ("minimize_cap1537", sphere_cap()))
+    inputs = []
+    for name, mesh in starts:
+        path = os.path.join(workdir, f"{name}.svmesh")
+        vf.write_svmesh(mesh, path)
+        inputs.append((name, ("minimize", "--mesh", path, "--domain", "ball:1")))
+    return tuple(inputs)
+
+
 def digest(argv):
     """(exit code, first 16 hex digits of the sha256 of the report)."""
     out = io.StringIO()
@@ -48,9 +77,10 @@ def digest(argv):
 
 
 def main():
-    for name, argv in INPUTS:
-        code, hexdigest = digest(argv)
-        print(f"{name:22s} exit {code}  {hexdigest}")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, argv in INPUTS + minimize_inputs(workdir):
+            code, hexdigest = digest(argv)
+            print(f"{name:22s} exit {code}  {hexdigest}")
     return 0
 
 

@@ -196,10 +196,18 @@ def cmd_first_variation(args):
 
 
 def cmd_minimize(args):
+    if args.max_iterations < 1:
+        raise UsageError(f"--max-iterations must be at least 1, got {args.max_iterations}")
+    if not args.tolerance > 0.0:
+        raise UsageError(f"--tolerance must be positive, got {args.tolerance}")
     domain = _parse_domain(args.domain, args.metric)
     mesh = vf.read_svmesh(args.mesh)
     if args.anchors:
-        anchored = np.asarray([int(t) for t in args.anchors.split(",")], dtype=int)
+        try:
+            anchored = [int(t) for t in args.anchors.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --anchors {args.anchors!r}: expected comma-separated "
+                             "vertex indices") from exc
     else:
         anchored = mesh.boundary_vertices()
     problem = mz.MinimizeProblem(
@@ -212,14 +220,19 @@ def cmd_minimize(args):
     if args.out:
         report.to_csv(args.out)
     residual = mz.stationarity_residual(final, domain, seed=args.seed,
-                                        exclude_points=final.vertices[anchored])
+                                        exclude_points=final.vertices[problem.anchored])
     return _emit(args, "minimize", report.converged, {
         "converged": report.converged,
         "iterations": report.iterations,
         "final_area": report.final_area,
         "projected_gradient_residual": report.residual,
         "stationarity_residual": residual,
-        "anchored_vertices": int(len(anchored)),
+        "anchored_vertices": int(len(problem.anchored)),
+        "diagnostics": {
+            "cg_iterations": report.cg_iterations,
+            "line_search_halvings": report.line_search_halvings,
+            "active_boundary_vertices": report.active_boundary_vertices,
+        },
     })
 
 
@@ -315,13 +328,13 @@ def build_parser():
     _add_common(sp)
     sp.set_defaults(func=cmd_first_variation)
 
-    sp = sub.add_parser("minimize", help="projected-gradient area minimization")
+    sp = sub.add_parser("minimize", help="Laplacian-preconditioned area minimization")
     sp.add_argument("--mesh", required=True)
     sp.add_argument("--domain", required=True)
     sp.add_argument("--anchors", default=None,
                     help="comma-separated vertex indices (default: mesh boundary)")
-    sp.add_argument("--max-iterations", type=int, default=3000)
-    sp.add_argument("--tolerance", type=float, default=1e-6)
+    sp.add_argument("--max-iterations", type=int, default=3000, help="at least 1")
+    sp.add_argument("--tolerance", type=float, default=1e-6, help="positive")
     sp.add_argument("--out-mesh", default=None)
     sp.add_argument("--out", default=None, help="convergence CSV")
     _add_common(sp, seed=True)

@@ -1,10 +1,12 @@
 """Plateau-style first-order area minimization inside a constrained domain.
 
-Projected gradient descent on mesh vertex positions: anchored vertices stay
-put, free vertices move against the area gradient and are snapped back onto
-{u0 >= 0}.  The output is intended to minimize area to first order with
-respect to inward variations, which is exactly the stationarity class the
-rest of the package tests against.
+Laplacian-preconditioned projected descent on mesh vertex positions: anchored
+vertices stay put, and each step moves the free vertices against the area
+gradient preconditioned by the stiffness Laplacian of the current mesh (the
+Pinkall-Polthier step under a constant-factor metric, a Sobolev H^1 gradient
+otherwise), then snaps them back onto {u0 >= 0}.  The output is intended to
+minimize area to first order with respect to inward variations, which is
+exactly the stationarity class the rest of the package tests against.
 """
 from __future__ import annotations
 
@@ -29,7 +31,10 @@ class MinimizeProblem:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        self.anchored = np.asarray(self.anchored, dtype=int)
+        self.anchored = np.unique(np.asarray(self.anchored, dtype=int))
+        nv = len(self.mesh.vertices)
+        if np.any((self.anchored < 0) | (self.anchored >= nv)):
+            raise MinimizeError(f"anchored vertex indices must lie in [0, {nv})")
         anchors = self.mesh.vertices[self.anchored]
         inside = self.domain.u0.value(anchors)
         if np.any(inside <= self.domain.boundary_tolerance):
@@ -75,7 +80,9 @@ def flip_bad_edges(mesh):
     above ``ASPECT_LIMIT``).
 
     Conservative: flips only interior edges whose two triangles share the
-    same multiplicity and whose worst aspect ratio improves.
+    same multiplicity and whose worst aspect ratio improves.  ``minimize``
+    does not call it: a flip would change the Laplacian's connectivity
+    between steps.
     """
     if mesh.m != 2:
         return mesh, 0
@@ -118,6 +125,9 @@ class ConvergenceReport:
     iterations: int
     final_area: float
     residual: float
+    cg_iterations: int            # conjugate-gradient steps, summed over the run
+    line_search_halvings: int     # Armijo halvings, summed over the run
+    active_boundary_vertices: int  # most vertices held tangent to the boundary in one step
     history: list = field(default_factory=list)  # (iter, area, residual, min boundary distance)
 
     def to_csv(self, path):
@@ -127,20 +137,125 @@ class ConvergenceReport:
                 fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
 
 
+CG_STEPS_PER_VERTEX = 2  # conjugate-gradient cap per solve, in multiples of V
+CG_RTOL = 1e-10          # relative residual at which a solve stops
+BOUNDARY_BAND = 1e-8     # free vertices with u0 at most this lie on the boundary
+
+
+def stiffness_laplacian(mesh):
+    """Edge list ``(E, 2)`` and weights ``(E,)`` of the stiffness Laplacian
+    (L x)_i = sum over edges (i, j) of w (x_i - x_j).
+
+    m = 2: each triangle adds 1/2 mult cot(angle) to the edge opposite each of
+    its angles; m = 1: each segment adds mult / length.  An edge shared by
+    several simplices is listed once per simplex.  L applied to the vertex
+    positions is the euclidean area gradient.
+    """
+    v = mesh.vertices[mesh.simplices]
+    if mesh.m == 1:
+        length = np.linalg.norm(v[:, 1] - v[:, 0], axis=-1)
+        return mesh.simplices, mesh.multiplicity / length
+    if mesh.m != 2:
+        raise MinimizeError("stiffness Laplacian implemented for m in {1, 2}")
+    edges, weights = [], []
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        a, b = v[:, i] - v[:, k], v[:, j] - v[:, k]
+        dot = np.einsum("fe,fe->f", a, b)
+        twice_area = np.sqrt(np.maximum(
+            np.einsum("fe,fe->f", a, a) * np.einsum("fe,fe->f", b, b) - dot ** 2, 0.0))
+        edges.append(mesh.simplices[:, [i, j]])
+        weights.append(0.5 * mesh.multiplicity * dot / twice_area)
+    return np.concatenate(edges), np.concatenate(weights)
+
+
+def laplacian_solve(mesh, rhs, projector):
+    """Jacobi-preconditioned conjugate gradients for (P L P) x = P rhs.
+
+    ``projector`` holds one symmetric n x n projector P_v per vertex and L is
+    ``stiffness_laplacian(mesh)``, applied through ``np.bincount`` on its edge
+    list.  Stops at relative residual ``CG_RTOL`` or after
+    ``CG_STEPS_PER_VERTEX * V`` steps; every iterate x_k satisfies
+    (P rhs)^T x_k = x_k^T P L P x_k, so a truncated solve is still a descent
+    direction.  Returns ``(x, steps)`` with x = P x.
+    """
+    edges, w = stiffness_laplacian(mesh)
+    nv, n = rhs.shape
+    i, j = edges[:, 0], edges[:, 1]
+    ends = np.concatenate([i, j])
+    slots = (ends[:, None] * n + np.arange(n)).ravel()
+    diag = np.bincount(ends, np.concatenate([w, w]), minlength=nv)
+    diag = np.where(diag > 0.0, diag, 1.0)[:, None]  # 0 only on vertices in no simplex
+
+    def project(x):
+        return np.einsum("vab,vb->va", projector, x)
+
+    def apply(x):
+        x = project(x)
+        flux = w[:, None] * (x[i] - x[j])
+        lx = np.bincount(slots, np.concatenate([flux, -flux]).ravel(), minlength=nv * n)
+        return project(lx.reshape(nv, n))
+
+    r = project(rhs)
+    x = np.zeros_like(r)
+    z = r / diag
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    stop = (CG_RTOL ** 2) * float(np.sum(r * r))
+    steps = 0
+    while steps < CG_STEPS_PER_VERTEX * nv and float(np.sum(r * r)) > stop:
+        ap = apply(p)
+        alpha = rz / float(np.sum(p * ap))
+        x += alpha * p
+        r -= alpha * ap
+        z = r / diag
+        rz, rz_prev = float(np.sum(r * z)), rz
+        p = z + (rz / rz_prev) * p
+        steps += 1
+    return x, steps
+
+
+def _projectors(mesh, grad, dom, free, u0):
+    """Per-vertex projectors P_v, shape (V, n, n), and the count of tangent
+    ones: 0 on anchors, I - nu nu^T on free vertices with u0 <= BOUNDARY_BAND
+    whose descent direction -grad leaves N (nu the unit normal of u0), I
+    elsewhere."""
+    nv, n = mesh.vertices.shape
+    proj = np.zeros((nv, n, n))
+    proj[free] = np.eye(n)
+    near = np.nonzero(free & (u0 <= BOUNDARY_BAND))[0]
+    if len(near):
+        nu = dom.u0.gradient(mesh.vertices[near])
+        nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+        leaving = np.einsum("ve,ve->v", grad[near], nu) > 0.0
+        near, nu = near[leaving], nu[leaving]
+        proj[near] -= nu[:, :, None] * nu[:, None, :]
+    return proj, len(near)
+
+
 def minimize(problem):
-    """Projected gradient descent: Barzilai-Borwein steps, Armijo safeguard."""
+    """Laplacian-preconditioned projected descent.
+
+    Each step solves (c^m P L P) d = P grad A with ``laplacian_solve``: L is
+    the stiffness Laplacian of the current mesh, c the metric's constant
+    factor (1 where it has none) and P the per-vertex projectors of
+    ``_projectors``.  The trial x - t d, from t = 1 and halved until the area
+    falls by the Armijo amount, is projected back onto N.  Under a
+    constant-factor metric the unit step is the Pinkall-Polthier step;
+    otherwise c^m L preconditions the metric area gradient (a Sobolev H^1
+    gradient).
+    """
     dom = problem.domain
     metric = dom.metric
     mesh = problem.mesh.with_vertices(project_to_domain(problem.mesh.vertices, dom))
     free = np.ones(len(mesh.vertices), dtype=bool)
     free[problem.anchored] = False
+    c = metric.constant_factor()
+    scale = (1.0 if c is None else c) ** mesh.m
     a = area(mesh, metric)
-    edge = mesh.max_edge_length()
-    step = 0.25 * edge
     history = []
-    prev_v = prev_g = None
     residual = np.inf
-    it = 0
+    it = cg_steps = halvings = most_active = 0
     for it in range(1, problem.max_iterations + 1):
         grad = area_gradient(mesh, metric)
         grad[~free] = 0.0
@@ -149,42 +264,38 @@ def minimize(problem):
         history.append((it, a, residual, float(np.min(u0))))
         if residual <= problem.tolerance:
             break
-        if prev_g is not None:
-            dv = (mesh.vertices - prev_v).ravel()
-            dg = (grad - prev_g).ravel()
-            denom = float(dg @ dg)
-            if denom > 1e-300:
-                step = abs(float(dv @ dg)) / denom  # BB2 spectral step
-            step = float(np.clip(step, 1e-6 * edge, 1e3 * edge))
-        prev_v, prev_g = mesh.vertices.copy(), grad.copy()
-        trial_step = step
+        proj, active = _projectors(mesh, grad, dom, free, u0)
+        most_active = max(most_active, active)
+        d, steps = laplacian_solve(mesh, grad / scale, proj)
+        cg_steps += steps
+        slope = float(np.sum(grad * d))
+        t = 1.0
         accepted = False
-        gnorm2 = float(np.sum(grad * grad))
         for _ in range(50):
-            cand = mesh.vertices - trial_step * grad
+            cand = mesh.vertices - t * d
             cand[free] = project_to_domain(cand[free], dom)
             try:
                 new_area = area(mesh.with_vertices(cand), metric)
             except vf.DegenerateSimplexError:
-                trial_step *= 0.5
-                continue
-            if new_area <= a - 1e-4 * trial_step * gnorm2 + 1e-12 * max(a, 1.0):
+                new_area = np.inf
+            if new_area <= a - 1e-4 * t * slope + 1e-12 * max(a, 1.0):
                 accepted = True
                 break
-            trial_step *= 0.5
+            t *= 0.5
+            halvings += 1
         if not accepted:
             break
         mesh = mesh.with_vertices(cand)
         a = new_area
-        mesh, flips = flip_bad_edges(mesh)
-        if flips:
-            a = area(mesh, metric)
     converged = residual <= problem.tolerance
     return mesh, ConvergenceReport(
         converged=bool(converged),
         iterations=it,
         final_area=float(a),
         residual=float(residual),
+        cg_iterations=cg_steps,
+        line_search_halvings=halvings,
+        active_boundary_vertices=most_active,
         history=history,
     )
 

@@ -155,3 +155,26 @@ def _flow_mesh(mesh, X, t, steps=8, domain=None):
 def flow_mesh():
     """The RK4 mesh flow that finite-difference oracles of delta V use."""
     return _flow_mesh
+
+
+def _unit_sphere_cap(rings, segments, jitter=0.0, seed=1):
+    """The cap of the unit sphere over the disk of radius 0.5, scaled by
+    1 - 1e-4 so that every vertex lies inside the unit ball: a disk mesh whose
+    interior vertices are moved in the plane by up to ``jitter`` ring spacings
+    (uniform, seeded), then lifted onto the sphere."""
+    disk = meshes.disk_mesh(radius=0.5, rings=rings, segments=segments)
+    verts = disk.vertices.copy()
+    if jitter:
+        rng = np.random.default_rng(seed)
+        inner = np.setdiff1d(np.arange(len(verts)), disk.boundary_vertices())
+        spacing = 0.5 / rings
+        verts[inner, :2] += jitter * spacing * rng.uniform(-1.0, 1.0, (len(inner), 2))
+    verts[:, 2] = np.sqrt(1.0 - np.sum(verts[:, :2] ** 2, axis=1))
+    return disk.with_vertices((1.0 - 1e-4) * verts)
+
+
+@pytest.fixture(scope="session")
+def unit_sphere_cap():
+    """The minimizer's cap starts as a function ``(rings, segments, jitter=0,
+    seed=1) -> mesh``; 8/48, 12/72 and 16/96 give 385, 865 and 1537 vertices."""
+    return _unit_sphere_cap

@@ -141,6 +141,53 @@ class TestMinimize:
         assert code == cli.EXIT_PASS
         assert doc["report"]["final_area"] == pytest.approx(0.27565293, rel=1e-7)
 
+    def test_diagnostics(self, capsys, tmp_path):
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=4, segments=24, amplitude=0.05), path)
+        code, doc, _ = run(capsys, "minimize", "--mesh", str(path), "--domain", "ball:1",
+                           "--no-timestamp")
+        assert code == cli.EXIT_PASS
+        assert doc["report"]["iterations"] == 2
+        diag = doc["report"]["diagnostics"]
+        assert set(diag) == {"cg_iterations", "line_search_halvings",
+                             "active_boundary_vertices"}
+        assert diag["line_search_halvings"] == 0
+        assert diag["active_boundary_vertices"] == 0
+        # one solve, capped at twice the 97 vertices
+        assert 0 < diag["cg_iterations"] <= 2 * 97
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iterations", "0"), ("--max-iterations", "-1"),
+        ("--tolerance", "0"), ("--tolerance", "-1"),
+    ])
+    def test_iteration_cap_and_tolerance_must_be_positive(self, capsys, tmp_path, flag,
+                                                          value):
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=2, segments=16), path)
+        code = cli.main(["minimize", "--mesh", str(path), "--domain", "ball:1",
+                         f"{flag}={value}"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("anchors", ["-1,-1", "0,1,999", "0,one"])
+    def test_bad_anchors_are_an_error(self, capsys, tmp_path, anchors):
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=2, segments=16), path)
+        code = cli.main(["minimize", "--mesh", str(path), "--domain", "ball:1",
+                         f"--anchors={anchors}"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_repeated_anchors_counted_once(self, capsys, tmp_path):
+        start = meshes.bulged_disk_mesh(rings=2, segments=16)
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(start, path)
+        rim = [str(v) for v in start.boundary_vertices()]
+        code, doc, _ = run(capsys, "minimize", "--mesh", str(path), "--domain", "ball:1",
+                           "--anchors", ",".join(rim + rim), "--no-timestamp")
+        assert code == cli.EXIT_PASS
+        assert doc["report"]["anchored_vertices"] == len(rim)
+
 
 class TestDecompose:
     def test_integral_split(self, capsys, tmp_path):

@@ -190,12 +190,13 @@ class TestMinimize:
         t = np.linspace(0, 1, len(verts))
         verts[:, 1] += 0.2 * np.sin(np.pi * t)
         bent = chord.with_vertices(verts)
+        # the 1/length Laplacian solve puts the chain on the segment in one step
         prob = mini.MinimizeProblem(dom, bent, np.array([0, len(verts) - 1]),
-                                    tolerance=1e-8)
+                                    max_iterations=3, tolerance=1e-8)
         final, report = mini.minimize(prob)
         assert report.converged
-        assert report.final_area == pytest.approx(1.6, abs=1e-6)
-        assert np.max(np.abs(final.vertices[:, 1])) <= 1e-6
+        assert report.final_area == pytest.approx(1.6, abs=1e-12)
+        assert np.max(np.abs(final.vertices[:, 1])) <= 1e-10
 
     def test_anchor_on_boundary_rejected(self):
         dom = geo.domain_ball(radius=1.0)
@@ -242,3 +243,154 @@ class TestStationarity:
                                          plateau_problem.domain,
                                          exclude_points=anchors)
         assert res > 0.0
+
+
+def _dense_stiffness(mesh):
+    """Dense V x V stiffness Laplacian from triangle angles (arccos), or from
+    segment lengths for m = 1: the oracle of the edge-list solve."""
+    nv = len(mesh.vertices)
+    L = np.zeros((nv, nv))
+    for simplex, mult in zip(mesh.simplices, mesh.multiplicity):
+        if mesh.m == 1:
+            i, j = simplex
+            pairs = [(i, j, mult / np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))]
+        else:
+            pairs = []
+            for k in range(3):
+                i, j, o = simplex[(k + 1) % 3], simplex[(k + 2) % 3], simplex[k]
+                a, b = mesh.vertices[i] - mesh.vertices[o], mesh.vertices[j] - mesh.vertices[o]
+                angle = np.arccos(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+                pairs.append((i, j, 0.5 * mult / np.tan(angle)))
+        for i, j, w in pairs:
+            L[i, i] += w
+            L[j, j] += w
+            L[i, j] -= w
+            L[j, i] -= w
+    return L
+
+
+def _flat_polygon_area(segments, radius):
+    return 0.5 * segments * np.sin(2.0 * np.pi / segments) * radius ** 2
+
+
+class TestLaplacianStep:
+    """The preconditioned step: one edge-list CG solve of c^m P L P per step."""
+
+    @pytest.mark.parametrize("mesh", [_DISK, _POLYLINE], ids=["disk", "polyline"])
+    def test_laplacian_of_positions_is_the_area_gradient(self, mesh):
+        edges, w = mini.stiffness_laplacian(mesh)
+        flux = w[:, None] * (mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]])
+        lx = np.zeros_like(mesh.vertices)
+        np.add.at(lx, edges[:, 0], flux)
+        np.add.at(lx, edges[:, 1], -flux)
+        np.testing.assert_allclose(lx, vf.area_vertex_gradient(mesh), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tangent", [False, True], ids=["free", "tangent"])
+    @pytest.mark.parametrize("mesh", [
+        _perturbed(meshes.disk_mesh(radius=0.5, rings=4, segments=12), seed=3), _POLYLINE,
+    ], ids=["disk", "polyline"])
+    def test_cg_matches_dense_solve(self, mesh, tangent):
+        # perturbed meshes with multiplicities 1 to 3; the boundary is
+        # anchored (P = 0), and with ``tangent`` every other free vertex may
+        # move only orthogonally to a random unit vector (P = I - nu nu^T)
+        nv, n = mesh.vertices.shape
+        rng = np.random.default_rng(4)
+        proj = np.tile(np.eye(n), (nv, 1, 1))
+        proj[mesh.boundary_vertices()] = 0.0
+        if tangent:
+            free = np.setdiff1d(np.arange(nv), mesh.boundary_vertices())
+            for v in free[::2]:
+                nu = rng.normal(size=n)
+                nu /= np.linalg.norm(nu)
+                proj[v] -= np.outer(nu, nu)
+        rhs = rng.normal(size=(nv, n))
+        x, steps = mini.laplacian_solve(mesh, rhs, proj)
+        # dense oracle: solve B^T (L kron I) B y = B^T rhs on an orthonormal
+        # basis B of the range of P
+        big = np.kron(_dense_stiffness(mesh), np.eye(n))
+        basis = []
+        for v in range(nv):
+            vals, vecs = np.linalg.eigh(proj[v])
+            for k in np.nonzero(vals > 0.5)[0]:
+                col = np.zeros(nv * n)
+                col[v * n:(v + 1) * n] = vecs[:, k]
+                basis.append(col)
+        B = np.array(basis).T
+        y = np.linalg.solve(B.T @ big @ B, B.T @ rhs.ravel())
+        assert 0 < steps <= mini.CG_STEPS_PER_VERTEX * nv
+        np.testing.assert_allclose(x.ravel(), B @ y, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("rings, segments", [(8, 48), (12, 72), (16, 96)],
+                             ids=["385", "865", "1537"])
+    def test_plain_cap_converges(self, unit_sphere_cap, rings, segments):
+        cap = unit_sphere_cap(rings, segments)
+        problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0), cap,
+                                       cap.boundary_vertices(), max_iterations=3)
+        final, report = mini.minimize(problem)
+        assert report.converged
+        assert report.final_area == pytest.approx(
+            _flat_polygon_area(segments, 0.5 * (1.0 - 1e-4)), abs=1e-12)
+        assert report.line_search_halvings == 0
+        assert report.active_boundary_vertices == 0
+
+    @pytest.mark.parametrize("rings, segments", [(8, 48), (12, 72)], ids=["385", "865"])
+    def test_jittered_cap_converges(self, unit_sphere_cap, rings, segments):
+        cap = unit_sphere_cap(rings, segments, jitter=0.25, seed=1)
+        problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0), cap,
+                                       cap.boundary_vertices(), max_iterations=6)
+        _, report = mini.minimize(problem)
+        assert report.converged
+        assert report.final_area == pytest.approx(
+            _flat_polygon_area(segments, 0.5 * (1.0 - 1e-4)), abs=1e-12)
+
+    def test_stall_reproducer_converges(self):
+        # the 513-vertex bulged disk on which the spectral-step minimizer stalled
+        start = meshes.bulged_disk_mesh(8, 64, 0.05989008567972312)
+        problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0), start,
+                                       start.boundary_vertices(), max_iterations=5)
+        _, report = mini.minimize(problem)
+        assert report.converged
+        assert report.final_area == pytest.approx(_flat_polygon_area(64, 0.3), abs=1e-12)
+
+    def test_binding_obstacle(self):
+        # a flat disk through the ball of radius 0.2 about (0, 0, 0.05): the
+        # start's inner vertices are snapped onto the obstacle, and descent
+        # must hold some of them tangent to it
+        dom = geo.domain_levelset("x1^2+x2^2+(x3-0.05)^2-0.04", [[-1.0, 1.0]] * 3)
+        disk = meshes.disk_mesh(radius=0.6, rings=4, segments=32)
+        problem = mini.MinimizeProblem(dom, disk, disk.boundary_vertices(),
+                                       max_iterations=300)
+        final, report = mini.minimize(problem)
+        assert report.converged
+        assert report.active_boundary_vertices > 0
+        assert np.min(dom.u0.value(final.vertices)) >= -1e-10
+        areas = np.asarray(report.history)[:, 1]
+        assert np.all(np.diff(areas) <= 1e-12 * areas[0])
+
+    def test_constant_factor_step_matches_euclidean(self):
+        # g = delta / 4 scales the gradient by c^2 = 1/4, and c^2 L undoes it
+        start = meshes.bulged_disk_mesh(4, 24, 0.05)
+        steps = []
+        for metric in (None, geo.metric_conformal("0 - log(2)")):
+            problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0, metric=metric), start,
+                                           start.boundary_vertices(), max_iterations=1)
+            final, report = mini.minimize(problem)
+            assert not report.converged
+            steps.append(final.vertices)
+        assert np.max(np.abs(steps[0] - start.vertices)) > 1e-3
+        np.testing.assert_allclose(steps[1], steps[0], rtol=0, atol=1e-12)
+
+
+class TestProblem:
+    @pytest.mark.parametrize("anchors", [[-1, -1], [0, 1, 999]], ids=["negative", "past_end"])
+    def test_anchor_index_out_of_range_rejected(self, anchors):
+        disk = meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.5), rings=2, segments=8)
+        with pytest.raises(mini.MinimizeError, match="anchored vertex indices"):
+            mini.MinimizeProblem(geo.domain_ball(radius=1.0), disk, np.array(anchors))
+
+    def test_repeated_anchors_counted_once(self):
+        disk = meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.5), rings=2, segments=8)
+        rim = disk.boundary_vertices()
+        problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0), disk,
+                                       np.concatenate([rim, rim[::-1]]))
+        np.testing.assert_array_equal(problem.anchored, rim)
