@@ -2,10 +2,10 @@
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
 Runs sixteen fixed CLI inputs (every theorem scenario, theorem6 at h = 1.5,
-theorem1 and theorem6 under constant conformal metrics, six barrier-verify
-grids, and two minimize starts written to temporary SVMESH files: the
-513-vertex bulged disk and the 1537-vertex cap of the unit sphere) in process
-and prints one line per input: its name, the exit code and the first 16 hex
+theorem1 and theorem5 under the constant conformal metric c = 1/2, six
+barrier-verify grids, and two minimize starts written to temporary SVMESH
+files: the 513-vertex bulged disk and the 1537-vertex cap of the unit sphere)
+in process and prints one line per input: its name, the exit code and the first 16 hex
 digits of the sha256 of its report.  Two trees print the same lines exactly
 when their reports are byte-identical.
 
@@ -34,7 +34,7 @@ INPUTS = (
     ("theorem6", ("scenario", "--name", "theorem6")),
     ("theorem6_h1.5", ("scenario", "--name", "theorem6", "--h", "1.5")),
     ("theorem1_conformal", ("scenario", "--name", "theorem1", "--metric", "conformal:0-log(2)")),
-    ("theorem6_conformal", ("scenario", "--name", "theorem6", "--metric", "conformal:0.1")),
+    ("theorem5_conformal", ("scenario", "--name", "theorem5", "--metric", "conformal:0-log(2)")),
     ("ball_grid50", _VERIFY + ("--domain", "ball:1", "--p", "0,0,1", "--grid", "50")),
     ("ball_grid100", _VERIFY + ("--domain", "ball:1", "--p", "0,0,1", "--grid", "100")),
     ("ball_conformal_grid60", _VERIFY + ("--domain", "ball:1", "--metric", "conformal:0-log(2)",

@@ -142,59 +142,27 @@ CG_RTOL = 1e-10          # relative residual at which a solve stops
 BOUNDARY_BAND = 1e-8     # free vertices with u0 at most this lie on the boundary
 
 
-def stiffness_laplacian(mesh):
-    """Edge list ``(E, 2)`` and weights ``(E,)`` of the stiffness Laplacian
-    (L x)_i = sum over edges (i, j) of w (x_i - x_j).
-
-    m = 2: each triangle adds 1/2 mult cot(angle) to the edge opposite each of
-    its angles; m = 1: each segment adds mult / length.  An edge shared by
-    several simplices is listed once per simplex.  L applied to the vertex
-    positions is the euclidean area gradient.
-    """
-    v = mesh.vertices[mesh.simplices]
-    if mesh.m == 1:
-        length = np.linalg.norm(v[:, 1] - v[:, 0], axis=-1)
-        return mesh.simplices, mesh.multiplicity / length
-    if mesh.m != 2:
-        raise MinimizeError("stiffness Laplacian implemented for m in {1, 2}")
-    edges, weights = [], []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        a, b = v[:, i] - v[:, k], v[:, j] - v[:, k]
-        dot = np.einsum("fe,fe->f", a, b)
-        twice_area = np.sqrt(np.maximum(
-            np.einsum("fe,fe->f", a, a) * np.einsum("fe,fe->f", b, b) - dot ** 2, 0.0))
-        edges.append(mesh.simplices[:, [i, j]])
-        weights.append(0.5 * mesh.multiplicity * dot / twice_area)
-    return np.concatenate(edges), np.concatenate(weights)
-
-
 def laplacian_solve(mesh, rhs, projector):
     """Jacobi-preconditioned conjugate gradients for (P L P) x = P rhs.
 
     ``projector`` holds one symmetric n x n projector P_v per vertex and L is
-    ``stiffness_laplacian(mesh)``, applied through ``np.bincount`` on its edge
-    list.  Stops at relative residual ``CG_RTOL`` or after
-    ``CG_STEPS_PER_VERTEX * V`` steps; every iterate x_k satisfies
-    (P rhs)^T x_k = x_k^T P L P x_k, so a truncated solve is still a descent
-    direction.  Returns ``(x, steps)`` with x = P x.
+    ``vf.stiffness_laplacian(mesh)``: the matvec is P, ``vf.apply_laplacian``,
+    P, and the Jacobi diagonal sums the weights on the same edge list.  Stops
+    at relative residual ``CG_RTOL`` or after ``CG_STEPS_PER_VERTEX * V``
+    steps; every iterate x_k satisfies (P rhs)^T x_k = x_k^T P L P x_k, so a
+    truncated solve is still a descent direction.  Returns ``(x, steps)``
+    with x = P x.
     """
-    edges, w = stiffness_laplacian(mesh)
-    nv, n = rhs.shape
-    i, j = edges[:, 0], edges[:, 1]
-    ends = np.concatenate([i, j])
-    slots = (ends[:, None] * n + np.arange(n)).ravel()
-    diag = np.bincount(ends, np.concatenate([w, w]), minlength=nv)
+    edges, w = vf.stiffness_laplacian(mesh)
+    nv = len(rhs)
+    diag = np.bincount(edges.ravel(), np.repeat(w, 2), minlength=nv)
     diag = np.where(diag > 0.0, diag, 1.0)[:, None]  # 0 only on vertices in no simplex
 
     def project(x):
         return np.einsum("vab,vb->va", projector, x)
 
     def apply(x):
-        x = project(x)
-        flux = w[:, None] * (x[i] - x[j])
-        lx = np.bincount(slots, np.concatenate([flux, -flux]).ravel(), minlength=nv * n)
-        return project(lx.reshape(nv, n))
+        return project(vf.apply_laplacian(edges, w, project(x)))
 
     r = project(rhs)
     x = np.zeros_like(r)
@@ -243,7 +211,8 @@ def minimize(problem):
     falls by the Armijo amount, is projected back onto N.  Under a
     constant-factor metric the unit step is the Pinkall-Polthier step;
     otherwise c^m L preconditions the metric area gradient (a Sobolev H^1
-    gradient).
+    gradient).  The run stops when the residual max_v |P_v grad A_v|, taken
+    with the same projectors as the step, is at most the tolerance.
     """
     dom = problem.domain
     metric = dom.metric
@@ -258,13 +227,12 @@ def minimize(problem):
     it = cg_steps = halvings = most_active = 0
     for it in range(1, problem.max_iterations + 1):
         grad = area_gradient(mesh, metric)
-        grad[~free] = 0.0
-        residual = _projected_residual(mesh, grad, dom, free)
         u0 = dom.u0.value(mesh.vertices)
+        proj, active = _projectors(mesh, grad, dom, free, u0)
+        residual = float(np.max(np.linalg.norm(np.einsum("vab,vb->va", proj, grad), axis=-1)))
         history.append((it, a, residual, float(np.min(u0))))
         if residual <= problem.tolerance:
             break
-        proj, active = _projectors(mesh, grad, dom, free, u0)
         most_active = max(most_active, active)
         d, steps = laplacian_solve(mesh, grad / scale, proj)
         cg_steps += steps
@@ -298,19 +266,6 @@ def minimize(problem):
         active_boundary_vertices=most_active,
         history=history,
     )
-
-
-def _projected_residual(mesh, grad, dom, free, probe=1e-4):
-    """Norm of the constraint-projected gradient (max over vertices).
-
-    Measured as |v - project(v - probe * g)| / probe with a small probe step,
-    which reduces to max |g| wherever the constraint is inactive.  ``grad``
-    is 0 on anchored vertices, so they stay put.
-    """
-    scale = probe * max(mesh.max_edge_length(), 1e-12) / max(np.max(np.abs(grad)), 1e-300)
-    cand = mesh.vertices - scale * grad
-    cand[free] = project_to_domain(cand[free], dom)
-    return float(np.max(np.linalg.norm(cand - mesh.vertices, axis=-1))) / scale
 
 
 def _random_admissible_fields(domain, rng, count, scale, exclude_points=None):

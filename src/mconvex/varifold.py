@@ -67,8 +67,10 @@ class SimplicialSurface:
         if self.multiplicity is None:
             self.multiplicity = np.ones(len(self.simplices))
         self.multiplicity = np.asarray(self.multiplicity, dtype=float)
-        if self.simplices.ndim != 2:
-            raise VarifoldError("simplices must be a 2-d index array")
+        if self.simplices.ndim != 2 or self.simplices.shape[1] < 2:
+            raise VarifoldError("simplices must be a 2-d index array of m + 1 >= 2 columns")
+        if not (np.all(np.isfinite(self.vertices)) and np.all(np.isfinite(self.multiplicity))):
+            raise VarifoldError("vertices and multiplicities must be finite")
         if np.any(self.multiplicity <= 0):
             raise VarifoldError("multiplicities must be strictly positive")
         if np.any(self.simplices < 0) or np.any(self.simplices >= len(self.vertices)):
@@ -115,18 +117,14 @@ class SimplicialSurface:
         return best
 
     def boundary_vertices(self):
-        """Indices of vertices on the mesh boundary (for m = 2: edges seen once)."""
-        if self.m == 1:
-            counts = np.zeros(len(self.vertices), dtype=int)
-            np.add.at(counts, self.simplices.ravel(), 1)
-            return np.nonzero(counts == 1)[0]
-        edges = {}
-        for tri in self.simplices:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                edges[key] = edges.get(key, 0) + 1
-        idx = sorted({v for (a, b), cnt in edges.items() if cnt == 1 for v in (a, b)})
-        return np.asarray(idx, dtype=int)
+        """Indices of the vertices on the mesh boundary: those of the facets
+        (sorted m-subsets of a simplex) that occur in exactly one simplex."""
+        m = self.m
+        subsets = [[b for b in range(m + 1) if b != k] for k in range(m + 1)]
+        facets = np.sort(self.simplices[:, subsets], axis=-1).reshape(-1, m)
+        dims = (len(self.vertices),) * m
+        keys, counts = np.unique(np.ravel_multi_index(facets.T, dims), return_counts=True)
+        return np.unique(np.unravel_index(keys[counts == 1], dims))
 
     def with_vertices(self, vertices):
         return SimplicialSurface(vertices, self.simplices.copy(), self.multiplicity.copy())
@@ -364,6 +362,48 @@ def area(mesh, metric=None, order=2):
     return float(np.sum(weights[weights > 0]))
 
 
+def stiffness_laplacian(mesh):
+    """Edge list ``(E, 2)`` and weights ``(E,)`` of the stiffness Laplacian
+    (L x)_i = sum over edges (i, j) of w (x_i - x_j).
+
+    m = 2: the corner between edge vectors a and b of a triangle of volume
+    vol adds 1/2 mult cot(angle) = 1/4 mult (a.b) / vol to the opposite edge;
+    m = 1: each segment adds mult / length.  An edge shared by several
+    simplices is listed once per simplex.  L applied to the vertex positions
+    is the euclidean area gradient (Pinkall-Polthier).  Raises
+    ``DegenerateSimplexError`` on a collapsed simplex.
+    """
+    if mesh.m not in (1, 2):
+        raise VarifoldError("stiffness Laplacian implemented for m in {1, 2}")
+    vols = mesh.check()
+    if mesh.m == 1:
+        return mesh.simplices, mesh.multiplicity / vols
+    v = mesh.vertices[mesh.simplices]
+    edges, weights = [], []
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        dot = np.einsum("fe,fe->f", v[:, i] - v[:, k], v[:, j] - v[:, k])
+        edges.append(mesh.simplices[:, [i, j]])
+        weights.append(0.25 * mesh.multiplicity * dot / vols)
+    return np.concatenate(edges), np.concatenate(weights)
+
+
+def apply_laplacian(edges, w, x):
+    """L x for the edge-list Laplacian ``(edges, w)`` and x of shape (V, n),
+    as one ``np.bincount`` scatter."""
+    nv, n = x.shape
+    i, j = edges[:, 0], edges[:, 1]
+    flux = w[:, None] * (x[i] - x[j])
+    slots = (np.concatenate([i, j])[:, None] * n + np.arange(n)).ravel()
+    lx = np.bincount(slots, np.concatenate([flux, -flux]).ravel(), minlength=nv * n)
+    return lx.reshape(nv, n)
+
+
+def area_vertex_gradient(mesh):
+    """Euclidean gradient of total area w.r.t. each vertex position: L x."""
+    return apply_laplacian(*stiffness_laplacian(mesh), mesh.vertices)
+
+
 def metric_area_gradient(mesh, metric=None, order=2):
     """Exact vertex gradient of ``area(mesh, metric, order)``, shape (V, n).
 
@@ -533,33 +573,6 @@ def mesh_mean_curvature(mesh, metric=None):
     interior = np.ones(len(mesh.vertices), dtype=bool)
     interior[mesh.boundary_vertices()] = False
     return H, interior
-
-
-def area_vertex_gradient(mesh):
-    """Euclidean gradient of total area w.r.t. each vertex position."""
-    v = mesh.vertices[mesh.simplices]  # (F, m+1, n)
-    grad = np.zeros_like(mesh.vertices)
-    if mesh.m == 1:
-        d = v[:, 1] - v[:, 0]
-        L = np.linalg.norm(d, axis=-1, keepdims=True)
-        u = mesh.multiplicity[:, None] * d / np.maximum(L, 1e-300)
-        np.add.at(grad, mesh.simplices[:, 0], -u)
-        np.add.at(grad, mesh.simplices[:, 1], u)
-        return grad
-    if mesh.m != 2:
-        raise VarifoldError("area gradient implemented for m in {1, 2}")
-    for corner in range(3):
-        a = v[:, corner]
-        b = v[:, (corner + 1) % 3]
-        c = v[:, (corner + 2) % 3]
-        e = c - b
-        elen2 = np.einsum("fe,fe->f", e, e)
-        # altitude direction: component of (a - b) orthogonal to the far edge
-        h = (a - b) - (np.einsum("fe,fe->f", a - b, e) / np.maximum(elen2, 1e-300))[:, None] * e
-        hlen = np.linalg.norm(h, axis=-1)
-        ga = 0.5 * np.sqrt(elen2)[:, None] * h / np.maximum(hlen, 1e-300)[:, None]
-        np.add.at(grad, mesh.simplices[:, corner], mesh.multiplicity[:, None] * ga)
-    return grad
 
 
 def _simplex_keys(mesh, decimals=9):

@@ -16,10 +16,18 @@ from mconvex import meshes
 from mconvex import varifold as vf
 
 
+_SCHEMA = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
+
+
 def run(capsys, *argv):
+    """Exit code, parsed report and raw stdout; every report is validated
+    against docs/report_schema.json."""
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     doc = json.loads(out) if out.strip() else None
+    if doc is not None:
+        validate(doc, _SCHEMA)
     return code, doc, out
 
 
@@ -189,6 +197,36 @@ class TestMinimize:
         assert doc["report"]["anchored_vertices"] == len(rim)
 
 
+_TRIANGLE = "SVMESH 2 3\n3 1\n{x} 0 0.5\n0.1 0 0.5\n0 0.1 0.5\n0 1 2 {mult}\n"
+_INVALID_MESHES = {
+    "nan_multiplicity": _TRIANGLE.format(x="0", mult="nan"),
+    "inf_multiplicity": _TRIANGLE.format(x="0", mult="inf"),
+    "nan_vertex": _TRIANGLE.format(x="nan", mult="1"),
+    "zero_dimensional": "SVMESH 0 3\n2 2\n0 0 0.5\n0.1 0 0.5\n0\n1\n",
+}
+
+
+class TestInvalidMesh:
+    # non-finite values printed a silent 0 or a non-JSON Infinity, or ended
+    # in a traceback; m = 0 crashed the boundary search
+    @pytest.mark.parametrize("command, extra", [
+        ("first-variation", ["--field", "x1,x2,x3"]),
+        ("decompose", ["--boundary-mesh", "{good}"]),
+        ("minimize", ["--domain", "ball:1"]),
+    ], ids=["first-variation", "decompose", "minimize"])
+    @pytest.mark.parametrize("mesh", sorted(_INVALID_MESHES))
+    def test_rejected_as_an_error(self, capsys, tmp_path, mesh, command, extra):
+        good, bad = tmp_path / "good.svmesh", tmp_path / "bad.svmesh"
+        good.write_text(_TRIANGLE.format(x="0", mult="1"))
+        bad.write_text(_INVALID_MESHES[mesh])
+        code = cli.main([command, "--mesh", str(bad)]
+                        + [arg.format(good=good) for arg in extra])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 class TestDecompose:
     def test_integral_split(self, capsys, tmp_path):
         bnd = meshes.icosphere_mesh(subdivisions=2)
@@ -290,7 +328,6 @@ class TestOutputContract:
     def test_schema_and_key_order(self, capsys):
         _, doc, out = run(capsys, "convexity", "--domain", "ball:1",
                           "--p", "0,0,1", "--m", "2", "--no-timestamp")
-        validate(doc, cli._SCHEMA)
         assert set(doc) == {"command", "passed", "report"}
         keys = [ln.split('"')[1] for ln in out.splitlines()
                 if ln.startswith('  "')]
@@ -327,10 +364,6 @@ class TestOutputContract:
                          "--grid", "10", "--threads", threads])
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().out == ""
-
-    def test_schema_matches_docs(self):
-        path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "report_schema.json"
-        assert cli._SCHEMA == json.loads(path.read_text())
 
 
 def test_bench_tracer_wraps_every_binding_and_restores_them():

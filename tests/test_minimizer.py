@@ -278,12 +278,9 @@ class TestLaplacianStep:
 
     @pytest.mark.parametrize("mesh", [_DISK, _POLYLINE], ids=["disk", "polyline"])
     def test_laplacian_of_positions_is_the_area_gradient(self, mesh):
-        edges, w = mini.stiffness_laplacian(mesh)
-        flux = w[:, None] * (mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]])
-        lx = np.zeros_like(mesh.vertices)
-        np.add.at(lx, edges[:, 0], flux)
-        np.add.at(lx, edges[:, 1], -flux)
-        np.testing.assert_allclose(lx, vf.area_vertex_gradient(mesh), rtol=0, atol=1e-12)
+        # L x, with multiplicities 1 to 3, against finite differences of the area
+        np.testing.assert_allclose(vf.area_vertex_gradient(mesh),
+                                   _fd_area_gradient(mesh, None), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("tangent", [False, True], ids=["free", "tangent"])
     @pytest.mark.parametrize("mesh", [
@@ -366,6 +363,33 @@ class TestLaplacianStep:
         assert np.min(dom.u0.value(final.vertices)) >= -1e-10
         areas = np.asarray(report.history)[:, 1]
         assert np.all(np.diff(areas) <= 1e-12 * areas[0])
+
+    @pytest.mark.parametrize("case", ["obstacle", "stall_reproducer", "chord"])
+    def test_reported_residual_uses_the_step_projectors(self, case):
+        # the stopping residual is max |P grad A| with the projectors the
+        # step uses; on the obstacle some of them are tangent
+        dom = geo.domain_ball(radius=1.0)
+        if case == "obstacle":
+            dom = geo.domain_levelset("x1^2+x2^2+(x3-0.05)^2-0.04", [[-1.0, 1.0]] * 3)
+            start = meshes.disk_mesh(radius=0.6, rings=4, segments=32)
+        elif case == "stall_reproducer":
+            start = meshes.bulged_disk_mesh(8, 64, 0.05989008567972312)
+        else:
+            start = meshes.chord_polyline(np.array([-0.8, 0.0, 0.0]), np.array([0.8, 0.1, 0.0]))
+        problem = mini.MinimizeProblem(dom, start, start.boundary_vertices(),
+                                       max_iterations=300)
+        final, report = mini.minimize(problem)
+        assert report.converged
+        free = np.ones(len(final.vertices), dtype=bool)
+        free[problem.anchored] = False
+        grad = mini.area_gradient(final)
+        proj, active = mini._projectors(final, grad, dom, free,
+                                        dom.u0.value(final.vertices))
+        residual = np.max(np.linalg.norm(np.einsum("vab,vb->va", proj, grad), axis=-1))
+        assert report.residual == residual
+        if case == "obstacle":
+            assert active > 0
+            assert residual < np.max(np.linalg.norm(grad[free], axis=-1))
 
     def test_constant_factor_step_matches_euclidean(self):
         # g = delta / 4 scales the gradient by c^2 = 1/4, and c^2 L undoes it

@@ -1,5 +1,7 @@
 """Varifold calculus: quadrature, first variation, mean curvature, decomposition."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,20 @@ class TestSVMesh:
         mesh = vf.svmesh_loads(text)
         assert mesh.multiplicity[0] == 2.0
 
+    @pytest.mark.parametrize("vertex, mult", [
+        ("nan", "1"), ("inf", "1"), ("0", "nan"), ("0", "inf"),
+    ], ids=["nan_vertex", "inf_vertex", "nan_multiplicity", "inf_multiplicity"])
+    def test_non_finite_values_rejected(self, vertex, mult):
+        text = f"SVMESH 2 3\n3 1\n{vertex} 0 0\n1 0 0\n0 1 0\n0 1 2 {mult}\n"
+        with pytest.raises(vf.VarifoldError, match="finite"):
+            vf.svmesh_loads(text)
+
+    def test_zero_dimensional_mesh_rejected(self):
+        with pytest.raises(vf.VarifoldError, match="m \\+ 1 >= 2"):
+            vf.svmesh_loads("SVMESH 0 3\n2 2\n0 0 0\n1 0 0\n0\n1\n")
+        with pytest.raises(vf.VarifoldError, match="m \\+ 1 >= 2"):
+            vf.SimplicialSurface(np.zeros((2, 3)), np.array([[0], [1]]))
+
 
 class TestFromMesh:
     def test_unit_square_total_weight(self):
@@ -131,6 +147,15 @@ class TestFromMesh:
         mesh = vf.SimplicialSurface(verts, np.array([[0, 1, 2]]))
         with pytest.raises(vf.DegenerateSimplexError):
             vf.varifold_from_mesh(mesh)
+
+    @pytest.mark.parametrize("fn", ["stiffness_laplacian", "area_vertex_gradient"])
+    @pytest.mark.parametrize("simplices", [[[0, 1, 2]], [[0, 0]]], ids=["triangle", "segment"])
+    def test_collapsed_simplex_has_no_laplacian(self, fn, simplices):
+        # the collinear triangle's cotangent weights were +-inf, the
+        # zero-length segment's gradient a silent 0
+        verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
+        with pytest.raises(vf.DegenerateSimplexError):
+            getattr(vf, fn)(vf.SimplicialSurface(verts, np.array(simplices)))
 
 
 class TestArea:
@@ -378,6 +403,51 @@ class TestMeanCurvature:
         _, interior = vf.mesh_mean_curvature(unit_disk_mesh)
         rim = unit_disk_mesh.boundary_vertices()
         assert not np.any(interior[rim])
+
+
+def _boundary_by_loop(mesh):
+    """Reference: the vertices of the sorted m-subsets of the simplices that
+    occur exactly once, counted in a dict."""
+    counts = {}
+    for simplex in mesh.simplices:
+        for facet in itertools.combinations(sorted(simplex), mesh.m):
+            counts[facet] = counts.get(facet, 0) + 1
+    return sorted({v for facet, k in counts.items() if k == 1 for v in facet})
+
+
+def _theta_complex():
+    """Three disks spanning the triangle 0-1-2 (the flat one and two cones,
+    apexes 3 and 4), as in a double bubble: every rim edge lies in three
+    triangles, every other edge in two."""
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 0.5], [0.3, 0.3, -0.5]]
+    cones = [[a, b, apex] for apex in (3, 4) for a, b in ((0, 1), (1, 2), (2, 0))]
+    return vf.SimplicialSurface(verts, [[0, 1, 2]] + cones)
+
+
+class TestBoundaryVertices:
+    @pytest.mark.parametrize("mesh, expected", [
+        pytest.param(meshes.disk_mesh(rings=3, segments=8), np.arange(17, 25), id="disk_rim"),
+        pytest.param(meshes.chord_polyline(np.zeros(3), np.ones(3), segments=4), [0, 4],
+                     id="chord_ends"),
+        pytest.param(vf.SimplicialSurface(np.eye(3), [[0, 1], [1, 2], [2, 0]]), [],
+                     id="closed_polyline"),
+        pytest.param(vf.SimplicialSurface(np.eye(4)[:, :3], [[0, 1], [0, 2], [0, 3]]),
+                     [1, 2, 3], id="triple_junction"),
+        pytest.param(meshes.icosphere_mesh(subdivisions=1), [], id="icosphere"),
+        pytest.param(meshes.cylinder_mesh(rings=2, segments=5),
+                     [0, 1, 2, 3, 4, 10, 11, 12, 13, 14], id="cylinder_rims"),
+        pytest.param(_theta_complex(), [], id="edges_in_three_triangles"),
+        pytest.param(vf.SimplicialSurface(np.eye(3), [[0, 1, 2], [2, 1, 0]]), [],
+                     id="duplicated_triangle"),
+    ])
+    def test_known_answers(self, mesh, expected):
+        np.testing.assert_array_equal(mesh.boundary_vertices(), expected)
+        assert mesh.boundary_vertices().dtype.kind == "i"
+        assert _boundary_by_loop(mesh) == list(expected)
+
+    def test_matches_loop_on_the_theorem5_cap(self, theorem5_cap):
+        np.testing.assert_array_equal(theorem5_cap.boundary_vertices(),
+                                      _boundary_by_loop(theorem5_cap))
 
 
 class TestDecomposition:
