@@ -257,7 +257,9 @@ class BarrierBundle:
     ``chart`` is the working box around p (the shrunken ambient ball of the
     construction); everything about the barrier lives inside it.
     ``tube_ksum_min`` is the least k_1 + ... + k_m over the tube sample
-    ``tube_curvatures`` drew for that chart.
+    ``tube_curvatures`` drew for that chart: the whole sample, since a chart
+    is kept only once all of it is evaluated (the charts rejected before it
+    stopped at their first failing chunk).
     """
 
     domain: Domain
@@ -276,9 +278,10 @@ class BarrierBundle:
 
 
 TUBE_SAMPLES = 2000  # random chart points projected by tube_curvatures
+TUBE_CHUNK = 32      # points in the first chunk tube_curvatures evaluates
 
 
-def tube_curvatures(sigma, chart, face_gap, seed=0):
+def tube_curvatures(sigma, chart, face_gap, rejects, seed=0):
     """Sample level-set curvature lists over the prospective tube in a chart.
 
     Feet are obtained by projecting random chart points onto Sigma; each foot
@@ -286,6 +289,16 @@ def tube_curvatures(sigma, chart, face_gap, seed=0):
     euclidean distance from p to the chart faces (the largest value epsilon
     can later take).  Returns the sampled ascending curvature lists in metric
     units.
+
+    The sample is evaluated in order, in chunks of doubling size (32, 64,
+    ...), each chunk drawing its offsets from the one generator in turn, so
+    every curvature list is the one a single batch gives.  As soon as
+    ``rejects`` is True on a chunk's curvature lists, the call returns the
+    lists evaluated so far; otherwise it returns the whole sample.
+    ``rejects`` must then also be True on any array holding a rejected chunk
+    (as "some sum is not above the goal" is), so that it decides the prefix
+    returned as it would the whole sample.  "No feet" is raised only once
+    the whole sample has none.
     """
     rng = np.random.default_rng(seed)
     p = sigma.p
@@ -294,16 +307,25 @@ def tube_curvatures(sigma, chart, face_gap, seed=0):
     pts = lo + (hi - lo) * rng.random((TUBE_SAMPLES, n))
     corners = np.stack(np.meshgrid(*np.stack([lo, hi], axis=-1), indexing="ij"), axis=-1)
     pts = np.concatenate([pts, corners.reshape(-1, n), p[None, :]], axis=0)
-    # keep every foot a chart point projects to, even just outside the box:
-    # the verification grid will reach those feet through the tube
-    foot, ok = sigma.project(pts)
-    if not np.any(ok):
+    kept = []
+    start, size = 0, TUBE_CHUNK
+    while start < len(pts):
+        # keep every foot a chart point projects to, even just outside the
+        # box: the verification grid will reach those feet through the tube
+        foot, ok = sigma.project(pts[start:start + size])
+        start, size = start + size, 2 * size
+        foot = foot[ok]
+        if len(foot) == 0:
+            continue
+        t = 0.5 * face_gap * rng.random((len(foot), 1))
+        kappa = levelset_shape(sigma.w, foot, geo.EuclideanMetric(n)).values
+        denom = np.maximum(1.0 - t * kappa, 0.1)
+        kept.append((kappa / denom) / sigma.c)
+        if rejects(kept[-1]):
+            break
+    if not kept:
         raise TubeError("no Sigma feet found inside the chart")
-    foot = foot[ok]
-    t = 0.5 * face_gap * rng.random((len(foot), 1))
-    kappa = levelset_shape(sigma.w, foot, geo.EuclideanMetric(n)).values
-    denom = np.maximum(1.0 - t * kappa, 0.1)
-    return (kappa / denom) / sigma.c
+    return np.concatenate(kept)
 
 
 def build_barrier(
@@ -323,10 +345,14 @@ def build_barrier(
     does not exceed eta (no vacuous barriers).
 
     The working chart starts as a box around p clipped to the domain chart
-    and is shrunk until the sampled tube satisfies k_1 + ... + k_m > eta
-    everywhere, mirroring the "sufficiently small ball around p" step of the
-    underlying construction.  epsilon is then min(K^{-1/2}, half the metric
-    distance from p to the chart faces).
+    and is shrunk by 0.7 until the sampled tube satisfies k_1 + ... + k_m > eta
+    everywhere (with 2% of the slack at p to spare), mirroring the
+    "sufficiently small ball around p" step of the underlying construction.
+    A chart is rejected as soon as one chunk of its sample has a sum that is
+    not above that goal (a NaN sum included), so a rejected chart evaluates
+    only a prefix of its sample; the chart kept has its whole sample
+    evaluated, and K and ``tube_ksum_min`` come from all of it.  epsilon is
+    then min(K^{-1/2}, half the metric distance from p to the chart faces).
     """
     p = np.asarray(p, dtype=float)
     kappa_sum, _, _ = geo.m_convexity(domain, p, m)
@@ -343,14 +369,18 @@ def build_barrier(
     w = 0.5 * span
     goal = eta + 0.02 * max(kappa_sum - eta, 0.0)
     shrinkable = kappa_sum > eta
+
+    def rejects(k):
+        # written as "not >" so that a NaN sum shrinks the chart too
+        return shrinkable and not np.min(np.sum(k[..., :m], axis=-1)) > goal
+
     for _ in range(18):
         chart = np.stack(
             [np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1
         )
         face_gap = float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
-        k_samples = tube_curvatures(sigma, chart, face_gap, seed)
-        ksum_min = float(np.min(np.sum(k_samples[..., :m], axis=-1)))
-        if not shrinkable or ksum_min > goal:
+        k_samples = tube_curvatures(sigma, chart, face_gap, rejects, seed)
+        if not rejects(k_samples):
             break
         w *= 0.7
     else:
@@ -358,6 +388,7 @@ def build_barrier(
             "tube radius collapsed before the convexity inequality held"
         )
 
+    ksum_min = float(np.min(np.sum(k_samples[..., :m], axis=-1)))
     K = 1.25 * float(np.max(np.abs(k_samples)))
     if not 0 < K <= 1e4:
         raise TubeError(f"no usable curvature bound: K = {K:.3g}")

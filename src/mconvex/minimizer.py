@@ -58,9 +58,10 @@ def project_to_domain(x, domain, tol=1e-10, max_iter=50):
     return pts
 
 
-def area_gradient(mesh, metric=None):
-    """Gradient of metric area w.r.t. vertex positions."""
-    return vf.metric_area_gradient(mesh, metric)
+def area_gradient(mesh, metric=None, laplacian=None):
+    """Gradient of metric area w.r.t. vertex positions; ``laplacian`` is the
+    mesh's ``vf.stiffness_laplacian`` when the caller has built it."""
+    return vf.metric_area_gradient(mesh, metric, laplacian=laplacian)
 
 
 ASPECT_LIMIT = 20.0  # triangles above this aspect ratio get their diagonal flipped
@@ -142,18 +143,18 @@ CG_RTOL = 1e-10          # relative residual at which a solve stops
 BOUNDARY_BAND = 1e-8     # free vertices with u0 at most this lie on the boundary
 
 
-def laplacian_solve(mesh, rhs, projector):
+def laplacian_solve(laplacian, rhs, projector):
     """Jacobi-preconditioned conjugate gradients for (P L P) x = P rhs.
 
-    ``projector`` holds one symmetric n x n projector P_v per vertex and L is
-    ``vf.stiffness_laplacian(mesh)``: the matvec is P, ``vf.apply_laplacian``,
-    P, and the Jacobi diagonal sums the weights on the same edge list.  Stops
-    at relative residual ``CG_RTOL`` or after ``CG_STEPS_PER_VERTEX * V``
-    steps; every iterate x_k satisfies (P rhs)^T x_k = x_k^T P L P x_k, so a
-    truncated solve is still a descent direction.  Returns ``(x, steps)``
-    with x = P x.
+    ``projector`` holds one symmetric n x n projector P_v per vertex and
+    ``laplacian`` is L as the ``(edges, w)`` of ``vf.stiffness_laplacian``:
+    the matvec is P, ``vf.apply_laplacian``, P, and the Jacobi diagonal sums
+    the weights on the same edge list.  Stops at relative residual
+    ``CG_RTOL`` or after ``CG_STEPS_PER_VERTEX * V`` steps; every iterate
+    x_k satisfies (P rhs)^T x_k = x_k^T P L P x_k, so a truncated solve is
+    still a descent direction.  Returns ``(x, steps)`` with x = P x.
     """
-    edges, w = vf.stiffness_laplacian(mesh)
+    edges, w = laplacian
     nv = len(rhs)
     diag = np.bincount(edges.ravel(), np.repeat(w, 2), minlength=nv)
     diag = np.where(diag > 0.0, diag, 1.0)[:, None]  # 0 only on vertices in no simplex
@@ -205,13 +206,14 @@ def minimize(problem):
     """Laplacian-preconditioned projected descent.
 
     Each step solves (c^m P L P) d = P grad A with ``laplacian_solve``: L is
-    the stiffness Laplacian of the current mesh, c the metric's constant
-    factor (1 where it has none) and P the per-vertex projectors of
-    ``_projectors``.  The trial x - t d, from t = 1 and halved until the area
-    falls by the Armijo amount, is projected back onto N.  Under a
-    constant-factor metric the unit step is the Pinkall-Polthier step;
-    otherwise c^m L preconditions the metric area gradient (a Sobolev H^1
-    gradient).  The run stops when the residual max_v |P_v grad A_v|, taken
+    the stiffness Laplacian of the current mesh, built once per step and
+    shared with the area gradient under a constant-factor metric, c the
+    metric's constant factor (1 where it has none) and P the per-vertex
+    projectors of ``_projectors``.  The trial x - t d, from t = 1 and halved
+    until the area falls by the Armijo amount, is projected back onto N.
+    Under a constant-factor metric the unit step is the Pinkall-Polthier
+    step; otherwise c^m L preconditions the metric area gradient (a Sobolev
+    H^1 gradient).  The run stops when the residual max_v |P_v grad A_v|, taken
     with the same projectors as the step, is at most the tolerance.
     """
     dom = problem.domain
@@ -226,7 +228,8 @@ def minimize(problem):
     residual = np.inf
     it = cg_steps = halvings = most_active = 0
     for it in range(1, problem.max_iterations + 1):
-        grad = area_gradient(mesh, metric)
+        lap = vf.stiffness_laplacian(mesh)
+        grad = area_gradient(mesh, metric, lap)
         u0 = dom.u0.value(mesh.vertices)
         proj, active = _projectors(mesh, grad, dom, free, u0)
         residual = float(np.max(np.linalg.norm(np.einsum("vab,vb->va", proj, grad), axis=-1)))
@@ -234,7 +237,7 @@ def minimize(problem):
         if residual <= problem.tolerance:
             break
         most_active = max(most_active, active)
-        d, steps = laplacian_solve(mesh, grad / scale, proj)
+        d, steps = laplacian_solve(lap, grad / scale, proj)
         cg_steps += steps
         slope = float(np.sum(grad * d))
         t = 1.0

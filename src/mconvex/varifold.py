@@ -32,10 +32,6 @@ class DegenerateSimplexError(VarifoldError):
     pass
 
 
-class InadmissibleFieldError(VarifoldError):
-    """A test field violating the inward-variation constraint on dN."""
-
-
 class NonIntegralError(VarifoldError):
     """Decomposition requested for a varifold with non-integer multiplicities."""
 
@@ -362,7 +358,7 @@ def area(mesh, metric=None, order=2):
     return float(np.sum(weights[weights > 0]))
 
 
-def stiffness_laplacian(mesh):
+def stiffness_laplacian(mesh, vols=None):
     """Edge list ``(E, 2)`` and weights ``(E,)`` of the stiffness Laplacian
     (L x)_i = sum over edges (i, j) of w (x_i - x_j).
 
@@ -370,12 +366,14 @@ def stiffness_laplacian(mesh):
     vol adds 1/2 mult cot(angle) = 1/4 mult (a.b) / vol to the opposite edge;
     m = 1: each segment adds mult / length.  An edge shared by several
     simplices is listed once per simplex.  L applied to the vertex positions
-    is the euclidean area gradient (Pinkall-Polthier).  Raises
-    ``DegenerateSimplexError`` on a collapsed simplex.
+    is the euclidean area gradient (Pinkall-Polthier).  ``vols`` are the
+    volumes of ``mesh.check()``, which raises ``DegenerateSimplexError`` on a
+    collapsed simplex; a caller that already has them passes them in.
     """
     if mesh.m not in (1, 2):
         raise VarifoldError("stiffness Laplacian implemented for m in {1, 2}")
-    vols = mesh.check()
+    if vols is None:
+        vols = mesh.check()
     if mesh.m == 1:
         return mesh.simplices, mesh.multiplicity / vols
     v = mesh.vertices[mesh.simplices]
@@ -399,12 +397,15 @@ def apply_laplacian(edges, w, x):
     return lx.reshape(nv, n)
 
 
-def area_vertex_gradient(mesh):
-    """Euclidean gradient of total area w.r.t. each vertex position: L x."""
-    return apply_laplacian(*stiffness_laplacian(mesh), mesh.vertices)
+def area_vertex_gradient(mesh, laplacian=None):
+    """Euclidean gradient of total area w.r.t. each vertex position: L x,
+    with ``laplacian`` the mesh's ``stiffness_laplacian`` (built if None)."""
+    if laplacian is None:
+        laplacian = stiffness_laplacian(mesh)
+    return apply_laplacian(*laplacian, mesh.vertices)
 
 
-def metric_area_gradient(mesh, metric=None, order=2):
+def metric_area_gradient(mesh, metric=None, order=2, laplacian=None):
     """Exact vertex gradient of ``area(mesh, metric, order)``, shape (V, n).
 
     At a node x_q = sum_b lambda_qb v_b with G_q = E^T g(x_q) E and
@@ -413,11 +414,12 @@ def metric_area_gradient(mesh, metric=None, order=2):
     P_a = sum_b (G_q^-1)_ab g E_b and s_k = sum_ab (G_q^-1)_ab E_a^T d_k g E_b;
     each node is weighted by multiplicity x quadrature weight.  Under
     g = c^2 * euclidean the area is c^m times the euclidean one, whose
-    gradient is ``area_vertex_gradient``.
+    gradient is ``area_vertex_gradient`` (given ``laplacian``, the mesh's
+    ``stiffness_laplacian``, it is not built again).
     """
     c = 1.0 if metric is None else metric.constant_factor()
     if c is not None:
-        return c ** mesh.m * area_vertex_gradient(mesh)
+        return c ** mesh.m * area_vertex_gradient(mesh, laplacian)
     quad = _mesh_quadrature(mesh, metric, order)
     F, m, n = quad.E.shape
     w = quad.weights.reshape(F, -1)
@@ -465,59 +467,6 @@ def field_magnitude(X, metric=None):
     return lambda pts: metric.norm(pts, X.value(pts))
 
 
-def _admissibility_margin(X, domain, rng, samples=1000):
-    """min over boundary samples of <X, nu_N>_g."""
-    pts = domain.sample_chart(rng, 8 * samples)
-    bnd = geo.newton_level_project(domain.u0, pts)
-    lo, hi = domain.chart[:, 0], domain.chart[:, 1]
-    ok = np.all((bnd >= lo) & (bnd <= hi), axis=-1)
-    bnd = bnd[ok][:samples]
-    if len(bnd) == 0:
-        raise geo.GeometryError("no boundary samples found in the chart")
-    nu = domain.inward_normal(bnd)
-    vals = X.value(bnd)
-    c = domain.metric.constant_factor()
-    if c is not None:
-        inner = c * c * np.einsum("fe,fe->f", vals, nu)
-    else:
-        g = domain.metric.matrix(bnd)
-        inner = np.einsum("fe,fec,fc->f", vals, g, nu)
-    return float(np.min(inner))
-
-
-def check_first_order_minimizing(V, domain, fields, tolerance=None, seed=0):
-    """Test the inward-variation inequality against a battery of fields.
-
-    Every field must satisfy <X, nu_N> >= 0 on the boundary (sampled); a
-    violator is rejected outright.  Pass iff min over fields of delta V(X)
-    is above -tolerance.
-    """
-    rng = np.random.default_rng(seed)
-    metric = domain.metric
-    records = []
-    for i, X in enumerate(fields):
-        margin = _admissibility_margin(X, domain, rng)
-        if margin < -1e-9:
-            raise InadmissibleFieldError(
-                f"field {i} has <X, nu_N> = {margin:.3g} < 0 on the boundary"
-            )
-        dv = first_variation(V, X, metric)
-        sup = float(np.max(np.linalg.norm(X.value(V.points), axis=-1)))
-        records.append({"index": i, "delta_V": dv, "sup_X": sup})
-    if tolerance is None:
-        sup_all = max((r["sup_X"] for r in records), default=0.0)
-        tolerance = 1e-6 * V.total_weight * max(sup_all, 1.0)
-    worst = min(records, key=lambda r: r["delta_V"], default=None)
-    passed = worst is None or worst["delta_V"] >= -tolerance
-    return {
-        "passed": bool(passed),
-        "min_delta_V": None if worst is None else worst["delta_V"],
-        "worst_field": None if worst is None else worst["index"],
-        "tolerance": float(tolerance),
-        "fields": records,
-    }
-
-
 def check_bounded_mc(V, X, h, metric=None, tolerance=None):
     """delta V(X) + h * integral of |X|; pass iff >= -tolerance.
 
@@ -563,10 +512,11 @@ def mesh_mean_curvature(mesh, metric=None):
         raise VarifoldError("mean curvature needs a constant-factor metric")
     if mesh.m != 2:
         raise VarifoldError("mean curvature needs a 2-dimensional mesh")
-    vols = mesh.check() * mesh.multiplicity
-    grad = area_vertex_gradient(mesh)
+    vols = mesh.check()
+    grad = area_vertex_gradient(mesh, stiffness_laplacian(mesh, vols))
     vert_area = np.zeros(len(mesh.vertices))
-    np.add.at(vert_area, mesh.simplices.ravel(), np.repeat(vols / 3.0, 3))
+    np.add.at(vert_area, mesh.simplices.ravel(),
+              np.repeat(vols * mesh.multiplicity / 3.0, 3))
     if np.any(vert_area <= 0):
         raise VarifoldError("isolated vertex in mean-curvature computation")
     H = -grad / (c * c * vert_area[:, None])

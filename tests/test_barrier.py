@@ -1,9 +1,12 @@
 """Barrier construction and verification tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mconvex import barrier as bar
 from mconvex import geometry as geo
+from mconvex import harness as hz
 from mconvex import varifold as vf
 
 
@@ -462,3 +465,133 @@ class TestTubeExclusion:
             ref_value, ref_J = X.evaluate(q[None, :])
             assert value.shape == (3,) and J.shape == (3, 3)
             assert np.array_equal(value, ref_value[0]) and np.array_equal(J, ref_J[0])
+
+
+# --------------------------------------------------------------------------
+# the shrink loop's tube sample
+
+
+def _one_batch_tube_curvatures(sigma, chart, face_gap, seed=0):
+    """Reference tube sample: every point projected and every offset drawn in
+    one batch (the sampler before the chunked early stop)."""
+    rng = np.random.default_rng(seed)
+    p = sigma.p
+    lo, hi = chart[:, 0], chart[:, 1]
+    n = len(lo)
+    pts = lo + (hi - lo) * rng.random((bar.TUBE_SAMPLES, n))
+    corners = np.stack(np.meshgrid(*np.stack([lo, hi], axis=-1), indexing="ij"), axis=-1)
+    pts = np.concatenate([pts, corners.reshape(-1, n), p[None, :]], axis=0)
+    foot, ok = sigma.project(pts)
+    if not np.any(ok):
+        raise bar.TubeError("no Sigma feet found inside the chart")
+    foot = foot[ok]
+    t = 0.5 * face_gap * rng.random((len(foot), 1))
+    kappa = bar.levelset_shape(sigma.w, foot, geo.EuclideanMetric(n)).values
+    denom = np.maximum(1.0 - t * kappa, 0.1)
+    return (kappa / denom) / sigma.c
+
+
+def _one_batch_bundle(domain, p, m, h, seed):
+    """``(K, epsilon, tube_ksum_min, chart)`` of build_barrier's shrink loop
+    (eta at its default, no hypothesis gate) run on the one-batch sample."""
+    kappa_sum, _, _ = geo.m_convexity(domain, p, m)
+    eta = 0.5 * (h + kappa_sum)
+    sigma = bar.SigmaSurface(domain, p)
+    dlo, dhi = domain.chart[:, 0], domain.chart[:, 1]
+    w = 0.5 * float(np.min(np.maximum(np.minimum(p - dlo, dhi - p), 0.25 * (dhi - dlo))))
+    goal = eta + 0.02 * max(kappa_sum - eta, 0.0)
+    for _ in range(18):
+        chart = np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1)
+        face_gap = float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
+        k = _one_batch_tube_curvatures(sigma, chart, face_gap, seed)
+        ksum_min = float(np.min(np.sum(k[..., :m], axis=-1)))
+        if not kappa_sum > eta or ksum_min > goal:
+            break
+        w *= 0.7
+    else:
+        raise bar.TubeError("tube radius collapsed")
+    K = 1.25 * float(np.max(np.abs(k)))
+    return K, min(K ** -0.5, 0.5 * sigma.c * face_gap), ksum_min, chart
+
+
+def _assert_same_bundle(domain, p, m, h, seed):
+    b = bar.build_barrier(domain, p, m, h=h, seed=seed, enforce_hypothesis=False)
+    expect = _one_batch_bundle(domain, p, m, h, seed)
+    for got, want in zip((b.K, b.epsilon, b.tube_ksum_min, b.chart), expect):
+        assert np.array_equal(got, want)
+    return expect
+
+
+_SAMPLE_DOMAINS = {
+    "ball": (geo.domain_ball(1.0), (0.0, 0.0, 1.0)),
+    "conformal_ball": (geo.domain_ball(1.0, metric=geo.metric_conformal("0 - log(2)")),
+                       (0.0, 0.0, 1.0)),
+    "ellipsoid": (geo.domain_levelset("1 - x1^2/4 - x2^2/4 - x3^2", [[-2.0, 2.0]] * 3),
+                  (0.0, 0.0, 1.0)),
+    "halfspace": (geo.domain_halfspace(), (0.0, 0.0, 0.0)),
+    "cylinder": (geo.domain_cylinder(1.0), (1.0, 0.0, 0.0)),
+}
+
+
+class TestTubeSample:
+    """A rejected chart stops at its first failing chunk; every bundle stays
+    bitwise the one the one-batch sample gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("name", list(_SAMPLE_DOMAINS))
+    def test_bundle_matches_one_batch_sample(self, name, m, h, seed):
+        dom, p = _SAMPLE_DOMAINS[name]
+        _assert_same_bundle(dom, np.array(p), m, h, seed)
+
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    @pytest.mark.parametrize("i", range(11))
+    def test_family_bundle_matches_one_batch_sample(self, i, h):
+        ball = geo.domain_ball(1.0)
+        dom = geo.Domain(hz.metric_family(i), ball.u0, ball.chart)
+        _assert_same_bundle(dom, np.array([0.0, 0.0, 1.0]), 2, h, 0)
+
+    def test_nan_sum_shrinks_the_chart(self, monkeypatch):
+        """A NaN curvature sum rejects its chart, as "not >" says."""
+        dom, p = _SAMPLE_DOMAINS["ball"]
+        p = np.array(p)
+        shape = bar.levelset_shape
+
+        def nan_far_from_p(f, x, metric):
+            shp = shape(f, x, metric)
+            far = np.linalg.norm(x - p, axis=-1) > 0.12
+            return dataclasses.replace(shp, values=np.where(far[:, None], np.nan, shp.values))
+
+        monkeypatch.setattr(bar, "levelset_shape", nan_far_from_p)
+        _, _, ksum_min, chart = _assert_same_bundle(dom, p, 2, 0.0, 0)
+        assert np.isfinite(ksum_min) and np.all(chart[:, 1] - chart[:, 0] < 0.24)
+
+    def test_rejected_charts_project_a_prefix(self, ball_domain, north_pole, monkeypatch):
+        seen = []
+        project = bar.SigmaSurface.project
+
+        def counting(sigma, x, **kw):
+            seen.append(len(x))
+            return project(sigma, x, **kw)
+
+        monkeypatch.setattr(bar.SigmaSurface, "project", counting)
+        bar.build_barrier(ball_domain, north_pole, m=2, seed=0)
+        n_sample = bar.TUBE_SAMPLES + 2 ** 3 + 1
+        # four charts, three rejected: the one-batch sample projects 4 x 2009
+        assert n_sample <= sum(seen) < 2 * n_sample
+
+    def test_no_feet_raised_after_the_whole_sample(self, ball_domain, north_pole,
+                                                   monkeypatch):
+        seen = []
+
+        def no_feet(sigma, x, **kw):
+            seen.append(len(x))
+            return np.asarray(x, dtype=float), np.zeros(len(x), dtype=bool)
+
+        monkeypatch.setattr(bar.SigmaSurface, "project", no_feet)
+        sigma = bar.SigmaSurface(ball_domain, north_pole)
+        chart = np.stack([north_pole - 0.1, north_pole + 0.1], axis=-1)
+        with pytest.raises(bar.TubeError, match="no Sigma feet"):
+            bar.tube_curvatures(sigma, chart, 0.1, lambda k: True)
+        assert sum(seen) == bar.TUBE_SAMPLES + 2 ** 3 + 1

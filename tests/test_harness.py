@@ -115,6 +115,17 @@ class TestScenarios:
         gaps = [r["metric_c2_gap"] for r in rep["runs"]]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
+    def test_metric_c2_gap_is_exact(self):
+        euclidean = geo.metric_euclidean()
+        p = np.array([0.0, 0.0, 1.0])
+        for i in range(41):
+            assert hz._family_c2_distance(hz.metric_family(i), euclidean, p) == 2.0 ** -i
+
+    def test_metric_c2_gap_refuses_a_varying_metric(self):
+        p = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(hz.ScenarioError):
+            hz._family_c2_distance(geo.metric_conformal("0.1*x1"), geo.metric_euclidean(), p)
+
     def test_theorem4_passes(self):
         rep = hz.scenario_theorem4()
         assert rep["status"] == "passed"

@@ -301,7 +301,7 @@ class TestLaplacianStep:
                 nu /= np.linalg.norm(nu)
                 proj[v] -= np.outer(nu, nu)
         rhs = rng.normal(size=(nv, n))
-        x, steps = mini.laplacian_solve(mesh, rhs, proj)
+        x, steps = mini.laplacian_solve(vf.stiffness_laplacian(mesh), rhs, proj)
         # dense oracle: solve B^T (L kron I) B y = B^T rhs on an orthonormal
         # basis B of the range of P
         big = np.kron(_dense_stiffness(mesh), np.eye(n))
@@ -403,6 +403,25 @@ class TestLaplacianStep:
             steps.append(final.vertices)
         assert np.max(np.abs(steps[0] - start.vertices)) > 1e-3
         np.testing.assert_allclose(steps[1], steps[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("metric", [None, geo.metric_conformal("0 - log(2)"),
+                                        geo.metric_conformal("0.1*x1")],
+                             ids=["euclidean", "conformal_constant", "conformal_x1"])
+    def test_one_laplacian_per_step(self, metric, monkeypatch):
+        built = []
+        laplacian = vf.stiffness_laplacian
+
+        def counting(mesh, *args):
+            built.append(len(mesh.vertices))
+            return laplacian(mesh, *args)
+
+        monkeypatch.setattr(vf, "stiffness_laplacian", counting)
+        start = meshes.bulged_disk_mesh(4, 24, 0.05)
+        problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0, metric=metric), start,
+                                       start.boundary_vertices(), max_iterations=5)
+        _, report = mini.minimize(problem)
+        assert report.iterations >= 2
+        assert len(built) == report.iterations
 
 
 class TestProblem:

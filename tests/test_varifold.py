@@ -267,6 +267,65 @@ class TestFlow:
             flow_mesh(unit_disk_mesh, X, 1.0, domain=dom)
 
 
+# the inward-variation check against a battery of fields; the package has no
+# caller for it, so it lives with the tests that use it
+class InadmissibleFieldError(vf.VarifoldError):
+    """A test field violating the inward-variation constraint on dN."""
+
+
+def _admissibility_margin(X, domain, rng, samples=1000):
+    """min over boundary samples of <X, nu_N>_g."""
+    pts = domain.sample_chart(rng, 8 * samples)
+    bnd = geo.newton_level_project(domain.u0, pts)
+    lo, hi = domain.chart[:, 0], domain.chart[:, 1]
+    ok = np.all((bnd >= lo) & (bnd <= hi), axis=-1)
+    bnd = bnd[ok][:samples]
+    if len(bnd) == 0:
+        raise geo.GeometryError("no boundary samples found in the chart")
+    nu = domain.inward_normal(bnd)
+    vals = X.value(bnd)
+    c = domain.metric.constant_factor()
+    if c is not None:
+        inner = c * c * np.einsum("fe,fe->f", vals, nu)
+    else:
+        g = domain.metric.matrix(bnd)
+        inner = np.einsum("fe,fec,fc->f", vals, g, nu)
+    return float(np.min(inner))
+
+
+def check_first_order_minimizing(V, domain, fields, tolerance=None, seed=0):
+    """Test the inward-variation inequality against a battery of fields.
+
+    Every field must satisfy <X, nu_N> >= 0 on the boundary (sampled); a
+    violator is rejected outright.  Pass iff min over fields of delta V(X)
+    is above -tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    metric = domain.metric
+    records = []
+    for i, X in enumerate(fields):
+        margin = _admissibility_margin(X, domain, rng)
+        if margin < -1e-9:
+            raise InadmissibleFieldError(
+                f"field {i} has <X, nu_N> = {margin:.3g} < 0 on the boundary"
+            )
+        dv = vf.first_variation(V, X, metric)
+        sup = float(np.max(np.linalg.norm(X.value(V.points), axis=-1)))
+        records.append({"index": i, "delta_V": dv, "sup_X": sup})
+    if tolerance is None:
+        sup_all = max((r["sup_X"] for r in records), default=0.0)
+        tolerance = 1e-6 * V.total_weight * max(sup_all, 1.0)
+    worst = min(records, key=lambda r: r["delta_V"], default=None)
+    passed = worst is None or worst["delta_V"] >= -tolerance
+    return {
+        "passed": bool(passed),
+        "min_delta_V": None if worst is None else worst["delta_V"],
+        "worst_field": None if worst is None else worst["index"],
+        "tolerance": float(tolerance),
+        "fields": records,
+    }
+
+
 class TestMinimizingChecks:
     def test_flat_disk_minimizing(self, unit_disk_mesh):
         dom = geo.domain_ball(radius=2.0)
@@ -275,7 +334,7 @@ class TestMinimizingChecks:
             geo.BumpVectorField(np.array([0.2, 0.1, 0.0]), 0.3, np.array([0, 0, 1.0])),
             geo.BumpVectorField(np.array([-0.3, 0.0, 0.0]), 0.25, np.array([0, 0, -1.0])),
         ]
-        rep = vf.check_first_order_minimizing(V, dom, fields)
+        rep = check_first_order_minimizing(V, dom, fields)
         assert rep["passed"]
 
     def test_chord_endpoint_push_not_minimizing(self):
@@ -287,7 +346,7 @@ class TestMinimizingChecks:
         # bump covers the right endpoint and pushes it inward along the chord
         X = geo.BumpVectorField(np.array([0.98, 0.0, 0.0]), 0.05,
                                 np.array([-1.0, 0.0, 0.0]))
-        rep = vf.check_first_order_minimizing(V, dom, [X])
+        rep = check_first_order_minimizing(V, dom, [X])
         assert not rep["passed"]
         assert rep["min_delta_V"] < 0
 
@@ -295,7 +354,7 @@ class TestMinimizingChecks:
         dom = geo.domain_ball(radius=2.0)
         V = vf.varifold_from_mesh(unit_disk_mesh)
         X = geo.BumpVectorField(np.array([0.0, 0.0, 1.5]), 0.2, np.array([1.0, 0, 0]))
-        rep = vf.check_first_order_minimizing(V, dom, [X])
+        rep = check_first_order_minimizing(V, dom, [X])
         assert rep["passed"]
         assert rep["min_delta_V"] == 0.0
 
@@ -303,8 +362,8 @@ class TestMinimizingChecks:
         dom = geo.domain_ball(radius=1.0)
         V = vf.varifold_from_mesh(unit_disk_mesh)
         outward = geo.ExprVectorField(["x1", "x2", "x3"], 3)  # points out of the ball
-        with pytest.raises(vf.InadmissibleFieldError):
-            vf.check_first_order_minimizing(V, dom, [outward])
+        with pytest.raises(InadmissibleFieldError):
+            check_first_order_minimizing(V, dom, [outward])
 
     def test_bounded_mc_h0_is_sign_test(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
@@ -376,6 +435,24 @@ class TestMinimizingChecks:
 
 
 class TestMeanCurvature:
+    def test_volumes_checked_once(self, unit_disk_mesh, monkeypatch):
+        checks = []
+        check = vf.SimplicialSurface.check
+
+        def counting(mesh):
+            checks.append(len(mesh.simplices))
+            return check(mesh)
+
+        monkeypatch.setattr(vf.SimplicialSurface, "check", counting)
+        H, _ = vf.mesh_mean_curvature(unit_disk_mesh)
+        assert checks == [len(unit_disk_mesh.simplices)]
+        monkeypatch.undo()
+        expect = -vf.area_vertex_gradient(unit_disk_mesh)
+        vert_area = np.zeros(len(unit_disk_mesh.vertices))
+        np.add.at(vert_area, unit_disk_mesh.simplices.ravel(),
+                  np.repeat(unit_disk_mesh.check() * unit_disk_mesh.multiplicity / 3.0, 3))
+        assert np.array_equal(H, expect / vert_area[:, None])
+
     def test_flat_disk_interior_zero(self, unit_disk_mesh):
         H, interior = vf.mesh_mean_curvature(unit_disk_mesh)
         assert np.max(np.linalg.norm(H[interior], axis=-1)) <= 1e-8
