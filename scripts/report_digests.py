@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
-Runs sixteen fixed CLI inputs (every theorem scenario, theorem6 at h = 1.5,
+Runs seventeen fixed CLI inputs (every theorem scenario, theorem6 at h = 1.5,
 theorem1 and theorem5 under the constant conformal metric c = 1/2, six
-barrier-verify grids, and two minimize starts written to temporary SVMESH
-files: the 513-vertex bulged disk and the 1537-vertex cap of the unit sphere)
-in process and prints one line per input: its name, the exit code and the first 16 hex
-digits of the sha256 of its report.  Two trees print the same lines exactly
+barrier-verify grids, and three minimize runs from starts written to
+temporary SVMESH files: the 513-vertex bulged disk, the same disk stopped by
+``--max-iterations 1`` and the 1537-vertex cap of the unit sphere) in
+process and prints one line per input: its name, the exit code and the first
+16 hex digits of the sha256 of its report.  Two trees print the same lines exactly
 when their reports are byte-identical.
 
     PYTHONPATH=src python scripts/report_digests.py
@@ -58,13 +59,15 @@ def sphere_cap():
 
 def minimize_inputs(workdir):
     """The minimize inputs, their start meshes written under ``workdir``."""
-    starts = (("minimize_disk513", meshes.bulged_disk_mesh(8, 64, 0.05)),
-              ("minimize_cap1537", sphere_cap()))
+    starts = (("minimize_disk513", meshes.bulged_disk_mesh(8, 64, 0.05), ()),
+              ("minimize_disk513_cap1", meshes.bulged_disk_mesh(8, 64, 0.05),
+               ("--max-iterations", "1")),
+              ("minimize_cap1537", sphere_cap(), ()))
     inputs = []
-    for name, mesh in starts:
+    for name, mesh, options in starts:
         path = os.path.join(workdir, f"{name}.svmesh")
         vf.write_svmesh(mesh, path)
-        inputs.append((name, ("minimize", "--mesh", path, "--domain", "ball:1")))
+        inputs.append((name, ("minimize", "--mesh", path, "--domain", "ball:1") + options))
     return tuple(inputs)
 
 

@@ -272,42 +272,6 @@ def position_field(n=3):
     return LinearVectorField(np.eye(n))
 
 
-class BumpVectorField(VectorField):
-    """Smooth compactly supported field: direction times a radial bump.
-
-    The profile exp(-1/(1 - s)) in s = |x-c|^2/r^2 vanishes to all orders at
-    the support boundary |x-c| = r.
-    """
-
-    def __init__(self, center, radius, direction):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.direction = np.asarray(direction, dtype=float)
-        self.n = self.center.shape[0]
-
-    def _profile(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        s = np.einsum("...i,...i->...", d, d) / self.radius**2
-        inside = s < 1.0
-        val = np.zeros_like(s)
-        dval = np.zeros_like(s)  # derivative w.r.t. s
-        with np.errstate(divide="ignore", over="ignore"):
-            t = np.where(inside, 1.0 - s, 1.0)
-            e = np.where(inside, np.exp(-1.0 / t), 0.0)
-        val = e
-        dval = np.where(inside, -e / t**2, 0.0)
-        return d, s, val, dval
-
-    def value(self, x):
-        _, _, val, _ = self._profile(x)
-        return val[..., None] * self.direction
-
-    def jacobian(self, x):
-        d, _, _, dval = self._profile(x)
-        ds = 2.0 * d / self.radius**2  # gradient of s
-        return self.direction[:, None] * dval[..., None, None] * ds[..., None, :]
-
-
 # --------------------------------------------------------------------------
 # metrics
 
@@ -678,10 +642,6 @@ class Domain:
         if np.any(nrm < 1e-12):
             raise VanishingGradientError("u0 gradient vanishes at a boundary sample")
         return grad / nrm[..., None]
-
-    def sample_chart(self, rng, count):
-        lo, hi = self.chart[:, 0], self.chart[:, 1]
-        return lo + (hi - lo) * rng.random((count, self.n))
 
 
 def newton_level_project(f, x, level=0.0, tol=1e-12, max_iter=50):

@@ -358,6 +358,28 @@ def area(mesh, metric=None, order=2):
     return float(np.sum(weights[weights > 0]))
 
 
+def vertex_areas(mesh, metric=None, vols=None):
+    """Metric vertex areas, shape (V,): 1/(m+1) of the multiplicity-weighted
+    metric m-volume of the simplices at each vertex (the barycentric area).
+
+    Under g = c^2 * euclidean a simplex's volume is c^m times its euclidean
+    one (``vols``, from ``mesh.check()`` when None); otherwise it is the sum
+    of its node weights in ``area``'s default quadrature.  A vertex in no
+    simplex gets 0.
+    """
+    metric = metric or geo.metric_euclidean(mesh.n)
+    c = metric.constant_factor()
+    if c is not None:
+        if vols is None:
+            vols = mesh.check()
+        simplex = c ** mesh.m * vols * mesh.multiplicity
+    else:
+        simplex = _mesh_quadrature(mesh, metric, 2).weights.reshape(
+            len(mesh.simplices), -1).sum(axis=1)
+    return np.bincount(mesh.simplices.ravel(), np.repeat(simplex / (mesh.m + 1), mesh.m + 1),
+                       minlength=len(mesh.vertices))
+
+
 def stiffness_laplacian(mesh, vols=None):
     """Edge list ``(E, 2)`` and weights ``(E,)`` of the stiffness Laplacian
     (L x)_i = sum over edges (i, j) of w (x_i - x_j).
@@ -514,9 +536,7 @@ def mesh_mean_curvature(mesh, metric=None):
         raise VarifoldError("mean curvature needs a 2-dimensional mesh")
     vols = mesh.check()
     grad = area_vertex_gradient(mesh, stiffness_laplacian(mesh, vols))
-    vert_area = np.zeros(len(mesh.vertices))
-    np.add.at(vert_area, mesh.simplices.ravel(),
-              np.repeat(vols * mesh.multiplicity / 3.0, 3))
+    vert_area = vertex_areas(mesh, vols=vols)
     if np.any(vert_area <= 0):
         raise VarifoldError("isolated vertex in mean-curvature computation")
     H = -grad / (c * c * vert_area[:, None])

@@ -164,6 +164,31 @@ class TestMinimize:
         # one solve, capped at twice the 97 vertices
         assert 0 < diag["cg_iterations"] <= 2 * 97
 
+    def test_seed_changes_nothing(self, capsys, tmp_path):
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=4, segments=24, amplitude=0.05), path)
+        outs = []
+        for seed in ("0", "7"):
+            code, doc, out = run(capsys, "minimize", "--mesh", str(path), "--domain",
+                                 "ball:1", "--seed", seed, "--no-timestamp")
+            assert code == cli.EXIT_PASS
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert doc["report"]["stationarity_residual"] < 1e-8
+
+    def test_cap_after_a_converging_step_passes(self, capsys, tmp_path):
+        # one Pinkall-Polthier step flattens the 513-vertex bulged disk; the
+        # report must describe that returned mesh, not the start
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=8, segments=64, amplitude=0.05), path)
+        code, doc, _ = run(capsys, "minimize", "--mesh", str(path), "--domain", "ball:1",
+                           "--max-iterations", "1", "--no-timestamp")
+        assert code == cli.EXIT_PASS
+        report = doc["report"]
+        assert report["converged"] and report["iterations"] == 1
+        assert report["projected_gradient_residual"] <= 1e-6
+        assert report["stationarity_residual"] < 1e-8
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-iterations", "0"), ("--max-iterations", "-1"),
         ("--tolerance", "0"), ("--tolerance", "-1"),

@@ -215,34 +215,126 @@ class TestMinimize:
         assert data.shape[0] == len(report.history)
 
 
+def _start_report(mesh, domain, anchored=None):
+    """The report of ``mesh`` itself: an infinite tolerance stops ``minimize``
+    at its first evaluation, before any step."""
+    anchored = mesh.boundary_vertices() if anchored is None else anchored
+    problem = mini.MinimizeProblem(domain, mesh, anchored, max_iterations=1, tolerance=np.inf)
+    final, report = mini.minimize(problem)
+    assert report.converged and len(report.history) == 1
+    np.testing.assert_array_equal(final.vertices, mesh.vertices)
+    return report
+
+
+def _max_interior_mean_curvature(mesh, metric):
+    """max |H|_g over interior vertices, from ``vf.mesh_mean_curvature``."""
+    H, interior = vf.mesh_mean_curvature(mesh, metric)
+    c = 1.0 if metric is None else metric.constant_factor()
+    return float(np.max(c * np.linalg.norm(H[interior], axis=-1)))
+
+
 class TestStationarity:
-    # the random-bump battery measures the continuum first variation with
-    # order-2 quadrature, so even an exact minimizer carries an O(h) floor
-    def test_minimal_disk_within_noise_floor(self, plateau_problem):
-        final, _ = mini.minimize(plateau_problem)
-        anchors = final.vertices[plateau_problem.anchored]
-        res = mini.stationarity_residual(final, plateau_problem.domain,
-                                         exclude_points=anchors)
-        assert res <= 0.5 * final.max_edge_length()
+    """``stationarity_residual``: max_v |P_v grad A_v|_g / A_v over free vertices."""
 
-    def test_floor_shrinks_under_refinement(self):
-        dom = geo.domain_ball(radius=1.0)
+    @pytest.mark.parametrize("rings, segments", [(6, 48), (12, 96)])
+    def test_flat_disk_reads_zero(self, rings, segments):
         r = np.sqrt(1.0 - 0.85 ** 2) - 0.02
-        vals = []
-        for rings, segments in [(6, 48), (12, 96)]:
-            mesh = meshes.disk_mesh(radius=r, center=(0.0, 0.0, 0.85),
-                                    rings=rings, segments=segments)
-            anchors = mesh.vertices[mesh.boundary_vertices()]
-            vals.append(mini.stationarity_residual(mesh, dom,
-                                                   exclude_points=anchors))
-        assert vals[1] < vals[0]
+        disk = meshes.disk_mesh(radius=r, center=(0.0, 0.0, 0.85), rings=rings,
+                                segments=segments)
+        report = _start_report(disk, geo.domain_ball(radius=1.0))
+        assert report.stationarity_residual <= 1e-10
 
-    def test_warped_start_detected(self, plateau_problem):
-        anchors = plateau_problem.mesh.vertices[plateau_problem.anchored]
-        res = mini.stationarity_residual(plateau_problem.mesh,
-                                         plateau_problem.domain,
-                                         exclude_points=anchors)
-        assert res > 0.0
+    def test_sphere_cap_reads_its_mean_curvature(self, theorem5_cap):
+        # a band of the radius-2 sphere: H = 1
+        report = _start_report(theorem5_cap, geo.domain_ball(radius=1.0))
+        assert report.stationarity_residual == pytest.approx(1.0, rel=0.01)
+
+    @pytest.mark.parametrize("metric", [None, geo.metric_conformal("0 - log(2)")],
+                             ids=["euclidean", "conformal_constant"])
+    @pytest.mark.parametrize("mesh", ["band", "jittered_cap"])
+    def test_equals_mean_curvature(self, mesh, metric, theorem5_cap, unit_sphere_cap):
+        # free interior vertices with P_v = I: the residual is max |H|_g,
+        # which is twice the euclidean value under g = delta / 4
+        mesh = theorem5_cap if mesh == "band" else unit_sphere_cap(8, 48, jitter=0.25)
+        report = _start_report(mesh, geo.domain_ball(radius=1.0, metric=metric))
+        expect = _max_interior_mean_curvature(mesh, metric)
+        assert expect > 0.9
+        assert report.stationarity_residual == pytest.approx(expect, rel=1e-12)
+
+    def test_constant_matrix_metric_is_a_change_of_coordinates(self, unit_sphere_cap):
+        # g = A^T A makes the mesh isometric to its image under x -> A x, so
+        # the residual (g^-1 norm over metric vertex areas) must equal the
+        # euclidean residual of the image
+        entries = ["2", "0.3", "0.1", "1.5", "0.2", "1"]
+        G = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
+        A = np.linalg.cholesky(G).T
+        mesh = unit_sphere_cap(8, 48, jitter=0.25)
+        image = mesh.with_vertices(mesh.vertices @ A.T)
+        metric = geo.metric_matrix(entries)
+        assert metric.constant_factor() is None
+        got = _start_report(mesh, geo.domain_ball(radius=10.0, metric=metric))
+        expect = _start_report(image, geo.domain_ball(radius=10.0))
+        assert expect.stationarity_residual > 0.9
+        assert got.stationarity_residual == pytest.approx(expect.stationarity_residual,
+                                                          rel=1e-9)
+
+    def test_bulged_start_and_its_minimizer(self):
+        start = meshes.bulged_disk_mesh(8, 64, 0.05)
+        dom = geo.domain_ball(radius=1.0)
+        assert _start_report(start, dom).stationarity_residual > 1.0
+        final, report = mini.minimize(mini.MinimizeProblem(dom, start,
+                                                           start.boundary_vertices()))
+        assert report.converged
+        assert report.stationarity_residual < 1e-8
+        assert report.stationarity_residual == _start_report(
+            final, dom, start.boundary_vertices()).stationarity_residual
+
+    def test_anchors_are_not_tested(self, theorem5_cap):
+        # every vertex anchored: nothing is free to vary
+        report = _start_report(theorem5_cap, geo.domain_ball(radius=1.0),
+                               np.arange(len(theorem5_cap.vertices)))
+        assert report.stationarity_residual == 0.0
+
+    def test_builds_no_varifold_and_no_extra_gradient(self, monkeypatch):
+        calls = []
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(vf, "varifold_from_mesh")
+        counting(mini, "area_gradient")
+        start = meshes.bulged_disk_mesh(4, 24, 0.05)
+        problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0), start,
+                                       start.boundary_vertices())
+        _, report = mini.minimize(problem)
+        assert report.converged
+        assert calls == ["area_gradient"] * report.iterations
+
+
+class TestIterationCap:
+    """When the cap ends the run after an accepted step, the report describes
+    the mesh that ``minimize`` returns."""
+
+    def test_report_describes_the_returned_mesh(self):
+        start = meshes.bulged_disk_mesh(8, 64, 0.05)
+        dom = geo.domain_ball(radius=1.0)
+        problem = mini.MinimizeProblem(dom, start, start.boundary_vertices(),
+                                       max_iterations=1)
+        final, report = mini.minimize(problem)
+        again = _start_report(final, dom, problem.anchored)
+        assert report.iterations == 1
+        assert [row[0] for row in report.history] == [1, 2]
+        assert report.history[0][2] > problem.tolerance
+        assert report.residual == again.residual <= problem.tolerance
+        assert report.converged
+        assert report.stationarity_residual == again.stationarity_residual < 1e-8
+        assert report.history[-1] == (2, report.final_area, again.residual,
+                                      again.history[0][3])
 
 
 def _dense_stiffness(mesh):
@@ -399,7 +491,8 @@ class TestLaplacianStep:
             problem = mini.MinimizeProblem(geo.domain_ball(radius=1.0, metric=metric), start,
                                            start.boundary_vertices(), max_iterations=1)
             final, report = mini.minimize(problem)
-            assert not report.converged
+            # the start is not stationary, so the one iteration takes a step
+            assert report.history[0][2] > problem.tolerance
             steps.append(final.vertices)
         assert np.max(np.abs(steps[0] - start.vertices)) > 1e-3
         np.testing.assert_allclose(steps[1], steps[0], rtol=0, atol=1e-12)

@@ -26,6 +26,39 @@ def _frame_deviation(V, metric):
     return float(np.max(np.abs(gram - np.eye(V.m))))
 
 
+class BumpVectorField(geo.VectorField):
+    """Smooth compactly supported field: direction times a radial bump.
+
+    The profile exp(-1/(1 - s)) in s = |x-c|^2/r^2 vanishes to all orders at
+    the support boundary |x-c| = r.
+    """
+
+    def __init__(self, center, radius, direction):
+        self.center = np.asarray(center, dtype=float)
+        self.radius = float(radius)
+        self.direction = np.asarray(direction, dtype=float)
+        self.n = self.center.shape[0]
+
+    def _profile(self, x):
+        d = np.asarray(x, dtype=float) - self.center
+        s = np.einsum("...i,...i->...", d, d) / self.radius**2
+        inside = s < 1.0
+        with np.errstate(divide="ignore", over="ignore"):
+            t = np.where(inside, 1.0 - s, 1.0)
+            val = np.where(inside, np.exp(-1.0 / t), 0.0)
+        dval = np.where(inside, -val / t**2, 0.0)  # derivative w.r.t. s
+        return d, val, dval
+
+    def value(self, x):
+        _, val, _ = self._profile(x)
+        return val[..., None] * self.direction
+
+    def jacobian(self, x):
+        d, _, dval = self._profile(x)
+        ds = 2.0 * d / self.radius**2  # gradient of s
+        return self.direction[:, None] * dval[..., None, None] * ds[..., None, :]
+
+
 class _Combination(geo.VectorField):
     """sum of a_i X_i for terms (a_i, X_i)."""
 
@@ -158,6 +191,15 @@ class TestFromMesh:
             getattr(vf, fn)(vf.SimplicialSurface(verts, np.array(simplices)))
 
 
+def _jittered_disk():
+    """A 37-vertex disk with jittered vertices and multiplicities 1 to 3."""
+    mesh = meshes.disk_mesh(radius=0.4, center=(0.1, 0.0, 0.5), rings=3, segments=12)
+    rng = np.random.default_rng(3)
+    return vf.SimplicialSurface(
+        mesh.vertices + 0.02 * rng.normal(size=mesh.vertices.shape), mesh.simplices,
+        rng.integers(1, 4, size=len(mesh.simplices)).astype(float))
+
+
 class TestArea:
     @pytest.mark.parametrize("order", [1, 2, 4])
     @pytest.mark.parametrize("metric", [
@@ -168,13 +210,28 @@ class TestArea:
                                         "0.3*x1*x3", "1.5"]), id="matrix"),
     ])
     def test_equals_lowered_total_weight(self, metric, order):
-        mesh = meshes.disk_mesh(radius=0.4, center=(0.1, 0.0, 0.5), rings=3, segments=12)
-        rng = np.random.default_rng(3)
-        mesh = vf.SimplicialSurface(
-            mesh.vertices + 0.02 * rng.normal(size=mesh.vertices.shape), mesh.simplices,
-            rng.integers(1, 4, size=len(mesh.simplices)).astype(float))
+        mesh = _jittered_disk()
         assert (vf.area(mesh, metric, order)
                 == vf.varifold_from_mesh(mesh, metric, order).total_weight)
+
+    @pytest.mark.parametrize("metric", [
+        pytest.param(None, id="euclidean"),
+        pytest.param(geo.metric_conformal("0 - log(2)"), id="conformal_constant"),
+        pytest.param(geo.metric_conformal("0.1*x1"), id="conformal_x1"),
+        pytest.param(geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3",
+                                        "0.3*x1*x3", "1.5"]), id="matrix"),
+    ])
+    def test_vertex_areas_sum_to_the_area(self, metric):
+        # each simplex hands 1/(m+1) of its metric volume to each corner
+        mesh = _jittered_disk()
+        areas = vf.vertex_areas(mesh, metric)
+        assert areas.shape == (len(mesh.vertices),) and np.all(areas > 0)
+        assert np.sum(areas) == pytest.approx(vf.area(mesh, metric), rel=1e-12)
+
+    def test_vertex_areas_scale_by_c_to_the_m(self):
+        mesh = _jittered_disk()
+        np.testing.assert_allclose(vf.vertex_areas(mesh, geo.metric_conformal("0 - log(2)")),
+                                   0.25 * vf.vertex_areas(mesh), rtol=1e-15)
 
     def test_collapsed_triangle_rejected(self):
         mesh = meshes.disk_mesh(radius=0.4, rings=2, segments=8)
@@ -198,7 +255,7 @@ class TestFirstVariation:
 
     def test_linearity(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
-        X = geo.BumpVectorField(np.array([0.2, 0, 0]), 0.5, np.array([0, 0, 1.0]))
+        X = BumpVectorField(np.array([0.2, 0, 0]), 0.5, np.array([0, 0, 1.0]))
         Y = geo.ExprVectorField(["x2", "x3", "x1"], 3)
         combo = _Combination([(2.5, X), (-1.5, Y)])
         lhs = vf.first_variation(V, combo)
@@ -248,7 +305,7 @@ class TestFlow:
         np.testing.assert_allclose(out.vertices, unit_disk_mesh.vertices + v, atol=1e-12)
 
     def test_flow_derivative_matches_first_variation(self, unit_disk_mesh, flow_mesh):
-        X = geo.BumpVectorField(np.array([0.2, 0.0, 0.0]), 0.6,
+        X = BumpVectorField(np.array([0.2, 0.0, 0.0]), 0.6,
                                 np.array([0.1, 0.2, 0.9]))
         V = vf.varifold_from_mesh(unit_disk_mesh, order=4)
         dv = vf.first_variation(V, X)
@@ -275,9 +332,9 @@ class InadmissibleFieldError(vf.VarifoldError):
 
 def _admissibility_margin(X, domain, rng, samples=1000):
     """min over boundary samples of <X, nu_N>_g."""
-    pts = domain.sample_chart(rng, 8 * samples)
-    bnd = geo.newton_level_project(domain.u0, pts)
     lo, hi = domain.chart[:, 0], domain.chart[:, 1]
+    pts = lo + (hi - lo) * rng.random((8 * samples, domain.n))
+    bnd = geo.newton_level_project(domain.u0, pts)
     ok = np.all((bnd >= lo) & (bnd <= hi), axis=-1)
     bnd = bnd[ok][:samples]
     if len(bnd) == 0:
@@ -331,8 +388,8 @@ class TestMinimizingChecks:
         dom = geo.domain_ball(radius=2.0)
         V = vf.varifold_from_mesh(unit_disk_mesh)
         fields = [
-            geo.BumpVectorField(np.array([0.2, 0.1, 0.0]), 0.3, np.array([0, 0, 1.0])),
-            geo.BumpVectorField(np.array([-0.3, 0.0, 0.0]), 0.25, np.array([0, 0, -1.0])),
+            BumpVectorField(np.array([0.2, 0.1, 0.0]), 0.3, np.array([0, 0, 1.0])),
+            BumpVectorField(np.array([-0.3, 0.0, 0.0]), 0.25, np.array([0, 0, -1.0])),
         ]
         rep = check_first_order_minimizing(V, dom, fields)
         assert rep["passed"]
@@ -344,7 +401,7 @@ class TestMinimizingChecks:
                                       segments=64)
         V = vf.varifold_from_mesh(chord)
         # bump covers the right endpoint and pushes it inward along the chord
-        X = geo.BumpVectorField(np.array([0.98, 0.0, 0.0]), 0.05,
+        X = BumpVectorField(np.array([0.98, 0.0, 0.0]), 0.05,
                                 np.array([-1.0, 0.0, 0.0]))
         rep = check_first_order_minimizing(V, dom, [X])
         assert not rep["passed"]
@@ -353,7 +410,7 @@ class TestMinimizingChecks:
     def test_mesh_far_from_support(self, unit_disk_mesh):
         dom = geo.domain_ball(radius=2.0)
         V = vf.varifold_from_mesh(unit_disk_mesh)
-        X = geo.BumpVectorField(np.array([0.0, 0.0, 1.5]), 0.2, np.array([1.0, 0, 0]))
+        X = BumpVectorField(np.array([0.0, 0.0, 1.5]), 0.2, np.array([1.0, 0, 0]))
         rep = check_first_order_minimizing(V, dom, [X])
         assert rep["passed"]
         assert rep["min_delta_V"] == 0.0
@@ -367,7 +424,7 @@ class TestMinimizingChecks:
 
     def test_bounded_mc_h0_is_sign_test(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
-        X = geo.BumpVectorField(np.array([0.2, 0.0, 0.0]), 0.4, np.array([0, 0, 1.0]))
+        X = BumpVectorField(np.array([0.2, 0.0, 0.0]), 0.4, np.array([0, 0, 1.0]))
         for h in (0.0, 1.5):
             rep = vf.check_bounded_mc(V, X, h)
             assert rep["value"] == (
