@@ -1,18 +1,32 @@
 """Barrier vectorfield construction and pointwise verification.
 
-Given a boundary point p of a domain N = {u0 >= 0} and a target constant
-eta below the sum of the m smallest boundary curvatures at p, this module
-builds the contact surface Sigma (the boundary displaced outward by the
-fourth power of the distance to p), the signed distance u to Sigma, the
-exponential cutoff phi, and the vectorfield X = phi(u) nu.  It then checks,
-on a grid, that the top-m eigenvalue sum of the symmetrized covariant
-differential of X stays below -eta |X|.
+Given a boundary point p of a domain N = {u0 >= 0} in R^3 and a target
+constant eta below the sum of the m smallest boundary curvatures at p, this
+module builds the contact surface Sigma = {w = 0}, w = u0 + |x - p|_g(p)^4
+(the boundary displaced outward by the fourth power of the distance to p),
+the signed distance u to Sigma, the exponential cutoff phi, and the
+vectorfield X = phi(u) nu.  It then checks, on a grid, that the top-m
+eigenvalue sum of the symmetrized covariant differential of X stays below
+-eta |X|.
 
 Barriers exist for the euclidean metric and for constant multiples
-g = c^2 * euclidean of it: foot points are exact euclidean projections, the
-tube transformation k(u) = kappa / (1 - u kappa) gives the principal
-curvatures, and Sigma converts every tube quantity to metric units with c.
-Any other metric is refused.
+g = c^2 * euclidean of it; Sigma converts every tube quantity to metric units
+with c, and any other metric is refused.  Foot points are exact euclidean
+projections onto Sigma.  At a foot, with g = grad w, H = Hess w (symmetrized),
+nu = g / |g|, P = I - nu nu^T and B_t = P (-H / |g|) P, Sigma's principal
+curvatures have the closed-form invariants (R. Goldman, "Curvature formulas
+for implicit curves and surfaces", CAGD 2005)
+
+    sigma_1 = kappa_1 + kappa_2 = (g^T H g - |g|^2 tr H) / |g|^3,
+    sigma_2 = kappa_1 kappa_2 = g^T adj(H) g / |g|^4,
+
+and kappa_{1,2} = sigma_1 / 2 -+ sqrt(|B_t - (sigma_1 / 2) P|_F^2 / 2), a
+discriminant that is a sum of squares and so stays accurate at umbilic
+points.  The parallel surface at distance u has the curvatures
+k_i = kappa_i / (1 - u kappa_i) (A. Gray, *Tubes*, 2nd ed., 2004), and the
+euclidean Hessian of u is -(B_t - u sigma_2 P) / ((1 - u kappa_1)(1 - u kappa_2)).
+So S = grad X / phi has the known spectrum {-k_1, -k_2, -(eps - u)^-2}, and
+the grid check sums its m largest entries without an eigensolver.
 """
 
 from __future__ import annotations
@@ -29,9 +43,8 @@ from .geometry import (
     ScalarField,
     SumField,
     QuarticGapField,
+    VanishingGradientError,
     VectorField,
-    levelset_shape,
-    top_m_eigensum,
 )
 
 
@@ -91,6 +104,8 @@ class SigmaSurface:
             )
         self.c = float(c)
         self.p = np.asarray(self.p, dtype=float)
+        if self.p.shape != (3,):
+            raise GeometryError("barrier construction needs a point of R^3")
         self.gram = np.asarray(self.domain.metric.matrix(self.p), dtype=float)
         self.w = SumField([self.domain.u0, QuarticGapField(self.p, self.gram)])
 
@@ -191,18 +206,97 @@ def _solve_rows(J, rhs):
 
 
 @dataclass
+class SigmaShape:
+    """Shape of Sigma at feet, in euclidean units.
+
+    ``nu`` is the unit normal grad w / |grad w|, ``kappa`` the principal
+    curvatures (ascending) with respect to it, ``Bt`` the second fundamental
+    form P (-Hess w / |grad w|) P as a 3 x 3 matrix, and ``sigma2`` the
+    Gauss curvature kappa_1 kappa_2.
+    """
+
+    nu: np.ndarray
+    kappa: np.ndarray
+    Bt: np.ndarray
+    sigma2: np.ndarray
+
+
+# the entries (i, j), i <= j, that stand for a symmetric 3 x 3 matrix
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _entry(M, i, j):
+    return M[(i, j) if i <= j else (j, i)]
+
+
+def _quadratic(M, v):
+    """v^T M v for the symmetric M given by its ``_PAIRS`` entries; swapping
+    x1 and x2 only permutes addends."""
+    diag = (M[0, 0] * (v[0] * v[0]) + M[1, 1] * (v[1] * v[1])) + M[2, 2] * (v[2] * v[2])
+    return diag + 2.0 * (M[0, 1] * (v[0] * v[1])
+                         + (M[0, 2] * (v[0] * v[2]) + M[1, 2] * (v[1] * v[2])))
+
+
+def sigma_shape(g, H):
+    """Closed-form shape of the level surface of w in R^3 with gradient g and
+    Hessian H at the same points (see the module docstring).
+
+    Every sum is grouped so that swapping x1 and x2, or flipping the sign of
+    a coordinate, permutes addends or negates terms exactly: mirror-symmetric
+    inputs give bit-equal curvatures.
+    """
+    g = np.asarray(g, dtype=float)
+    H = np.asarray(H, dtype=float)
+    v = (g[..., 0], g[..., 1], g[..., 2])
+    a = {(i, j): 0.5 * (H[..., i, j] + H[..., j, i]) for i, j in _PAIRS}
+    n2 = (v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]
+    if np.any(n2 <= 1e-24):
+        raise VanishingGradientError("level-set function has vanishing gradient")
+    norm = np.sqrt(n2)
+    trace = (a[0, 0] + a[1, 1]) + a[2, 2]
+    adj = {(0, 0): a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2],
+           (1, 1): a[0, 0] * a[2, 2] - a[0, 2] * a[0, 2],
+           (2, 2): a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1],
+           (0, 1): a[0, 2] * a[1, 2] - a[0, 1] * a[2, 2],
+           (0, 2): a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1],
+           (1, 2): a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]}
+    sigma1 = (_quadratic(a, v) - n2 * trace) / (n2 * norm)
+    sigma2 = _quadratic(adj, v) / (n2 * n2)
+
+    nu = tuple(vi / norm for vi in v)
+    B = {ij: -a[ij] / norm for ij in _PAIRS}
+    Bnu = [(_entry(B, i, 0) * nu[0] + _entry(B, i, 1) * nu[1]) + _entry(B, i, 2) * nu[2]
+           for i in range(3)]
+    beta = _quadratic(B, nu)
+    half = 0.5 * sigma1
+    Bt, T2 = {}, {}  # B_t and the squared entries of B_t - (sigma_1 / 2) P
+    for i, j in _PAIRS:
+        nn = nu[i] * nu[j]
+        Bt[i, j] = (B[i, j] - (nu[i] * Bnu[j] + Bnu[i] * nu[j])) + beta * nn
+        t = Bt[i, j] - half * (1.0 - nn) if i == j else Bt[i, j] + half * nn
+        T2[i, j] = t * t
+    root = np.sqrt(0.5 * _quadratic(T2, (1.0, 1.0, 1.0)))
+    return SigmaShape(
+        nu=np.stack(nu, axis=-1),
+        kappa=np.stack([half - root, half + root], axis=-1),
+        Bt=np.stack([np.stack([_entry(Bt, i, j) for j in range(3)], axis=-1)
+                     for i in range(3)], axis=-2),
+        sigma2=sigma2,
+    )
+
+
+@dataclass
 class TubeData:
     """Per-point geometric data of the signed-distance foliation of Sigma.
 
     Quantities are in metric units; ``nu`` carries chart coordinates of the
-    g-unit normal, ``frame`` the g-orthonormal principal directions of the
-    level set through each point, ``curvatures`` ascending.
+    g-unit normal and ``curvatures`` the principal curvatures of the level
+    set through each point, ascending.
     """
 
     u: np.ndarray
     nu: np.ndarray
     curvatures: np.ndarray
-    frame: np.ndarray
     hess_u: np.ndarray  # coordinate Hessian of u
     foot: np.ndarray
     valid: np.ndarray
@@ -223,23 +317,21 @@ def tube_eval(sigma, x):
     d_e = np.linalg.norm(diff, axis=-1)
     u_e = sgn * d_e
 
-    shp = levelset_shape(sigma.w, np.where(ok[..., None], foot, sigma.p),
-                         geo.EuclideanMetric(sigma.p.shape[0]))
-    kappa = shp.values  # Sigma curvatures at the foot, euclidean units
-    denom = 1.0 - u_e[..., None] * kappa
+    at = np.where(ok[..., None], foot, sigma.p)
+    shp = sigma_shape(sigma.w.gradient(at), sigma.w.hessian(at))
+    denom = 1.0 - u_e[..., None] * shp.kappa
     valid = ok & np.all(denom > 0.05, axis=-1)
-
-    k_e = kappa / np.where(denom > 0.05, denom, 1.0)
+    denom = np.where(denom > 0.05, denom, 1.0)
     # curvatures stay ascending: t -> k/(1-tk) is monotone in k for 1-tk>0
-    nu_e = shp.normal
-    hess_u_e = -np.einsum(
-        "...i,...ia,...ib->...ab", k_e, shp.directions, shp.directions
-    )
+    k_e = shp.kappa / denom
+    nu_e = shp.nu
+    P = np.eye(3) - nu_e[..., :, None] * nu_e[..., None, :]
+    hess_u_e = -(shp.Bt - (u_e * shp.sigma2)[..., None, None] * P) / (
+        denom[..., 0] * denom[..., 1])[..., None, None]
     return TubeData(
         u=c * u_e,
         nu=nu_e / c,
         curvatures=k_e / c,
-        frame=shp.directions / c,
         hess_u=c * hess_u_e,
         foot=foot,
         valid=valid,
@@ -318,7 +410,7 @@ def tube_curvatures(sigma, chart, face_gap, rejects, seed=0):
         if len(foot) == 0:
             continue
         t = 0.5 * face_gap * rng.random((len(foot), 1))
-        kappa = levelset_shape(sigma.w, foot, geo.EuclideanMetric(n)).values
+        kappa = sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa
         denom = np.maximum(1.0 - t * kappa, 0.1)
         kept.append((kappa / denom) / sigma.c)
         if rejects(kept[-1]):
@@ -424,20 +516,30 @@ class BarrierVectorField(VectorField):
         self.bundle = bundle
         self.n = bundle.p.shape[0]
 
+    def live_phi(self, data):
+        """``(live, phi)`` from tube data: ``live`` marks the points of the
+        open tube ``0 <= u < eps``, phi is the cutoff there and 0 elsewhere."""
+        b = self.bundle
+        live = data.valid & (data.u >= 0.0) & (data.u < b.epsilon)
+        return live, np.where(live, cutoff(np.where(live, data.u, 0.0), b.epsilon), 0.0)
+
     def from_tube(self, data):
         """``(live, phi, value, S)`` of X from tube data at the points.
 
-        ``live`` marks the points of the open tube ``0 <= u < eps``; phi is
-        the cutoff there and 0 elsewhere.  S = jacobian / phi
+        ``live`` and phi are as in ``live_phi``.  S = jacobian / phi
         = -(u - eps)^-2 nu_e nu_e^T + Hess u / c^2 on live points (0
-        elsewhere) stays finite where phi underflows.
+        elsewhere) stays finite where phi underflows.  Its spectrum is known:
+        with Sigma's curvatures kappa_i from the invariants sigma_1, sigma_2
+        of grad w and Hess w (Goldman 2005), the euclidean Hess u =
+        -(B_t - u sigma_2 P) / ((1 - u kappa_1)(1 - u kappa_2)) has the
+        eigenvalues -k_i, k_i = kappa_i / (1 - u kappa_i) (Gray, *Tubes*), on
+        the level set and 0 along nu_e, so S has -k_1, -k_2 (in metric
+        units) and -(eps - u)^-2.
         """
         b = self.bundle
         c = b.sigma.c
-        u = data.u
-        live = data.valid & (u >= 0.0) & (u < b.epsilon)
-        u_safe = np.where(live, u, 0.0)
-        phi = np.where(live, cutoff(u_safe, b.epsilon), 0.0)
+        live, phi = self.live_phi(data)
+        u_safe = np.where(live, data.u, 0.0)
         value = np.where(live[..., None], phi[..., None] * data.nu, 0.0)
         nu_e = data.nu * c  # euclidean unit normal
         outer = nu_e[..., :, None] * nu_e[..., None, :]
@@ -446,56 +548,34 @@ class BarrierVectorField(VectorField):
         S = (-(u_safe - b.epsilon) ** -2)[..., None, None] * outer + data.hess_u / c**2
         return live, phi, value, np.where(live[..., None, None], S, 0.0)
 
-    def evaluate_live(self, x):
-        """``(live, phi, value, S)`` of X at points ``x``, as from_tube.
+    def reaches_tube(self, x):
+        """False where the eps/c-ball of x provably misses Sigma.
 
         A live point has a foot within euclidean distance eps / c, so only
-        the points whose eps/c-ball Sigma may reach go to tube_eval, once;
-        the others are outside the tube and get exact zeros.
+        the other points need to go to tube_eval.
         """
         b = self.bundle
-        x = np.asarray(x, dtype=float)
-        shape, n = x.shape[:-1], x.shape[-1]
-        pts = x.reshape(-1, n)
-        live = np.zeros(len(pts), dtype=bool)
-        phi = np.zeros(len(pts))
-        value = np.zeros((len(pts), n))
-        S = np.zeros((len(pts), n, n))
-        cand = ~b.sigma.misses(pts, b.epsilon / b.sigma.c)
-        if np.any(cand):
-            live[cand], phi[cand], value[cand], S[cand] = self.from_tube(
-                tube_eval(b.sigma, pts[cand])
-            )
-        return (live.reshape(shape), phi.reshape(shape),
-                value.reshape(x.shape), S.reshape(shape + (n, n)))
+        return ~b.sigma.misses(x, b.epsilon / b.sigma.c)
 
     def evaluate(self, x):
-        """X and its jacobian phi S; each point reaches the tube at most once."""
-        _, phi, value, S = self.evaluate_live(x)
-        return value, phi[..., None, None] * S
+        """X and its jacobian phi S; each point reaches the tube at most once,
+        and the points outside it get exact zeros."""
+        x = np.asarray(x, dtype=float)
+        n = x.shape[-1]
+        pts = x.reshape(-1, n)
+        value = np.zeros((len(pts), n))
+        J = np.zeros((len(pts), n, n))
+        cand = self.reaches_tube(pts)
+        if np.any(cand):
+            _, phi, value[cand], S = self.from_tube(tube_eval(self.bundle.sigma, pts[cand]))
+            J[cand] = phi[..., None, None] * S
+        return value.reshape(x.shape), J.reshape(x.shape + (n,))
 
     def value(self, x):
         return self.evaluate(x)[0]
 
     def jacobian(self, x):
         return self.evaluate(x)[1]
-
-
-def adapted_frame_Q(bundle, q):
-    """Matrix of Q in the g-orthonormal basis (e_1, ..., e_{n-1}, nu).
-
-    Diagonal with entries (-phi(u) k_i, ..., phi'(u)) up to numerical error.
-    """
-    q = np.asarray(q, dtype=float)
-    b = bundle
-    data = tube_eval(b.sigma, q)
-    if not np.all(data.valid & (data.u < b.epsilon)):
-        raise TubeError("adapted frame requested outside the open tube")
-    # the covariant gradient of X is its jacobian phi S under g = c^2 * euclidean
-    _, phi, _, S = b.field().from_tube(data)
-    Qc = geo.lower_index(phi[..., None, None] * S, q, b.domain.metric)
-    frame = np.concatenate([data.frame, data.nu[..., None, :]], axis=-2)
-    return np.einsum("...ai,...ij,...bj->...ab", frame, Qc, frame)
 
 
 # --------------------------------------------------------------------------
@@ -560,32 +640,47 @@ def verify_barrier(
 ):
     """Check Psi_X + eta |X| <= 0 on a chart grid intersected with N.
 
-    Margins are normalized by phi(u) (1 + K), so a live point's margin is
-    (top_m(S) + eta) / (1 + K) with S = jacobian / phi (see
-    ``BarrierVectorField.from_tube``); points at or beyond the cutoff
-    contribute an exact zero.  The report carries the worst margin and its
-    location.  Each grid point is evaluated in the tube at most once: a point
-    x is skipped, with margin 0, where u0(x) - L r + (|x - p|_G -
-    sqrt(lambda_max(G)) r)_+^4 > FOOT_TOLERANCE for r = eps / c (see
-    ``SigmaSurface.misses``), since then no foot of Sigma lies close enough
-    for x to be in the tube.
+    Margins are normalized by phi(u) (1 + K).  At a live point, S = jacobian
+    / phi (see ``BarrierVectorField.from_tube``) has the eigenvalues -k_1,
+    -k_2 along the level set of u, with k_i = kappa_i / (1 - u kappa_i) on
+    the parallel surfaces of Sigma (Gray, *Tubes*) and kappa_i from the
+    invariants sigma_1 = (g^T H g - |g|^2 tr H) / |g|^3 and sigma_2 =
+    g^T adj(H) g / |g|^4 of g = grad w, H = Hess w at the foot (Goldman
+    2005), and -(eps - u)^-2 along its normal.  So the margin is (the sum of
+    the m largest of them + eta) / (1 + K), exact to rounding also where the
+    normal eigenvalue is among the m largest; no S is assembled and no
+    eigensolver runs.  Points at or beyond the cutoff, and the live points
+    where phi underflows to 0, contribute an exact zero.  The report carries the worst margin and its location, the
+    first in grid order among equal margins.  Each grid point is evaluated in
+    the tube at most once: a point x is skipped, with margin 0, where
+    u0(x) - L r + (|x - p|_G - sqrt(lambda_max(G)) r)_+^4 > FOOT_TOLERANCE for
+    r = eps / c (see ``SigmaSurface.misses``), since then no foot of Sigma
+    lies close enough for x to be in the tube.
     """
     b = bundle
+    if not 1 <= b.m <= 3:
+        raise ValueError(f"m must be in [1, 3], got {b.m}")
     X = b.field()
     pts = chart_grid(b.chart, grid_resolution)
     pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
 
     def margins_for(chunk):
-        live, phi, _, S = X.evaluate_live(chunk)
-        # phi underflows to an exact 0 just below the cutoff; X vanishes there
-        live = live & (phi > 0.0)
         out = np.zeros(len(chunk))
-        if not np.any(live):
+        live = np.zeros(len(chunk), dtype=bool)
+        cand = X.reaches_tube(chunk)
+        if not np.any(cand):
             return out, live
-        # barriers exist only for g = c^2 * euclidean: the covariant gradient
-        # of X is its jacobian phi S, and the top-m trace of Q = c^2 phi S
-        # over g-orthonormal m-frames is phi times the top-m eigenvalue sum of S
-        out[live] = (top_m_eigensum(S[live], b.m) + b.eta) / (1.0 + b.K)
+        data = tube_eval(b.sigma, chunk[cand])
+        on, phi = X.live_phi(data)
+        # phi underflows to an exact 0 just below the cutoff; X vanishes there
+        on &= phi > 0.0
+        live[cand] = on
+        # barriers exist only for g = c^2 * euclidean: the top-m trace of
+        # Q = c^2 phi S over g-orthonormal m-frames is phi times the sum of
+        # the m largest eigenvalues of S
+        normal = -(b.epsilon - data.u[on]) ** -2.0
+        spectrum = np.sort(np.concatenate([-data.curvatures[on], normal[:, None]], axis=-1))
+        out[live] = (np.sum(spectrum[:, 3 - b.m:], axis=-1) + b.eta) / (1.0 + b.K)
         return out, live
 
     if len(pts) == 0:

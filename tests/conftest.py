@@ -106,6 +106,32 @@ class DistanceToSigmaField(geo.ScalarField):
         return self._tube(x).hess_u
 
 
+def _adapted_frame_Q(bundle, q):
+    """Matrix of Q in the g-orthonormal basis (e_1, e_2, nu) at tube points q.
+
+    Diagonal with entries (-phi(u) k_1, -phi(u) k_2, phi'(u)) up to numerical
+    error.  The level set of u through q shares Sigma's principal directions
+    at the foot, so e_1, e_2 are ``levelset_shape``'s eigenvectors there.
+    """
+    q = np.asarray(q, dtype=float)
+    b = bundle
+    data = bar.tube_eval(b.sigma, q)
+    if not np.all(data.valid & (data.u < b.epsilon)):
+        raise bar.TubeError("adapted frame requested outside the open tube")
+    # the covariant gradient of X is its jacobian phi S under g = c^2 * euclidean
+    _, phi, _, S = b.field().from_tube(data)
+    Qc = geo.lower_index(phi[..., None, None] * S, q, b.domain.metric)
+    shp = geo.levelset_shape(b.sigma.w, data.foot, geo.EuclideanMetric(3))
+    frame = np.concatenate([shp.directions / b.sigma.c, data.nu[..., None, :]], axis=-2)
+    return np.einsum("...ai,...ij,...bj->...ab", frame, Qc, frame)
+
+
+@pytest.fixture(scope="session")
+def adapted_frame_Q():
+    """The adapted-frame matrix of Q, an eigensolver oracle for the tube."""
+    return _adapted_frame_Q
+
+
 def _cutoff_derivative(t, eps):
     """phi'(t) = -phi(t) / (t - eps)^2 on [0, eps), 0 for t >= eps."""
     t = np.asarray(t, dtype=float)

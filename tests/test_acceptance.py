@@ -55,12 +55,13 @@ def test_criterion_1_barrier_certificate(ball_bundle, capsys):
             f"K={b.K:.3f}, eps={b.epsilon:.4f}, {elapsed:.1f}s single-threaded")
 
 
-def test_criterion_2_adapted_frame(ball_bundle, tube_points, cutoff_derivative, capsys):
+def test_criterion_2_adapted_frame(ball_bundle, tube_points, cutoff_derivative,
+                                   adapted_frame_Q, capsys):
     b = ball_bundle
     worst_off = 0.0
     chain_ok = True
     for q in tube_points:
-        M = bar.adapted_frame_Q(b, q)
+        M = adapted_frame_Q(b, q)
         data = bar.tube_eval(b.sigma, q)
         phi = bar.cutoff(data.u, b.epsilon)
         dphi = cutoff_derivative(data.u, b.epsilon)

@@ -289,10 +289,11 @@ class TestPsi:
 
 
 class TestAdaptedFrame:
-    def test_diagonality_and_ordering(self, ball_bundle, tube_points, cutoff_derivative):
+    def test_diagonality_and_ordering(self, ball_bundle, tube_points, cutoff_derivative,
+                                      adapted_frame_Q):
         b = ball_bundle
         for q in tube_points[:50]:
-            M = bar.adapted_frame_Q(b, q)
+            M = adapted_frame_Q(b, q)
             data = bar.tube_eval(b.sigma, q)
             phi = bar.cutoff(data.u, b.epsilon)
             dphi = cutoff_derivative(data.u, b.epsilon)
@@ -304,7 +305,8 @@ class TestAdaptedFrame:
             # -phi k_1 >= ... >= -phi k_{n-1} >= phi'
             assert np.all(np.diff(diag) <= 1e-10)
 
-    def test_one_tube_evaluation_per_call(self, ball_bundle, tube_points, monkeypatch):
+    def test_one_tube_evaluation_per_call(self, ball_bundle, tube_points, monkeypatch,
+                                          adapted_frame_Q):
         seen = []
         tube_eval = bar.tube_eval
 
@@ -313,7 +315,7 @@ class TestAdaptedFrame:
             return tube_eval(sigma, x)
 
         monkeypatch.setattr(bar, "tube_eval", counting)
-        M = bar.adapted_frame_Q(ball_bundle, tube_points[:20])
+        M = adapted_frame_Q(ball_bundle, tube_points[:20])
         assert M.shape == (20, 3, 3)
         assert seen == [20]
 
@@ -487,7 +489,7 @@ def _one_batch_tube_curvatures(sigma, chart, face_gap, seed=0):
         raise bar.TubeError("no Sigma feet found inside the chart")
     foot = foot[ok]
     t = 0.5 * face_gap * rng.random((len(foot), 1))
-    kappa = bar.levelset_shape(sigma.w, foot, geo.EuclideanMetric(n)).values
+    kappa = bar.sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa
     denom = np.maximum(1.0 - t * kappa, 0.1)
     return (kappa / denom) / sigma.c
 
@@ -557,14 +559,15 @@ class TestTubeSample:
         """A NaN curvature sum rejects its chart, as "not >" says."""
         dom, p = _SAMPLE_DOMAINS["ball"]
         p = np.array(p)
-        shape = bar.levelset_shape
+        sigma_shape = bar.sigma_shape
 
-        def nan_far_from_p(f, x, metric):
-            shp = shape(f, x, metric)
-            far = np.linalg.norm(x - p, axis=-1) > 0.12
-            return dataclasses.replace(shp, values=np.where(far[:, None], np.nan, shp.values))
+        def nan_far_from_p(g, H):
+            shp = sigma_shape(g, H)
+            # Sigma's normal at p is -e3; it tilts by about the distance from p
+            far = np.hypot(g[:, 0], g[:, 1]) > 0.12 * np.linalg.norm(g, axis=-1)
+            return dataclasses.replace(shp, kappa=np.where(far[:, None], np.nan, shp.kappa))
 
-        monkeypatch.setattr(bar, "levelset_shape", nan_far_from_p)
+        monkeypatch.setattr(bar, "sigma_shape", nan_far_from_p)
         _, _, ksum_min, chart = _assert_same_bundle(dom, p, 2, 0.0, 0)
         assert np.isfinite(ksum_min) and np.all(chart[:, 1] - chart[:, 0] < 0.24)
 
@@ -596,3 +599,144 @@ class TestTubeSample:
         with pytest.raises(bar.TubeError, match="no Sigma feet"):
             bar.tube_curvatures(sigma, chart, 0.1, lambda k: True)
         assert sum(seen) == bar.TUBE_SAMPLES + 2 ** 3 + 1
+
+
+# --------------------------------------------------------------------------
+# the closed-form tube kernel against the eigensolver
+
+
+def _sigma_feet(sigma, rng, axis):
+    """Points near p that project onto Sigma, with their feet; with ``axis``
+    also points on and near the x3 axis, Sigma's axis of symmetry."""
+    pts = sigma.p + 0.15 * (2.0 * rng.random((1500, 3)) - 1.0)
+    if axis:
+        # Sigma's symmetry axis through p, where both curvatures are equal,
+        # and points within 1e-7 to 1e-2 of it, where they nearly are
+        z = np.linspace(0.95, 1.05, 12)
+        rho = np.geomspace(1e-7, 1e-2, 12)
+        on_axis = np.stack([0.0 * z, 0.0 * z, z], axis=-1)
+        near = np.stack(np.broadcast_arrays(rho[:, None], 0.3 * rho[:, None], z), axis=-1)
+        pts = np.concatenate([pts, on_axis, near.reshape(-1, 3)])
+    foot, ok = sigma.project(pts)
+    return pts[ok], foot[ok]
+
+
+class TestSigmaShape:
+    """``sigma_shape`` and ``tube_eval`` against ``levelset_shape``'s eigh."""
+
+    @pytest.mark.parametrize("name", list(_SAMPLE_DOMAINS))
+    def test_curvatures_match_eigh(self, name):
+        dom, p = _SAMPLE_DOMAINS[name]
+        sigma = bar.SigmaSurface(dom, np.array(p))
+        _, foot = _sigma_feet(sigma, np.random.default_rng(2), "ball" in name)
+        shp = bar.sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot))
+        ref = geo.levelset_shape(sigma.w, foot, geo.EuclideanMetric(3))
+        assert np.all(np.abs(shp.kappa - ref.values) <= 1e-12 * (1.0 + np.abs(ref.values)))
+        np.testing.assert_allclose(shp.nu, ref.normal, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(shp.sigma2, np.prod(ref.values, axis=-1), rtol=0,
+                                   atol=1e-12 * (1.0 + np.max(np.abs(ref.values)) ** 2))
+
+    @pytest.mark.parametrize("name", list(_SAMPLE_DOMAINS))
+    def test_tube_curvatures_and_hessian_match_eigh(self, name):
+        dom, p = _SAMPLE_DOMAINS[name]
+        sigma = bar.SigmaSurface(dom, np.array(p))
+        c = sigma.c
+        pts, _ = _sigma_feet(sigma, np.random.default_rng(3), "ball" in name)
+        data = bar.tube_eval(sigma, pts)
+        v = data.valid
+        assert np.count_nonzero(v) > 0.9 * len(pts)
+        ref = geo.levelset_shape(sigma.w, data.foot[v], geo.EuclideanMetric(3))
+        k_e = ref.values / (1.0 - (data.u[v] / c)[:, None] * ref.values)
+        k = k_e / c
+        assert np.all(np.abs(data.curvatures[v] - k) <= 1e-12 * (1.0 + np.abs(k)))
+        # Hess u = -c sum_i k_i e_i e_i^T with euclidean k_i and unit e_i
+        hess = -c * np.einsum("fi,fia,fib->fab", k_e, ref.directions, ref.directions)
+        scale = c * (1.0 + np.max(np.abs(k_e), axis=-1))
+        err = np.max(np.abs(data.hess_u[v] - hess), axis=(-1, -2))
+        assert np.all(err <= 1e-12 * scale)
+
+    def test_refuses_a_vanishing_gradient(self):
+        with pytest.raises(geo.VanishingGradientError):
+            bar.sigma_shape(np.zeros(3), np.eye(3))
+
+    def test_barrier_outside_r3_refused(self):
+        dom = geo.domain_ball(1.0, n=2)
+        with pytest.raises(geo.GeometryError):
+            bar.SigmaSurface(dom, np.array([0.0, 1.0]))
+
+
+_MIRRORS = [(perm, signs) for perm in ((0, 1, 2), (1, 0, 2))
+            for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1))]
+
+
+def _mirror_images(q):
+    """The 8 images of q under x1 <-> x2 and the sign flips of x1 and x2."""
+    return np.array([np.asarray(s, float) * np.asarray(q)[list(perm)] for perm, s in _MIRRORS])
+
+
+def _grid_indices(points, images):
+    """Index of the grid point at each image (grids match up to rounding)."""
+    idx = [int(np.argmin(np.max(np.abs(points - q), axis=-1))) for q in images]
+    assert np.max(np.abs(points[idx] - images)) <= 1e-12
+    return idx
+
+
+class TestMirrorTies:
+    """Mirror-symmetric grid points get bit-equal margins, so the reported
+    worst point is the first of its ties in grid order, whatever the
+    rounding of the margin path."""
+
+    def test_kernel_is_mirror_equivariant(self, ball_bundle):
+        b = ball_bundle
+        rep = bar.verify_barrier(b, grid_resolution=30, keep_margins=True)
+        foot = bar.tube_eval(b.sigma, rep.points[rep.margins != 0.0]).foot
+        g, H = b.sigma.w.gradient(foot), b.sigma.w.hessian(foot)
+        ref = bar.sigma_shape(g, H)
+        for perm, signs in _MIRRORS:
+            P, s = list(perm), np.asarray(signs, float)
+            img = bar.sigma_shape((g * s)[:, P], (H * s[:, None] * s)[:, P][:, :, P])
+            assert np.array_equal(img.kappa, ref.kappa)
+            assert np.array_equal(img.sigma2, ref.sigma2)
+            assert np.array_equal(img.Bt, (ref.Bt * s[:, None] * s)[:, P][:, :, P])
+
+    def test_halfspace_worst_point_is_first_of_its_ties(self, halfspace_bundle):
+        rep = bar.verify_barrier(halfspace_bundle, grid_resolution=60, threads=2,
+                                 keep_margins=True)
+        idx = _grid_indices(rep.points, _mirror_images(rep.worst_point))
+        assert len(set(idx)) == 8
+        assert len(set(rep.margins[idx].tolist())) == 1
+        assert rep.margins[idx[0]] == rep.worst_margin > 0.0
+        assert rep.worst_point == rep.points[min(idx)].tolist()
+        np.testing.assert_allclose(rep.worst_point, [-0.559, -0.186, 0.017], atol=1e-3)
+
+    def test_ball_worst_live_orbit_is_bit_equal(self, ball_bundle):
+        rep = bar.verify_barrier(ball_bundle, grid_resolution=50, threads=2,
+                                 keep_margins=True)
+        live = np.flatnonzero(rep.margins != 0.0)
+        worst = live[np.argmax(rep.margins[live])]
+        idx = _grid_indices(rep.points, _mirror_images(rep.points[worst]))
+        assert len(set(idx)) >= 4
+        assert len(set(rep.margins[idx].tolist())) == 1
+        assert worst == min(idx)
+
+
+class TestSpectrumMargins:
+    """The grid margin is the top-m sum of S's known spectrum; assembling S
+    and running the eigensolver gives the same margins."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["ball_bundle", "scaled_ball_bundle", "cylinder_bundle"])
+    def test_margins_match_eigensum_of_S(self, name, m, request):
+        b = dataclasses.replace(request.getfixturevalue(name), m=m)
+        rep = bar.verify_barrier(b, grid_resolution=25, keep_margins=True)
+        live, _, scale = _closed_form_margins(b, rep.points)
+        assert np.count_nonzero(live) == rep.n_tube > 0
+        _, _, _, S = b.field().from_tube(bar.tube_eval(b.sigma, rep.points[live]))
+        oracle = (geo.top_m_eigensum(S, m) + b.eta) / (1.0 + b.K)
+        assert np.all(np.abs(rep.margins[live] - oracle) <= 1e-12 * scale[live])
+        assert np.all(rep.margins[~live] == 0.0)
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_m_outside_1_to_3_refused(self, ball_bundle, m):
+        with pytest.raises(ValueError):
+            bar.verify_barrier(dataclasses.replace(ball_bundle, m=m), grid_resolution=5)
