@@ -12,17 +12,12 @@ eigenvalue sum of the symmetrized covariant differential of X stays below
 Barriers exist for the euclidean metric and for constant multiples
 g = c^2 * euclidean of it; Sigma converts every tube quantity to metric units
 with c, and any other metric is refused.  Foot points are exact euclidean
-projections onto Sigma.  At a foot, with g = grad w, H = Hess w (symmetrized),
-nu = g / |g|, P = I - nu nu^T and B_t = P (-H / |g|) P, Sigma's principal
-curvatures have the closed-form invariants (R. Goldman, "Curvature formulas
-for implicit curves and surfaces", CAGD 2005)
-
-    sigma_1 = kappa_1 + kappa_2 = (g^T H g - |g|^2 tr H) / |g|^3,
-    sigma_2 = kappa_1 kappa_2 = g^T adj(H) g / |g|^4,
-
-and kappa_{1,2} = sigma_1 / 2 -+ sqrt(|B_t - (sigma_1 / 2) P|_F^2 / 2), a
-discriminant that is a sum of squares and so stays accurate at umbilic
-points.  The parallel surface at distance u has the curvatures
+projections onto Sigma.  At a foot, Sigma's principal curvatures kappa_i,
+its Gauss curvature sigma_2 and its second fundamental form B_t (on
+P = I - nu nu^T) come from the closed-form level-set kernel
+``geometry.sigma_shape`` (R. Goldman, "Curvature formulas for implicit
+curves and surfaces", CAGD 2005), the one that also gives the boundary's
+curvatures at p.  The parallel surface at distance u has the curvatures
 k_i = kappa_i / (1 - u kappa_i) (A. Gray, *Tubes*, 2nd ed., 2004), and the
 euclidean Hessian of u is -(B_t - u sigma_2 P) / ((1 - u kappa_1)(1 - u kappa_2)).
 So S = grad X / phi has the known spectrum {-k_1, -k_2, -(eps - u)^-2}, and
@@ -43,8 +38,8 @@ from .geometry import (
     ScalarField,
     SumField,
     QuarticGapField,
-    VanishingGradientError,
     VectorField,
+    sigma_shape,
 )
 
 
@@ -203,86 +198,6 @@ def _solve_rows(J, rhs):
 
 # --------------------------------------------------------------------------
 # tube evaluation (foot points, distances, curvatures)
-
-
-@dataclass
-class SigmaShape:
-    """Shape of Sigma at feet, in euclidean units.
-
-    ``nu`` is the unit normal grad w / |grad w|, ``kappa`` the principal
-    curvatures (ascending) with respect to it, ``Bt`` the second fundamental
-    form P (-Hess w / |grad w|) P as a 3 x 3 matrix, and ``sigma2`` the
-    Gauss curvature kappa_1 kappa_2.
-    """
-
-    nu: np.ndarray
-    kappa: np.ndarray
-    Bt: np.ndarray
-    sigma2: np.ndarray
-
-
-# the entries (i, j), i <= j, that stand for a symmetric 3 x 3 matrix
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
-def _entry(M, i, j):
-    return M[(i, j) if i <= j else (j, i)]
-
-
-def _quadratic(M, v):
-    """v^T M v for the symmetric M given by its ``_PAIRS`` entries; swapping
-    x1 and x2 only permutes addends."""
-    diag = (M[0, 0] * (v[0] * v[0]) + M[1, 1] * (v[1] * v[1])) + M[2, 2] * (v[2] * v[2])
-    return diag + 2.0 * (M[0, 1] * (v[0] * v[1])
-                         + (M[0, 2] * (v[0] * v[2]) + M[1, 2] * (v[1] * v[2])))
-
-
-def sigma_shape(g, H):
-    """Closed-form shape of the level surface of w in R^3 with gradient g and
-    Hessian H at the same points (see the module docstring).
-
-    Every sum is grouped so that swapping x1 and x2, or flipping the sign of
-    a coordinate, permutes addends or negates terms exactly: mirror-symmetric
-    inputs give bit-equal curvatures.
-    """
-    g = np.asarray(g, dtype=float)
-    H = np.asarray(H, dtype=float)
-    v = (g[..., 0], g[..., 1], g[..., 2])
-    a = {(i, j): 0.5 * (H[..., i, j] + H[..., j, i]) for i, j in _PAIRS}
-    n2 = (v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]
-    if np.any(n2 <= 1e-24):
-        raise VanishingGradientError("level-set function has vanishing gradient")
-    norm = np.sqrt(n2)
-    trace = (a[0, 0] + a[1, 1]) + a[2, 2]
-    adj = {(0, 0): a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2],
-           (1, 1): a[0, 0] * a[2, 2] - a[0, 2] * a[0, 2],
-           (2, 2): a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1],
-           (0, 1): a[0, 2] * a[1, 2] - a[0, 1] * a[2, 2],
-           (0, 2): a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1],
-           (1, 2): a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]}
-    sigma1 = (_quadratic(a, v) - n2 * trace) / (n2 * norm)
-    sigma2 = _quadratic(adj, v) / (n2 * n2)
-
-    nu = tuple(vi / norm for vi in v)
-    B = {ij: -a[ij] / norm for ij in _PAIRS}
-    Bnu = [(_entry(B, i, 0) * nu[0] + _entry(B, i, 1) * nu[1]) + _entry(B, i, 2) * nu[2]
-           for i in range(3)]
-    beta = _quadratic(B, nu)
-    half = 0.5 * sigma1
-    Bt, T2 = {}, {}  # B_t and the squared entries of B_t - (sigma_1 / 2) P
-    for i, j in _PAIRS:
-        nn = nu[i] * nu[j]
-        Bt[i, j] = (B[i, j] - (nu[i] * Bnu[j] + Bnu[i] * nu[j])) + beta * nn
-        t = Bt[i, j] - half * (1.0 - nn) if i == j else Bt[i, j] + half * nn
-        T2[i, j] = t * t
-    root = np.sqrt(0.5 * _quadratic(T2, (1.0, 1.0, 1.0)))
-    return SigmaShape(
-        nu=np.stack(nu, axis=-1),
-        kappa=np.stack([half - root, half + root], axis=-1),
-        Bt=np.stack([np.stack([_entry(Bt, i, j) for j in range(3)], axis=-1)
-                     for i in range(3)], axis=-2),
-        sigma2=sigma2,
-    )
 
 
 @dataclass
@@ -650,9 +565,11 @@ def verify_barrier(
     the m largest of them + eta) / (1 + K), exact to rounding also where the
     normal eigenvalue is among the m largest; no S is assembled and no
     eigensolver runs.  Points at or beyond the cutoff, and the live points
-    where phi underflows to 0, contribute an exact zero.  The report carries the worst margin and its location, the
-    first in grid order among equal margins.  Each grid point is evaluated in
-    the tube at most once: a point x is skipped, with margin 0, where
+    where phi underflows to 0, contribute an exact zero.  The report carries
+    the worst margin and its location, the first in grid order among equal
+    margins; a grid with no live point checked nothing and does not pass.
+    Each grid point is evaluated in the tube at most once: a point x is
+    skipped, with margin 0, where
     u0(x) - L r + (|x - p|_G - sqrt(lambda_max(G)) r)_+^4 > FOOT_TOLERANCE for
     r = eps / c (see ``SigmaSurface.misses``), since then no foot of Sigma
     lies close enough for x to be in the tube.
@@ -690,12 +607,13 @@ def verify_barrier(
     margins = np.concatenate([r[0] for r in results])
     live = np.concatenate([r[1] for r in results])
     worst = int(np.argmax(margins))
+    n_tube = int(np.count_nonzero(live))
     report = BarrierReport(
-        passed=bool(margins[worst] <= tolerance),
+        passed=bool(margins[worst] <= tolerance and n_tube > 0),
         worst_margin=float(margins[worst]),
         worst_point=pts[worst].tolist(),
         n_grid=len(pts),
-        n_tube=int(np.count_nonzero(live)),
+        n_tube=n_tube,
         epsilon=b.epsilon,
         K=b.K,
         eta=b.eta,

@@ -31,14 +31,30 @@ class UsageError(Exception):
     pass
 
 
-def _parse_point(text, n=3):
+def _parse_point(text, n=3, what="point"):
     try:
         vals = [float(t) for t in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"bad point {text!r}: expected comma-separated floats") from exc
+        raise UsageError(f"bad {what} {text!r}: expected comma-separated floats") from exc
     if len(vals) != n:
-        raise UsageError(f"point {text!r} has {len(vals)} components, expected {n}")
+        raise UsageError(f"{what} {text!r} has {len(vals)} components, expected {n}")
     return np.asarray(vals)
+
+
+def _parse_radius(text):
+    if not text:
+        return 1.0
+    (r,) = _parse_point(text, 1, "radius")
+    if not 0.0 < r < np.inf:
+        raise UsageError(f"radius {text!r} must be positive and finite")
+    return r
+
+
+def _check_m(m):
+    """m counts boundary curvatures: 1 <= m <= n - 1, and n = 3."""
+    if not 1 <= m <= 2:
+        raise UsageError(f"--m must be 1 or 2 (a boundary in R^3 has 2 curvatures), got {m}")
+    return m
 
 
 def _parse_metric(spec):
@@ -63,21 +79,19 @@ def _parse_domain(spec, metric_spec=None):
         raise UsageError("--domain is required")
     kind, _, rest = spec.partition(":")
     if kind == "ball":
-        return geo.domain_ball(radius=float(rest) if rest else 1.0, metric=metric)
+        return geo.domain_ball(radius=_parse_radius(rest), metric=metric)
     if kind == "halfspace":
         return geo.domain_halfspace(metric=metric)
     if kind == "cylinder":
-        return geo.domain_cylinder(radius=float(rest) if rest else 1.0, metric=metric)
+        return geo.domain_cylinder(radius=_parse_radius(rest), metric=metric)
     if kind == "levelset":
         expr, _, chart = rest.partition("@")
         if not expr:
             raise UsageError("levelset domain: levelset:EXPR[@lo,hi]")
-        if chart:
-            lo, hi = (float(t) for t in chart.split(","))
-            box = np.array([[lo, hi]] * 3)
-        else:
-            box = np.array([[-2.0, 2.0]] * 3)
-        return geo.domain_levelset(expr, box, metric=metric)
+        lo, hi = _parse_point(chart, 2, "chart") if chart else (-2.0, 2.0)
+        if not -np.inf < lo < hi < np.inf:
+            raise UsageError(f"chart {chart!r} needs finite lo < hi")
+        return geo.domain_levelset(expr, np.array([[lo, hi]] * 3), metric=metric)
     raise UsageError(f"unknown domain spec {spec!r}")
 
 
@@ -115,7 +129,7 @@ def _jsonable(obj):
 def cmd_convexity(args):
     domain = _parse_domain(args.domain, args.metric)
     p = _parse_point(args.p)
-    ksum, kind, kappas = geo.m_convexity(domain, p, args.m)
+    ksum, kind, kappas = geo.m_convexity(domain, p, _check_m(args.m))
     return _emit(args, "convexity", kind == "strongly m-convex", {
         "curvature_sum": float(ksum),
         "classification": kind,
@@ -129,7 +143,7 @@ def _build(args, enforce):
     domain = _parse_domain(args.domain, args.metric)
     p = _parse_point(args.p)
     return domain, bar.build_barrier(
-        domain, p, args.m, eta=args.eta, h=args.h, seed=args.seed,
+        domain, p, _check_m(args.m), eta=args.eta, h=args.h, seed=args.seed,
         enforce_hypothesis=enforce, epsilon_override=args.epsilon,
     )
 
@@ -241,7 +255,7 @@ def cmd_scenario(args):
         h=args.h,
         domain=_parse_domain(args.domain, args.metric),
         p=_parse_point(args.p),
-        m=args.m,
+        m=_check_m(args.m),
         seed=args.seed,
         grid_resolution=args.grid,
     )

@@ -491,95 +491,122 @@ def metric_gradient(f, x, metric):
 
 
 @dataclass
-class PrincipalCurvatureList:
-    """Level-set principal curvatures, ascending, with directions and normal.
+class SigmaShape:
+    """Shape of a level surface {w = const} in R^3, in euclidean units.
 
-    ``values[..., i]`` ascending; ``directions[..., i, :]`` the matching
-    g-orthonormal principal directions; ``normal[..., :]`` the unit normal
-    (the normalized metric gradient of the level-set function).
+    ``nu`` is the unit normal grad w / |grad w|, ``kappa`` the principal
+    curvatures (ascending) with respect to it, ``Bt`` the second fundamental
+    form P (-Hess w / |grad w|) P as a 3 x 3 matrix, and ``sigma2`` the
+    Gauss curvature kappa_1 kappa_2.
     """
 
-    values: np.ndarray
-    directions: np.ndarray
-    normal: np.ndarray
+    nu: np.ndarray
+    kappa: np.ndarray
+    Bt: np.ndarray
+    sigma2: np.ndarray
 
 
-def _fix_signs(vecs):
-    """First nonzero component positive; vecs[..., i, :] are the vectors."""
-    comp = np.where(np.abs(vecs) > 1e-12, vecs, 0.0)
-    n = vecs.shape[-1]
-    first = np.zeros(vecs.shape[:-1])
-    picked = np.zeros(vecs.shape[:-1], dtype=bool)
-    for j in range(n):
-        take = (~picked) & (comp[..., j] != 0.0)
-        first = np.where(take, comp[..., j], first)
-        picked = picked | take
-    sign = np.where(first < 0.0, -1.0, 1.0)
-    return vecs * sign[..., None]
+# the entries (i, j), i <= j, that stand for a symmetric 3 x 3 matrix
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _entry(M, i, j):
+    return M[(i, j) if i <= j else (j, i)]
+
+
+def _quadratic(M, v):
+    """v^T M v for the symmetric M given by its ``_PAIRS`` entries; swapping
+    x1 and x2 only permutes addends."""
+    diag = (M[0, 0] * (v[0] * v[0]) + M[1, 1] * (v[1] * v[1])) + M[2, 2] * (v[2] * v[2])
+    return diag + 2.0 * (M[0, 1] * (v[0] * v[1])
+                         + (M[0, 2] * (v[0] * v[2]) + M[1, 2] * (v[1] * v[2])))
+
+
+def sigma_shape(g, H):
+    """Closed-form shape of the level surface of w in R^3 with gradient g and
+    Hessian H at the same points.
+
+    With H symmetrized, nu = g / |g|, P = I - nu nu^T and B_t = P (-H / |g|) P,
+    the principal curvatures have the invariants (R. Goldman, "Curvature
+    formulas for implicit curves and surfaces", CAGD 2005)
+
+        sigma_1 = kappa_1 + kappa_2 = (g^T H g - |g|^2 tr H) / |g|^3,
+        sigma_2 = kappa_1 kappa_2 = g^T adj(H) g / |g|^4,
+
+    and kappa_{1,2} = sigma_1 / 2 -+ sqrt(|B_t - (sigma_1 / 2) P|_F^2 / 2), a
+    discriminant that is a sum of squares and so stays accurate at umbilic
+    points.  No eigensolver runs.
+
+    Every sum is grouped so that swapping x1 and x2, or flipping the sign of
+    a coordinate, permutes addends or negates terms exactly: mirror-symmetric
+    inputs give bit-equal curvatures.
+    """
+    g = np.asarray(g, dtype=float)
+    H = np.asarray(H, dtype=float)
+    v = (g[..., 0], g[..., 1], g[..., 2])
+    a = {(i, j): 0.5 * (H[..., i, j] + H[..., j, i]) for i, j in _PAIRS}
+    n2 = (v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]
+    if np.any(n2 <= 1e-24):
+        raise VanishingGradientError("level-set function has vanishing gradient")
+    norm = np.sqrt(n2)
+    trace = (a[0, 0] + a[1, 1]) + a[2, 2]
+    adj = {(0, 0): a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2],
+           (1, 1): a[0, 0] * a[2, 2] - a[0, 2] * a[0, 2],
+           (2, 2): a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1],
+           (0, 1): a[0, 2] * a[1, 2] - a[0, 1] * a[2, 2],
+           (0, 2): a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1],
+           (1, 2): a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]}
+    sigma1 = (_quadratic(a, v) - n2 * trace) / (n2 * norm)
+    sigma2 = _quadratic(adj, v) / (n2 * n2)
+
+    nu = tuple(vi / norm for vi in v)
+    B = {ij: -a[ij] / norm for ij in _PAIRS}
+    Bnu = [(_entry(B, i, 0) * nu[0] + _entry(B, i, 1) * nu[1]) + _entry(B, i, 2) * nu[2]
+           for i in range(3)]
+    beta = _quadratic(B, nu)
+    half = 0.5 * sigma1
+    Bt, T2 = {}, {}  # B_t and the squared entries of B_t - (sigma_1 / 2) P
+    for i, j in _PAIRS:
+        nn = nu[i] * nu[j]
+        Bt[i, j] = (B[i, j] - (nu[i] * Bnu[j] + Bnu[i] * nu[j])) + beta * nn
+        t = Bt[i, j] - half * (1.0 - nn) if i == j else Bt[i, j] + half * nn
+        T2[i, j] = t * t
+    root = np.sqrt(0.5 * _quadratic(T2, (1.0, 1.0, 1.0)))
+    return SigmaShape(
+        nu=np.stack(nu, axis=-1),
+        kappa=np.stack([half - root, half + root], axis=-1),
+        Bt=np.stack([np.stack([_entry(Bt, i, j) for j in range(3)], axis=-1)
+                     for i in range(3)], axis=-2),
+        sigma2=sigma2,
+    )
 
 
 def levelset_shape(f, x, metric):
-    """Shape operator spectrum of the level set of f through each point.
+    """Principal curvatures of the level set of f through each point of R^3,
+    ascending, shape ``(..., 2)``, in metric units.
 
-    Returns a :class:`PrincipalCurvatureList` with respect to the unit normal
-    ``grad f / |grad f|_g``; for a boundary function that is positive inside,
-    that normal points inward and a convex domain has positive curvatures.
-    Under g = c^2 * euclidean the values, directions and normal are the
-    euclidean ones divided by c.
+    They are taken with respect to the unit normal grad f / |grad f|_g; for a
+    boundary function that is positive inside, that normal points inward and
+    a convex domain has positive curvatures.  With the covariant Hessian
+    Hc = Hess f - Gamma(df) and the Cholesky factor g = L L^T (L = c I under
+    g = c^2 * euclidean), the coordinates y = L^T x make g euclidean at the
+    point, so the curvatures are those of a euclidean level surface with
+    gradient L^-1 df and Hessian L^-1 Hc L^-T: ``sigma_shape``'s closed form
+    (Goldman 2005), with no eigensolver.
     """
+    if metric.n != 3:
+        raise GeometryError("level-set curvatures need a metric on R^3")
     x = np.asarray(x, dtype=float)
-    n = metric.n
-    metric.check_spd(x)
     df = f.gradient(x)
     H = f.hessian(x)
     c = metric.constant_factor()
     if c is not None:
-        L = None  # the euclidean computation, rescaled at the end
-        grad = df
-        Hc = H
-    else:
-        L = np.linalg.cholesky(metric.matrix(x))
-        gam = christoffel(metric, x)
-        Hc = H - np.einsum("...kij,...k->...ij", gam, df)
-        grad = metric_gradient(f, x, metric)
-    norm2 = np.einsum("...i,...i->...", df, grad)
-    if np.any(norm2 <= 1e-24):
-        raise VanishingGradientError("level-set function has vanishing gradient")
-    norm = np.sqrt(norm2)
-    nu = grad / norm[..., None]  # raised unit normal
-    nu_flat = df / norm[..., None]  # lowered unit normal (= g nu)
-    B = -Hc / norm[..., None, None]
-
-    # restrict the bilinear form to the tangent space of the level set
-    eye = np.eye(n)
-    Pi = eye - nu[..., :, None] * nu_flat[..., None, :]
-    Bt = np.einsum("...ai,...ab,...bj->...ij", Pi, B, Pi)
-
-    if L is None:
-        C = Bt
-        nu_hat = nu
-    else:
-        W = np.swapaxes(np.linalg.solve(L, Bt), -1, -2)  # B_t L^{-T}
-        C = np.linalg.solve(L, W)
-        nu_hat = np.einsum("...ji,...j->...i", L, nu)  # L^T nu, unit length
-
-    # deflate the normal direction with a sentinel eigenvalue
-    scale = 1.0 + 2.0 * np.max(np.sum(np.abs(C), axis=-1), axis=-1)
-    Cs = C + scale[..., None, None] * nu_hat[..., :, None] * nu_hat[..., None, :]
-    Cs = 0.5 * (Cs + np.swapaxes(Cs, -1, -2))
-    w, V = np.linalg.eigh(Cs)  # ascending
-    # drop the eigenvalue closest to the sentinel
-    idx = np.argmin(np.abs(w - scale[..., None]), axis=-1)
-    keep = np.broadcast_to(np.arange(n) != idx[..., None], w.shape)
-    vals = w[keep].reshape(w.shape[:-1] + (n - 1,))
-    vecs_hat = np.swapaxes(V, -1, -2)[keep].reshape(w.shape[:-1] + (n - 1, n))
-    if L is None:
-        return PrincipalCurvatureList(vals / c, _fix_signs(vecs_hat) / c, nu / c)
-    LT = np.swapaxes(L, -1, -2)
-    vecs = np.swapaxes(
-        np.linalg.solve(LT[..., None, :, :], vecs_hat[..., :, :, None]), -1, -2
-    )[..., 0, :]
-    return PrincipalCurvatureList(vals, _fix_signs(vecs), nu)
+        return sigma_shape(df, H).kappa / c
+    gam = christoffel(metric, x)  # raises MetricError where g is not SPD
+    Hc = H - np.einsum("...kij,...k->...ij", gam, df)
+    Li = np.linalg.inv(np.linalg.cholesky(metric.matrix(x)))
+    df_w = np.einsum("...ij,...j->...i", Li, df)
+    return sigma_shape(df_w, Li @ Hc @ np.swapaxes(Li, -1, -2)).kappa
 
 
 def top_m_eigensum(S, m):
@@ -681,8 +708,7 @@ def m_convexity(domain, p, m, strict_tol=1e-8):
             f"point {p.tolist()} is not on the boundary "
             f"(|u0| >= {domain.boundary_tolerance:.3e})"
         )
-    shape = levelset_shape(domain.u0, p, domain.metric)
-    kappas = shape.values
+    kappas = levelset_shape(domain.u0, p, domain.metric)
     total = float(np.sum(kappas[..., :m], axis=-1))
     if total > strict_tol:
         cls = "strongly m-convex"

@@ -264,8 +264,8 @@ def _check_u_properties(bundle, samples=4000, seed=0):
     ok = np.all((bnd >= lo) & (bnd <= hi), axis=-1)
     bnd = bnd[ok & (w.value(np.where(ok[:, None], bnd, p)) <= 10 * level)]
     if len(bnd):
-        shp = geo.levelset_shape(domain.u0, bnd, domain.metric)
-        sums = np.sum(shp.values[:, : bundle.m], axis=-1)
+        kappas = geo.levelset_shape(domain.u0, bnd, domain.metric)
+        sums = np.sum(kappas[:, : bundle.m], axis=-1)
         prop_iii = bool(np.min(sums) > bundle.eta)
         iii_margin = float(np.min(sums) - bundle.eta)
     else:

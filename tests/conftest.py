@@ -1,4 +1,6 @@
 """Shared fixtures: the expensive barrier bundles are built once per session."""
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -106,12 +108,51 @@ class DistanceToSigmaField(geo.ScalarField):
         return self._tube(x).hess_u
 
 
+class LevelsetEigh(NamedTuple):
+    values: np.ndarray      # (..., 2) principal curvatures, ascending
+    directions: np.ndarray  # (..., 2, 3) matching g-orthonormal directions
+    normal: np.ndarray      # (..., 3) the g-unit normal grad f / |grad f|_g
+
+
+def _levelset_eigh(f, x, metric):
+    """Level-set curvatures, directions and normal in R^3 from a 3 x 3 eigh.
+
+    With g = L L^T and the covariant Hessian Hc, the shape operator in the
+    coordinates L^T x is the euclidean one of gradient g_w = L^-1 df and
+    Hessian H_w = L^-1 Hc L^-T, P (-H_w / |g_w|) P on the tangent plane.
+    Adding a sentinel larger than every curvature along the normal leaves
+    the two curvatures as the smallest eigenvalues.
+    """
+    x = np.asarray(x, dtype=float)
+    df = f.gradient(x)
+    Hc = f.hessian(x) - np.einsum("...kij,...k->...ij", geo.christoffel(metric, x), df)
+    Li = np.linalg.inv(np.linalg.cholesky(metric.matrix(x)))
+    LiT = np.swapaxes(Li, -1, -2)
+    g_w = np.einsum("...ij,...j->...i", Li, df)
+    norm = np.linalg.norm(g_w, axis=-1)
+    nu = g_w / norm[..., None]
+    P = np.eye(3) - nu[..., :, None] * nu[..., None, :]
+    C = P @ (-(Li @ Hc @ LiT) / norm[..., None, None]) @ P
+    sentinel = 1.0 + 2.0 * np.max(np.sum(np.abs(C), axis=-1), axis=-1)
+    C = C + sentinel[..., None, None] * nu[..., :, None] * nu[..., None, :]
+    w, V = np.linalg.eigh(0.5 * (C + np.swapaxes(C, -1, -2)))
+    return LevelsetEigh(w[..., :2], np.swapaxes(LiT @ V[..., :, :2], -1, -2),
+                        np.einsum("...ij,...j->...i", LiT, nu))
+
+
+@pytest.fixture(scope="session")
+def levelset_eigh():
+    """``(f, x, metric) -> LevelsetEigh``, the eigensolver oracle of
+    ``geo.levelset_shape`` and of the closed-form kernel ``sigma_shape``."""
+    return _levelset_eigh
+
+
 def _adapted_frame_Q(bundle, q):
     """Matrix of Q in the g-orthonormal basis (e_1, e_2, nu) at tube points q.
 
     Diagonal with entries (-phi(u) k_1, -phi(u) k_2, phi'(u)) up to numerical
     error.  The level set of u through q shares Sigma's principal directions
-    at the foot, so e_1, e_2 are ``levelset_shape``'s eigenvectors there.
+    at the foot, so e_1, e_2 are the eigensolver's directions there.
     """
     q = np.asarray(q, dtype=float)
     b = bundle
@@ -121,7 +162,7 @@ def _adapted_frame_Q(bundle, q):
     # the covariant gradient of X is its jacobian phi S under g = c^2 * euclidean
     _, phi, _, S = b.field().from_tube(data)
     Qc = geo.lower_index(phi[..., None, None] * S, q, b.domain.metric)
-    shp = geo.levelset_shape(b.sigma.w, data.foot, geo.EuclideanMetric(3))
+    shp = _levelset_eigh(b.sigma.w, data.foot, geo.EuclideanMetric(3))
     frame = np.concatenate([shp.directions / b.sigma.c, data.nu[..., None, :]], axis=-2)
     return np.einsum("...ai,...ij,...bj->...ab", frame, Qc, frame)
 

@@ -106,6 +106,40 @@ class TestBarrier:
             assert len([float(v) for v in row.split(",")]) == 4
 
 
+_BALL = ("--domain", "ball:1", "--p", "0,0,1")
+
+
+class TestInputErrors:
+    """Out-of-range --m and malformed domain specs exit 1 with ``error:``."""
+
+    @pytest.mark.parametrize("argv", [
+        ("barrier-verify", *_BALL, "--m", "0"),
+        ("barrier-verify", *_BALL, "--m", "4"),
+        ("convexity", *_BALL, "--m", "5"),
+        ("barrier-build", *_BALL, "--m", "3"),
+        ("scenario", "--name", "theorem1", "--m", "3"),
+        ("convexity", "--domain", "ball:abc", "--p", "0,0,1", "--m", "2"),
+        ("convexity", "--domain", "ball:-1", "--p", "0,0,1", "--m", "2"),
+        ("convexity", "--domain", "cylinder:1,2", "--p", "1,0,0", "--m", "2"),
+        ("convexity", "--domain", "levelset:1-x1^2@1", "--p", "1,0,0", "--m", "2"),
+        ("convexity", "--domain", "levelset:1-x1^2@2,-2", "--p", "1,0,0", "--m", "2"),
+    ], ids=["verify_m0", "verify_m4", "convexity_m5", "build_m3", "scenario_m3",
+            "ball_abc", "ball_negative", "cylinder_two_radii", "levelset_one_bound",
+            "levelset_reversed_chart"])
+    def test_usage_error(self, capsys, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_grid_without_live_points_fails(self, capsys):
+        # grid 2 checks the chart's corners only, none of them in the tube
+        code, doc, _ = run(capsys, "barrier-verify", *_BALL, "--m", "2", "--grid", "2")
+        assert code == cli.EXIT_ASSERTION
+        assert doc["report"]["n_tube"] == 0 and not doc["passed"]
+
+
 class TestFirstVariation:
     def test_disk_position_field(self, capsys, disk_path):
         code, doc, _ = run(capsys, "first-variation", "--mesh", disk_path,

@@ -32,66 +32,123 @@ class TestChristoffel:
         assert np.max(np.abs(gam)) == 0.0
 
 
+def _shell(rng, count, r_lo, r_hi):
+    """Points with uniformly random directions and norms in [r_lo, r_hi]."""
+    d = rng.normal(size=(count, 3))
+    return rng.uniform(r_lo, r_hi, (count, 1)) * d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
+def _torus_points(rng, count):
+    """Points at distance 0.2 to 0.5 from the core circle of the torus below."""
+    theta, psi = rng.uniform(0.0, 2.0 * np.pi, (2, count))
+    s = rng.uniform(0.2, 0.5, count)
+    rho = 1.0 + s * np.cos(psi)
+    return np.stack([rho * np.cos(theta), rho * np.sin(theta), s * np.sin(psi)], axis=-1)
+
+
+def _cylinder_points(rng, count):
+    """Points at distance 0.3 to 1.2 from the x3 axis, |x3| <= 1."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, count)
+    rho = rng.uniform(0.3, 1.2, count)
+    return np.stack([rho * np.cos(theta), rho * np.sin(theta),
+                     rng.uniform(-1.0, 1.0, count)], axis=-1)
+
+
+# (level-set function, metric, point sampler); all but the first metric have
+# no constant factor, so the Christoffel term and the two-sided whitening
+# both enter the curvatures
+_METRIC_CASES = {
+    "ellipsoid_c_half": ("1 - x1^2/4 - x2^2 - x3^2/2", geo.metric_conformal("0 - log(2)"),
+                         lambda rng, count: _shell(rng, count, 0.5, 1.2)),
+    "torus_conformal_0.1x1": ("0.25 - (sqrt(x1^2 + x2^2) - 1)^2 - x3^2",
+                              geo.metric_conformal("0.1*x1"), _torus_points),
+    "ellipsoid_matrix": ("1 - x1^2/4 - x2^2 - x3^2/2",
+                         geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3",
+                                            "0.3*x1*x3", "1.5"]),
+                         lambda rng, count: _shell(rng, count, 0.5, 1.2)),
+    "cylinder_conformal_sin": ("1 - x1^2 - x2^2", geo.metric_conformal("sin(x1)*x2"),
+                               _cylinder_points),
+}
+
+
 class TestLevelsetShape:
     def test_unit_ball_curvatures(self, ball_domain):
         p = np.array([0.0, 0.0, 1.0])
-        shp = geo.levelset_shape(ball_domain.u0, p, ball_domain.metric)
-        np.testing.assert_allclose(shp.values, [1.0, 1.0], atol=1e-10)
+        kappa = geo.levelset_shape(ball_domain.u0, p, ball_domain.metric)
+        np.testing.assert_allclose(kappa, [1.0, 1.0], atol=1e-10)
 
     def test_halfspace_flat(self):
         dom = geo.domain_halfspace()
-        shp = geo.levelset_shape(dom.u0, np.array([0.2, -0.1, 0.0]), dom.metric)
-        np.testing.assert_allclose(shp.values, [0.0, 0.0], atol=1e-12)
+        kappa = geo.levelset_shape(dom.u0, np.array([0.2, -0.1, 0.0]), dom.metric)
+        np.testing.assert_allclose(kappa, [0.0, 0.0], atol=1e-12)
 
     def test_cylinder_pair(self):
         dom = geo.domain_cylinder()
-        shp = geo.levelset_shape(dom.u0, np.array([1.0, 0.0, 0.3]), dom.metric)
-        np.testing.assert_allclose(shp.values, [0.0, 1.0], atol=1e-10)
+        kappa = geo.levelset_shape(dom.u0, np.array([1.0, 0.0, 0.3]), dom.metric)
+        np.testing.assert_allclose(kappa, [0.0, 1.0], atol=1e-10)
 
     def test_inner_level_sets_of_ball(self, ball_domain):
         # level {u0 = 0.5} is the radius-1/2 sphere: curvatures (2, 2)
-        shp = geo.levelset_shape(ball_domain.u0, np.array([0.0, 0.5, 0.0]),
-                                 ball_domain.metric)
-        np.testing.assert_allclose(shp.values, [2.0, 2.0], atol=1e-10)
+        kappa = geo.levelset_shape(ball_domain.u0, np.array([0.0, 0.5, 0.0]),
+                                   ball_domain.metric)
+        np.testing.assert_allclose(kappa, [2.0, 2.0], atol=1e-10)
 
     def test_batched_evaluation(self, ball_domain):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(50, 3))
         pts = 0.5 * pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        shp = geo.levelset_shape(ball_domain.u0, pts, ball_domain.metric)
-        np.testing.assert_allclose(shp.values, 2.0, atol=1e-8)
+        kappa = geo.levelset_shape(ball_domain.u0, pts, ball_domain.metric)
+        np.testing.assert_allclose(kappa, 2.0, atol=1e-8)
 
     def test_conformal_scaling(self, scaled_ball_domain):
         # constant factor c = 1/2: metric curvature = euclidean / c
         p = np.array([0.0, 0.0, 1.0])
-        shp = geo.levelset_shape(scaled_ball_domain.u0, p, scaled_ball_domain.metric)
-        np.testing.assert_allclose(shp.values, [2.0, 2.0], atol=1e-8)
+        kappa = geo.levelset_shape(scaled_ball_domain.u0, p, scaled_ball_domain.metric)
+        np.testing.assert_allclose(kappa, [2.0, 2.0], atol=1e-8)
 
     @pytest.mark.parametrize("f", ["0", "0 - log(2)", "0.1"],
                              ids=["c_1", "c_half", "c_e0.1"])
     def test_constant_factor_rescales_euclidean(self, f):
-        # under g = c^2 delta: curvatures, g-orthonormal directions and the
-        # g-unit normal are the euclidean ones divided by c
+        # under g = c^2 delta the curvatures are the euclidean ones divided by c
         metric = geo.metric_conformal(f)
         c = metric.constant_factor()
         u0 = geo.ExprScalarField("1 - x1^2/4 - x2^2 - x3^2/2", 3)
         pts = np.random.default_rng(4).uniform(-0.5, 0.5, size=(40, 3))
-        shp = geo.levelset_shape(u0, pts, metric)
+        kappa = geo.levelset_shape(u0, pts, metric)
         ref = geo.levelset_shape(u0, pts, geo.metric_euclidean(3))
-        for got, want in ((shp.values, ref.values), (shp.directions, ref.directions),
-                          (shp.normal, ref.normal)):
-            np.testing.assert_allclose(c * got, want, rtol=0, atol=1e-12)
-
-    def test_normal_is_unit(self, ball_domain):
-        p = np.array([0.0, 0.6, 0.0])
-        shp = geo.levelset_shape(ball_domain.u0, p, ball_domain.metric)
-        assert np.linalg.norm(shp.normal) == pytest.approx(1.0)
-        np.testing.assert_allclose(shp.normal, [0.0, -1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(c * kappa, ref, rtol=0, atol=1e-12)
 
     def test_vanishing_gradient_raises(self):
         f = geo.ExprScalarField("x1^2 + x2^2 + x3^2", 3)
         with pytest.raises(geo.VanishingGradientError):
             geo.levelset_shape(f, np.zeros(3), geo.metric_euclidean(3))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_outside_r3_refused(self, n):
+        dom = geo.domain_ball(1.0, n=n)
+        with pytest.raises(geo.GeometryError, match="R\\^3"):
+            geo.levelset_shape(dom.u0, np.eye(n)[-1], dom.metric)
+
+    @pytest.mark.parametrize("name", list(_METRIC_CASES))
+    def test_matches_eigh_oracle(self, name, levelset_eigh):
+        expr, metric, points = _METRIC_CASES[name]
+        f = geo.ExprScalarField(expr, 3)
+        pts = points(np.random.default_rng(5), 1000)
+        kappa = geo.levelset_shape(f, pts, metric)
+        ref = levelset_eigh(f, pts, metric).values
+        assert np.all(np.abs(kappa - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_conformal_change_of_spheres(self):
+        # under g = e^{2 phi} delta a hypersurface with euclidean unit normal N
+        # has the curvatures e^{-phi} (kappa - d_N phi); the level set of
+        # 1 - |x| through x is the sphere of radius r = |x| with N = -x / r
+        phi = geo.ExprScalarField("0.1*x1 + 0.2*sin(x2)*x3", 3)
+        metric = geo.metric_conformal(phi.expr)
+        pts = _shell(np.random.default_rng(6), 500, 0.3, 1.2)
+        r = np.linalg.norm(pts, axis=-1)
+        want = np.exp(-phi.value(pts)) * (1.0 + np.sum(pts * phi.gradient(pts), axis=-1)) / r
+        kappa = geo.levelset_shape(geo.domain_ball(1.0).u0, pts, metric)
+        assert np.all(np.abs(kappa - want[:, None]) <= 1e-12 * (1.0 + np.abs(want[:, None])))
 
 
 class TestTopMEigensum:
