@@ -11,14 +11,13 @@ from mconvex import harness as hz
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="write all reports to one JSON file")
     args = ap.parse_args()
 
     reports = {}
     failures = 0
     for name in hz.SCENARIO_H:
-        report = hz.run_scenario(name, seed=args.seed)
+        report = hz.run_scenario(name)
         reports[name] = report
         print(f"{name}: {report['status']}")
         failures += report["status"] != "passed"

@@ -288,7 +288,7 @@ TUBE_SAMPLES = 2000  # random chart points projected by tube_curvatures
 TUBE_CHUNK = 32      # points in the first chunk tube_curvatures evaluates
 
 
-def tube_curvatures(sigma, chart, face_gap, rejects, seed=0):
+def tube_curvatures(sigma, chart, face_gap, rejects):
     """Sample level-set curvature lists over the prospective tube in a chart.
 
     Feet are obtained by projecting random chart points onto Sigma; each foot
@@ -296,6 +296,10 @@ def tube_curvatures(sigma, chart, face_gap, rejects, seed=0):
     euclidean distance from p to the chart faces (the largest value epsilon
     can later take).  Returns the sampled ascending curvature lists in metric
     units.
+
+    The draw is fixed (generator seed 0), so a chart always gets the same
+    sample and a certificate depends on its inputs alone.  The sample gives
+    an estimate of the curvature bound K, not a bound.
 
     The sample is evaluated in order, in chunks of doubling size (32, 64,
     ...), each chunk drawing its offsets from the one generator in turn, so
@@ -307,7 +311,7 @@ def tube_curvatures(sigma, chart, face_gap, rejects, seed=0):
     returned as it would the whole sample.  "No feet" is raised only once
     the whole sample has none.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     p = sigma.p
     lo, hi = chart[:, 0], chart[:, 1]
     n = len(lo)
@@ -335,16 +339,7 @@ def tube_curvatures(sigma, chart, face_gap, rejects, seed=0):
     return np.concatenate(kept)
 
 
-def build_barrier(
-    domain,
-    p,
-    m,
-    eta=None,
-    h=0.0,
-    seed=0,
-    enforce_hypothesis=True,
-    epsilon_override=None,
-):
+def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     """Construct the full barrier bundle at a boundary point p.
 
     ``eta`` defaults to the midpoint of (h, kappa_1 + ... + kappa_m at p).
@@ -386,7 +381,7 @@ def build_barrier(
             [np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1
         )
         face_gap = float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
-        k_samples = tube_curvatures(sigma, chart, face_gap, rejects, seed)
+        k_samples = tube_curvatures(sigma, chart, face_gap, rejects)
         if not rejects(k_samples):
             break
         w *= 0.7
@@ -402,10 +397,6 @@ def build_barrier(
     eps = min(K ** -0.5, 0.5 * sigma.c * face_gap)
     if eps <= 0:
         raise GeometryError("no positive epsilon fits the chart")
-    if epsilon_override is not None:
-        if not 0 < epsilon_override <= eps:
-            raise ValueError("epsilon override must lie in (0, selected epsilon]")
-        eps = float(epsilon_override)
     return BarrierBundle(
         domain=domain,
         p=p,

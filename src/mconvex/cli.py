@@ -143,9 +143,7 @@ def _build(args, enforce):
     domain = _parse_domain(args.domain, args.metric)
     p = _parse_point(args.p)
     return domain, bar.build_barrier(
-        domain, p, _check_m(args.m), eta=args.eta, h=args.h, seed=args.seed,
-        enforce_hypothesis=enforce, epsilon_override=args.epsilon,
-    )
+        domain, p, _check_m(args.m), eta=args.eta, h=args.h, enforce_hypothesis=enforce)
 
 
 def cmd_barrier_build(args):
@@ -256,7 +254,6 @@ def cmd_scenario(args):
         domain=_parse_domain(args.domain, args.metric),
         p=_parse_point(args.p),
         m=_check_m(args.m),
-        seed=args.seed,
         grid_resolution=args.grid,
     )
     return _emit(args, f"scenario:{args.name}", report.get("status") == "passed", report)
@@ -265,15 +262,18 @@ def cmd_scenario(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, metric=True, seed=False):
-    """--no-timestamp, and --metric / --seed where the subcommand reads them."""
+def _add_common(sp, metric=True):
+    """--no-timestamp, and --metric where the subcommand reads it."""
     if metric:
         sp.add_argument("--metric", default=None,
                         help="euclidean | conformal:EXPR | matrix:g11;g12;g13;g22;g23;g33")
     sp.add_argument("--no-timestamp", action="store_true",
                     help="omit the timestamp for byte-identical reruns")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
+
+
+def _accept_ignored_seed(sp):
+    """--seed, for callers that still pass it; no report depends on a seed."""
+    sp.add_argument("--seed", type=int, default=0, help="accepted and ignored")
 
 
 def _add_barrier_args(sp):
@@ -282,8 +282,6 @@ def _add_barrier_args(sp):
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--eta", type=float, default=None)
     sp.add_argument("--h", type=float, default=0.0)
-    sp.add_argument("--epsilon", type=float, default=None,
-                    help="override (must not exceed the selected value)")
 
 
 def build_parser():
@@ -303,7 +301,7 @@ def build_parser():
 
     sp = sub.add_parser("barrier-build", help="construct the barrier bundle")
     _add_barrier_args(sp)
-    _add_common(sp, seed=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_barrier_build)
 
     sp = sub.add_parser("barrier-verify", help="verify the barrier inequality on a grid")
@@ -313,7 +311,8 @@ def build_parser():
     sp.add_argument("--out", default=None, help="CSV of per-point margins")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker threads, at least 1 (default: cpu count)")
-    _add_common(sp, seed=True)
+    _add_common(sp)
+    _accept_ignored_seed(sp)
     sp.set_defaults(func=cmd_barrier_verify)
 
     sp = sub.add_parser("first-variation", help="delta V(X) of a mesh varifold")
@@ -333,8 +332,7 @@ def build_parser():
     sp.add_argument("--out-mesh", default=None)
     sp.add_argument("--out", default=None, help="convergence CSV")
     _add_common(sp)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="accepted and ignored: the report is deterministic")
+    _accept_ignored_seed(sp)
     sp.set_defaults(func=cmd_minimize)
 
     sp = sub.add_parser("decompose", help="boundary + interior split of an integral varifold")
@@ -353,7 +351,8 @@ def build_parser():
     sp.add_argument("--h", type=float, default=None, help="mean-curvature bound (default: "
                     + ", ".join(f"{k} {v:g}" for k, v in hz.SCENARIO_H.items()) + ")")
     sp.add_argument("--grid", type=int, default=40)
-    _add_common(sp, seed=True)
+    _add_common(sp)
+    _accept_ignored_seed(sp)
     sp.set_defaults(func=cmd_scenario)
 
     return ap

@@ -238,40 +238,6 @@ class ExprVectorField(VectorField):
         return np.stack(rows, axis=-2)
 
 
-class ConstantVectorField(VectorField):
-    def __init__(self, v):
-        self.v = np.asarray(v, dtype=float)
-        self.n = self.v.shape[0]
-
-    def value(self, x):
-        x = np.asarray(x)
-        return np.broadcast_to(self.v, x.shape).copy()
-
-    def jacobian(self, x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (self.n, self.n))
-
-
-class LinearVectorField(VectorField):
-    """X(x) = A x + b; covers the position field and rigid rotations."""
-
-    def __init__(self, A, b=None):
-        self.A = np.asarray(A, dtype=float)
-        self.n = self.A.shape[0]
-        self.b = np.zeros(self.n) if b is None else np.asarray(b, dtype=float)
-
-    def value(self, x):
-        return np.asarray(x) @ self.A.T + self.b
-
-    def jacobian(self, x):
-        x = np.asarray(x)
-        return np.broadcast_to(self.A, x.shape[:-1] + (self.n, self.n)).copy()
-
-
-def position_field(n=3):
-    return LinearVectorField(np.eye(n))
-
-
 # --------------------------------------------------------------------------
 # metrics
 
@@ -481,15 +447,6 @@ def bilinear_form_Q(X, x, metric):
     return lower_index(covariant_gradient(X, x, metric), x, metric)
 
 
-def metric_gradient(f, x, metric):
-    """Raise the differential of f: grad^i = g^{ij} d_j f."""
-    df = f.gradient(x)
-    c = metric.constant_factor()
-    if c is not None:
-        return df / (c * c)
-    return np.einsum("...ij,...j->...i", metric.inverse(x), df)
-
-
 @dataclass
 class SigmaShape:
     """Shape of a level surface {w = const} in R^3, in euclidean units.
@@ -662,14 +619,6 @@ class Domain:
     def on_boundary(self, p):
         return np.abs(self.u0.value(p)) < self.boundary_tolerance
 
-    def inward_normal(self, x):
-        """nu_N: the g-unit inward normal, valid on (a neighborhood of) dN."""
-        grad = metric_gradient(self.u0, x, self.metric)
-        nrm = self.metric.norm(x, grad)
-        if np.any(nrm < 1e-12):
-            raise VanishingGradientError("u0 gradient vanishes at a boundary sample")
-        return grad / nrm[..., None]
-
 
 def newton_level_project(f, x, level=0.0, tol=1e-12, max_iter=50):
     """Project points onto {f = level} by damped Newton along grad f.
@@ -700,9 +649,13 @@ def m_convexity(domain, p, m, strict_tol=1e-8):
     """Sum of the m smallest boundary principal curvatures at p, classified.
 
     Returns ``(kappa_sum, classification, curvatures)`` where classification
-    is one of "strongly m-convex", "m-convex", "neither".
+    is one of "strongly m-convex", "m-convex", "neither".  m must count
+    boundary curvatures: 1 <= m <= n - 1.
     """
     p = np.asarray(p, dtype=float)
+    n = p.shape[-1]
+    if not 1 <= m <= n - 1:
+        raise GeometryError(f"m must lie in [1, {n - 1}] in R^{n}, got {m}")
     if not np.all(domain.on_boundary(p)):
         raise BoundaryError(
             f"point {p.tolist()} is not on the boundary "

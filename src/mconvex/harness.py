@@ -57,13 +57,12 @@ def hausdorff_distance(A, B):
 @dataclass
 class ScenarioConfig:
     """Shared scenario knobs; the comment on each field names the scenarios
-    that read it.  Every report records seed, grid_resolution, m, h and p."""
+    that read it.  Every report records grid_resolution, m, h and p."""
 
     domain: Optional[geo.Domain] = None  # all scenarios; default the unit ball
     p: np.ndarray = dc_field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))  # theorem1/3/5/6
     m: int = 2  # theorem1/3/5/6 (theorem4 uses n - 1)
     h: float = 0.0  # theorem5/6; theorem1/3/4 raise ScenarioError unless h = 0
-    seed: int = 0  # all: barrier curvature samples; theorem3 also u and metric samples
     grid_resolution: int = 40  # theorem1: barrier verification grid
     mesh: Optional[vf.SimplicialSurface] = None  # minimized by theorem1/3, checked by theorem5/6
     family_range: tuple = (0, 10)  # theorem3/6: indices i of metric_family, at most 40
@@ -83,7 +82,6 @@ def run_scenario(name, h=None, **fields):
 
 def _provenance(cfg, bundle=None):
     out = {
-        "seed": int(cfg.seed),
         "grid_resolution": int(cfg.grid_resolution),
         "m": int(cfg.m),
         "h": float(cfg.h),
@@ -164,7 +162,7 @@ def scenario_theorem1(cfg=None):
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
     if kind != "strongly m-convex":
         return _refusal(cfg, f"point is {kind} (curvature sum {ksum:.6g})")
-    bundle = bar.build_barrier(domain, p, cfg.m, seed=cfg.seed)
+    bundle = bar.build_barrier(domain, p, cfg.m)
     verify = bar.verify_barrier(bundle, grid_resolution=cfg.grid_resolution)
     if not verify.passed:
         raise ScenarioError("barrier verification failed on a convex configuration")
@@ -224,7 +222,7 @@ def _family_sweep(cfg, base, h, check):
         if geo.m_convexity(dom_i, p, cfg.m)[0] <= h:
             runs.append({"i": i, "ok": False, "reason": "curvature sum below h"})
             continue
-        bundle_i = bar.build_barrier(dom_i, p, cfg.m, h=h, seed=cfg.seed)
+        bundle_i = bar.build_barrier(dom_i, p, cfg.m, h=h)
         run = {"i": i, **check(bundle_i)}
         if run["ok"] and i0 is None:
             i0 = i
@@ -233,20 +231,21 @@ def _family_sweep(cfg, base, h, check):
     return runs, i0, tail_ok
 
 
-def _check_u_properties(bundle, samples=4000, seed=0):
-    """Sampled checks of the auxiliary-function properties.
+def _check_u_properties(bundle):
+    """Sampled checks of the auxiliary-function properties, on a fixed draw
+    of 4000 chart points.
 
     (i) u(p) = 0 and u > 0 elsewhere on N; (ii) {u <= eps} is compact
     (closed + bounded inside the chart box); (iii) boundary curvature sums
     exceed eta on the sublevel set; (iv) tube curvature sums exceed eta on
     the tube sample the construction drew.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     domain = bundle.domain
     w = bundle.sigma.w
     p = bundle.p
     lo, hi = bundle.chart[:, 0], bundle.chart[:, 1]
-    pts = lo + (hi - lo) * rng.random((samples, len(lo)))
+    pts = lo + (hi - lo) * rng.random((4000, len(lo)))
     pts = pts[np.asarray(domain.contains(pts), dtype=bool)]
     vals = w.value(pts)
     off_p = np.linalg.norm(pts - p, axis=-1) > 1e-6
@@ -292,8 +291,8 @@ def scenario_theorem3(cfg=None):
     _, kind, _ = geo.m_convexity(base, p, cfg.m)
     if kind != "strongly m-convex":
         return _refusal(cfg, f"limit metric: point is {kind}")
-    limit_bundle = bar.build_barrier(base, p, cfg.m, seed=cfg.seed)
-    limit_props = _check_u_properties(limit_bundle, seed=cfg.seed)
+    limit_bundle = bar.build_barrier(base, p, cfg.m)
+    limit_props = _check_u_properties(limit_bundle)
     if not limit_props["all"]:
         raise ScenarioError(
             f"auxiliary-function properties fail under the limit metric: {limit_props}"
@@ -302,7 +301,7 @@ def scenario_theorem3(cfg=None):
     limit_support = vf.support_points(limit_mesh)
 
     def check(bundle_i):
-        props = _check_u_properties(bundle_i, seed=cfg.seed)
+        props = _check_u_properties(bundle_i)
         mesh_i, rep_i, exclusion = _minimize_and_exclude(cfg, bundle_i)
         return {
             "ok": bool(props["all"] and rep_i.converged
@@ -367,7 +366,7 @@ def scenario_theorem4(cfg=None):
         q = geo.newton_level_project(domain.u0, support[touch])
         ksum, kind, _ = geo.m_convexity(domain, q, m)
         if kind == "strongly m-convex":
-            bundle = bar.build_barrier(domain, q, m, seed=cfg.seed)
+            bundle = bar.build_barrier(domain, q, m)
             # distance measured on the mesh support itself: the contact
             # vertex lies on dN, so any positive epsilon is a contradiction
             dist = vf.support_distance(support, q, domain.metric)
@@ -409,7 +408,7 @@ def scenario_theorem5(cfg=None):
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
     if ksum <= cfg.h:
         return _refusal(cfg, f"curvature sum {ksum:.6g} <= h = {cfg.h:.6g}")
-    bundle = bar.build_barrier(domain, p, cfg.m, h=cfg.h, seed=cfg.seed)
+    bundle = bar.build_barrier(domain, p, cfg.m, h=cfg.h)
     if not (cfg.h < bundle.eta < ksum):
         raise ScenarioError("eta landed outside (h, curvature sum)")
     mesh = _cap_mesh(cfg)

@@ -73,21 +73,6 @@ def bulged_disk_mesh(rings=6, segments=48, amplitude=0.05):
     return disk.with_vertices(verts)
 
 
-def square_mesh(side=1.0, center=(0.5, 0.5, 0.0), divisions=1, multiplicity=1.0):
-    """Axis-aligned square in the plane z = center_z."""
-    cx, cy, cz = np.asarray(center, dtype=float)
-    s = np.linspace(-0.5 * side, 0.5 * side, divisions + 1)
-    verts = [(cx + x, cy + y, cz) for y in s for x in s]
-    k = divisions + 1
-    tris = []
-    for j in range(divisions):
-        for i in range(divisions):
-            v = j * k + i
-            tris.append((v, v + 1, v + k + 1))
-            tris.append((v, v + k + 1, v + k))
-    return _surface(verts, tris, multiplicity * np.ones(len(tris)))
-
-
 def icosphere_mesh(radius=1.0, center=(0.0, 0.0, 0.0), subdivisions=3, multiplicity=1.0):
     """Geodesic sphere from a subdivided icosahedron (5120 faces at level 4)."""
     t = (1.0 + np.sqrt(5.0)) / 2.0
@@ -167,13 +152,3 @@ def cylinder_mesh(radius=1.0, z_range=(-0.5, 0.5), rings=16, segments=96, multip
         ], axis=-1))
     tris = _ring_strips(0, rings, segments)
     return _surface(verts, tris, multiplicity * np.ones(len(tris)))
-
-
-def chord_polyline(a, b, segments=32, multiplicity=1.0):
-    """Straight polyline from a to b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = np.linspace(0.0, 1.0, segments + 1)[:, None]
-    verts = (1 - t) * a + t * b
-    segs = [(j, j + 1) for j in range(segments)]
-    return _surface(verts, segs, multiplicity * np.ones(len(segs)))

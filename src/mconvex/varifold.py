@@ -10,7 +10,6 @@ mean curvature, and the boundary decomposition of integral varifolds.
 """
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -186,16 +185,6 @@ def write_svmesh(mesh, stream):
         stream.write(" ".join(repr(float(c)) for c in v) + "\n")
     for s, mu in zip(mesh.simplices, mesh.multiplicity):
         stream.write(" ".join(str(int(i)) for i in s) + f" {float(mu)!r}\n")
-
-
-def svmesh_dumps(mesh):
-    buf = io.StringIO()
-    write_svmesh(mesh, buf)
-    return buf.getvalue()
-
-
-def svmesh_loads(text):
-    return read_svmesh(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +470,6 @@ def weight_integral(V, f):
     """Integral of a scalar function against the weight measure."""
     vals = np.asarray(f(V.points), dtype=float)
     return float(np.sum(V.weights * vals))
-
-
-def field_magnitude(X, metric=None):
-    """|X|_g as a callable on point batches, for weight_integral."""
-    metric = metric or geo.metric_euclidean(X.n)
-    return lambda pts: metric.norm(pts, X.value(pts))
 
 
 def check_bounded_mc(V, X, h, metric=None, tolerance=None):

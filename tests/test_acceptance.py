@@ -14,6 +14,8 @@ from mconvex import harness as hz
 from mconvex import meshes
 from mconvex import varifold as vf
 
+from testkit import field_magnitude, position_field, square_mesh
+
 
 def _random_tube_mesh(bundle, rng, patch_scale=0.25, rings=3, segments=12):
     """Small random disk inside the tube of a barrier bundle.
@@ -125,7 +127,7 @@ def test_criterion_4_first_variation_oracle(ball_bundle, tube_mesh_battery,
         worst_C = max(worst_C, max(C))
         stable &= max(C) <= 10.0 * min(C) + 1e-6
     V = vf.varifold_from_mesh(unit_disk_mesh)
-    disk_dv = vf.first_variation(V, geo.position_field(3))
+    disk_dv = vf.first_variation(V, position_field(3))
     disk_ok = abs(disk_dv - 2 * np.pi) <= 1e-3
     ok = stable and disk_ok
     _report(capsys, 4, ok,
@@ -141,7 +143,7 @@ def test_criterion_5_integral_inequality(ball_bundle, tube_mesh_battery, capsys)
     for mesh in tube_mesh_battery:
         V = vf.varifold_from_mesh(mesh, order=4)
         dv = vf.first_variation(V, X)
-        mass = vf.weight_integral(V, vf.field_magnitude(X))
+        mass = vf.weight_integral(V, field_magnitude(X))
         worst = max(worst, (dv + eta * mass) / V.total_weight)
     ok = worst <= 1e-6
     _report(capsys, 5, ok,
@@ -210,7 +212,7 @@ def test_criterion_9_decomposition(capsys):
     exact = (d == 3 and np.all(W.multiplicity == 3.0)
              and len(W.simplices) == len(bnd.simplices)
              and len(Wp.simplices) == len(disk.simplices))
-    planes = [meshes.square_mesh(side=0.5, center=(0, 0, 2.0 ** -i),
+    planes = [square_mesh(side=0.5, center=(0, 0, 2.0 ** -i),
                                  multiplicity=2.0 ** -i) for i in range(1, 11)]
     offs = np.cumsum([0] + [len(m.vertices) for m in planes[:-1]])
     stack = vf.SimplicialSurface(

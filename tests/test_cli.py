@@ -15,6 +15,8 @@ from mconvex import harness as hz
 from mconvex import meshes
 from mconvex import varifold as vf
 
+from testkit import square_mesh
+
 
 _SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report_schema.json").read_text())
@@ -92,6 +94,16 @@ class TestBarrier:
         assert code == cli.EXIT_ASSERTION
         assert not doc["passed"]
         assert doc["report"]["worst_margin"] > 0
+
+    def test_verify_ignores_seed(self, capsys):
+        outs = []
+        for seed in ("0", "164"):
+            code, _, out = run(capsys, "barrier-verify", "--domain", "halfspace",
+                               "--p", "0,0,0", "--m", "2", "--eta", "0.1", "--grid", "20",
+                               "--seed", seed, "--no-timestamp")
+            assert code == cli.EXIT_ASSERTION
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_verify_margin_csv(self, capsys, tmp_path):
         out = tmp_path / "margins.csv"
@@ -305,7 +317,7 @@ class TestDecompose:
 
     def test_nonintegral_exit_2(self, capsys, tmp_path):
         bnd = meshes.icosphere_mesh(subdivisions=1)
-        sq = meshes.square_mesh(side=0.5, multiplicity=0.25)
+        sq = square_mesh(side=0.5, multiplicity=0.25)
         vp, bp = tmp_path / "v.svmesh", tmp_path / "b.svmesh"
         vf.write_svmesh(sq, vp)
         vf.write_svmesh(bnd, bp)
@@ -326,6 +338,15 @@ class TestScenarioCommand:
         code, doc, _ = run(capsys, "scenario", "--name", "theorem5", "--no-timestamp")
         assert code == cli.EXIT_PASS
         assert doc["report"]["provenance"]["h"] == 1.0
+
+    def test_theorem1_ignores_seed(self, capsys):
+        outs = []
+        for seed in ("0", "1"):
+            code, _, out = run(capsys, "scenario", "--name", "theorem1", "--seed", seed,
+                               "--no-timestamp")
+            assert code == cli.EXIT_PASS
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_metric_alone_applies_to_the_unit_ball(self, capsys):
         metric = ("--metric", "conformal:0-log(2)")
@@ -409,10 +430,14 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("argv", [
         ("convexity", "--domain", "ball:1", "--p", "0,0,1", "--m", "2", "--seed", "1"),
+        ("barrier-build", "--domain", "ball:1", "--p", "0,0,1", "--m", "2", "--seed", "1"),
+        ("barrier-build", "--domain", "ball:1", "--p", "0,0,1", "--m", "2",
+         "--epsilon", "0.01"),
         ("decompose", "--mesh", "a.svmesh", "--boundary-mesh", "b.svmesh",
          "--metric", "conformal:0"),
         ("scenario", "--name", "theorem4", "--threads", "2"),
-    ], ids=["convexity_seed", "decompose_metric", "scenario_threads"])
+    ], ids=["convexity_seed", "build_seed", "build_epsilon", "decompose_metric",
+            "scenario_threads"])
     def test_flags_a_subcommand_does_not_read_are_usage_errors(self, capsys, argv):
         assert cli.main(list(argv)) == cli.EXIT_USAGE
         assert capsys.readouterr().out == ""

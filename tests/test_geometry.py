@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from mconvex import geometry as geo
 
+from testkit import inward_normal, metric_gradient
+
 
 class TestChristoffel:
     def test_euclidean_vanishes(self):
@@ -194,6 +196,11 @@ class TestMConvexity:
         with pytest.raises(geo.BoundaryError):
             geo.m_convexity(ball_domain, np.zeros(3), 2)
 
+    @pytest.mark.parametrize("m", [0, 3, 5])
+    def test_m_outside_curvature_count_rejected(self, ball_domain, m):
+        with pytest.raises(geo.GeometryError, match="m must lie in"):
+            geo.m_convexity(ball_domain, np.array([0.0, 0.0, 1.0]), m)
+
 
 class TestMetricOperations:
     def test_metric_gradient_conformal(self):
@@ -201,7 +208,7 @@ class TestMetricOperations:
         metric = geo.metric_conformal("x1")
         f = geo.ExprScalarField("x2", 3)
         x = np.array([0.5, 0.0, 0.0])
-        g = geo.metric_gradient(f, x, metric)
+        g = metric_gradient(f, x, metric)
         np.testing.assert_allclose(g, [0.0, np.exp(-1.0), 0.0], atol=1e-12)
 
     def test_covariant_gradient_euclidean_is_jacobian(self):
@@ -231,7 +238,7 @@ class TestDomain:
         assert not ball_domain.on_boundary(np.zeros(3))
 
     def test_inward_normal_ball(self, ball_domain):
-        nu = ball_domain.inward_normal(np.array([0.0, 0.0, 1.0]))
+        nu = inward_normal(ball_domain, np.array([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(nu, [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_newton_level_project(self, ball_domain):

@@ -7,6 +7,8 @@ from mconvex import meshes
 from mconvex import minimizer as mini
 from mconvex import varifold as vf
 
+from testkit import chord_polyline, square_mesh
+
 
 def _fd_area_gradient(mesh, metric, h=1e-6):
     """Central finite differences of ``vf.area``: the reference gradient."""
@@ -31,7 +33,7 @@ def _perturbed(mesh, seed):
 
 _DISK = _perturbed(meshes.disk_mesh(radius=0.3, center=(0.1, 0.0, 0.5), rings=2,
                                     segments=8), seed=1)
-_POLYLINE = _perturbed(meshes.chord_polyline(np.array([-0.5, 0.0, 0.1]),
+_POLYLINE = _perturbed(chord_polyline(np.array([-0.5, 0.0, 0.1]),
                                              np.array([0.5, 0.2, 0.3]), segments=10),
                        seed=2)
 _NON_CONSTANT = {
@@ -59,11 +61,11 @@ def plateau_problem():
 
 class TestArea:
     def test_unit_square(self):
-        assert mini.area(meshes.square_mesh(divisions=3)) == pytest.approx(1.0)
+        assert mini.area(square_mesh(divisions=3)) == pytest.approx(1.0)
 
     def test_conformal_scaling(self):
         metric = geo.metric_conformal("0 - log(2)")
-        mesh = meshes.square_mesh(divisions=2)
+        mesh = square_mesh(divisions=2)
         assert mini.area(mesh, metric) == pytest.approx(0.25)
 
 
@@ -185,7 +187,7 @@ class TestMinimize:
     def test_chord_straightens(self):
         dom = geo.domain_ball(radius=1.0)
         a, b = np.array([-0.8, 0.0, 0.0]), np.array([0.8, 0.0, 0.0])
-        chord = meshes.chord_polyline(a, b, segments=32)
+        chord = chord_polyline(a, b, segments=32)
         verts = chord.vertices.copy()
         t = np.linspace(0, 1, len(verts))
         verts[:, 1] += 0.2 * np.sin(np.pi * t)
@@ -467,7 +469,7 @@ class TestLaplacianStep:
         elif case == "stall_reproducer":
             start = meshes.bulged_disk_mesh(8, 64, 0.05989008567972312)
         else:
-            start = meshes.chord_polyline(np.array([-0.8, 0.0, 0.0]), np.array([0.8, 0.1, 0.0]))
+            start = chord_polyline(np.array([-0.8, 0.0, 0.0]), np.array([0.8, 0.1, 0.0]))
         problem = mini.MinimizeProblem(dom, start, start.boundary_vertices(),
                                        max_iterations=300)
         final, report = mini.minimize(problem)

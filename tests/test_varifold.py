@@ -12,6 +12,11 @@ from mconvex import meshes
 from mconvex import minimizer as mz
 from mconvex import varifold as vf
 
+from testkit import (
+    ConstantVectorField, LinearVectorField, chord_polyline, field_magnitude, inward_normal,
+    position_field, square_mesh, svmesh_dumps, svmesh_loads,
+)
+
 # metrics g = c^2 * euclidean with c = 1, 1/2 and e^0.1
 _CONSTANT_FACTOR = [
     pytest.param(geo.metric_euclidean(), id="euclidean"),
@@ -75,36 +80,36 @@ class _Combination(geo.VectorField):
 
 class TestSVMesh:
     def test_roundtrip(self):
-        mesh = meshes.square_mesh(divisions=3)
-        again = vf.svmesh_loads(vf.svmesh_dumps(mesh))
+        mesh = square_mesh(divisions=3)
+        again = svmesh_loads(svmesh_dumps(mesh))
         np.testing.assert_array_equal(mesh.vertices, again.vertices)
         np.testing.assert_array_equal(mesh.simplices, again.simplices)
         np.testing.assert_array_equal(mesh.multiplicity, again.multiplicity)
 
     def test_default_multiplicity(self):
         text = "SVMESH 1 2\n2 1\n0 0\n1 0\n0 1\n"
-        mesh = vf.svmesh_loads(text)
+        mesh = svmesh_loads(text)
         assert mesh.multiplicity[0] == 1.0
 
     def test_bad_header(self):
         with pytest.raises(vf.MeshFormatError):
-            vf.svmesh_loads("MESH 2 3\n0 0\n")
+            svmesh_loads("MESH 2 3\n0 0\n")
 
     def test_wrong_counts(self):
         with pytest.raises(vf.MeshFormatError):
-            vf.svmesh_loads("SVMESH 1 2\n2 1\n0 0\n1 0\n")
+            svmesh_loads("SVMESH 1 2\n2 1\n0 0\n1 0\n")
 
     def test_bad_vertex_line(self):
         with pytest.raises(vf.MeshFormatError):
-            vf.svmesh_loads("SVMESH 1 2\n2 1\n0 0 0\n1 0\n0 1\n")
+            svmesh_loads("SVMESH 1 2\n2 1\n0 0 0\n1 0\n0 1\n")
 
     def test_index_out_of_range(self):
         with pytest.raises(vf.VarifoldError):
-            vf.svmesh_loads("SVMESH 1 2\n2 1\n0 0\n1 0\n0 5\n")
+            svmesh_loads("SVMESH 1 2\n2 1\n0 0\n1 0\n0 5\n")
 
     def test_comments_and_blanks_ignored(self):
         text = "# a mesh\nSVMESH 1 2\n\n2 1\n0 0\n1 0\n\n0 1 2.0\n"
-        mesh = vf.svmesh_loads(text)
+        mesh = svmesh_loads(text)
         assert mesh.multiplicity[0] == 2.0
 
     @pytest.mark.parametrize("vertex, mult", [
@@ -113,24 +118,24 @@ class TestSVMesh:
     def test_non_finite_values_rejected(self, vertex, mult):
         text = f"SVMESH 2 3\n3 1\n{vertex} 0 0\n1 0 0\n0 1 0\n0 1 2 {mult}\n"
         with pytest.raises(vf.VarifoldError, match="finite"):
-            vf.svmesh_loads(text)
+            svmesh_loads(text)
 
     def test_zero_dimensional_mesh_rejected(self):
         with pytest.raises(vf.VarifoldError, match="m \\+ 1 >= 2"):
-            vf.svmesh_loads("SVMESH 0 3\n2 2\n0 0 0\n1 0 0\n0\n1\n")
+            svmesh_loads("SVMESH 0 3\n2 2\n0 0 0\n1 0 0\n0\n1\n")
         with pytest.raises(vf.VarifoldError, match="m \\+ 1 >= 2"):
             vf.SimplicialSurface(np.zeros((2, 3)), np.array([[0], [1]]))
 
 
 class TestFromMesh:
     def test_unit_square_total_weight(self):
-        mesh = meshes.square_mesh(side=1.0, divisions=1)
+        mesh = square_mesh(side=1.0, divisions=1)
         for order in (1, 2, 4):
             V = vf.varifold_from_mesh(mesh, order=order)
             assert V.total_weight == pytest.approx(1.0, abs=1e-12)
 
     def test_multiplicity_linearity(self):
-        mesh = meshes.square_mesh(divisions=2)
+        mesh = square_mesh(divisions=2)
         doubled = vf.SimplicialSurface(mesh.vertices, mesh.simplices,
                                        2.0 * mesh.multiplicity)
         V1 = vf.varifold_from_mesh(mesh)
@@ -245,12 +250,12 @@ class TestArea:
 class TestFirstVariation:
     def test_constant_field_on_disk(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
-        X = geo.ConstantVectorField(np.array([1.0, 2.0, -0.5]))
+        X = ConstantVectorField(np.array([1.0, 2.0, -0.5]))
         assert vf.first_variation(V, X) == pytest.approx(0.0, abs=1e-12)
 
     def test_position_field_doubles_area(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
-        X = geo.position_field(3)
+        X = position_field(3)
         assert vf.first_variation(V, X) == pytest.approx(2 * V.total_weight, rel=1e-12)
 
     def test_linearity(self, unit_disk_mesh):
@@ -263,7 +268,7 @@ class TestFirstVariation:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_additivity_over_varifolds(self, unit_disk_mesh):
-        sq = meshes.square_mesh(center=(0, 0, 0.5), divisions=2)
+        sq = square_mesh(center=(0, 0, 0.5), divisions=2)
         V1 = vf.varifold_from_mesh(unit_disk_mesh)
         V2 = vf.varifold_from_mesh(sq)
         both = vf.DiscreteVarifold(
@@ -276,8 +281,8 @@ class TestFirstVariation:
 
     def test_rigid_motions_on_closed_mesh(self):
         V = vf.varifold_from_mesh(meshes.icosphere_mesh(subdivisions=3))
-        const = geo.ConstantVectorField(np.array([0.3, -1.0, 0.7]))
-        rot = geo.LinearVectorField(np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 0]]))
+        const = ConstantVectorField(np.array([0.3, -1.0, 0.7]))
+        rot = LinearVectorField(np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 0]]))
         assert abs(vf.first_variation(V, const)) <= 1e-9
         assert abs(vf.first_variation(V, rot)) <= 1e-9
 
@@ -291,17 +296,17 @@ class TestFirstVariation:
         # the disk through the equator is far from the tube: |X| integrates to 0
         V = vf.varifold_from_mesh(unit_disk_mesh)
         X = ball_bundle.field()
-        assert vf.weight_integral(V, vf.field_magnitude(X)) == 0.0
+        assert vf.weight_integral(V, field_magnitude(X)) == 0.0
 
 
 class TestFlow:
     def test_zero_field_identity(self, unit_disk_mesh, flow_mesh):
-        out = flow_mesh(unit_disk_mesh, geo.ConstantVectorField(np.zeros(3)), 1.0)
+        out = flow_mesh(unit_disk_mesh, ConstantVectorField(np.zeros(3)), 1.0)
         np.testing.assert_array_equal(out.vertices, unit_disk_mesh.vertices)
 
     def test_constant_field_translates(self, unit_disk_mesh, flow_mesh):
         v = np.array([0.1, -0.2, 0.3])
-        out = flow_mesh(unit_disk_mesh, geo.ConstantVectorField(v), 1.0)
+        out = flow_mesh(unit_disk_mesh, ConstantVectorField(v), 1.0)
         np.testing.assert_allclose(out.vertices, unit_disk_mesh.vertices + v, atol=1e-12)
 
     def test_flow_derivative_matches_first_variation(self, unit_disk_mesh, flow_mesh):
@@ -319,7 +324,7 @@ class TestFlow:
 
     def test_chart_escape_raises(self, unit_disk_mesh, flow_mesh):
         dom = geo.domain_ball(radius=1.0)
-        X = geo.ConstantVectorField(np.array([10.0, 0.0, 0.0]))
+        X = ConstantVectorField(np.array([10.0, 0.0, 0.0]))
         with pytest.raises(vf.VarifoldError):
             flow_mesh(unit_disk_mesh, X, 1.0, domain=dom)
 
@@ -339,7 +344,7 @@ def _admissibility_margin(X, domain, rng, samples=1000):
     bnd = bnd[ok][:samples]
     if len(bnd) == 0:
         raise geo.GeometryError("no boundary samples found in the chart")
-    nu = domain.inward_normal(bnd)
+    nu = inward_normal(domain, bnd)
     vals = X.value(bnd)
     c = domain.metric.constant_factor()
     if c is not None:
@@ -397,7 +402,7 @@ class TestMinimizingChecks:
     def test_chord_endpoint_push_not_minimizing(self):
         # m = 1: pushing near an endpoint of a diameter chord shortens it
         dom = geo.domain_ball(radius=1.0)
-        chord = meshes.chord_polyline((-1.0 + 1e-6, 0, 0), (1.0 - 1e-6, 0, 0),
+        chord = chord_polyline((-1.0 + 1e-6, 0, 0), (1.0 - 1e-6, 0, 0),
                                       segments=64)
         V = vf.varifold_from_mesh(chord)
         # bump covers the right endpoint and pushes it inward along the chord
@@ -429,7 +434,7 @@ class TestMinimizingChecks:
             rep = vf.check_bounded_mc(V, X, h)
             assert rep["value"] == (
                 vf.first_variation(V, X)
-                + h * vf.weight_integral(V, vf.field_magnitude(X)))
+                + h * vf.weight_integral(V, field_magnitude(X)))
 
     def test_bounded_mc_evaluates_barrier_field_once(
             self, scaled_ball_domain, scaled_ball_bundle, monkeypatch):
@@ -439,7 +444,7 @@ class TestMinimizingChecks:
         X = scaled_ball_bundle.field()
         h = 1.0
         expected = (vf.first_variation(V, X, metric)
-                    + h * vf.weight_integral(V, vf.field_magnitude(X, metric)))
+                    + h * vf.weight_integral(V, field_magnitude(X, metric)))
         seen = []
         tube_eval = bar.tube_eval
 
@@ -487,7 +492,7 @@ class TestMinimizingChecks:
         # inward radial field
         X = geo.ExprVectorField(["0 - x1", "0 - x2", "0 - x3"], 3)
         dv = vf.first_variation(V, X)
-        mass = vf.weight_integral(V, vf.field_magnitude(X))
+        mass = vf.weight_integral(V, field_magnitude(X))
         assert dv == pytest.approx(-h * mass, rel=5e-3)
 
 
@@ -561,7 +566,7 @@ def _theta_complex():
 class TestBoundaryVertices:
     @pytest.mark.parametrize("mesh, expected", [
         pytest.param(meshes.disk_mesh(rings=3, segments=8), np.arange(17, 25), id="disk_rim"),
-        pytest.param(meshes.chord_polyline(np.zeros(3), np.ones(3), segments=4), [0, 4],
+        pytest.param(chord_polyline(np.zeros(3), np.ones(3), segments=4), [0, 4],
                      id="chord_ends"),
         pytest.param(vf.SimplicialSurface(np.eye(3), [[0, 1], [1, 2], [2, 0]]), [],
                      id="closed_polyline"),
@@ -611,7 +616,7 @@ class TestDecomposition:
 
     def test_nonintegral_rejected(self):
         bnd = meshes.icosphere_mesh(subdivisions=1)
-        planes = [meshes.square_mesh(side=0.5, center=(0, 0, 2.0 ** -i),
+        planes = [square_mesh(side=0.5, center=(0, 0, 2.0 ** -i),
                                      multiplicity=2.0 ** -i) for i in range(1, 11)]
         offs = np.cumsum([0] + [len(m.vertices) for m in planes[:-1]])
         V = vf.SimplicialSurface(
@@ -642,6 +647,6 @@ class TestSupportDistance:
 @settings(max_examples=15, deadline=None)
 @given(st.integers(1, 5), st.sampled_from([1, 2, 4]))
 def test_total_weight_order_invariant(divisions, order):
-    mesh = meshes.square_mesh(divisions=divisions)
+    mesh = square_mesh(divisions=divisions)
     V = vf.varifold_from_mesh(mesh, order=order)
     assert V.total_weight == pytest.approx(1.0, abs=1e-8)
