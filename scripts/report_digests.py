@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
-Runs seventeen fixed CLI inputs (every theorem scenario, theorem6 at h = 1.5,
-theorem1 and theorem5 under the constant conformal metric c = 1/2, six
-barrier-verify grids, and three minimize runs from starts written to
-temporary SVMESH files: the 513-vertex bulged disk, the same disk stopped by
-``--max-iterations 1`` and the 1537-vertex cap of the unit sphere) in
-process and prints one line per input: its name, the exit code and the first
-16 hex digits of the sha256 of its report.  Two trees print the same lines exactly
-when their reports are byte-identical.
+Runs twenty-one fixed CLI inputs in process and prints one line per input:
+its name, the exit code and the first 16 hex digits of the sha256 of its
+report.  The inputs are every theorem scenario, theorem6 at h = 1.5,
+theorem1 and theorem5 under the constant conformal metric c = 1/2, eight
+barrier-verify grids (the torus at m = 2 and at m = 1, which fails, among
+them), a convexity under a matrix metric, and four minimize runs from starts
+written to temporary SVMESH files: the 513-vertex bulged disk, the same disk
+stopped by ``--max-iterations 1``, the 1537-vertex cap of the unit sphere and
+the 33-vertex bulged disk under the metric e^{0.2 x1} delta.  The torus, the
+ellipsoid, the matrix metric and the non-constant conformal metric are read
+through expressions.  Two trees print the same lines exactly when their
+reports are byte-identical.
 
     PYTHONPATH=src python scripts/report_digests.py
 """
@@ -26,6 +30,8 @@ from mconvex import meshes
 from mconvex import varifold as vf
 
 _VERIFY = ("barrier-verify", "--threads", "2", "--m", "2")
+_TORUS = ("--domain", "levelset:1-(sqrt(x1^2+x2^2)-3)^2-x3^2@-4.5,4.5", "--p", "2,0,0",
+          "--grid", "50")
 
 INPUTS = (
     ("theorem1", ("scenario", "--name", "theorem1")),
@@ -45,6 +51,11 @@ INPUTS = (
     ("halfspace_control", _VERIFY + ("--domain", "halfspace", "--p", "0,0,0", "--eta", "0.1",
                                      "--grid", "60")),
     ("cylinder_grid40", _VERIFY + ("--domain", "cylinder:1", "--p", "1,0,0", "--grid", "40")),
+    ("torus_m2_grid50", _VERIFY + _TORUS),
+    ("torus_m1_grid50", ("barrier-verify", "--threads", "2", "--m", "1") + _TORUS),
+    ("ellipsoid_matrix", ("convexity", "--domain", "levelset:1-x1^2/4-x2^2/4-x3^2@-2,2",
+                          "--p", "0,0,1", "--m", "2",
+                          "--metric", "matrix:1+x1^2;0.2*x2;0.1;2+x3;0.3*x1*x3;1.5")),
 )
 
 
@@ -62,7 +73,9 @@ def minimize_inputs(workdir):
     starts = (("minimize_disk513", meshes.bulged_disk_mesh(8, 64, 0.05), ()),
               ("minimize_disk513_cap1", meshes.bulged_disk_mesh(8, 64, 0.05),
                ("--max-iterations", "1")),
-              ("minimize_cap1537", sphere_cap(), ()))
+              ("minimize_cap1537", sphere_cap(), ()),
+              ("minimize_conformal_x1", meshes.bulged_disk_mesh(2, 16, 0.05),
+               ("--metric", "conformal:0.1*x1", "--tolerance", "1e-5")))
     inputs = []
     for name, mesh, options in starts:
         path = os.path.join(workdir, f"{name}.svmesh")

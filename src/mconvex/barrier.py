@@ -342,7 +342,8 @@ def tube_curvatures(sigma, chart, face_gap, rejects):
 def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     """Construct the full barrier bundle at a boundary point p.
 
-    ``eta`` defaults to the midpoint of (h, kappa_1 + ... + kappa_m at p).
+    ``eta`` defaults to the midpoint of (h, kappa_1 + ... + kappa_m at p);
+    an eta that is not finite, a NaN or infinite h included, is an error.
     With ``enforce_hypothesis`` the construction refuses whenever that sum
     does not exceed eta (no vacuous barriers).
 
@@ -360,6 +361,8 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     kappa_sum, _, _ = geo.m_convexity(domain, p, m)
     if eta is None:
         eta = 0.5 * (h + kappa_sum)
+    if not np.isfinite(eta):
+        raise GeometryError(f"eta must be finite, got {eta}")
     if enforce_hypothesis and kappa_sum <= eta:
         raise BarrierRefusal(
             f"curvature sum {kappa_sum:.6g} at p does not exceed eta = {eta:.6g}"

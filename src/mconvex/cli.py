@@ -57,6 +57,12 @@ def _check_m(m):
     return m
 
 
+def _at_least_one(flag, value):
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _parse_metric(spec):
     if spec is None or spec == "euclidean":
         return None
@@ -164,12 +170,13 @@ def cmd_barrier_build(args):
 def cmd_barrier_verify(args):
     # hypothesis is deliberately not enforced here so that expected-failure
     # demonstrations (half-space) run and exit 2 on their bad margins
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    if not 0.0 <= args.tolerance < np.inf:
+        raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance}")
+    grid, threads = _at_least_one("--grid", args.grid), _at_least_one("--threads", args.threads)
     _, bundle = _build(args, enforce=False)
     report = bar.verify_barrier(
-        bundle, grid_resolution=args.grid, tolerance=args.tolerance,
-        threads=args.threads, keep_margins=args.out is not None,
+        bundle, grid_resolution=grid, tolerance=args.tolerance,
+        threads=threads, keep_margins=args.out is not None,
     )
     if args.out:
         report.write_margins(args.out)
@@ -191,10 +198,9 @@ def cmd_first_variation(args):
 
 
 def cmd_minimize(args):
-    if args.max_iterations < 1:
-        raise UsageError(f"--max-iterations must be at least 1, got {args.max_iterations}")
-    if not args.tolerance > 0.0:
-        raise UsageError(f"--tolerance must be positive, got {args.tolerance}")
+    _at_least_one("--max-iterations", args.max_iterations)
+    if not 0.0 < args.tolerance < np.inf:
+        raise UsageError(f"--tolerance must be positive and finite, got {args.tolerance}")
     domain = _parse_domain(args.domain, args.metric)
     mesh = vf.read_svmesh(args.mesh)
     if args.anchors:
@@ -254,7 +260,7 @@ def cmd_scenario(args):
         domain=_parse_domain(args.domain, args.metric),
         p=_parse_point(args.p),
         m=_check_m(args.m),
-        grid_resolution=args.grid,
+        grid_resolution=_at_least_one("--grid", args.grid),
     )
     return _emit(args, f"scenario:{args.name}", report.get("status") == "passed", report)
 
@@ -306,8 +312,8 @@ def build_parser():
 
     sp = sub.add_parser("barrier-verify", help="verify the barrier inequality on a grid")
     _add_barrier_args(sp)
-    sp.add_argument("--grid", type=int, default=50)
-    sp.add_argument("--tolerance", type=float, default=1e-7)
+    sp.add_argument("--grid", type=int, default=50, help="at least 1")
+    sp.add_argument("--tolerance", type=float, default=1e-7, help="finite, nonnegative")
     sp.add_argument("--out", default=None, help="CSV of per-point margins")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker threads, at least 1 (default: cpu count)")
@@ -328,7 +334,7 @@ def build_parser():
     sp.add_argument("--anchors", default=None,
                     help="comma-separated vertex indices (default: mesh boundary)")
     sp.add_argument("--max-iterations", type=int, default=3000, help="at least 1")
-    sp.add_argument("--tolerance", type=float, default=1e-6, help="positive")
+    sp.add_argument("--tolerance", type=float, default=1e-6, help="positive, finite")
     sp.add_argument("--out-mesh", default=None)
     sp.add_argument("--out", default=None, help="convergence CSV")
     _add_common(sp)
@@ -350,7 +356,7 @@ def build_parser():
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--h", type=float, default=None, help="mean-curvature bound (default: "
                     + ", ".join(f"{k} {v:g}" for k, v in hz.SCENARIO_H.items()) + ")")
-    sp.add_argument("--grid", type=int, default=40)
+    sp.add_argument("--grid", type=int, default=40, help="at least 1")
     _add_common(sp)
     _accept_ignored_seed(sp)
     sp.set_defaults(func=cmd_scenario)

@@ -7,12 +7,16 @@ all binary operators associate to the left.  Parsed expressions are immutable
 and evaluation is pure, so they may be shared freely across threads.
 
 Evaluation never returns silent NaN/inf: arguments outside a function's
-domain raise :class:`EvalDomainError`.
+domain raise :class:`EvalDomainError`.  Each function is one row of
+``_FUNCTIONS`` (its evaluation with the domain check, and its derivative) and
+each binary operator one entry of ``_OPERATORS``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +55,6 @@ class UnknownIdentifierError(SyntaxError_):
 
 class EvalDomainError(ExprError):
     """A function was evaluated outside its real domain."""
-
-
-_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,6 @@ class Var(Expression):
     index: int  # zero-based; prints as x{index+1}
 
     def eval(self, coords):
-        if self.index >= len(coords):
-            raise EvalDomainError(
-                f"variable x{self.index + 1} evaluated with only "
-                f"{len(coords)} coordinates"
-            )
         return np.asarray(coords[self.index], dtype=float)
 
     def diff(self, var_index):
@@ -154,53 +150,17 @@ class Func(Expression):
     arg: Expression
 
     def eval(self, coords):
-        a = self.arg.eval(coords)
-        if self.name == "sqrt":
-            if np.any(a < 0):
-                raise EvalDomainError("sqrt of a negative number")
-            return np.sqrt(a)
-        if self.name == "log":
-            if np.any(a <= 0):
-                raise EvalDomainError("log of a non-positive number")
-            return np.log(a)
-        if self.name == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(a)
-            if np.any(np.isinf(out)):
-                raise EvalDomainError("exp overflow")
-            return out
-        if self.name == "sin":
-            return np.sin(a)
-        if self.name == "cos":
-            return np.cos(a)
-        if self.name == "tanh":
-            return np.tanh(a)
-        raise AssertionError(self.name)
+        return _FUNCTIONS[self.name][0](self.arg.eval(coords))
 
     def diff(self, var_index):
-        da = self.arg.diff(var_index)
-        a = self.arg
-        if self.name == "sin":
-            inner = Func("cos", a)
-        elif self.name == "cos":
-            inner = Neg(Func("sin", a))
-        elif self.name == "exp":
-            inner = Func("exp", a)
-        elif self.name == "log":
-            inner = BinOp("/", Const(1.0), a)
-        elif self.name == "sqrt":
-            inner = BinOp("/", Const(0.5), Func("sqrt", a))
-        elif self.name == "tanh":
-            inner = BinOp("-", Const(1.0), BinOp("^", Func("tanh", a), Const(2.0)))
-        else:
-            raise AssertionError(self.name)
-        return BinOp("*", inner, da).fold()
+        inner = _FUNCTIONS[self.name][1](self.arg)
+        return BinOp("*", inner, self.arg.diff(var_index)).fold()
 
     def fold(self):
         a = self.arg.fold()
         if isinstance(a, Const):
             try:
-                return Const(float(Func(self.name, a).eval(())))
+                return Const(float(_FUNCTIONS[self.name][0](a.eval(()))))
             except EvalDomainError:
                 pass
         return Func(self.name, a)
@@ -232,21 +192,7 @@ class BinOp(Expression):
     right: Expression
 
     def eval(self, coords):
-        a = self.left.eval(coords)
-        b = self.right.eval(coords)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(b == 0):
-                raise EvalDomainError("division by zero")
-            return a / b
-        if self.op == "^":
-            return _safe_pow(a, b)
-        raise AssertionError(self.op)
+        return _OPERATORS[self.op](self.left.eval(coords), self.right.eval(coords))
 
     def diff(self, var_index):
         a, b = self.left, self.right
@@ -275,7 +221,7 @@ class BinOp(Expression):
         b = self.right.fold()
         if isinstance(a, Const) and isinstance(b, Const):
             try:
-                return Const(float(BinOp(self.op, a, b).eval(())))
+                return Const(float(_OPERATORS[self.op](a.eval(()), b.eval(()))))
             except EvalDomainError:
                 return BinOp(self.op, a, b)
         if self.op == "+":
@@ -334,63 +280,90 @@ def _safe_pow(a, b):
     return out
 
 
+def _divide(a, b):
+    if np.any(b == 0):
+        raise EvalDomainError("division by zero")
+    return a / b
+
+
+def _sqrt(a):
+    if np.any(a < 0):
+        raise EvalDomainError("sqrt of a negative number")
+    return np.sqrt(a)
+
+
+def _log(a):
+    if np.any(a <= 0):
+        raise EvalDomainError("log of a non-positive number")
+    return np.log(a)
+
+
+def _exp(a):
+    with np.errstate(over="ignore"):
+        out = np.exp(a)
+    if np.any(np.isinf(out)):
+        raise EvalDomainError("exp overflow")
+    return out
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": _divide, "^": _safe_pow}
+
+# name -> (evaluation with its domain check, derivative with respect to the
+# argument a, to be multiplied by a' in the chain rule)
+_FUNCTIONS = {
+    "sin": (np.sin, lambda a: Func("cos", a)),
+    "cos": (np.cos, lambda a: Neg(Func("sin", a))),
+    "exp": (_exp, lambda a: Func("exp", a)),
+    "log": (_log, lambda a: BinOp("/", Const(1.0), a)),
+    "sqrt": (_sqrt, lambda a: BinOp("/", Const(0.5), Func("sqrt", a))),
+    "tanh": (np.tanh,
+             lambda a: BinOp("-", Const(1.0), BinOp("^", Func("tanh", a), Const(2.0)))),
+}
+
+
 # --------------------------------------------------------------------------
 # parsing
 
 
-class _Tokenizer:
-    def __init__(self, source):
-        self.src = source
-        self.pos = 0
-        self.tokens = []
-        self._run()
+# one token after optional whitespace; every class is ASCII, so a character
+# such as a superscript digit is "bad" rather than a digit or a letter
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^()])
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.ASCII | re.VERBOSE | re.DOTALL)
 
-    def _run(self):
-        src = self.src
-        i = 0
-        while i < len(src):
-            c = src[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c.isdigit() or c == ".":
-                j = i
-                while j < len(src) and (src[j].isdigit() or src[j] == "."):
-                    j += 1
-                if j < len(src) and src[j] in "eE":
-                    k = j + 1
-                    if k < len(src) and src[k] in "+-":
-                        k += 1
-                    if k < len(src) and src[k].isdigit():
-                        j = k
-                        while j < len(src) and src[j].isdigit():
-                            j += 1
-                try:
-                    value = float(src[i:j])
-                except ValueError:
-                    raise SyntaxError_(f"bad number {src[i:j]!r}", i)
-                self.tokens.append(("num", value, i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", src[i:j], i))
-                i = j
-                continue
-            raise SyntaxError_(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", None, len(src)))
+
+def _tokens(source):
+    """``(kind, value, offset)`` triples: kind is "num", "ident", the
+    operator character itself, or "end" last."""
+    pos = 0
+    while True:
+        m = _TOKEN.match(source, pos)
+        kind, text, offset, pos = m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup), m.end()
+        if kind == "num":
+            try:
+                value = float(text)
+            except ValueError:
+                raise SyntaxError_(f"bad number {text!r}", offset) from None
+            yield "num", value, offset
+        elif kind == "ident":
+            yield "ident", text, offset
+        elif kind == "op":
+            yield text, text, offset
+        elif kind == "end":
+            yield "end", None, offset
+            return
+        else:
+            raise SyntaxError_(f"unexpected character {text!r}", offset)
 
 
 class _Parser:
     def __init__(self, source):
         self.src = source
-        self.tokens = _Tokenizer(source).tokens
+        self.tokens = list(_tokens(source))
         self.i = 0
 
     def peek(self):

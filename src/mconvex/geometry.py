@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprfield
-from .exprfield import Expression, differentiate, parse
+from .exprfield import differentiate, parse
 
 
 class GeometryError(Exception):
@@ -64,32 +64,49 @@ class ScalarField:
         raise NotImplementedError
 
 
+class ExprArray:
+    """Expressions in x1 .. xn laid out as an array of any shape.
+
+    ``eval_at(x)`` evaluates each entry with ``Expression.eval_at`` and puts
+    the array's axes right after the batch axes of x; ``diff()`` appends the
+    coordinate partials d_1 .. d_n as a new last axis.
+    """
+
+    def __init__(self, entries, n):
+        entries = np.array(entries, dtype=object)
+        self.n = n
+        self.shape = entries.shape
+        self.flat = [(parse(e) if isinstance(e, str) else e).fold() for e in entries.flat]
+        top = max(e.max_var() for e in self.flat)
+        if top >= n:
+            raise exprfield.ExprError(f"expression uses x{top + 1} but dimension is {n}")
+
+    def eval_at(self, x):
+        values = np.stack([e.eval_at(x) for e in self.flat], axis=-1)
+        return values.reshape(values.shape[:-1] + self.shape)
+
+    def diff(self):
+        partials = [[differentiate(e, k) for k in range(self.n)] for e in self.flat]
+        return ExprArray(np.array(partials, dtype=object).reshape(self.shape + (self.n,)),
+                         self.n)
+
+
 class ExprScalarField(ScalarField):
     def __init__(self, expr, n):
-        if isinstance(expr, str):
-            expr = parse(expr)
-        if expr.max_var() >= n:
-            raise ValueError(
-                f"expression uses x{expr.max_var() + 1} but dimension is {n}"
-            )
         self.n = n
-        self.expr = expr.fold()
-        self._grads = [differentiate(self.expr, i) for i in range(n)]
-        self._hess = [
-            [differentiate(self._grads[i], j) for j in range(n)] for i in range(n)
-        ]
+        self._value = ExprArray(expr, n)
+        self._gradient = self._value.diff()
+        self._hessian = self._gradient.diff()
+        self.expr = self._value.flat[0]
 
     def value(self, x):
-        return self.expr.eval_at(x)
+        return self._value.eval_at(x)
 
     def gradient(self, x):
-        return np.stack([g.eval_at(x) for g in self._grads], axis=-1)
+        return self._gradient.eval_at(x)
 
     def hessian(self, x):
-        rows = [
-            np.stack([h.eval_at(x) for h in row], axis=-1) for row in self._hess
-        ]
-        return np.stack(rows, axis=-2)
+        return self._hessian.eval_at(x)
 
 
 class LinearField(ScalarField):
@@ -217,25 +234,17 @@ class VectorField:
 
 class ExprVectorField(VectorField):
     def __init__(self, components, n):
-        comps = []
-        for c in components:
-            comps.append(parse(c) if isinstance(c, str) else c)
-        if len(comps) != n:
-            raise ValueError(f"expected {n} components, got {len(comps)}")
+        if len(components) != n:
+            raise ValueError(f"expected {n} components, got {len(components)}")
         self.n = n
-        self.components = [c.fold() for c in comps]
-        self._jac = [
-            [differentiate(c, i) for i in range(n)] for c in self.components
-        ]
+        self._value = ExprArray(components, n)
+        self._jacobian = self._value.diff()
 
     def value(self, x):
-        return np.stack([c.eval_at(x) for c in self.components], axis=-1)
+        return self._value.eval_at(x)
 
     def jacobian(self, x):
-        rows = [
-            np.stack([d.eval_at(x) for d in row], axis=-1) for row in self._jac
-        ]
-        return np.stack(rows, axis=-2)
+        return self._jacobian.eval_at(x)
 
 
 # --------------------------------------------------------------------------
@@ -300,29 +309,24 @@ class EuclideanMetric(MetricField):
 
 
 class ConformalMetric(MetricField):
-    """g = e^{2f} * delta for an expression-backed scalar f."""
+    """g = e^{2f} * delta for an expression f."""
 
     def __init__(self, f, n=3):
-        if isinstance(f, str):
-            f = parse(f)
-        if isinstance(f, Expression):
-            f = ExprScalarField(f, n)
-        self.f = f
         self.n = n
+        self.f = ExprArray(f, n)
+        self.df = self.f.diff()
         self._c = None
-        if isinstance(f, ExprScalarField) and all(
-            g == exprfield.Const(0.0) for g in f._grads
-        ):
-            self._c = float(np.exp(float(f.value(np.zeros(n)))))
+        if all(d == exprfield.Const(0.0) for d in self.df.flat):
+            self._c = float(np.exp(float(self.f.eval_at(np.zeros(n)))))
 
     def factor(self, x):
-        return np.exp(2.0 * self.f.value(x))
+        return np.exp(2.0 * self.f.eval_at(x))
 
     def matrix(self, x):
         return self.factor(x)[..., None, None] * np.eye(self.n)
 
     def dmatrix(self, x):
-        df = self.f.gradient(x)
+        df = self.df.eval_at(x)
         return (
             2.0
             * self.factor(x)[..., None, None, None]
@@ -341,55 +345,28 @@ class ConformalMetric(MetricField):
 
 
 class MatrixMetric(MetricField):
-    """General metric with expression entries; symmetry is enforced."""
+    """General metric from the upper-triangle expressions g11, g12, ..., g1n,
+    g22, ...; the lower triangle mirrors them, so g is exactly symmetric."""
 
     def __init__(self, entries, n=3):
         self.n = n
         entries = list(entries)
-        if len(entries) == n * (n + 1) // 2 and all(
-            isinstance(e, str) or hasattr(e, "eval_at") for e in entries
-        ):
-            # flat upper triangle g11, g12, ..., g1n, g22, ...
-            it = iter(entries)
-            entries = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    entries[i][j] = next(it)
-            for i in range(n):
-                for j in range(i):
-                    entries[i][j] = entries[j][i]
-        grid = []
-        for row in entries:
-            grid.append(
-                [parse(e) if isinstance(e, str) else e for e in row]
-            )
-        # symmetrize exactly by mirroring the upper triangle
+        if len(entries) != n * (n + 1) // 2:
+            raise GeometryError(f"a metric on R^{n} has {n * (n + 1) // 2} upper-triangle "
+                                f"entries, got {len(entries)}")
+        upper = iter(entries)
+        grid = [[None] * n for _ in range(n)]
         for i in range(n):
-            for j in range(i):
-                grid[i][j] = grid[j][i]
-        self.entries = [[e.fold() for e in row] for row in grid]
-        self._d = [
-            [[differentiate(self.entries[i][j], k) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+            for j in range(i, n):
+                grid[i][j] = grid[j][i] = next(upper)
+        self.g = ExprArray(grid, n)
+        self.dg = self.g.diff()
 
     def matrix(self, x):
-        rows = [
-            np.stack([e.eval_at(x) for e in row], axis=-1) for row in self.entries
-        ]
-        g = np.stack(rows, axis=-2)
-        return g
+        return self.g.eval_at(x)
 
     def dmatrix(self, x):
-        n = self.n
-        out = [
-            [
-                np.stack([self._d[i][j][k].eval_at(x) for j in range(n)], axis=-1)
-                for i in range(n)
-            ]
-            for k in range(n)
-        ]
-        return np.stack([np.stack(rows, axis=-2) for rows in out], axis=-3)
+        return np.ascontiguousarray(np.moveaxis(self.dg.eval_at(x), -1, -3))
 
 
 # --------------------------------------------------------------------------

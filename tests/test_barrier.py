@@ -76,6 +76,17 @@ class TestConstruction:
         with pytest.raises(geo.GeometryError):
             bar.build_barrier(dom, north_pole, m=2)
 
+    @pytest.mark.parametrize("options", [{"eta": np.nan}, {"eta": np.inf}, {"eta": -np.inf},
+                                         {"h": np.nan}, {"h": np.inf}],
+                             ids=["eta_nan", "eta_inf", "eta_minus_inf", "h_nan", "h_inf"])
+    @pytest.mark.parametrize("enforce", [True, False], ids=["enforced", "unenforced"])
+    def test_non_finite_eta_is_an_error(self, ball_domain, north_pole, options, enforce):
+        # a NaN eta compares False both ways, so no later check could fail
+        with pytest.raises(geo.GeometryError, match="eta must be finite") as err:
+            bar.build_barrier(ball_domain, north_pole, m=2, enforce_hypothesis=enforce,
+                              **options)
+        assert not isinstance(err.value, bar.BarrierRefusal)
+
 
 def _full_batch_project(sigma, x, tol=1e-12, max_iter=60):
     """Reference KKT Newton projection that steps every point of the batch

@@ -122,7 +122,8 @@ _BALL = ("--domain", "ball:1", "--p", "0,0,1")
 
 
 class TestInputErrors:
-    """Out-of-range --m and malformed domain specs exit 1 with ``error:``."""
+    """Out-of-range options and malformed domain, metric and field specs
+    exit 1 with ``error:``."""
 
     @pytest.mark.parametrize("argv", [
         ("barrier-verify", *_BALL, "--m", "0"),
@@ -135,11 +136,30 @@ class TestInputErrors:
         ("convexity", "--domain", "cylinder:1,2", "--p", "1,0,0", "--m", "2"),
         ("convexity", "--domain", "levelset:1-x1^2@1", "--p", "1,0,0", "--m", "2"),
         ("convexity", "--domain", "levelset:1-x1^2@2,-2", "--p", "1,0,0", "--m", "2"),
+        ("convexity", "--domain", "levelset:1-x\u00b2", "--p", "0,0,1", "--m", "2"),
+        ("convexity", "--domain", "levelset:1-x4^2", "--p", "0,0,1", "--m", "2"),
+        ("convexity", *_BALL, "--m", "2", "--metric", "conformal:x4"),
+        ("convexity", *_BALL, "--m", "2", "--metric", "matrix:1;0;0;1;0;x5"),
+        ("first-variation", "--mesh", "{mesh}", "--field", "x4,0,0"),
+        ("barrier-build", *_BALL, "--m", "2", "--eta", "nan"),
+        ("barrier-build", *_BALL, "--m", "2", "--h", "nan"),
+        ("barrier-verify", "--domain", "halfspace", "--p", "0,0,0", "--m", "2",
+         "--eta", "0.1", "--tolerance", "inf"),
+        ("barrier-verify", *_BALL, "--m", "2", "--tolerance", "nan"),
+        ("barrier-verify", *_BALL, "--m", "2", "--tolerance", "-0.5"),
+        ("barrier-verify", *_BALL, "--m", "2", "--grid", "-5"),
+        ("barrier-verify", *_BALL, "--m", "2", "--grid", "0"),
+        ("scenario", "--name", "theorem1", "--grid", "-1"),
     ], ids=["verify_m0", "verify_m4", "convexity_m5", "build_m3", "scenario_m3",
             "ball_abc", "ball_negative", "cylinder_two_radii", "levelset_one_bound",
-            "levelset_reversed_chart"])
-    def test_usage_error(self, capsys, argv):
-        code = cli.main(list(argv))
+            "levelset_reversed_chart", "levelset_superscript", "levelset_x4",
+            "conformal_x4", "matrix_x5", "field_x4", "build_eta_nan", "build_h_nan",
+            "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
+            "verify_grid_negative", "verify_grid_zero", "scenario_grid_negative"])
+    def test_usage_error(self, capsys, tmp_path, argv):
+        mesh = tmp_path / "disk.svmesh"
+        vf.write_svmesh(meshes.disk_mesh(radius=1.0, rings=2, segments=8), mesh)
+        code = cli.main([str(mesh) if a == "{mesh}" else a for a in argv])
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
@@ -238,6 +258,7 @@ class TestMinimize:
     @pytest.mark.parametrize("flag, value", [
         ("--max-iterations", "0"), ("--max-iterations", "-1"),
         ("--tolerance", "0"), ("--tolerance", "-1"),
+        ("--tolerance", "inf"), ("--tolerance", "nan"),
     ])
     def test_iteration_cap_and_tolerance_must_be_positive(self, capsys, tmp_path, flag,
                                                           value):

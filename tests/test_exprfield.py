@@ -54,6 +54,14 @@ class TestParsing:
             ef.parse("1 + * 2")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("src, offset", [("x\u00b2", 1), ("x1 + x\u00b2", 6),
+                                             ("1 \u2013 x1", 2), ("x\u2081", 1)])
+    def test_non_ascii_is_a_syntax_error(self, src, offset):
+        # str.isdigit accepts a superscript two; the token classes are ASCII
+        with pytest.raises(ef.SyntaxError_) as err:
+            ef.parse(src)
+        assert err.value.offset == offset
+
     def test_unknown_identifier(self):
         with pytest.raises(ef.UnknownIdentifierError):
             ef.parse("x1 + bogus")

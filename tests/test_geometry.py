@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mconvex import exprfield as ef
 from mconvex import geometry as geo
 
 from testkit import inward_normal, metric_gradient
@@ -228,6 +229,42 @@ class TestMetricOperations:
         assert geo.metric_euclidean().constant_factor() == 1.0
         assert geo.metric_conformal("0 - log(2)").constant_factor() == pytest.approx(0.5)
         assert geo.metric_conformal("x1").constant_factor() is None
+
+
+class TestExprArray:
+    def test_axes_follow_the_batch_axes(self):
+        a = geo.ExprArray([["x1", "x2 * x3"], ["2", "sin(x1)"]], 3)
+        pts = np.random.default_rng(1).uniform(-1, 1, size=(4, 5, 3))
+        v = a.eval_at(pts)
+        assert v.shape == (4, 5, 2, 2)
+        np.testing.assert_array_equal(v[..., 0, 1], pts[..., 1] * pts[..., 2])
+        np.testing.assert_array_equal(v[..., 1, 0], 2.0)
+        d = a.diff()
+        assert d.shape == (2, 2, 3)
+        np.testing.assert_array_equal(d.eval_at(pts[0, 0])[1, 1], [np.cos(pts[0, 0, 0]), 0, 0])
+
+    def test_matrix_metric_dmatrix_puts_the_partial_first(self):
+        metric = geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3", "0.3*x1*x3", "1.5"])
+        x = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
+        d = metric.dmatrix(x)
+        assert d.flags.c_contiguous
+        h = 1e-6
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            fd = (metric.matrix(x + e) - metric.matrix(x - e)) / (2 * h)
+            np.testing.assert_allclose(d[:, k], fd, atol=1e-8)
+
+    @pytest.mark.parametrize("build", [
+        lambda: geo.ExprScalarField("1 - x4^2", 3),
+        lambda: geo.ExprVectorField(["x1", "x4", "0"], 3),
+        lambda: geo.metric_conformal("x4"),
+        lambda: geo.metric_conformal("x3", n=2),
+        lambda: geo.metric_matrix(["1", "0", "0", "1", "0", "x5"]),
+    ], ids=["scalar", "vector", "conformal", "conformal_n2", "matrix"])
+    def test_variable_beyond_the_dimension_fails_at_construction(self, build):
+        with pytest.raises(ef.ExprError, match="but dimension is"):
+            build()
 
 
 class TestDomain:
