@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
-Runs twenty-one fixed CLI inputs in process and prints one line per input:
+Runs twenty-three fixed CLI inputs in process and prints one line per input:
 its name, the exit code and the first 16 hex digits of the sha256 of its
 report.  The inputs are every theorem scenario, theorem6 at h = 1.5,
 theorem1 and theorem5 under the constant conformal metric c = 1/2, eight
 barrier-verify grids (the torus at m = 2 and at m = 1, which fails, among
-them), a convexity under a matrix metric, and four minimize runs from starts
+them), a convexity under a matrix metric, two barrier-build bundles at the
+top of the unit ball (euclidean, and under theorem3's family metric i = 2,
+1.25 times euclidean), and four minimize runs from starts
 written to temporary SVMESH files: the 513-vertex bulged disk, the same disk
 stopped by ``--max-iterations 1``, the 1537-vertex cap of the unit sphere and
 the 33-vertex bulged disk under the metric e^{0.2 x1} delta.  The torus, the
@@ -56,6 +58,9 @@ INPUTS = (
     ("ellipsoid_matrix", ("convexity", "--domain", "levelset:1-x1^2/4-x2^2/4-x3^2@-2,2",
                           "--p", "0,0,1", "--m", "2",
                           "--metric", "matrix:1+x1^2;0.2*x2;0.1;2+x3;0.3*x1*x3;1.5")),
+    ("build_ball", ("barrier-build", "--domain", "ball:1", "--p", "0,0,1", "--m", "2")),
+    ("build_family2", ("barrier-build", "--domain", "ball:1", "--p", "0,0,1", "--m", "2",
+                       "--metric", "conformal:0.11157177565710488")),
 )
 
 

@@ -263,10 +263,11 @@ class BarrierBundle:
 
     ``chart`` is the working box around p (the shrunken ambient ball of the
     construction); everything about the barrier lives inside it.
-    ``tube_ksum_min`` is the least k_1 + ... + k_m over the tube sample
-    ``tube_curvatures`` drew for that chart: the whole sample, since a chart
-    is kept only once all of it is evaluated (the charts rejected before it
-    stopped at their first failing chunk).
+    ``tube_ksum_min`` is the least kappa_1 + ... + kappa_m of Sigma at the
+    feet of that chart's lattice (``tube_curvatures``): the least sum on each
+    normal segment, which is at its foot.  A chart is kept only once every
+    foot is evaluated; the charts rejected before it stopped at their first
+    failing chunk.
     """
 
     domain: Domain
@@ -284,56 +285,50 @@ class BarrierBundle:
         return BarrierVectorField(self)
 
 
-TUBE_SAMPLES = 2000  # random chart points projected by tube_curvatures
-TUBE_CHUNK = 32      # points in the first chunk tube_curvatures evaluates
+TUBE_LATTICE = 12  # cells per chart axis whose centres tube_curvatures projects
+TUBE_CHUNK = 32    # points in the first chunk tube_curvatures evaluates
 
 
-def tube_curvatures(sigma, chart, face_gap, rejects):
-    """Sample level-set curvature lists over the prospective tube in a chart.
+def tube_curvatures(sigma, chart, clears):
+    """Sigma's principal curvatures at the feet of a fixed chart lattice.
 
-    Feet are obtained by projecting random chart points onto Sigma; each foot
-    is pushed inward by a random offset up to half ``face_gap``, the
-    euclidean distance from p to the chart faces (the largest value epsilon
-    can later take).  Returns the sampled ascending curvature lists in metric
-    units.
+    The lattice is the TUBE_LATTICE^n cell centres of the chart, its 2^n
+    corners and p.  Each point is projected onto Sigma; feet just outside the
+    chart are kept, since the verification grid reaches them through the
+    tube.  Returns the ascending curvatures kappa_i at every foot, in metric
+    units: the curvatures at t = 0 of the normal segments, from which
+    ``build_barrier`` bounds the whole segment.
 
-    The draw is fixed (generator seed 0), so a chart always gets the same
-    sample and a certificate depends on its inputs alone.  The sample gives
-    an estimate of the curvature bound K, not a bound.
-
-    The sample is evaluated in order, in chunks of doubling size (32, 64,
-    ...), each chunk drawing its offsets from the one generator in turn, so
-    every curvature list is the one a single batch gives.  As soon as
-    ``rejects`` is True on a chunk's curvature lists, the call returns the
-    lists evaluated so far; otherwise it returns the whole sample.
-    ``rejects`` must then also be True on any array holding a rejected chunk
-    (as "some sum is not above the goal" is), so that it decides the prefix
-    returned as it would the whole sample.  "No feet" is raised only once
-    the whole sample has none.
+    The points go in chunks of doubling size (32, 64, ...), nearest Sigma
+    first: in layers a quarter of the chart wide by the first-order distance
+    |w| / |grad w|, and in C order within a layer.  A point near Sigma takes
+    few Newton steps, and a layer in C order starts on a chart face, far from
+    p, where a chart that fails has its failing feet.  As soon as ``clears``
+    is False on a chunk's curvature lists the call returns None.  "No feet"
+    is raised only once the whole lattice has none.
     """
-    rng = np.random.default_rng(0)
     p = sigma.p
     lo, hi = chart[:, 0], chart[:, 1]
     n = len(lo)
-    pts = lo + (hi - lo) * rng.random((TUBE_SAMPLES, n))
-    corners = np.stack(np.meshgrid(*np.stack([lo, hi], axis=-1), indexing="ij"), axis=-1)
-    pts = np.concatenate([pts, corners.reshape(-1, n), p[None, :]], axis=0)
+    cells = (np.indices((TUBE_LATTICE,) * n).reshape(n, -1).T + 0.5) / TUBE_LATTICE
+    corners = np.stack(np.meshgrid(*chart, indexing="ij"), axis=-1).reshape(-1, n)
+    pts = np.concatenate([lo + (hi - lo) * cells, corners, p[None, :]])
+    slope = np.linalg.norm(sigma.w.gradient(pts), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        layer = np.floor(4.0 * np.abs(sigma.w.value(pts)) / (slope * np.min(hi - lo)))
+    pts = pts[np.argsort(layer, kind="stable")]
     kept = []
     start, size = 0, TUBE_CHUNK
     while start < len(pts):
-        # keep every foot a chart point projects to, even just outside the
-        # box: the verification grid will reach those feet through the tube
         foot, ok = sigma.project(pts[start:start + size])
         start, size = start + size, 2 * size
         foot = foot[ok]
         if len(foot) == 0:
             continue
-        t = 0.5 * face_gap * rng.random((len(foot), 1))
-        kappa = sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa
-        denom = np.maximum(1.0 - t * kappa, 0.1)
-        kept.append((kappa / denom) / sigma.c)
-        if rejects(kept[-1]):
-            break
+        kappa = sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa / sigma.c
+        if not clears(kappa):
+            return None
+        kept.append(kappa)
     if not kept:
         raise TubeError("no Sigma feet found inside the chart")
     return np.concatenate(kept)
@@ -348,14 +343,17 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     does not exceed eta (no vacuous barriers).
 
     The working chart starts as a box around p clipped to the domain chart
-    and is shrunk by 0.7 until the sampled tube satisfies k_1 + ... + k_m > eta
-    everywhere (with 2% of the slack at p to spare), mirroring the
-    "sufficiently small ball around p" step of the underlying construction.
-    A chart is rejected as soon as one chunk of its sample has a sum that is
-    not above that goal (a NaN sum included), so a rejected chart evaluates
-    only a prefix of its sample; the chart kept has its whole sample
-    evaluated, and K and ``tube_ksum_min`` come from all of it.  epsilon is
-    then min(K^{-1/2}, half the metric distance from p to the chart faces).
+    and is shrunk by 0.7 until every foot of its lattice (``tube_curvatures``)
+    has kappa_1 + ... + kappa_m above eta (with 2% of the slack at p to
+    spare), mirroring the "sufficiently small ball around p" step of the
+    underlying construction.  A chart is rejected at the first chunk of its
+    lattice with a sum that is not above that goal (a NaN sum included).
+    Along the normal segment from a foot, k_i(t) = kappa_i / (1 - t kappa_i)
+    rises with t (Gray, *Tubes*), so the least sum is at the foot: that is
+    ``tube_ksum_min``.  The largest |k_i| is at t = 0 or at t = T, with T
+    half the metric distance from p to the chart faces, and 1 - T kappa_i
+    clipped at 0.1; K is 1.25 times the larger.  epsilon is then
+    min(K^{-1/2}, T), so the segments cover the tube.
     """
     p = np.asarray(p, dtype=float)
     kappa_sum, _, _ = geo.m_convexity(domain, p, m)
@@ -375,29 +373,26 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     goal = eta + 0.02 * max(kappa_sum - eta, 0.0)
     shrinkable = kappa_sum > eta
 
-    def rejects(k):
-        # written as "not >" so that a NaN sum shrinks the chart too
-        return shrinkable and not np.min(np.sum(k[..., :m], axis=-1)) > goal
+    def clears(kappa):
+        # a NaN sum does not clear its chart, so it shrinks the chart too
+        return not shrinkable or np.min(np.sum(kappa[..., :m], axis=-1)) > goal
 
     for _ in range(18):
-        chart = np.stack(
-            [np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1
-        )
-        face_gap = float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
-        k_samples = tube_curvatures(sigma, chart, face_gap, rejects)
-        if not rejects(k_samples):
+        chart = np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1)
+        kappa = tube_curvatures(sigma, chart, clears)
+        if kappa is not None:
             break
         w *= 0.7
     else:
-        raise TubeError(
-            "tube radius collapsed before the convexity inequality held"
-        )
+        raise TubeError("tube radius collapsed before the convexity inequality held")
 
-    ksum_min = float(np.min(np.sum(k_samples[..., :m], axis=-1)))
-    K = 1.25 * float(np.max(np.abs(k_samples)))
+    T = 0.5 * sigma.c * float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
+    ksum_min = float(np.min(np.sum(kappa[..., :m], axis=-1)))
+    k_end = kappa / np.maximum(1.0 - T * kappa, 0.1)
+    K = 1.25 * float(np.max(np.abs([kappa, k_end])))
     if not 0 < K <= 1e4:
         raise TubeError(f"no usable curvature bound: K = {K:.3g}")
-    eps = min(K ** -0.5, 0.5 * sigma.c * face_gap)
+    eps = min(K ** -0.5, T)
     if eps <= 0:
         raise GeometryError("no positive epsilon fits the chart")
     return BarrierBundle(
@@ -550,23 +545,16 @@ def verify_barrier(
     """Check Psi_X + eta |X| <= 0 on a chart grid intersected with N.
 
     Margins are normalized by phi(u) (1 + K).  At a live point, S = jacobian
-    / phi (see ``BarrierVectorField.from_tube``) has the eigenvalues -k_1,
-    -k_2 along the level set of u, with k_i = kappa_i / (1 - u kappa_i) on
-    the parallel surfaces of Sigma (Gray, *Tubes*) and kappa_i from the
-    invariants sigma_1 = (g^T H g - |g|^2 tr H) / |g|^3 and sigma_2 =
-    g^T adj(H) g / |g|^4 of g = grad w, H = Hess w at the foot (Goldman
-    2005), and -(eps - u)^-2 along its normal.  So the margin is (the sum of
-    the m largest of them + eta) / (1 + K), exact to rounding also where the
-    normal eigenvalue is among the m largest; no S is assembled and no
-    eigensolver runs.  Points at or beyond the cutoff, and the live points
-    where phi underflows to 0, contribute an exact zero.  The report carries
-    the worst margin and its location, the first in grid order among equal
-    margins; a grid with no live point checked nothing and does not pass.
-    Each grid point is evaluated in the tube at most once: a point x is
-    skipped, with margin 0, where
-    u0(x) - L r + (|x - p|_G - sqrt(lambda_max(G)) r)_+^4 > FOOT_TOLERANCE for
-    r = eps / c (see ``SigmaSurface.misses``), since then no foot of Sigma
-    lies close enough for x to be in the tube.
+    / phi has the known spectrum of ``BarrierVectorField.from_tube``, so the
+    margin is (the sum of its m largest entries + eta) / (1 + K), exact to
+    rounding also where the normal eigenvalue is among the m largest; no S
+    is assembled and no eigensolver runs.  Points at or beyond the cutoff,
+    and the live points where phi underflows to 0, contribute an exact zero.
+    The report carries the worst margin and its location, the first in grid
+    order among equal margins; a grid with no live point checked nothing and
+    does not pass.  Each grid point is evaluated in the tube at most once,
+    and not at all where ``SigmaSurface.misses`` shows that no foot of Sigma
+    lies within eps / c of it (its margin is then 0).
     """
     b = bundle
     if not 1 <= b.m <= 3:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -162,6 +163,7 @@ def cmd_barrier_build(args):
         "epsilon": bundle.epsilon,
         "eta": bundle.eta,
         "curvature_sum_at_p": bundle.kappa_sum_p,
+        "tube_ksum_min": bundle.tube_ksum_min,
         "chart": bundle.chart.tolist(),
         "scale_factor": bundle.sigma.c,
     })
@@ -364,22 +366,29 @@ def build_parser():
     return ap
 
 
+def _join_signed_values(argv):
+    """``--p -1,0,0`` becomes ``--p=-1,0,0``.  argparse reads a token that
+    starts with '-' as an option unless it is a plain number such as -1 or
+    -1.5; no option name here starts with '-' and a digit or a '.'."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (vf.MeshFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (geo.GeometryError, exprfield.ExprError, vf.VarifoldError,
-            mz.MinimizeError, hz.ScenarioError) as exc:
+    except (UsageError, vf.MeshFormatError, FileNotFoundError, geo.GeometryError,
+            exprfield.ExprError, vf.VarifoldError, mz.MinimizeError, hz.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

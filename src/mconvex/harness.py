@@ -237,8 +237,8 @@ def _check_u_properties(bundle):
 
     (i) u(p) = 0 and u > 0 elsewhere on N; (ii) {u <= eps} is compact
     (closed + bounded inside the chart box); (iii) boundary curvature sums
-    exceed eta on the sublevel set; (iv) tube curvature sums exceed eta on
-    the tube sample the construction drew.
+    exceed eta on the sublevel set; (iv) Sigma's curvature sums exceed eta
+    at the feet of the construction's chart lattice.
     """
     rng = np.random.default_rng(0)
     domain = bundle.domain

@@ -1,5 +1,6 @@
 """Barrier construction and verification tests."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -477,32 +478,38 @@ class TestTubeExclusion:
 
 
 # --------------------------------------------------------------------------
-# the shrink loop's tube sample
+# the shrink loop's chart lattice
 
 
-def _one_batch_tube_curvatures(sigma, chart, face_gap, seed=0):
-    """Reference tube sample: every point projected and every offset drawn in
-    one batch (the sampler before the chunked early stop)."""
-    rng = np.random.default_rng(seed)
-    p = sigma.p
-    lo, hi = chart[:, 0], chart[:, 1]
-    n = len(lo)
-    pts = lo + (hi - lo) * rng.random((bar.TUBE_SAMPLES, n))
-    corners = np.stack(np.meshgrid(*np.stack([lo, hi], axis=-1), indexing="ij"), axis=-1)
-    pts = np.concatenate([pts, corners.reshape(-1, n), p[None, :]], axis=0)
-    foot, ok = sigma.project(pts)
+def _lattice(chart, p):
+    """The points ``tube_curvatures`` projects: the TUBE_LATTICE^3 cell
+    centres of the chart, its 8 corners and p."""
+    n = bar.TUBE_LATTICE
+    c = (np.arange(n) + 0.5) / n
+    cells = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1).reshape(-1, 3)
+    corners = np.array(list(itertools.product(*chart)))
+    return np.concatenate([chart[:, 0] + (chart[:, 1] - chart[:, 0]) * cells, corners, p[None]])
+
+
+def _lattice_kappa(sigma, chart):
+    """Reference: Sigma's curvatures (metric units) at the feet of the whole
+    lattice, projected in one batch (no early stop)."""
+    foot, ok = sigma.project(_lattice(chart, sigma.p))
     if not np.any(ok):
         raise bar.TubeError("no Sigma feet found inside the chart")
     foot = foot[ok]
-    t = 0.5 * face_gap * rng.random((len(foot), 1))
-    kappa = bar.sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa
-    denom = np.maximum(1.0 - t * kappa, 0.1)
-    return (kappa / denom) / sigma.c
+    return bar.sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa / sigma.c
 
 
-def _one_batch_bundle(domain, p, m, h, seed):
+def _segment_end(sigma, chart):
+    """T: half the metric distance from p to the chart faces."""
+    p = sigma.p
+    return 0.5 * sigma.c * float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
+
+
+def _one_batch_bundle(domain, p, m, h):
     """``(K, epsilon, tube_ksum_min, chart)`` of build_barrier's shrink loop
-    (eta at its default, no hypothesis gate) run on the one-batch sample."""
+    (eta at its default, no hypothesis gate) run on the one-batch lattice."""
     kappa_sum, _, _ = geo.m_convexity(domain, p, m)
     eta = 0.5 * (h + kappa_sum)
     sigma = bar.SigmaSurface(domain, p)
@@ -511,21 +518,22 @@ def _one_batch_bundle(domain, p, m, h, seed):
     goal = eta + 0.02 * max(kappa_sum - eta, 0.0)
     for _ in range(18):
         chart = np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1)
-        face_gap = float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
-        k = _one_batch_tube_curvatures(sigma, chart, face_gap, seed)
-        ksum_min = float(np.min(np.sum(k[..., :m], axis=-1)))
+        kappa = _lattice_kappa(sigma, chart)
+        ksum_min = float(np.min(np.sum(kappa[..., :m], axis=-1)))
         if not kappa_sum > eta or ksum_min > goal:
             break
         w *= 0.7
     else:
         raise bar.TubeError("tube radius collapsed")
-    K = 1.25 * float(np.max(np.abs(k)))
-    return K, min(K ** -0.5, 0.5 * sigma.c * face_gap), ksum_min, chart
+    T = _segment_end(sigma, chart)
+    k_end = kappa / np.maximum(1.0 - T * kappa, 0.1)
+    K = 1.25 * max(float(np.max(np.abs(kappa))), float(np.max(np.abs(k_end))))
+    return K, min(K ** -0.5, T), ksum_min, chart
 
 
-def _assert_same_bundle(domain, p, m, h, seed):
+def _assert_same_bundle(domain, p, m, h):
     b = bar.build_barrier(domain, p, m, h=h, enforce_hypothesis=False)
-    expect = _one_batch_bundle(domain, p, m, h, seed)
+    expect = _one_batch_bundle(domain, p, m, h)
     for got, want in zip((b.K, b.epsilon, b.tube_ksum_min, b.chart), expect):
         assert np.array_equal(got, want)
     return expect
@@ -542,32 +550,66 @@ _SAMPLE_DOMAINS = {
 }
 
 
+def _family_domain(i):
+    ball = geo.domain_ball(1.0)
+    return geo.Domain(hz.metric_family(i), ball.u0, ball.chart)
+
+
 class TestTubeSample:
     """A rejected chart stops at its first failing chunk; every bundle stays
-    bitwise the one the one-batch sample gives."""
+    bitwise the one the one-batch lattice gives, and its K and
+    ``tube_ksum_min`` hold on every normal segment of the kept chart."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("chunk_log2", [0, 1, 7])
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("name", list(_SAMPLE_DOMAINS))
-    def test_bundle_matches_one_batch_sample(self, name, m, h, seed, monkeypatch):
-        # the library draws from the fixed generator 0; the chunked early stop
-        # must give the one-batch sample for any draw, so other draws are
-        # swapped in here
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda _: default_rng(seed))
+    def test_bundle_matches_one_batch_sample(self, name, m, h, chunk_log2, monkeypatch):
+        # the early stop must not depend on how the lattice is chunked: first
+        # chunks of 1, 2 and 128 points
+        monkeypatch.setattr(bar, "TUBE_CHUNK", 2 ** chunk_log2)
         dom, p = _SAMPLE_DOMAINS[name]
-        _assert_same_bundle(dom, np.array(p), m, h, seed)
+        _assert_same_bundle(dom, np.array(p), m, h)
 
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("i", range(11))
     def test_family_bundle_matches_one_batch_sample(self, i, h):
-        ball = geo.domain_ball(1.0)
-        dom = geo.Domain(hz.metric_family(i), ball.u0, ball.chart)
-        _assert_same_bundle(dom, np.array([0.0, 0.0, 1.0]), 2, h, 0)
+        _assert_same_bundle(_family_domain(i), np.array([0.0, 0.0, 1.0]), 2, h)
+
+    def test_ksum_min_is_the_least_foot_sum(self):
+        """theorem3's i = 2: the sum is taken at the feet, where it is least
+        on each normal segment, and every foot clears the shrink loop's goal."""
+        b = bar.build_barrier(_family_domain(2), np.array([0.0, 0.0, 1.0]), 2, h=0.0)
+        kappa = _lattice_kappa(b.sigma, b.chart)
+        assert b.tube_ksum_min == float(np.min(np.sum(kappa[:, :2], axis=-1)))
+        assert b.tube_ksum_min > b.eta + 0.02 * (b.kappa_sum_p - b.eta)
+
+    @pytest.mark.parametrize("name", ["ball", "conformal_ball", "ellipsoid", "family_2"])
+    def test_K_bounds_every_normal_segment(self, name):
+        """1.25 |kappa / (1 - t kappa)| <= K for t in [0, T] at every foot;
+        T bounds epsilon, so the segments cover the tube."""
+        cases = dict(_SAMPLE_DOMAINS, family_2=(_family_domain(2), (0.0, 0.0, 1.0)))
+        dom, p = cases[name]
+        b = bar.build_barrier(dom, np.array(p), 2)
+        kappa = _lattice_kappa(b.sigma, b.chart)
+        T = _segment_end(b.sigma, b.chart)
+        assert b.epsilon <= T
+        t = np.linspace(0.0, T, 401)[:, None, None]
+        denom = 1.0 - t * kappa
+        assert np.all(denom > 0.1)
+        assert np.max(1.25 * np.abs(kappa / denom)) <= b.K * (1 + 1e-12)
+
+    def test_build_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_barrier drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        p = np.array([0.0, 0.0, 1.0])
+        bar.build_barrier(geo.domain_ball(1.0), p, 2)
+        bar.build_barrier(_family_domain(2), p, 2)
 
     def test_nan_sum_shrinks_the_chart(self, monkeypatch):
-        """A NaN curvature sum rejects its chart, as "not >" says."""
+        """A NaN curvature sum rejects its chart: it does not clear the goal."""
         dom, p = _SAMPLE_DOMAINS["ball"]
         p = np.array(p)
         sigma_shape = bar.sigma_shape
@@ -579,7 +621,7 @@ class TestTubeSample:
             return dataclasses.replace(shp, kappa=np.where(far[:, None], np.nan, shp.kappa))
 
         monkeypatch.setattr(bar, "sigma_shape", nan_far_from_p)
-        _, _, ksum_min, chart = _assert_same_bundle(dom, p, 2, 0.0, 0)
+        _, _, ksum_min, chart = _assert_same_bundle(dom, p, 2, 0.0)
         assert np.isfinite(ksum_min) and np.all(chart[:, 1] - chart[:, 0] < 0.24)
 
     def test_rejected_charts_project_a_prefix(self, ball_domain, north_pole, monkeypatch):
@@ -592,9 +634,9 @@ class TestTubeSample:
 
         monkeypatch.setattr(bar.SigmaSurface, "project", counting)
         bar.build_barrier(ball_domain, north_pole, m=2)
-        n_sample = bar.TUBE_SAMPLES + 2 ** 3 + 1
-        # four charts, three rejected: the one-batch sample projects 4 x 2009
-        assert n_sample <= sum(seen) < 2 * n_sample
+        n_lattice = bar.TUBE_LATTICE ** 3 + 2 ** 3 + 1
+        # four charts, three rejected: the one-batch lattice projects 4 x 1737
+        assert n_lattice <= sum(seen) < 2 * n_lattice
 
     def test_no_feet_raised_after_the_whole_sample(self, ball_domain, north_pole,
                                                    monkeypatch):
@@ -608,8 +650,8 @@ class TestTubeSample:
         sigma = bar.SigmaSurface(ball_domain, north_pole)
         chart = np.stack([north_pole - 0.1, north_pole + 0.1], axis=-1)
         with pytest.raises(bar.TubeError, match="no Sigma feet"):
-            bar.tube_curvatures(sigma, chart, 0.1, lambda k: True)
-        assert sum(seen) == bar.TUBE_SAMPLES + 2 ** 3 + 1
+            bar.tube_curvatures(sigma, chart, lambda kappa: False)
+        assert sum(seen) == bar.TUBE_LATTICE ** 3 + 2 ** 3 + 1
 
 
 # --------------------------------------------------------------------------

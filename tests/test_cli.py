@@ -172,6 +172,29 @@ class TestInputErrors:
         assert doc["report"]["n_tube"] == 0 and not doc["passed"]
 
 
+class TestSignedValues:
+    """A value that starts with '-' reaches its option.  Alone, argparse
+    takes only plain numbers such as -1 or -1.5 as values."""
+
+    def test_negative_point(self, capsys):
+        code, doc, _ = run(capsys, "convexity", "--domain", "ball:1", "--p", "-1,0,0",
+                           "--m", "2")
+        assert code == cli.EXIT_PASS
+        assert doc["report"]["p"] == [-1.0, 0.0, 0.0]
+
+    def test_negative_eta_in_exponent_form(self, capsys):
+        code, doc, _ = run(capsys, "barrier-verify", *_BALL, "--m", "2", "--eta", "-1e-3",
+                           "--grid", "10")
+        assert code == cli.EXIT_PASS
+        assert doc["report"]["eta"] == -1e-3
+
+    def test_negative_tolerance_reaches_its_own_check(self, capsys):
+        code = cli.main(["barrier-verify", *_BALL, "--m", "2", "--tolerance", "-1e-7"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error: --tolerance must be")
+
+
 class TestFirstVariation:
     def test_disk_position_field(self, capsys, disk_path):
         code, doc, _ = run(capsys, "first-variation", "--mesh", disk_path,

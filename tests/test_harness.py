@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mconvex import barrier as bar
 from mconvex import geometry as geo
 from mconvex import harness as hz
 from mconvex import meshes
@@ -174,6 +175,27 @@ class TestExclusion:
         assert ex == {"support_distance": dist, "epsilon": b.epsilon,
                       "chord_tolerance": chord,
                       "exclusion_margin": dist - b.epsilon + chord}
+
+
+@pytest.fixture(scope="module")
+def theorem3_limit_bundle():
+    cfg = hz.ScenarioConfig()
+    return bar.build_barrier(hz._family_base(cfg, "theorem3"), np.asarray(cfg.p, float), cfg.m)
+
+
+class TestUProperties:
+    def test_sublevel_set_reaches_the_chart_face(self, theorem3_limit_bundle):
+        """{w <= eps} meets the face x1 = hi of the chart on the boundary of N."""
+        b = theorem3_limit_bundle
+        x1 = b.chart[0, 1]
+        x = np.array([x1, 0.0, np.sqrt(1.0 - x1 ** 2)])
+        assert b.domain.contains(x[None])[0]
+        assert b.sigma.w.value(x) <= b.epsilon
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4 (ii): the check tests random "
+                       "interior chart points against the chart faces, so it cannot fail")
+    def test_compactness_check_sees_the_face(self, theorem3_limit_bundle):
+        assert hz._check_u_properties(theorem3_limit_bundle)["ii"] is False
 
 
 class TestDeterminism:
