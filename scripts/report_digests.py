@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
-Runs twenty-three fixed CLI inputs in process and prints one line per input:
+Runs twenty-four fixed CLI inputs in process and prints one line per input:
 its name, the exit code and the first 16 hex digits of the sha256 of its
 report.  The inputs are every theorem scenario, theorem6 at h = 1.5,
-theorem1 and theorem5 under the constant conformal metric c = 1/2, eight
+theorem1 and theorem5 under the constant conformal metric c = 1/2, nine
 barrier-verify grids (the torus at m = 2 and at m = 1, which fails, among
-them), a convexity under a matrix metric, two barrier-build bundles at the
-top of the unit ball (euclidean, and under theorem3's family metric i = 2,
-1.25 times euclidean), and four minimize runs from starts
-written to temporary SVMESH files: the 513-vertex bulged disk, the same disk
-stopped by ``--max-iterations 1``, the 1537-vertex cap of the unit sphere and
-the 33-vertex bulged disk under the metric e^{0.2 x1} delta.  The torus, the
+them, and the ball under c = 1/2 written both as conformal:0-log(2) and as
+the matrix 0.25 I, whose digests are equal), a convexity under a matrix
+metric, two barrier-build bundles at the top of the unit ball (euclidean,
+and under theorem3's family metric i = 2, 1.25 times euclidean), and four
+minimize runs from starts written to temporary SVMESH files: the 513-vertex
+bulged disk, the same disk stopped by ``--max-iterations 1``, the
+1537-vertex cap of the unit sphere and the 33-vertex bulged disk under the
+metric e^{0.2 x1} delta.  The torus, the
 ellipsoid, the matrix metric and the non-constant conformal metric are read
 through expressions.  Two trees print the same lines exactly when their
 reports are byte-identical.
@@ -48,6 +50,9 @@ INPUTS = (
     ("ball_grid100", _VERIFY + ("--domain", "ball:1", "--p", "0,0,1", "--grid", "100")),
     ("ball_conformal_grid60", _VERIFY + ("--domain", "ball:1", "--metric", "conformal:0-log(2)",
                                          "--p", "0,0,1", "--grid", "60")),
+    ("ball_matrix_grid60", _VERIFY + ("--domain", "ball:1", "--metric",
+                                      "matrix:0.25;0;0;0.25;0;0.25", "--p", "0,0,1",
+                                      "--grid", "60")),
     ("ellipsoid_grid60", _VERIFY + ("--domain", "levelset:1-x1^2/4-x2^2/4-x3^2@-2,2",
                                     "--p", "0,0,1", "--grid", "60")),
     ("halfspace_control", _VERIFY + ("--domain", "halfspace", "--p", "0,0,0", "--eta", "0.1",

@@ -125,13 +125,14 @@ class SigmaSurface:
         gap = np.maximum(dist_g - reach, 0.0)
         return self.domain.u0.value(x) - L * radius + gap**4 > FOOT_TOLERANCE
 
-    def project(self, x, tol=1e-12, max_iter=60):
+    def project(self, x):
         """Euclidean closest point on {w = 0}.
 
         Returns ``(foot, ok)``; ``ok`` is False where the KKT Newton
-        iteration failed to converge (point outside the tube) or met a
-        singular system.  A point stops iterating as soon as its own KKT
-        residual is at most ``tol``; only the others are assembled and solved.
+        iteration failed to converge in 60 steps (point outside the tube) or
+        met a singular system.  A point stops iterating as soon as its own
+        KKT residual is at most 1e-12; only the others are assembled and
+        solved.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
@@ -144,12 +145,12 @@ class SigmaSurface:
         max_step = 0.25 * self.domain.chart_diameter()
         ok = np.ones(len(pts), dtype=bool)
         active = np.arange(len(pts))
-        for _ in range(max_iter):
+        for _ in range(60):
             ya, la = y[active], lam[active]
             gw = self.w.gradient(ya)
             res_y = ya - pts[active] + la[:, None] * gw
             res = np.concatenate([res_y, self.w.value(ya)[:, None]], axis=-1)
-            moving = np.linalg.norm(res, axis=-1) > tol
+            moving = np.linalg.norm(res, axis=-1) > 1e-12
             if not np.any(moving):
                 break
             active, ya, la, gw, res = (
@@ -337,8 +338,9 @@ def tube_curvatures(sigma, chart, clears):
 def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     """Construct the full barrier bundle at a boundary point p.
 
-    ``eta`` defaults to the midpoint of (h, kappa_1 + ... + kappa_m at p);
-    an eta that is not finite, a NaN or infinite h included, is an error.
+    ``eta`` defaults to the midpoint of (h, kappa_1 + ... + kappa_m at p).
+    An eta that is not finite (a NaN or infinite h makes the default one so)
+    is an error, and so is an h that is not finite and nonnegative.
     With ``enforce_hypothesis`` the construction refuses whenever that sum
     does not exceed eta (no vacuous barriers).
 
@@ -361,6 +363,8 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
         eta = 0.5 * (h + kappa_sum)
     if not np.isfinite(eta):
         raise GeometryError(f"eta must be finite, got {eta}")
+    if not 0.0 <= h < np.inf:
+        raise GeometryError(f"h must be finite and nonnegative, got {h}")
     if enforce_hypothesis and kappa_sum <= eta:
         raise BarrierRefusal(
             f"curvature sum {kappa_sum:.6g} at p does not exceed eta = {eta:.6g}"

@@ -76,7 +76,7 @@ def _parse_metric(spec):
         entries = rest.split(";")
         if len(entries) != 6:
             raise UsageError("matrix metric needs 6 upper-triangle entries g11;g12;g13;g22;g23;g33")
-        return geo.metric_matrix(entries)
+        return geo.MetricField(entries)
     raise UsageError(f"unknown metric spec {spec!r}")
 
 

@@ -252,101 +252,15 @@ class ExprVectorField(VectorField):
 
 
 class MetricField:
-    n: int
+    """Metric from the upper-triangle expressions g11, g12, ..., g1n, g22, ...;
+    the lower triangle mirrors them, so g is exactly symmetric.
 
-    def matrix(self, x):
-        raise NotImplementedError
-
-    def dmatrix(self, x):
-        """Partials of the metric entries: ``[..., k, i, j] = d_k g_ij``."""
-        raise NotImplementedError
-
-    def inverse(self, x):
-        return np.linalg.inv(self.matrix(x))
-
-    def constant_factor(self):
-        """If g = c^2 * euclidean with constant c, return c, else None.
-
-        Every metric-dependent quantity takes the euclidean formula scaled by
-        a power of c when this is not None, and the general path otherwise.
-        """
-        return None
-
-    def check_spd(self, x):
-        g = self.matrix(x)
-        w = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))
-        if np.any(w[..., 0] <= 0):
-            raise MetricError("metric is not positive definite at a queried point")
-
-    def norm(self, x, v):
-        c = self.constant_factor()
-        if c is not None:
-            return c * np.linalg.norm(v, axis=-1)
-        g = self.matrix(x)
-        return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
-
-
-class EuclideanMetric(MetricField):
-    def __init__(self, n=3):
-        self.n = n
-
-    def matrix(self, x):
-        x = np.asarray(x)
-        return np.broadcast_to(np.eye(self.n), x.shape[:-1] + (self.n, self.n)).copy()
-
-    def dmatrix(self, x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (self.n, self.n, self.n))
-
-    def inverse(self, x):
-        return self.matrix(x)
-
-    def constant_factor(self):
-        return 1.0
-
-    def check_spd(self, x):
-        pass
-
-
-class ConformalMetric(MetricField):
-    """g = e^{2f} * delta for an expression f."""
-
-    def __init__(self, f, n=3):
-        self.n = n
-        self.f = ExprArray(f, n)
-        self.df = self.f.diff()
-        self._c = None
-        if all(d == exprfield.Const(0.0) for d in self.df.flat):
-            self._c = float(np.exp(float(self.f.eval_at(np.zeros(n)))))
-
-    def factor(self, x):
-        return np.exp(2.0 * self.f.eval_at(x))
-
-    def matrix(self, x):
-        return self.factor(x)[..., None, None] * np.eye(self.n)
-
-    def dmatrix(self, x):
-        df = self.df.eval_at(x)
-        return (
-            2.0
-            * self.factor(x)[..., None, None, None]
-            * df[..., :, None, None]
-            * np.eye(self.n)
-        )
-
-    def inverse(self, x):
-        return (1.0 / self.factor(x))[..., None, None] * np.eye(self.n)
-
-    def constant_factor(self):
-        return self._c
-
-    def check_spd(self, x):
-        pass  # e^{2f} delta is always positive definite
-
-
-class MatrixMetric(MetricField):
-    """General metric from the upper-triangle expressions g11, g12, ..., g1n,
-    g22, ...; the lower triangle mirrors them, so g is exactly symmetric."""
+    ``constant_factor()`` is read off the entries once, at construction: c
+    with g = c^2 * euclidean when every partial of g folds to 0 and
+    g(0) = g11 * I with g11 > 0, else None.  Every metric-dependent quantity
+    takes the euclidean formula scaled by a power of c when it is not None,
+    and the general path otherwise.
+    """
 
     def __init__(self, entries, n=3):
         self.n = n
@@ -361,12 +275,37 @@ class MatrixMetric(MetricField):
                 grid[i][j] = grid[j][i] = next(upper)
         self.g = ExprArray(grid, n)
         self.dg = self.g.diff()
+        self._c = None
+        if all(d == exprfield.Const(0.0) for d in self.dg.flat):
+            g0 = self.g.eval_at(np.zeros(n))
+            if g0[0, 0] > 0 and np.array_equal(g0, g0[0, 0] * np.eye(n)):
+                self._c = float(np.sqrt(g0[0, 0]))
 
     def matrix(self, x):
         return self.g.eval_at(x)
 
     def dmatrix(self, x):
+        """Partials of the metric entries: ``[..., k, i, j] = d_k g_ij``."""
         return np.ascontiguousarray(np.moveaxis(self.dg.eval_at(x), -1, -3))
+
+    def inverse(self, x):
+        return np.linalg.inv(self.matrix(x))
+
+    def constant_factor(self):
+        return self._c
+
+    def check_spd(self, x):
+        g = self.matrix(x)
+        w = np.linalg.eigvalsh(g)
+        if np.any(w[..., 0] <= 0):
+            raise MetricError("metric is not positive definite at a queried point")
+
+    def norm(self, x, v):
+        c = self._c
+        if c is not None:
+            return c * np.linalg.norm(v, axis=-1)
+        g = self.matrix(x)
+        return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
 
 
 # --------------------------------------------------------------------------
@@ -376,10 +315,6 @@ class MatrixMetric(MetricField):
 def christoffel(metric, x):
     """Connection coefficients ``[..., k, i, j] = Gamma^k_ij``."""
     metric.check_spd(x)
-    if metric.constant_factor() is not None:
-        x = np.asarray(x)
-        n = metric.n
-        return np.zeros(x.shape[:-1] + (n, n, n))
     gi = metric.inverse(x)
     d = metric.dmatrix(x)
     # T[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
@@ -413,9 +348,6 @@ def covariant_from_jacobian(value, J, x, metric):
 
 def lower_index(A, x, metric):
     """``g A``: the bilinear form (u, v) -> <u, A v>_g in chart coordinates."""
-    c = metric.constant_factor()
-    if c is not None:
-        return c * c * A
     return np.einsum("...ab,...bi->...ai", metric.matrix(x), A)
 
 
@@ -585,29 +517,28 @@ class Domain:
     def boundary_tolerance(self):
         return 1e-9 * self.chart_diameter()
 
-    def contains(self, x, tol=0.0):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        inside = self.u0.value(x) >= -tol
-        in_chart = np.all(
-            (x >= self.chart[:, 0] - tol) & (x <= self.chart[:, 1] + tol), axis=-1
-        )
+        inside = self.u0.value(x) >= 0.0
+        in_chart = np.all((x >= self.chart[:, 0]) & (x <= self.chart[:, 1]), axis=-1)
         return inside & in_chart
 
     def on_boundary(self, p):
         return np.abs(self.u0.value(p)) < self.boundary_tolerance
 
 
-def newton_level_project(f, x, level=0.0, tol=1e-12, max_iter=50):
-    """Project points onto {f = level} by damped Newton along grad f.
+def newton_level_project(f, x, tol=1e-12):
+    """Project points onto {f = 0} by Newton steps along grad f, at most 50.
 
-    Uses euclidean coordinate steps; raises GeometryError on non-convergence.
+    Uses euclidean coordinate steps; raises GeometryError unless every
+    |f| ends at most ``tol``.
     """
     y = np.array(x, dtype=float, copy=True)
     single = y.ndim == 1
     if single:
         y = y[None, :]
-    for _ in range(max_iter):
-        r = f.value(y) - level
+    for _ in range(50):
+        r = f.value(y)
         if np.all(np.abs(r) <= tol):
             break
         g = f.gradient(y)
@@ -616,18 +547,17 @@ def newton_level_project(f, x, level=0.0, tol=1e-12, max_iter=50):
             raise VanishingGradientError("vanishing gradient during projection")
         y = y - (r / g2)[..., None] * g
     else:
-        r = f.value(y) - level
-        if np.any(np.abs(r) > tol):
+        if np.any(np.abs(f.value(y)) > tol):
             raise GeometryError("level-set projection did not converge")
     return y[0] if single else y
 
 
-def m_convexity(domain, p, m, strict_tol=1e-8):
+def m_convexity(domain, p, m):
     """Sum of the m smallest boundary principal curvatures at p, classified.
 
     Returns ``(kappa_sum, classification, curvatures)`` where classification
-    is one of "strongly m-convex", "m-convex", "neither".  m must count
-    boundary curvatures: 1 <= m <= n - 1.
+    is one of "strongly m-convex" (sum above 1e-8), "m-convex" (within 1e-8
+    of 0) and "neither".  m must count boundary curvatures: 1 <= m <= n - 1.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
@@ -640,9 +570,9 @@ def m_convexity(domain, p, m, strict_tol=1e-8):
         )
     kappas = levelset_shape(domain.u0, p, domain.metric)
     total = float(np.sum(kappas[..., :m], axis=-1))
-    if total > strict_tol:
+    if total > 1e-8:
         cls = "strongly m-convex"
-    elif total >= -strict_tol:
+    elif total >= -1e-8:
         cls = "m-convex"
     else:
         cls = "neither"
@@ -653,16 +583,21 @@ def m_convexity(domain, p, m, strict_tol=1e-8):
 # catalogs addressable from configs
 
 
+def _diagonal(entry, n):
+    """Upper-triangle entries of ``entry`` times the n x n identity."""
+    return [entry if i == j else "0" for i in range(n) for j in range(i, n)]
+
+
 def metric_euclidean(n=3):
-    return EuclideanMetric(n)
+    return MetricField(_diagonal("1", n), n)
 
 
 def metric_conformal(f, n=3):
-    return ConformalMetric(f, n)
-
-
-def metric_matrix(entries, n=3):
-    return MatrixMetric(entries, n)
+    """g = e^{2f} * delta for an expression f (source or parsed): the entry
+    exp(2 * (f)), built on f's own parse so that a syntax error points into f."""
+    f = parse(f) if isinstance(f, str) else f
+    entry = exprfield.Func("exp", exprfield.BinOp("*", exprfield.Const(2.0), f))
+    return MetricField(_diagonal(entry, n), n)
 
 
 def domain_halfspace(n=3, metric=None, chart_halfwidth=2.0):
@@ -672,7 +607,7 @@ def domain_halfspace(n=3, metric=None, chart_halfwidth=2.0):
     chart = np.array([[-chart_halfwidth, chart_halfwidth]] * n)
     chart[-1] = [-chart_halfwidth, chart_halfwidth]
     return Domain(
-        metric or EuclideanMetric(n), LinearField(a), chart, name="halfspace"
+        metric or metric_euclidean(n), LinearField(a), chart, name="halfspace"
     )
 
 
@@ -682,7 +617,7 @@ def domain_ball(radius=1.0, n=3, metric=None, chart=None):
         w = 1.5 * radius
         chart = np.array([[-w, w]] * n)
     return Domain(
-        metric or EuclideanMetric(n),
+        metric or metric_euclidean(n),
         DistanceField(radius, np.zeros(n)),
         chart,
         name=f"ball:{radius:g}",
@@ -695,7 +630,7 @@ def domain_cylinder(radius=1.0, metric=None, chart=None):
         w = 1.5 * radius
         chart = np.array([[-w, w], [-w, w], [-2.0, 2.0]])
     return Domain(
-        metric or EuclideanMetric(3),
+        metric or metric_euclidean(3),
         DistanceField(radius, np.zeros(3), axes=(0, 1)),
         chart,
         name=f"cylinder:{radius:g}",
@@ -704,7 +639,7 @@ def domain_cylinder(radius=1.0, metric=None, chart=None):
 
 def domain_levelset(expr, chart, n=3, metric=None):
     return Domain(
-        metric or EuclideanMetric(n),
+        metric or metric_euclidean(n),
         ExprScalarField(expr, n),
         np.asarray(chart, dtype=float),
         name="levelset",

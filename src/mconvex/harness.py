@@ -62,10 +62,14 @@ class ScenarioConfig:
     domain: Optional[geo.Domain] = None  # all scenarios; default the unit ball
     p: np.ndarray = dc_field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))  # theorem1/3/5/6
     m: int = 2  # theorem1/3/5/6 (theorem4 uses n - 1)
-    h: float = 0.0  # theorem5/6; theorem1/3/4 raise ScenarioError unless h = 0
+    h: float = 0.0  # theorem5/6, finite and >= 0; theorem1/3/4 raise ScenarioError unless h = 0
     grid_resolution: int = 40  # theorem1: barrier verification grid
     mesh: Optional[vf.SimplicialSurface] = None  # minimized by theorem1/3, checked by theorem5/6
     family_range: tuple = (0, 10)  # theorem3/6: indices i of metric_family, at most 40
+
+    def __post_init__(self):
+        if not 0.0 <= self.h < np.inf:
+            raise ScenarioError(f"h must be finite and nonnegative, got {self.h}")
 
     def resolved_domain(self):
         return self.domain if self.domain is not None else geo.domain_ball(radius=1.0)
@@ -153,9 +157,8 @@ def _bounded_mc_and_exclude(mesh, bundle, h):
     return mc, exclusion(V, mesh, bundle)
 
 
-def scenario_theorem1(cfg=None):
+def scenario_theorem1(cfg):
     """Exclusion of first-order minimizers from a strongly m-convex point."""
-    cfg = cfg or ScenarioConfig()
     _reads_no_h(cfg, "theorem1")
     domain = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)
@@ -281,9 +284,8 @@ def _check_u_properties(bundle):
     }
 
 
-def scenario_theorem3(cfg=None):
+def scenario_theorem3(cfg):
     """Exclusion persists along a smoothly converging metric family."""
-    cfg = cfg or ScenarioConfig()
     _reads_no_h(cfg, "theorem3")
     base = _family_base(cfg, "theorem3")
     p = np.asarray(cfg.p, dtype=float)
@@ -338,10 +340,9 @@ def scenario_theorem3(cfg=None):
     }
 
 
-def scenario_theorem4(cfg=None):
+def scenario_theorem4(cfg):
     """Hypersurface case: barrier contradiction at mean-convex contact plus
     the boundary decomposition of integral varifolds."""
-    cfg = cfg or ScenarioConfig()
     _reads_no_h(cfg, "theorem4")
     domain = cfg.resolved_domain()
     boundary_mesh = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
@@ -398,13 +399,10 @@ def scenario_theorem4(cfg=None):
     }
 
 
-def scenario_theorem5(cfg=None):
+def scenario_theorem5(cfg):
     """Bounded-mean-curvature exclusion: curvature sum must exceed h."""
-    cfg = cfg or ScenarioConfig(h=SCENARIO_H["theorem5"])
     domain = cfg.resolved_domain()
     p = np.asarray(cfg.p, dtype=float)
-    if cfg.h < 0:
-        raise ScenarioError("h must be nonnegative")
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
     if ksum <= cfg.h:
         return _refusal(cfg, f"curvature sum {ksum:.6g} <= h = {cfg.h:.6g}")
@@ -432,13 +430,10 @@ def scenario_theorem5(cfg=None):
     }
 
 
-def scenario_theorem6(cfg=None):
+def scenario_theorem6(cfg):
     """Theorem 3 pipeline with the bounded-mean-curvature condition."""
-    cfg = cfg or ScenarioConfig(h=SCENARIO_H["theorem6"])
     base = _family_base(cfg, "theorem6")
     p = np.asarray(cfg.p, dtype=float)
-    if cfg.h < 0:
-        raise ScenarioError("h must be nonnegative")
     ksum, _, _ = geo.m_convexity(base, p, cfg.m)
     if ksum <= cfg.h:
         return _refusal(cfg, f"curvature sum {ksum:.6g} <= h = {cfg.h:.6g}")

@@ -52,13 +52,13 @@ def area(mesh, metric=None, order=2):
     return vf.area(mesh, metric, order=order)
 
 
-def project_to_domain(x, domain, tol=1e-10, max_iter=50):
-    """Snap points with u0 < 0 back onto the boundary {u0 = 0}."""
+def project_to_domain(x, domain):
+    """Snap points with u0 < 0 back onto the boundary {u0 = 0}, to |u0| <= 1e-10."""
     pts = np.array(x, dtype=float)
     viol = domain.u0.value(pts) < 0.0
     if np.any(viol):
-        moved = geo.newton_level_project(domain.u0, pts[viol], tol=tol, max_iter=max_iter)
-        if np.any(np.abs(domain.u0.value(moved)) > tol):
+        moved = geo.newton_level_project(domain.u0, pts[viol], tol=1e-10)
+        if np.any(np.abs(domain.u0.value(moved)) > 1e-10):
             raise MinimizeError("boundary projection failed to converge")
         pts[viol] = moved
     return pts

@@ -416,8 +416,8 @@ def area_vertex_gradient(mesh, laplacian=None):
     return apply_laplacian(*laplacian, mesh.vertices)
 
 
-def metric_area_gradient(mesh, metric=None, order=2, laplacian=None):
-    """Exact vertex gradient of ``area(mesh, metric, order)``, shape (V, n).
+def metric_area_gradient(mesh, metric=None, laplacian=None):
+    """Exact vertex gradient of ``area(mesh, metric)``, shape (V, n).
 
     At a node x_q = sum_b lambda_qb v_b with G_q = E^T g(x_q) E and
     vol_q = sqrt(det G_q) / m!, the differential is
@@ -431,7 +431,7 @@ def metric_area_gradient(mesh, metric=None, order=2, laplacian=None):
     c = 1.0 if metric is None else metric.constant_factor()
     if c is not None:
         return c ** mesh.m * area_vertex_gradient(mesh, laplacian)
-    quad = _mesh_quadrature(mesh, metric, order)
+    quad = _mesh_quadrature(mesh, metric, 2)
     F, m, n = quad.E.shape
     w = quad.weights.reshape(F, -1)
     # per simplex: d(weighted area) / d(edge a), then / d(corner b)
@@ -472,11 +472,12 @@ def weight_integral(V, f):
     return float(np.sum(V.weights * vals))
 
 
-def check_bounded_mc(V, X, h, metric=None, tolerance=None):
-    """delta V(X) + h * integral of |X|; pass iff >= -tolerance.
+def check_bounded_mc(V, X, h, metric=None):
+    """delta V(X) + h * integral of |X|; pass iff >= -tolerance, with
+    tolerance 1e-6 x total weight x max(max |X|, 1).
 
     X and its jacobian are evaluated once at the atoms and shared by the
-    first variation, the mass of |X| and the default tolerance.  ``n_live``
+    first variation, the mass of |X| and the tolerance.  ``n_live``
     counts the atoms where X does not vanish; for a barrier field these are
     the atoms of the open tube where phi(u) > 0, and 0 means the check is
     vacuous.
@@ -489,10 +490,7 @@ def check_bounded_mc(V, X, h, metric=None, tolerance=None):
     dv = _first_variation(V, A, metric)
     mass = weight_integral(V, lambda pts: metric.norm(pts, vals))
     value = dv + h * mass
-    if tolerance is None:
-        tolerance = 1e-6 * V.total_weight * max(
-            float(np.max(np.linalg.norm(vals, axis=-1))), 1.0
-        )
+    tolerance = 1e-6 * V.total_weight * max(float(np.max(np.linalg.norm(vals, axis=-1))), 1.0)
     return {
         "value": float(value),
         "delta_V": float(dv),
@@ -528,9 +526,10 @@ def mesh_mean_curvature(mesh, metric=None):
     return H, interior
 
 
-def _simplex_keys(mesh, decimals=9):
-    """Geometric keys: sorted rounded vertex coordinates of each simplex."""
-    v = np.round(mesh.vertices[mesh.simplices], decimals)
+def _simplex_keys(mesh):
+    """Geometric keys: sorted vertex coordinates of each simplex, rounded to
+    9 decimals."""
+    v = np.round(mesh.vertices[mesh.simplices], 9)
     keys = []
     for simplex in v:
         rows = sorted(tuple(row) for row in simplex)
@@ -538,16 +537,16 @@ def _simplex_keys(mesh, decimals=9):
     return keys
 
 
-def decompose_integral(V_mesh, boundary_mesh, tol=1e-9):
+def decompose_integral(V_mesh, boundary_mesh):
     """Split an integral mesh varifold as d x (boundary) + remainder.
 
     d is the smallest multiplicity the varifold carries over the boundary
     mesh (0 when any boundary simplex is absent).  Raises NonIntegralError
-    for non-integer multiplicities and DecompositionError if the remainder
-    would go negative.
+    for multiplicities more than 1e-9 from an integer and DecompositionError
+    if the remainder would go negative.
     """
     frac = np.abs(V_mesh.multiplicity - np.round(V_mesh.multiplicity))
-    if np.any(frac > tol):
+    if np.any(frac > 1e-9):
         worst = float(np.max(frac))
         raise NonIntegralError(
             f"multiplicities deviate from integers by up to {worst:.3g}"

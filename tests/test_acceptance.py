@@ -152,7 +152,7 @@ def test_criterion_5_integral_inequality(ball_bundle, tube_mesh_battery, capsys)
 
 def test_criterion_6_theorem1_pipeline(capsys):
     t0 = time.monotonic()
-    rep = hz.scenario_theorem1()  # anchored r=0.3 circle 0.15 below north pole
+    rep = hz.run_scenario("theorem1")  # anchored r=0.3 circle 0.15 below north pole
     elapsed = time.monotonic() - t0
     ok = (rep["status"] == "passed"
           and rep["minimizer"]["residual"] <= 1e-6

@@ -683,7 +683,7 @@ class TestSigmaShape:
         sigma = bar.SigmaSurface(dom, np.array(p))
         _, foot = _sigma_feet(sigma, np.random.default_rng(2), "ball" in name)
         shp = bar.sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot))
-        ref = levelset_eigh(sigma.w, foot, geo.EuclideanMetric(3))
+        ref = levelset_eigh(sigma.w, foot, geo.metric_euclidean(3))
         assert np.all(np.abs(shp.kappa - ref.values) <= 1e-12 * (1.0 + np.abs(ref.values)))
         np.testing.assert_allclose(shp.nu, ref.normal, rtol=0, atol=1e-15)
         np.testing.assert_allclose(shp.sigma2, np.prod(ref.values, axis=-1), rtol=0,
@@ -698,7 +698,7 @@ class TestSigmaShape:
         data = bar.tube_eval(sigma, pts)
         v = data.valid
         assert np.count_nonzero(v) > 0.9 * len(pts)
-        ref = levelset_eigh(sigma.w, data.foot[v], geo.EuclideanMetric(3))
+        ref = levelset_eigh(sigma.w, data.foot[v], geo.metric_euclidean(3))
         k_e = ref.values / (1.0 - (data.u[v] / c)[:, None] * ref.values)
         k = k_e / c
         assert np.all(np.abs(data.curvatures[v] - k) <= 1e-12 * (1.0 + np.abs(k)))

@@ -75,6 +75,28 @@ class TestBarrier:
         assert doc["report"]["epsilon"] > 0
         assert doc["report"]["K"] > 0
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", [("barrier-build",), ("barrier-verify", "--grid", "10")],
+                             ids=["build", "verify"])
+    def test_h_outside_its_range_is_a_usage_error(self, capsys, command, h):
+        # checked even where an explicit eta leaves h unread
+        code = cli.main([*command, "--domain", "ball:1", "--p", "0,0,1", "--m", "2",
+                         "--eta", "0.5", "--h", h])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "h must be finite and nonnegative" in captured.err
+
+    def test_matrix_spelling_of_a_conformal_constant_verifies_alike(self, capsys):
+        # matrix:0.25 I is the metric conformal:0-log(2); both get barriers
+        outs = []
+        for metric in ("matrix:0.25;0;0;0.25;0;0.25", "conformal:0-log(2)"):
+            code, _, out = run(capsys, "barrier-verify", "--domain", "ball:1", "--p", "0,0,1",
+                               "--m", "2", "--grid", "30", "--metric", metric, "--no-timestamp")
+            assert code == cli.EXIT_PASS
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_build_halfspace_refused(self, capsys):
         code, doc, _ = run(capsys, "barrier-build", "--domain", "halfspace",
                            "--p", "0,0,0", "--m", "2")
@@ -415,6 +437,25 @@ class TestScenarioCommand:
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
         assert "must be euclidean" in captured.err
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("name", list(hz.SCENARIO_H))
+    def test_h_outside_its_range_is_a_usage_error(self, capsys, name, h):
+        # a NaN h passed every old gate, and an infinite one made a refusal
+        code = cli.main(["scenario", "--name", name, "--h", h])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "h must be finite and nonnegative" in captured.err
+
+    def test_matrix_spelling_of_a_conformal_constant_runs_alike(self, capsys):
+        outs = []
+        for metric in ("matrix:0.25;0;0;0.25;0;0.25", "conformal:0-log(2)"):
+            code, _, out = run(capsys, "scenario", "--name", "theorem1", "--metric", metric,
+                               "--no-timestamp")
+            assert code == cli.EXIT_PASS
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_unknown_scenario(self, capsys):
         code, _, _ = run(capsys, "scenario", "--name", "theorem2")

@@ -66,8 +66,8 @@ _METRIC_CASES = {
     "torus_conformal_0.1x1": ("0.25 - (sqrt(x1^2 + x2^2) - 1)^2 - x3^2",
                               geo.metric_conformal("0.1*x1"), _torus_points),
     "ellipsoid_matrix": ("1 - x1^2/4 - x2^2 - x3^2/2",
-                         geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3",
-                                            "0.3*x1*x3", "1.5"]),
+                         geo.MetricField(["1+x1^2", "0.2*x2", "0.1", "2+x3",
+                                          "0.3*x1*x3", "1.5"]),
                          lambda rng, count: _shell(rng, count, 0.5, 1.2)),
     "cylinder_conformal_sin": ("1 - x1^2 - x2^2", geo.metric_conformal("sin(x1)*x2"),
                                _cylinder_points),
@@ -219,16 +219,26 @@ class TestMetricOperations:
             geo.covariant_gradient(X, x, geo.metric_euclidean(3)), X.jacobian(x))
 
     def test_matrix_metric_roundtrip(self):
-        metric = geo.metric_matrix(["1 + x1^2", "0", "0", "2", "0", "1"])
+        metric = geo.MetricField(["1 + x1^2", "0", "0", "2", "0", "1"])
         x = np.array([0.5, 0.0, 0.0])
         g = metric.matrix(x)
         np.testing.assert_allclose(g, np.diag([1.25, 2.0, 1.0]))
         np.testing.assert_allclose(metric.inverse(x), np.diag([0.8, 0.5, 1.0]))
 
     def test_constant_factor_detection(self):
+        # c exactly when g is a constant positive multiple of the identity
         assert geo.metric_euclidean().constant_factor() == 1.0
         assert geo.metric_conformal("0 - log(2)").constant_factor() == pytest.approx(0.5)
         assert geo.metric_conformal("x1").constant_factor() is None
+        assert geo.MetricField(["0.25", "0", "0", "0.25", "0", "0.25"]).constant_factor() == 0.5
+        for entries in (["1", "0", "0", "2", "0", "3"], ["1", "0.5", "0", "1", "0", "1"],
+                        ["-1", "0", "0", "-1", "0", "-1"]):
+            assert geo.MetricField(entries).constant_factor() is None
+
+    def test_conformal_syntax_error_points_into_f(self):
+        # the entry exp(2 * (f)) is built around f's own parse
+        with pytest.raises(ef.SyntaxError_, match=r"at offset 3\)"):
+            geo.metric_conformal("x1+")
 
 
 class TestExprArray:
@@ -244,7 +254,7 @@ class TestExprArray:
         np.testing.assert_array_equal(d.eval_at(pts[0, 0])[1, 1], [np.cos(pts[0, 0, 0]), 0, 0])
 
     def test_matrix_metric_dmatrix_puts_the_partial_first(self):
-        metric = geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3", "0.3*x1*x3", "1.5"])
+        metric = geo.MetricField(["1+x1^2", "0.2*x2", "0.1", "2+x3", "0.3*x1*x3", "1.5"])
         x = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
         d = metric.dmatrix(x)
         assert d.flags.c_contiguous
@@ -260,7 +270,7 @@ class TestExprArray:
         lambda: geo.ExprVectorField(["x1", "x4", "0"], 3),
         lambda: geo.metric_conformal("x4"),
         lambda: geo.metric_conformal("x3", n=2),
-        lambda: geo.metric_matrix(["1", "0", "0", "1", "0", "x5"]),
+        lambda: geo.MetricField(["1", "0", "0", "1", "0", "x5"]),
     ], ids=["scalar", "vector", "conformal", "conformal_n2", "matrix"])
     def test_variable_beyond_the_dimension_fails_at_construction(self, build):
         with pytest.raises(ef.ExprError, match="but dimension is"):

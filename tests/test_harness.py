@@ -128,14 +128,14 @@ class TestScenarios:
             hz._family_c2_distance(geo.metric_conformal("0.1*x1"), geo.metric_euclidean(), p)
 
     def test_theorem4_passes(self):
-        rep = hz.scenario_theorem4()
+        rep = hz.run_scenario("theorem4")
         assert rep["status"] == "passed"
         assert rep["contradiction"]["found"]
         assert rep["decomposition"]["d"] == 2
         assert rep["decomposition"]["W_prime_disjoint_from_boundary"]
 
     def test_theorem5_passes(self):
-        rep = hz.scenario_theorem5()
+        rep = hz.run_scenario("theorem5")
         assert rep["status"] == "passed"
         assert rep["bounded_mc_check"]["passed"]
         assert rep["interior_H_max"] <= 1.05

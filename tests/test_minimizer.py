@@ -39,7 +39,7 @@ _POLYLINE = _perturbed(chord_polyline(np.array([-0.5, 0.0, 0.1]),
 _NON_CONSTANT = {
     "conformal_x1": geo.metric_conformal("0.1*x1"),
     "conformal_x1_squared": geo.metric_conformal("x1^2"),
-    "matrix": geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3", "0.3*x1*x3", "1.5"]),
+    "matrix": geo.MetricField(["1+x1^2", "0.2*x2", "0.1", "2+x3", "0.3*x1*x3", "1.5"]),
 }
 
 
@@ -144,7 +144,7 @@ class TestMetricAreaGradient:
                                    rtol=0, atol=1e-8)
 
     def test_translation_invariance_of_constant_metric(self):
-        metric = geo.metric_matrix(["2", "0.3", "0.1", "1.5", "0.2", "1"])
+        metric = geo.MetricField(["2", "0.3", "0.1", "1.5", "0.2", "1"])
         g = vf.metric_area_gradient(_DISK, metric)
         assert np.max(np.abs(g)) > 0.1
         np.testing.assert_allclose(np.sum(g, axis=0), 0.0, atol=1e-12)
@@ -272,7 +272,7 @@ class TestStationarity:
         A = np.linalg.cholesky(G).T
         mesh = unit_sphere_cap(8, 48, jitter=0.25)
         image = mesh.with_vertices(mesh.vertices @ A.T)
-        metric = geo.metric_matrix(entries)
+        metric = geo.MetricField(entries)
         assert metric.constant_factor() is None
         got = _start_report(mesh, geo.domain_ball(radius=10.0, metric=metric))
         expect = _start_report(image, geo.domain_ball(radius=10.0))

@@ -169,10 +169,10 @@ class TestFromMesh:
         metric = b.domain.metric
         calls = []
         for name in ("matrix", "dmatrix", "inverse"):
-            def counting(self, x, name=name, fn=getattr(geo.ConformalMetric, name)):
+            def counting(self, x, name=name, fn=getattr(geo.MetricField, name)):
                 calls.append(name)
                 return fn(self, x)
-            monkeypatch.setattr(geo.ConformalMetric, name, counting)
+            monkeypatch.setattr(geo.MetricField, name, counting)
         mesh = meshes.disk_mesh(radius=0.4, center=(0.1, 0.0, 0.5), rings=3, segments=12)
         vf.area(mesh, metric)
         vf.varifold_from_mesh(mesh, metric)
@@ -211,8 +211,8 @@ class TestArea:
         pytest.param(None, id="euclidean"),
         pytest.param(geo.metric_conformal("0 - log(2)"), id="conformal_constant"),
         pytest.param(geo.metric_conformal("0.1*x1"), id="conformal_x1"),
-        pytest.param(geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3",
-                                        "0.3*x1*x3", "1.5"]), id="matrix"),
+        pytest.param(geo.MetricField(["1+x1^2", "0.2*x2", "0.1", "2+x3",
+                                      "0.3*x1*x3", "1.5"]), id="matrix"),
     ])
     def test_equals_lowered_total_weight(self, metric, order):
         mesh = _jittered_disk()
@@ -223,8 +223,8 @@ class TestArea:
         pytest.param(None, id="euclidean"),
         pytest.param(geo.metric_conformal("0 - log(2)"), id="conformal_constant"),
         pytest.param(geo.metric_conformal("0.1*x1"), id="conformal_x1"),
-        pytest.param(geo.metric_matrix(["1+x1^2", "0.2*x2", "0.1", "2+x3",
-                                        "0.3*x1*x3", "1.5"]), id="matrix"),
+        pytest.param(geo.MetricField(["1+x1^2", "0.2*x2", "0.1", "2+x3",
+                                      "0.3*x1*x3", "1.5"]), id="matrix"),
     ])
     def test_vertex_areas_sum_to_the_area(self, metric):
         # each simplex hands 1/(m+1) of its metric volume to each corner
