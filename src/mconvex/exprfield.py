@@ -60,14 +60,18 @@ class EvalDomainError(ExprError):
 @dataclass(frozen=True)
 class Expression:
     def eval(self, coords):
-        """Evaluate at points given as a sequence of coordinate arrays."""
+        """Evaluate at points given as a sequence of coordinate arrays; a
+        subexpression with no variable stays a scalar."""
         raise NotImplementedError
 
     def eval_at(self, points):
-        """Evaluate at ``points`` of shape ``(..., n)``."""
+        """Evaluate at ``points`` of shape ``(..., n)``, result of shape ``(...)``."""
         points = np.asarray(points, dtype=float)
         coords = tuple(points[..., i] for i in range(points.shape[-1]))
-        return self.eval(coords)
+        values = self.eval(coords)
+        if np.shape(values) != points.shape[:-1]:
+            values = np.full(points.shape[:-1], values)
+        return values
 
     def diff(self, var_index):
         raise NotImplementedError
@@ -91,9 +95,7 @@ class Const(Expression):
     value: float
 
     def eval(self, coords):
-        return np.asarray(self.value, dtype=float) if not coords else np.full_like(
-            np.asarray(coords[0], dtype=float), self.value
-        )
+        return np.asarray(self.value, dtype=float)
 
     def diff(self, var_index):
         return Const(0.0)

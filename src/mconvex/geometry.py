@@ -67,9 +67,11 @@ class ScalarField:
 class ExprArray:
     """Expressions in x1 .. xn laid out as an array of any shape.
 
-    ``eval_at(x)`` evaluates each entry with ``Expression.eval_at`` and puts
-    the array's axes right after the batch axes of x; ``diff()`` appends the
-    coordinate partials d_1 .. d_n as a new last axis.
+    ``eval_at(x)`` evaluates each distinct entry once with
+    ``Expression.eval_at`` and puts the array's axes right after the batch
+    axes of x; ``diff()`` appends the coordinate partials d_1 .. d_n as a new
+    last axis.  Entries are told apart by ``repr``, which keeps ``Const(0.0)``
+    and ``Const(-0.0)`` apart where ``==`` would not.
     """
 
     def __init__(self, entries, n):
@@ -80,9 +82,13 @@ class ExprArray:
         top = max(e.max_var() for e in self.flat)
         if top >= n:
             raise exprfield.ExprError(f"expression uses x{top + 1} but dimension is {n}")
+        slots = {}
+        self._slot = [slots.setdefault(repr(e), len(slots)) for e in self.flat]
+        self._distinct = list({repr(e): e for e in self.flat}.values())
 
     def eval_at(self, x):
-        values = np.stack([e.eval_at(x) for e in self.flat], axis=-1)
+        distinct = [e.eval_at(x) for e in self._distinct]
+        values = np.stack([distinct[i] for i in self._slot], axis=-1)
         return values.reshape(values.shape[:-1] + self.shape)
 
     def diff(self):
@@ -110,16 +116,15 @@ class ExprScalarField(ScalarField):
 
 
 class LinearField(ScalarField):
-    """a . x + b"""
+    """a . x"""
 
-    def __init__(self, a, b=0.0):
+    def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
-        self.b = float(b)
         self.n = self.a.shape[0]
         self.lipschitz = float(np.linalg.norm(self.a))
 
     def value(self, x):
-        return np.asarray(x)[..., :] @ self.a + self.b
+        return np.asarray(x)[..., :] @ self.a
 
     def gradient(self, x):
         x = np.asarray(x)
@@ -326,34 +331,21 @@ def christoffel(metric, x):
     return 0.5 * np.einsum("...kl,...lij->...kij", gi, T)
 
 
-def covariant_gradient(X, x, metric):
-    """Matrix of the endomorphism v -> grad_v X: ``[..., k, i] = (grad_i X)^k``.
-
-    When g is a constant multiple of the euclidean metric its Christoffel
-    symbols vanish identically, so the jacobian is the whole answer and X is
-    not evaluated a second time for a term that is exactly zero.
-    """
-    if metric.constant_factor() is not None:
-        return X.jacobian(x)
-    return covariant_from_jacobian(*X.evaluate(x), x, metric)
-
-
 def covariant_from_jacobian(value, J, x, metric):
-    """``grad_i X^k = d_i X^k + Gamma^k_ij X^j`` from X and its jacobian at x."""
+    """The covariant gradient ``[..., k, i] = (grad_i X)^k = d_i X^k +
+    Gamma^k_ij X^j`` from X and its jacobian at x; under g = c^2 * euclidean
+    the Christoffel symbols vanish and it is J."""
     if metric.constant_factor() is not None:
         return J
     gam = christoffel(metric, x)
     return J + np.einsum("...kij,...j->...ki", gam, value)
 
 
-def lower_index(A, x, metric):
-    """``g A``: the bilinear form (u, v) -> <u, A v>_g in chart coordinates."""
-    return np.einsum("...ab,...bi->...ai", metric.matrix(x), A)
-
-
 def bilinear_form_Q(X, x, metric):
-    """Matrix of Q(u, v) = <u, grad_v X>_g in chart coordinates."""
-    return lower_index(covariant_gradient(X, x, metric), x, metric)
+    """Matrix of Q(u, v) = <u, grad_v X>_g in chart coordinates: g times the
+    covariant gradient of X."""
+    A = covariant_from_jacobian(*X.evaluate(x), x, metric)
+    return np.einsum("...ab,...bi->...ai", metric.matrix(x), A)
 
 
 @dataclass
@@ -501,7 +493,6 @@ class Domain:
     metric: MetricField
     u0: ScalarField
     chart: np.ndarray  # (n, 2) bounding box
-    name: str = "domain"
 
     def __post_init__(self):
         self.chart = np.asarray(self.chart, dtype=float)
@@ -600,47 +591,30 @@ def metric_conformal(f, n=3):
     return MetricField(_diagonal(entry, n), n)
 
 
-def domain_halfspace(n=3, metric=None, chart_halfwidth=2.0):
-    """N = {x_n >= 0}."""
-    a = np.zeros(n)
-    a[-1] = 1.0
-    chart = np.array([[-chart_halfwidth, chart_halfwidth]] * n)
-    chart[-1] = [-chart_halfwidth, chart_halfwidth]
-    return Domain(
-        metric or metric_euclidean(n), LinearField(a), chart, name="halfspace"
-    )
+def domain_halfspace(metric=None):
+    """N = {x3 >= 0} in R^3, on the chart [-2, 2]^3."""
+    return Domain(metric or metric_euclidean(3), LinearField([0.0, 0.0, 1.0]),
+                  np.array([[-2.0, 2.0]] * 3))
 
 
-def domain_ball(radius=1.0, n=3, metric=None, chart=None):
-    """N = {|x| <= R}; u0 = R - |x| is the exact signed distance."""
-    if chart is None:
-        w = 1.5 * radius
-        chart = np.array([[-w, w]] * n)
-    return Domain(
-        metric or metric_euclidean(n),
-        DistanceField(radius, np.zeros(n)),
-        chart,
-        name=f"ball:{radius:g}",
-    )
+def domain_ball(radius=1.0, n=3, metric=None):
+    """N = {|x| <= R} on the chart [-1.5 R, 1.5 R]^n; u0 = R - |x| is the
+    exact signed distance."""
+    w = 1.5 * radius
+    return Domain(metric or metric_euclidean(n), DistanceField(radius, np.zeros(n)),
+                  np.array([[-w, w]] * n))
 
 
-def domain_cylinder(radius=1.0, metric=None, chart=None):
-    """Solid cylinder {x1^2 + x2^2 <= R^2} in R^3 (axis x3)."""
-    if chart is None:
-        w = 1.5 * radius
-        chart = np.array([[-w, w], [-w, w], [-2.0, 2.0]])
-    return Domain(
-        metric or metric_euclidean(3),
-        DistanceField(radius, np.zeros(3), axes=(0, 1)),
-        chart,
-        name=f"cylinder:{radius:g}",
-    )
+def domain_cylinder(radius=1.0, metric=None):
+    """Solid cylinder {x1^2 + x2^2 <= R^2} in R^3 (axis x3), on the chart
+    [-1.5 R, 1.5 R]^2 x [-2, 2]."""
+    w = 1.5 * radius
+    return Domain(metric or metric_euclidean(3),
+                  DistanceField(radius, np.zeros(3), axes=(0, 1)),
+                  np.array([[-w, w], [-w, w], [-2.0, 2.0]]))
 
 
-def domain_levelset(expr, chart, n=3, metric=None):
-    return Domain(
-        metric or metric_euclidean(n),
-        ExprScalarField(expr, n),
-        np.asarray(chart, dtype=float),
-        name="levelset",
-    )
+def domain_levelset(expr, chart, metric=None):
+    """N = {expr >= 0} in R^3 on the given chart."""
+    return Domain(metric or metric_euclidean(3), ExprScalarField(expr, 3),
+                  np.asarray(chart, dtype=float))

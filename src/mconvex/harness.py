@@ -110,6 +110,16 @@ def _reads_no_h(cfg, name):
         raise ScenarioError(f"{name} reads no mean-curvature bound; got h = {cfg.h:g}")
 
 
+def _scenario_mesh(cfg, default):
+    """cfg.mesh, or ``default()``; ScenarioError unless its dimension is cfg.m,
+    since a barrier certified for m says nothing about a mesh of another
+    dimension."""
+    mesh = cfg.mesh if cfg.mesh is not None else default()
+    if mesh.m != cfg.m:
+        raise ScenarioError(f"the mesh has dimension {mesh.m}, but m = {cfg.m}")
+    return mesh
+
+
 def _default_plateau_mesh():
     """The anchored-circle test surface: radius 0.3, plane z = 0.85."""
     return meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=6, segments=48)
@@ -117,12 +127,11 @@ def _default_plateau_mesh():
 
 def _cap_mesh(cfg):
     """cfg.mesh, or the unit sphere cap (|H| = 1) of the bounded-MC checks."""
-    return cfg.mesh if cfg.mesh is not None else meshes.sphere_cap_mesh(rings=25, segments=100)
+    return _scenario_mesh(cfg, lambda: meshes.sphere_cap_mesh(rings=25, segments=100))
 
 
-def _minimize(cfg, domain):
-    """Minimize cfg.mesh (default the Plateau disk) in domain, rim anchored."""
-    mesh = cfg.mesh if cfg.mesh is not None else _default_plateau_mesh()
+def _minimize(mesh, domain):
+    """Minimize mesh in domain, rim anchored."""
     problem = mz.MinimizeProblem(domain, mesh, anchored=mesh.boundary_vertices(),
                                  max_iterations=3000, tolerance=1e-6)
     return mz.minimize(problem)
@@ -142,9 +151,9 @@ def exclusion(V, mesh, bundle):
     }
 
 
-def _minimize_and_exclude(cfg, bundle):
-    """Minimize cfg.mesh under the barrier's metric; returns (mesh, report, exclusion)."""
-    final, report = _minimize(cfg, bundle.domain)
+def _minimize_and_exclude(mesh, bundle):
+    """Minimize mesh under the barrier's metric; returns (mesh, report, exclusion)."""
+    final, report = _minimize(mesh, bundle.domain)
     V = vf.varifold_from_mesh(final, bundle.domain.metric)
     return final, report, exclusion(V, final, bundle)
 
@@ -165,11 +174,12 @@ def scenario_theorem1(cfg):
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
     if kind != "strongly m-convex":
         return _refusal(cfg, f"point is {kind} (curvature sum {ksum:.6g})")
+    mesh = _scenario_mesh(cfg, _default_plateau_mesh)
     bundle = bar.build_barrier(domain, p, cfg.m)
     verify = bar.verify_barrier(bundle, grid_resolution=cfg.grid_resolution)
     if not verify.passed:
         raise ScenarioError("barrier verification failed on a convex configuration")
-    _, report, exclusion = _minimize_and_exclude(cfg, bundle)
+    _, report, exclusion = _minimize_and_exclude(mesh, bundle)
     passed = report.converged and exclusion["exclusion_margin"] >= 0.0
     return {
         "status": "passed" if passed else "failed",
@@ -293,18 +303,19 @@ def scenario_theorem3(cfg):
     _, kind, _ = geo.m_convexity(base, p, cfg.m)
     if kind != "strongly m-convex":
         return _refusal(cfg, f"limit metric: point is {kind}")
+    mesh = _scenario_mesh(cfg, _default_plateau_mesh)
     limit_bundle = bar.build_barrier(base, p, cfg.m)
     limit_props = _check_u_properties(limit_bundle)
     if not limit_props["all"]:
         raise ScenarioError(
             f"auxiliary-function properties fail under the limit metric: {limit_props}"
         )
-    limit_mesh, limit_rep = _minimize(cfg, base)
+    limit_mesh, limit_rep = _minimize(mesh, base)
     limit_support = vf.support_points(limit_mesh)
 
     def check(bundle_i):
         props = _check_u_properties(bundle_i)
-        mesh_i, rep_i, exclusion = _minimize_and_exclude(cfg, bundle_i)
+        mesh_i, rep_i, exclusion = _minimize_and_exclude(mesh, bundle_i)
         return {
             "ok": bool(props["all"] and rep_i.converged
                        and exclusion["exclusion_margin"] >= 0.0),
@@ -406,10 +417,10 @@ def scenario_theorem5(cfg):
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
     if ksum <= cfg.h:
         return _refusal(cfg, f"curvature sum {ksum:.6g} <= h = {cfg.h:.6g}")
+    mesh = _cap_mesh(cfg)
     bundle = bar.build_barrier(domain, p, cfg.m, h=cfg.h)
     if not (cfg.h < bundle.eta < ksum):
         raise ScenarioError("eta landed outside (h, curvature sum)")
-    mesh = _cap_mesh(cfg)
     mc, exclusion = _bounded_mc_and_exclude(mesh, bundle, cfg.h)
     # two-part interpretation on the smooth test mesh
     H, interior = vf.mesh_mean_curvature(mesh, domain.metric)

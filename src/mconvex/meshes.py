@@ -12,14 +12,6 @@ import numpy as np
 from .varifold import SimplicialSurface
 
 
-def _surface(vertices, simplices, multiplicity=None):
-    vertices = np.asarray(vertices, dtype=float)
-    simplices = np.asarray(simplices, dtype=int)
-    if multiplicity is None:
-        multiplicity = np.ones(len(simplices))
-    return SimplicialSurface(vertices, simplices, np.asarray(multiplicity, dtype=float))
-
-
 def _orthonormal_complement(normal):
     """Two unit vectors spanning the plane orthogonal to ``normal``."""
     n = np.asarray(normal, dtype=float)
@@ -48,7 +40,7 @@ def _ring_strips(first, strips, segments):
 
 
 def disk_mesh(radius=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0),
-              rings=8, segments=64, multiplicity=1.0):
+              rings=8, segments=64):
     """Flat triangulated disk: concentric rings around the center vertex."""
     center = np.asarray(center, dtype=float)
     e1, e2 = _orthonormal_complement(normal)
@@ -59,7 +51,7 @@ def disk_mesh(radius=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0),
         verts.extend(center + rho * (np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)))
     tris = [(0, 1 + j, 1 + (j + 1) % segments) for j in range(segments)]
     tris.extend(_ring_strips(1, rings - 1, segments))
-    return _surface(verts, tris, multiplicity * np.ones(len(tris)))
+    return SimplicialSurface(verts, tris)
 
 
 def bulged_disk_mesh(rings=6, segments=48, amplitude=0.05):
@@ -73,7 +65,7 @@ def bulged_disk_mesh(rings=6, segments=48, amplitude=0.05):
     return disk.with_vertices(verts)
 
 
-def icosphere_mesh(radius=1.0, center=(0.0, 0.0, 0.0), subdivisions=3, multiplicity=1.0):
+def icosphere_mesh(radius=1.0, center=(0.0, 0.0, 0.0), subdivisions=3):
     """Geodesic sphere from a subdivided icosahedron (5120 faces at level 4)."""
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
@@ -111,11 +103,11 @@ def icosphere_mesh(radius=1.0, center=(0.0, 0.0, 0.0), subdivisions=3, multiplic
             )
         ]
     verts = np.asarray(center, dtype=float) + radius * np.asarray(verts)
-    return _surface(verts, faces, multiplicity * np.ones(len(faces)))
+    return SimplicialSurface(verts, faces)
 
 
 def sphere_cap_mesh(radius=2.0, center=(0.0, 0.0, -1.2), z_range=(0.68, 0.79),
-                    rings=10, segments=80, multiplicity=1.0):
+                    rings=10, segments=80):
     """Band of a round sphere between two horizontal planes.
 
     The default is a band of the radius-2 sphere centered at (0, 0, -1.2):
@@ -137,10 +129,10 @@ def sphere_cap_mesh(radius=2.0, center=(0.0, 0.0, -1.2), z_range=(0.68, 0.79),
         ], axis=-1)
         verts.extend(ring)
     tris = _ring_strips(0, rings, segments)
-    return _surface(verts, tris, multiplicity * np.ones(len(tris)))
+    return SimplicialSurface(verts, tris)
 
 
-def cylinder_mesh(radius=1.0, z_range=(-0.5, 0.5), rings=16, segments=96, multiplicity=1.0):
+def cylinder_mesh(radius=1.0, z_range=(-0.5, 0.5), rings=16, segments=96):
     """Open cylinder of the given radius around the x3 axis."""
     z0, z1 = z_range
     verts = []
@@ -151,4 +143,4 @@ def cylinder_mesh(radius=1.0, z_range=(-0.5, 0.5), rings=16, segments=96, multip
             radius * np.cos(theta), radius * np.sin(theta), np.full(segments, z)
         ], axis=-1))
     tris = _ring_strips(0, rings, segments)
-    return _surface(verts, tris, multiplicity * np.ones(len(tris)))
+    return SimplicialSurface(verts, tris)

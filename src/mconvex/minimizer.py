@@ -47,9 +47,9 @@ class MinimizeProblem:
             raise MinimizeError("anchored vertices must lie strictly inside N")
 
 
-def area(mesh, metric=None, order=2):
-    """Metric m-area of the mesh (quadrature order 2 by default)."""
-    return vf.area(mesh, metric, order=order)
+def area(mesh, metric=None):
+    """Metric m-area of the mesh, in ``vf.area``'s order-2 quadrature."""
+    return vf.area(mesh, metric)
 
 
 def project_to_domain(x, domain):
@@ -64,10 +64,9 @@ def project_to_domain(x, domain):
     return pts
 
 
-def area_gradient(mesh, metric=None, laplacian=None):
-    """Gradient of metric area w.r.t. vertex positions; ``laplacian`` is the
-    mesh's ``vf.stiffness_laplacian`` when the caller has built it."""
-    return vf.metric_area_gradient(mesh, metric, laplacian=laplacian)
+def area_gradient(mesh, metric=None):
+    """Gradient of metric area w.r.t. vertex positions."""
+    return vf.metric_area_gradient(mesh, metric)
 
 
 ASPECT_LIMIT = 20.0  # triangles above this aspect ratio get their diagonal flipped
@@ -213,7 +212,6 @@ def _projectors(mesh, grad, dom, free, u0):
 class _Linearization:
     """What a step starts from, evaluated once per mesh."""
 
-    laplacian: tuple        # ``vf.stiffness_laplacian`` of the mesh
     grad: np.ndarray        # metric area gradient, (V, n)
     proj: np.ndarray        # step projectors of ``_projectors``, (V, n, n)
     active: int             # tangent projectors among them
@@ -223,13 +221,12 @@ class _Linearization:
 
 
 def _linearize(mesh, dom, free):
-    lap = vf.stiffness_laplacian(mesh)
-    grad = area_gradient(mesh, dom.metric, lap)
+    grad = area_gradient(mesh, dom.metric)
     u0 = dom.u0.value(mesh.vertices)
     proj, active = _projectors(mesh, grad, dom, free, u0)
     projected = np.einsum("vab,vb->va", proj, grad)
     residual = float(np.max(np.linalg.norm(projected, axis=-1)))
-    return _Linearization(lap, grad, proj, active, projected, residual, float(np.min(u0)))
+    return _Linearization(grad, proj, active, projected, residual, float(np.min(u0)))
 
 
 def stationarity_residual(mesh, metric, projected):
@@ -261,14 +258,15 @@ def minimize(problem):
     """Laplacian-preconditioned projected descent.
 
     Each step solves (c^m P L P) d = P grad A with ``laplacian_solve``: L is
-    the stiffness Laplacian of the current mesh, built once per step and
-    shared with the area gradient under a constant-factor metric, c the
-    metric's constant factor (1 where it has none) and P the per-vertex
-    projectors of ``_projectors``.  The trial x - t d, from t = 1 and halved
-    until the area falls by the Armijo amount, is projected back onto N.
-    Under a constant-factor metric the unit step is the Pinkall-Polthier
-    step; otherwise c^m L preconditions the metric area gradient (a Sobolev
-    H^1 gradient).  The run stops when the residual max_v |P_v grad A_v|, taken
+    the current mesh's ``laplacian``, built once per mesh and shared with the
+    area gradient under a constant-factor metric, c the metric's constant
+    factor (1 where it has none) and P the per-vertex projectors of
+    ``_projectors``.  The trial x - t d, from t = 1 and halved until the area
+    falls by the Armijo amount, is projected back onto N.  The accepted trial
+    mesh is the next step's mesh, so its Laplacian reads the volumes that its
+    area computed.  Under a constant-factor metric the unit step is the
+    Pinkall-Polthier step; otherwise c^m L preconditions the metric area
+    gradient (a Sobolev H^1 gradient).  The run stops when the residual max_v |P_v grad A_v|, taken
     with the same projectors as the step, is at most the tolerance.
 
     The report describes the returned mesh: when the iteration cap ends the
@@ -292,7 +290,7 @@ def minimize(problem):
         if lin.residual <= problem.tolerance:
             break
         most_active = max(most_active, lin.active)
-        d, steps = laplacian_solve(lin.laplacian, lin.grad / scale, lin.proj)
+        d, steps = laplacian_solve(mesh.laplacian, lin.grad / scale, lin.proj)
         cg_steps += steps
         slope = float(np.sum(lin.grad * d))
         t = 1.0
@@ -300,8 +298,9 @@ def minimize(problem):
         for _ in range(50):
             cand = mesh.vertices - t * d
             cand[free] = project_to_domain(cand[free], dom)
+            trial = mesh.with_vertices(cand)
             try:
-                new_area = area(mesh.with_vertices(cand), metric)
+                new_area = area(trial, metric)
             except vf.DegenerateSimplexError:
                 new_area = np.inf
             if new_area <= a - 1e-4 * t * slope + 1e-12 * max(a, 1.0):
@@ -311,7 +310,7 @@ def minimize(problem):
             halvings += 1
         if not accepted:
             break
-        mesh = mesh.with_vertices(cand)
+        mesh = trial
         a = new_area
     else:  # the cap ended the run after an accepted step
         lin = _linearize(mesh, dom, free)

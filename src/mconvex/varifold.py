@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,7 +50,10 @@ class SimplicialSurface:
 
     ``simplices`` holds (m+1)-tuples of 0-based vertex indices and
     ``multiplicity`` one positive real per simplex (integers in integral
-    mode).
+    mode).  The three arrays are read-only (writable inputs are copied), and
+    so are the ``volumes`` and ``laplacian`` that a mesh keeps once computed;
+    they cannot go stale, since a moved mesh is a new one, from
+    ``with_vertices``.
     """
 
     vertices: np.ndarray
@@ -57,11 +61,11 @@ class SimplicialSurface:
     multiplicity: np.ndarray = None
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.simplices = np.asarray(self.simplices, dtype=int)
         if self.multiplicity is None:
             self.multiplicity = np.ones(len(self.simplices))
-        self.multiplicity = np.asarray(self.multiplicity, dtype=float)
+        self.vertices = _read_only(self.vertices, float)
+        self.simplices = _read_only(self.simplices, int)
+        self.multiplicity = _read_only(self.multiplicity, float)
         if self.simplices.ndim != 2 or self.simplices.shape[1] < 2:
             raise VarifoldError("simplices must be a 2-d index array of m + 1 >= 2 columns")
         if not (np.all(np.isfinite(self.vertices)) and np.all(np.isfinite(self.multiplicity))):
@@ -89,8 +93,10 @@ class SimplicialSurface:
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo)) or 1.0
 
-    def check(self):
-        """Euclidean simplex volumes, shape (F,); raises on degenerate simplices."""
+    @cached_property
+    def volumes(self):
+        """Euclidean simplex volumes, shape (F,), computed on first use; raises
+        ``DegenerateSimplexError`` on a degenerate simplex."""
         E = self.edge_matrices()
         gram = np.einsum("fae,fbe->fab", E, E)
         fact = np.prod(np.arange(1, self.m + 1))
@@ -100,7 +106,15 @@ class SimplicialSurface:
             raise DegenerateSimplexError(
                 f"{int(np.sum(degenerate))} degenerate simplices"
             )
+        vols.flags.writeable = False
         return vols
+
+    @cached_property
+    def laplacian(self):
+        """The mesh's ``stiffness_laplacian``, built on first use."""
+        edges, w = stiffness_laplacian(self)
+        edges.flags.writeable = w.flags.writeable = False
+        return edges, w
 
     def max_edge_length(self):
         v = self.vertices[self.simplices]
@@ -122,7 +136,19 @@ class SimplicialSurface:
         return np.unique(np.unravel_index(keys[counts == 1], dims))
 
     def with_vertices(self, vertices):
-        return SimplicialSurface(vertices, self.simplices.copy(), self.multiplicity.copy())
+        """The same simplices and multiplicities on new vertices: a new mesh,
+        which computes its own volumes and Laplacian."""
+        return SimplicialSurface(vertices, self.simplices, self.multiplicity)
+
+
+def _read_only(a, dtype):
+    """a as a read-only array, copied first if it is writable, so that no
+    caller can change it afterwards."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def read_svmesh(stream):
@@ -275,7 +301,7 @@ class _MeshQuadrature:
 
 
 def _mesh_quadrature(mesh, metric, order):
-    vols = mesh.check()
+    vols = mesh.volumes
     nodes, wq = _quadrature(mesh.m, order)
     v = mesh.vertices[mesh.simplices]          # (F, m+1, n)
     pts = np.einsum("qb,fbn->fqn", nodes, v)   # (F, Q, n)
@@ -347,21 +373,18 @@ def area(mesh, metric=None, order=2):
     return float(np.sum(weights[weights > 0]))
 
 
-def vertex_areas(mesh, metric=None, vols=None):
+def vertex_areas(mesh, metric=None):
     """Metric vertex areas, shape (V,): 1/(m+1) of the multiplicity-weighted
     metric m-volume of the simplices at each vertex (the barycentric area).
 
     Under g = c^2 * euclidean a simplex's volume is c^m times its euclidean
-    one (``vols``, from ``mesh.check()`` when None); otherwise it is the sum
-    of its node weights in ``area``'s default quadrature.  A vertex in no
-    simplex gets 0.
+    one, ``mesh.volumes``; otherwise it is the sum of its node weights in
+    ``area``'s default quadrature.  A vertex in no simplex gets 0.
     """
     metric = metric or geo.metric_euclidean(mesh.n)
     c = metric.constant_factor()
     if c is not None:
-        if vols is None:
-            vols = mesh.check()
-        simplex = c ** mesh.m * vols * mesh.multiplicity
+        simplex = c ** mesh.m * mesh.volumes * mesh.multiplicity
     else:
         simplex = _mesh_quadrature(mesh, metric, 2).weights.reshape(
             len(mesh.simplices), -1).sum(axis=1)
@@ -369,7 +392,7 @@ def vertex_areas(mesh, metric=None, vols=None):
                        minlength=len(mesh.vertices))
 
 
-def stiffness_laplacian(mesh, vols=None):
+def stiffness_laplacian(mesh):
     """Edge list ``(E, 2)`` and weights ``(E,)`` of the stiffness Laplacian
     (L x)_i = sum over edges (i, j) of w (x_i - x_j).
 
@@ -377,14 +400,13 @@ def stiffness_laplacian(mesh, vols=None):
     vol adds 1/2 mult cot(angle) = 1/4 mult (a.b) / vol to the opposite edge;
     m = 1: each segment adds mult / length.  An edge shared by several
     simplices is listed once per simplex.  L applied to the vertex positions
-    is the euclidean area gradient (Pinkall-Polthier).  ``vols`` are the
-    volumes of ``mesh.check()``, which raises ``DegenerateSimplexError`` on a
-    collapsed simplex; a caller that already has them passes them in.
+    is the euclidean area gradient (Pinkall-Polthier).  It reads
+    ``mesh.volumes``, which raise ``DegenerateSimplexError`` on a collapsed
+    simplex; ``mesh.laplacian`` keeps the result.
     """
     if mesh.m not in (1, 2):
         raise VarifoldError("stiffness Laplacian implemented for m in {1, 2}")
-    if vols is None:
-        vols = mesh.check()
+    vols = mesh.volumes
     if mesh.m == 1:
         return mesh.simplices, mesh.multiplicity / vols
     v = mesh.vertices[mesh.simplices]
@@ -408,15 +430,13 @@ def apply_laplacian(edges, w, x):
     return lx.reshape(nv, n)
 
 
-def area_vertex_gradient(mesh, laplacian=None):
+def area_vertex_gradient(mesh):
     """Euclidean gradient of total area w.r.t. each vertex position: L x,
-    with ``laplacian`` the mesh's ``stiffness_laplacian`` (built if None)."""
-    if laplacian is None:
-        laplacian = stiffness_laplacian(mesh)
-    return apply_laplacian(*laplacian, mesh.vertices)
+    with L the mesh's ``laplacian``."""
+    return apply_laplacian(*mesh.laplacian, mesh.vertices)
 
 
-def metric_area_gradient(mesh, metric=None, laplacian=None):
+def metric_area_gradient(mesh, metric=None):
     """Exact vertex gradient of ``area(mesh, metric)``, shape (V, n).
 
     At a node x_q = sum_b lambda_qb v_b with G_q = E^T g(x_q) E and
@@ -425,12 +445,11 @@ def metric_area_gradient(mesh, metric=None, laplacian=None):
     P_a = sum_b (G_q^-1)_ab g E_b and s_k = sum_ab (G_q^-1)_ab E_a^T d_k g E_b;
     each node is weighted by multiplicity x quadrature weight.  Under
     g = c^2 * euclidean the area is c^m times the euclidean one, whose
-    gradient is ``area_vertex_gradient`` (given ``laplacian``, the mesh's
-    ``stiffness_laplacian``, it is not built again).
+    gradient is ``area_vertex_gradient``.
     """
     c = 1.0 if metric is None else metric.constant_factor()
     if c is not None:
-        return c ** mesh.m * area_vertex_gradient(mesh, laplacian)
+        return c ** mesh.m * area_vertex_gradient(mesh)
     quad = _mesh_quadrature(mesh, metric, 2)
     F, m, n = quad.E.shape
     w = quad.weights.reshape(F, -1)
@@ -452,7 +471,8 @@ def metric_area_gradient(mesh, metric=None, laplacian=None):
 def first_variation(V, X, metric=None):
     """delta V(X) = sum of weights x trace of the covariant gradient on P."""
     metric = metric or geo.metric_euclidean(V.points.shape[1])
-    return _first_variation(V, geo.covariant_gradient(X, V.points, metric), metric)
+    A = geo.covariant_from_jacobian(*X.evaluate(V.points), V.points, metric)
+    return _first_variation(V, A, metric)
 
 
 def _first_variation(V, A, metric):
@@ -515,9 +535,8 @@ def mesh_mean_curvature(mesh, metric=None):
         raise VarifoldError("mean curvature needs a constant-factor metric")
     if mesh.m != 2:
         raise VarifoldError("mean curvature needs a 2-dimensional mesh")
-    vols = mesh.check()
-    grad = area_vertex_gradient(mesh, stiffness_laplacian(mesh, vols))
-    vert_area = vertex_areas(mesh, vols=vols)
+    grad = area_vertex_gradient(mesh)
+    vert_area = vertex_areas(mesh)
     if np.any(vert_area <= 0):
         raise VarifoldError("isolated vertex in mean-curvature computation")
     H = -grad / (c * c * vert_area[:, None])

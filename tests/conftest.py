@@ -161,7 +161,7 @@ def _adapted_frame_Q(bundle, q):
         raise bar.TubeError("adapted frame requested outside the open tube")
     # the covariant gradient of X is its jacobian phi S under g = c^2 * euclidean
     _, phi, _, S = b.field().from_tube(data)
-    Qc = geo.lower_index(phi[..., None, None] * S, q, b.domain.metric)
+    Qc = np.einsum("...ab,...bi->...ai", b.domain.metric.matrix(q), phi[..., None, None] * S)
     shp = _levelset_eigh(b.sigma.w, data.foot, geo.metric_euclidean(3))
     frame = np.concatenate([shp.directions / b.sigma.c, data.nu[..., None, :]], axis=-2)
     return np.einsum("...ai,...ij,...bj->...ab", frame, Qc, frame)

@@ -448,6 +448,15 @@ class TestScenarioCommand:
         assert captured.out == ""
         assert "h must be finite and nonnegative" in captured.err
 
+    @pytest.mark.parametrize("name", ["theorem1", "theorem3"])
+    def test_m_other_than_the_mesh_dimension_is_a_usage_error(self, capsys, name):
+        # both ran the 2-d disk against an m = 1 barrier and passed
+        code = cli.main(["scenario", "--name", name, "--m", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "the mesh has dimension 2, but m = 1" in captured.err
+
     def test_matrix_spelling_of_a_conformal_constant_runs_alike(self, capsys):
         outs = []
         for metric in ("matrix:0.25;0;0;0.25;0;0.25", "conformal:0-log(2)"):

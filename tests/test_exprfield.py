@@ -102,6 +102,18 @@ class TestEvaluation:
             ev("exp(x1)", 1e6)
 
 
+class TestConstants:
+    def test_a_constant_evaluates_to_a_scalar(self):
+        coords = (np.zeros(5), np.zeros(5))
+        assert np.shape(ef.parse("2 ^ 3").fold().eval(coords)) == ()
+        assert np.shape(ef.parse("x1 ^ 2").eval(coords)) == (5,)
+
+    def test_eval_at_broadcasts_a_constant_to_the_batch(self):
+        v = ef.parse("2").eval_at(np.zeros((4, 3, 2)))
+        assert v.shape == (4, 3)
+        np.testing.assert_array_equal(v, 2.0)
+
+
 class TestDifferentiation:
     def test_polynomial(self):
         d = ef.differentiate(ef.parse("x1^3 + 2*x1"), 0)

@@ -212,11 +212,11 @@ class TestMetricOperations:
         g = metric_gradient(f, x, metric)
         np.testing.assert_allclose(g, [0.0, np.exp(-1.0), 0.0], atol=1e-12)
 
-    def test_covariant_gradient_euclidean_is_jacobian(self):
+    def test_euclidean_Q_is_the_jacobian(self):
         X = geo.ExprVectorField(["x2", "0 - x1", "x3^2"], 3)
         x = np.array([0.3, 0.4, 0.5])
         np.testing.assert_allclose(
-            geo.covariant_gradient(X, x, geo.metric_euclidean(3)), X.jacobian(x))
+            geo.bilinear_form_Q(X, x, geo.metric_euclidean(3)), X.jacobian(x))
 
     def test_matrix_metric_roundtrip(self):
         metric = geo.MetricField(["1 + x1^2", "0", "0", "2", "0", "1"])
@@ -252,6 +252,34 @@ class TestExprArray:
         d = a.diff()
         assert d.shape == (2, 2, 3)
         np.testing.assert_array_equal(d.eval_at(pts[0, 0])[1, 1], [np.cos(pts[0, 0, 0]), 0, 0])
+
+    def test_each_distinct_entry_is_evaluated_once(self, monkeypatch):
+        # conformal:0.1*x1 has 2 distinct metric entries (the diagonal and 0)
+        # of 9, and 2 distinct partials (d1 of the diagonal and 0) of 27
+        metric = geo.metric_conformal("0.1*x1")
+        calls = []
+        eval_at = ef.Expression.eval_at
+
+        def counting(expr, points):
+            calls.append(expr)
+            return eval_at(expr, points)
+
+        monkeypatch.setattr(ef.Expression, "eval_at", counting)
+        x = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
+        g = metric.matrix(x)
+        assert len(calls) == 2
+        dg = metric.dmatrix(x)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        np.testing.assert_array_equal(g, np.exp(2 * (0.1 * x[:, 0]))[:, None, None] * np.eye(3))
+        assert np.count_nonzero(dg) == 2 * 3
+
+    def test_signed_zeros_stay_apart(self):
+        a = geo.ExprArray(["0", "-0", "x1 - x1"], 3)
+        assert a.flat[0] == a.flat[1]  # == does not tell 0.0 from -0.0
+        v = a.eval_at(np.ones((4, 3)))
+        assert v.shape == (4, 3)
+        np.testing.assert_array_equal(np.signbit(v), [[False, True, False]] * 4)
 
     def test_matrix_metric_dmatrix_puts_the_partial_first(self):
         metric = geo.MetricField(["1+x1^2", "0.2*x2", "0.1", "2+x3", "0.3*x1*x3", "1.5"])

@@ -10,6 +10,8 @@ from mconvex import harness as hz
 from mconvex import meshes
 from mconvex import varifold as vf
 
+from testkit import chord_polyline
+
 
 class TestHausdorff:
     def test_identical_sets(self):
@@ -73,6 +75,18 @@ class TestRefusals:
     def test_theorem6_negative_h_is_an_error(self):
         with pytest.raises(hz.ScenarioError, match="nonnegative"):
             hz.scenario_theorem6(hz.ScenarioConfig(h=-1.0))
+
+    @pytest.mark.parametrize("name, h", [("theorem1", None), ("theorem3", None),
+                                         ("theorem5", 0.5), ("theorem6", 0.5)])
+    @pytest.mark.parametrize("m, mesh", [(1, None), (2, chord_polyline([0, 0, 0.8], [0.1, 0, 0.8]))],
+                             ids=["disk_at_m1", "polyline_at_m2"])
+    def test_mesh_of_another_dimension_is_an_error(self, name, h, m, mesh, monkeypatch):
+        def no_barrier(*args, **kwargs):
+            raise AssertionError("a barrier was built before the dimension check")
+
+        monkeypatch.setattr(bar, "build_barrier", no_barrier)
+        with pytest.raises(hz.ScenarioError, match="the mesh has dimension"):
+            hz.run_scenario(name, h=h, m=m, mesh=mesh)
 
     @pytest.mark.parametrize("name", ["theorem3", "theorem6"])
     @pytest.mark.parametrize("metric", ["0.1", "0.1*x1"])

@@ -497,23 +497,40 @@ class TestMinimizingChecks:
 
 
 class TestMeanCurvature:
-    def test_volumes_checked_once(self, unit_disk_mesh, monkeypatch):
-        checks = []
-        check = vf.SimplicialSurface.check
+    def test_volumes_computed_once(self, monkeypatch):
+        computed = []
+        volumes = vf.SimplicialSurface.__dict__["volumes"]
+        compute = volumes.func
 
         def counting(mesh):
-            checks.append(len(mesh.simplices))
-            return check(mesh)
+            computed.append(len(mesh.simplices))
+            return compute(mesh)
 
-        monkeypatch.setattr(vf.SimplicialSurface, "check", counting)
-        H, _ = vf.mesh_mean_curvature(unit_disk_mesh)
-        assert checks == [len(unit_disk_mesh.simplices)]
+        monkeypatch.setattr(volumes, "func", counting)
+        mesh = meshes.disk_mesh(radius=1.0, rings=4, segments=16)
+        H, _ = vf.mesh_mean_curvature(mesh)
+        vf.vertex_areas(mesh)
+        vf.stiffness_laplacian(mesh)
+        vf.area(mesh)
+        assert computed == [len(mesh.simplices)]
         monkeypatch.undo()
-        expect = -vf.area_vertex_gradient(unit_disk_mesh)
-        vert_area = np.zeros(len(unit_disk_mesh.vertices))
-        np.add.at(vert_area, unit_disk_mesh.simplices.ravel(),
-                  np.repeat(unit_disk_mesh.check() * unit_disk_mesh.multiplicity / 3.0, 3))
+        expect = -vf.area_vertex_gradient(mesh)
+        vert_area = np.zeros(len(mesh.vertices))
+        np.add.at(vert_area, mesh.simplices.ravel(),
+                  np.repeat(mesh.volumes * mesh.multiplicity / 3.0, 3))
         assert np.array_equal(H, expect / vert_area[:, None])
+
+    def test_moved_mesh_gets_its_own_volumes_and_laplacian(self):
+        mesh = meshes.disk_mesh(radius=1.0, rings=2, segments=8)
+        kept = mesh.laplacian
+        moved = mesh.with_vertices(2.0 * mesh.vertices)
+        np.testing.assert_allclose(moved.volumes, 4.0 * mesh.volumes, rtol=1e-12)
+        # cotangent weights do not change under scaling
+        np.testing.assert_allclose(moved.laplacian[1], kept[1], rtol=1e-12)
+        assert moved.laplacian is not kept and mesh.laplacian is kept
+        for kept in (mesh.vertices, mesh.volumes, *mesh.laplacian):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 1.0
 
     def test_flat_disk_interior_zero(self, unit_disk_mesh):
         H, interior = vf.mesh_mean_curvature(unit_disk_mesh)
