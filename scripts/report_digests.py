@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
-Runs twenty-four fixed CLI inputs in process and prints one line per input:
+Runs twenty-six fixed CLI inputs in process and prints one line per input:
 its name, the exit code and the first 16 hex digits of the sha256 of its
 report.  The inputs are every theorem scenario, theorem6 at h = 1.5,
 theorem1 and theorem5 under the constant conformal metric c = 1/2, nine
@@ -9,14 +9,16 @@ barrier-verify grids (the torus at m = 2 and at m = 1, which fails, among
 them, and the ball under c = 1/2 written both as conformal:0-log(2) and as
 the matrix 0.25 I, whose digests are equal), a convexity under a matrix
 metric, two barrier-build bundles at the top of the unit ball (euclidean,
-and under theorem3's family metric i = 2, 1.25 times euclidean), and four
-minimize runs from starts written to temporary SVMESH files: the 513-vertex
-bulged disk, the same disk stopped by ``--max-iterations 1``, the
-1537-vertex cap of the unit sphere and the 33-vertex bulged disk under the
-metric e^{0.2 x1} delta.  The torus, the
-ellipsoid, the matrix metric and the non-constant conformal metric are read
-through expressions.  Two trees print the same lines exactly when their
-reports are byte-identical.
+and under theorem3's family metric i = 2, 1.25 times euclidean), and six
+inputs that read meshes from temporary SVMESH files: four minimize runs
+(the 513-vertex bulged disk, the same disk stopped by ``--max-iterations
+1``, the 1537-vertex cap of the unit sphere and the 33-vertex bulged disk
+under the metric e^{0.2 x1} delta), the decomposition of theorem4's
+varifold over the unit sphere, and the first variation of (x2, -x1, x3^2)
+on the 289-vertex bulged disk under e^{0.2 x1} delta at quadrature order 4.
+The torus, the ellipsoid, the matrix metric and the non-constant conformal
+metric are read through expressions.  Two trees print the same lines
+exactly when their reports are byte-identical.
 
     PYTHONPATH=src python scripts/report_digests.py
 """
@@ -78,19 +80,41 @@ def sphere_cap():
     return disk.with_vertices((1.0 - 1e-4) * verts)
 
 
-def minimize_inputs(workdir):
-    """The minimize inputs, their start meshes written under ``workdir``."""
+def theorem4_pair():
+    """theorem4's varifold (the radius-1 icosphere at subdivision 3 with
+    multiplicity 2 plus the radius-0.4 icosphere at subdivision 2) and its
+    boundary, the radius-1 icosphere alone."""
+    boundary = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
+    interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
+    varifold = vf.SimplicialSurface(
+        np.vstack([boundary.vertices, interior.vertices]),
+        np.vstack([boundary.simplices, interior.simplices + len(boundary.vertices)]),
+        np.concatenate([2 * np.ones(len(boundary.simplices)), np.ones(len(interior.simplices))]))
+    return varifold, boundary
+
+
+def file_inputs(workdir):
+    """The inputs that read SVMESH files, their meshes written under ``workdir``."""
+    def write(name, mesh):
+        path = os.path.join(workdir, f"{name}.svmesh")
+        vf.write_svmesh(mesh, path)
+        return path
+
     starts = (("minimize_disk513", meshes.bulged_disk_mesh(8, 64, 0.05), ()),
               ("minimize_disk513_cap1", meshes.bulged_disk_mesh(8, 64, 0.05),
                ("--max-iterations", "1")),
               ("minimize_cap1537", sphere_cap(), ()),
               ("minimize_conformal_x1", meshes.bulged_disk_mesh(2, 16, 0.05),
                ("--metric", "conformal:0.1*x1", "--tolerance", "1e-5")))
-    inputs = []
-    for name, mesh, options in starts:
-        path = os.path.join(workdir, f"{name}.svmesh")
-        vf.write_svmesh(mesh, path)
-        inputs.append((name, ("minimize", "--mesh", path, "--domain", "ball:1") + options))
+    inputs = [(name, ("minimize", "--mesh", write(name, mesh), "--domain", "ball:1") + options)
+              for name, mesh, options in starts]
+    varifold, boundary = theorem4_pair()
+    inputs.append(("decompose_theorem4", ("decompose", "--mesh", write("theorem4", varifold),
+                                          "--boundary-mesh", write("sphere", boundary))))
+    inputs.append(("first_var_conformal", ("first-variation",
+                                           "--mesh", write("bulged", meshes.bulged_disk_mesh()),
+                                           "--field", "x2,0-x1,x3^2",
+                                           "--metric", "conformal:0.1*x1", "--order", "4")))
     return tuple(inputs)
 
 
@@ -104,7 +128,7 @@ def digest(argv):
 
 def main():
     with tempfile.TemporaryDirectory() as workdir:
-        for name, argv in INPUTS + minimize_inputs(workdir):
+        for name, argv in INPUTS + file_inputs(workdir):
             code, hexdigest = digest(argv)
             print(f"{name:22s} exit {code}  {hexdigest}")
     return 0

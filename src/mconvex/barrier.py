@@ -426,17 +426,20 @@ class BarrierVectorField(VectorField):
 
     def live_phi(self, data):
         """``(live, phi)`` from tube data: ``live`` marks the points of the
-        open tube ``0 <= u < eps``, phi is the cutoff there and 0 elsewhere."""
+        open tube ``0 <= u < eps`` where X does not vanish (phi underflows to
+        an exact 0 just below the cutoff), phi is the cutoff there and 0
+        elsewhere."""
         b = self.bundle
-        live = data.valid & (data.u >= 0.0) & (data.u < b.epsilon)
-        return live, np.where(live, cutoff(np.where(live, data.u, 0.0), b.epsilon), 0.0)
+        tube = data.valid & (data.u >= 0.0) & (data.u < b.epsilon)
+        phi = np.where(tube, cutoff(np.where(tube, data.u, 0.0), b.epsilon), 0.0)
+        return tube & (phi > 0.0), phi
 
     def from_tube(self, data):
         """``(live, phi, value, S)`` of X from tube data at the points.
 
         ``live`` and phi are as in ``live_phi``.  S = jacobian / phi
         = -(u - eps)^-2 nu_e nu_e^T + Hess u / c^2 on live points (0
-        elsewhere) stays finite where phi underflows.  Its spectrum is known:
+        elsewhere) stays finite however small phi is.  Its spectrum is known:
         with Sigma's curvatures kappa_i from the invariants sigma_1, sigma_2
         of grad w and Hess w (Goldman 2005), the euclidean Hess u =
         -(B_t - u sigma_2 P) / ((1 - u kappa_1)(1 - u kappa_2)) has the
@@ -574,9 +577,7 @@ def verify_barrier(
         if not np.any(cand):
             return out, live
         data = tube_eval(b.sigma, chunk[cand])
-        on, phi = X.live_phi(data)
-        # phi underflows to an exact 0 just below the cutoff; X vanishes there
-        on &= phi > 0.0
+        on, _ = X.live_phi(data)
         live[cand] = on
         # barriers exist only for g = c^2 * euclidean: the top-m trace of
         # Q = c^2 phi S over g-orthonormal m-frames is phi times the sum of

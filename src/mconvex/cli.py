@@ -82,8 +82,6 @@ def _parse_metric(spec):
 
 def _parse_domain(spec, metric_spec=None):
     metric = _parse_metric(metric_spec)
-    if spec is None:
-        raise UsageError("--domain is required")
     kind, _, rest = spec.partition(":")
     if kind == "ball":
         return geo.domain_ball(radius=_parse_radius(rest), metric=metric)
@@ -387,7 +385,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, vf.MeshFormatError, FileNotFoundError, geo.GeometryError,
+    except (UsageError, vf.MeshFormatError, OSError, geo.GeometryError,
             exprfield.ExprError, vf.VarifoldError, mz.MinimizeError, hz.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -80,14 +80,8 @@ class Expression:
         """Constant-fold; the only simplification performed."""
         return self
 
-    def to_source(self):
-        raise NotImplementedError
-
     def max_var(self):
         return -1
-
-    def __str__(self):
-        return self.to_source()
 
 
 @dataclass(frozen=True)
@@ -100,24 +94,16 @@ class Const(Expression):
     def diff(self, var_index):
         return Const(0.0)
 
-    def to_source(self):
-        if self.value == int(self.value) and abs(self.value) < 1e16:
-            return str(int(self.value))
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class Var(Expression):
-    index: int  # zero-based; prints as x{index+1}
+    index: int  # zero-based; written x{index+1}
 
     def eval(self, coords):
         return np.asarray(coords[self.index], dtype=float)
 
     def diff(self, var_index):
         return Const(1.0 if var_index == self.index else 0.0)
-
-    def to_source(self):
-        return f"x{self.index + 1}"
 
     def max_var(self):
         return self.index
@@ -138,9 +124,6 @@ class Neg(Expression):
         if isinstance(a, Const):
             return Const(-a.value)
         return Neg(a)
-
-    def to_source(self):
-        return f"-{_paren(self.arg, 25)}"
 
     def max_var(self):
         return self.arg.max_var()
@@ -167,24 +150,8 @@ class Func(Expression):
                 pass
         return Func(self.name, a)
 
-    def to_source(self):
-        return f"{self.name}({self.arg.to_source()})"
-
     def max_var(self):
         return self.arg.max_var()
-
-
-# binding strength used for printing parentheses
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-
-
-def _paren(e, parent_prec):
-    s = e.to_source()
-    if isinstance(e, BinOp) and _PREC[e.op] < parent_prec:
-        return f"({s})"
-    if isinstance(e, Neg) and parent_prec > 15:
-        return f"({s})"
-    return s
 
 
 @dataclass(frozen=True)
@@ -255,13 +222,6 @@ class BinOp(Expression):
                 if b.value == 0:
                     return Const(1.0)
         return BinOp(self.op, a, b)
-
-    def to_source(self):
-        p = _PREC[self.op]
-        left = _paren(self.left, p)
-        # left-associative: right operand needs parens at equal precedence
-        right = _paren(self.right, p + 1)
-        return f"{left} {self.op} {right}"
 
     def max_var(self):
         return max(self.left.max_var(), self.right.max_var())

@@ -59,7 +59,7 @@ class ScenarioConfig:
     """Shared scenario knobs; the comment on each field names the scenarios
     that read it.  Every report records grid_resolution, m, h and p."""
 
-    domain: Optional[geo.Domain] = None  # all scenarios; default the unit ball
+    domain: geo.Domain = dc_field(default_factory=geo.domain_ball)  # all scenarios
     p: np.ndarray = dc_field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))  # theorem1/3/5/6
     m: int = 2  # theorem1/3/5/6 (theorem4 uses n - 1)
     h: float = 0.0  # theorem5/6, finite and >= 0; theorem1/3/4 raise ScenarioError unless h = 0
@@ -70,9 +70,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if not 0.0 <= self.h < np.inf:
             raise ScenarioError(f"h must be finite and nonnegative, got {self.h}")
-
-    def resolved_domain(self):
-        return self.domain if self.domain is not None else geo.domain_ball(radius=1.0)
 
 
 def run_scenario(name, h=None, **fields):
@@ -169,7 +166,7 @@ def _bounded_mc_and_exclude(mesh, bundle, h):
 def scenario_theorem1(cfg):
     """Exclusion of first-order minimizers from a strongly m-convex point."""
     _reads_no_h(cfg, "theorem1")
-    domain = cfg.resolved_domain()
+    domain = cfg.domain
     p = np.asarray(cfg.p, dtype=float)
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
     if kind != "strongly m-convex":
@@ -215,7 +212,7 @@ def _family_c2_distance(metric, limit, p):
 def _family_base(cfg, name):
     """cfg's domain; metric_family converges to the euclidean metric, so
     theorem3 and theorem6 refuse a domain with any other metric."""
-    base = cfg.resolved_domain()
+    base = cfg.domain
     if base.metric.constant_factor() != 1.0:
         raise ScenarioError(f"{name} sweeps metrics converging to the euclidean one; "
                             "the domain's metric must be euclidean")
@@ -355,7 +352,7 @@ def scenario_theorem4(cfg):
     """Hypersurface case: barrier contradiction at mean-convex contact plus
     the boundary decomposition of integral varifolds."""
     _reads_no_h(cfg, "theorem4")
-    domain = cfg.resolved_domain()
+    domain = cfg.domain
     boundary_mesh = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
     interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
     varifold_mesh = vf.SimplicialSurface(
@@ -412,7 +409,7 @@ def scenario_theorem4(cfg):
 
 def scenario_theorem5(cfg):
     """Bounded-mean-curvature exclusion: curvature sum must exceed h."""
-    domain = cfg.resolved_domain()
+    domain = cfg.domain
     p = np.asarray(cfg.p, dtype=float)
     ksum, kind, _ = geo.m_convexity(domain, p, cfg.m)
     if ksum <= cfg.h:

@@ -11,6 +11,7 @@ mean curvature, and the boundary decomposition of integral varifolds.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -170,12 +171,16 @@ def read_svmesh(stream):
         m, n = int(head[1]), int(head[2])
     except ValueError as exc:
         raise MeshFormatError(f"non-integer dimensions in header {lines[0]!r}") from exc
+    if m < 0 or n < 0:
+        raise MeshFormatError(f"negative dimension in header {lines[0]!r}")
     if len(lines) < 2:
         raise MeshFormatError("missing count line 'V F'")
     try:
         V, F = (int(tok) for tok in lines[1].split())
     except ValueError as exc:
         raise MeshFormatError(f"bad count line {lines[1]!r}") from exc
+    if V < 0 or F < 0:
+        raise MeshFormatError(f"negative count in count line {lines[1]!r}")
     if len(lines) != 2 + V + F:
         raise MeshFormatError(
             f"expected {2 + V + F} content lines, found {len(lines)}"
@@ -185,7 +190,10 @@ def read_svmesh(stream):
         toks = ln.split()
         if len(toks) != n:
             raise MeshFormatError(f"vertex line {i}: expected {n} floats, got {len(toks)}")
-        verts[i] = [float(t) for t in toks]
+        try:
+            verts[i] = [float(t) for t in toks]
+        except ValueError as exc:
+            raise MeshFormatError(f"vertex line {i}: bad float in {ln!r}") from exc
     simp = np.zeros((F, m + 1), dtype=int)
     mult = np.ones(F)
     for i, ln in enumerate(lines[2 + V:]):
@@ -194,9 +202,12 @@ def read_svmesh(stream):
             raise MeshFormatError(
                 f"simplex line {i}: expected {m + 1} indices (+ optional multiplicity)"
             )
-        simp[i] = [int(t) for t in toks[:m + 1]]
-        if len(toks) == m + 2:
-            mult[i] = float(toks[m + 1])
+        try:
+            simp[i] = [int(t) for t in toks[:m + 1]]
+            if len(toks) == m + 2:
+                mult[i] = float(toks[m + 1])
+        except ValueError as exc:
+            raise MeshFormatError(f"simplex line {i}: bad index or multiplicity in {ln!r}") from exc
     return SimplicialSurface(verts, simp, mult)
 
 
@@ -548,21 +559,17 @@ def mesh_mean_curvature(mesh, metric=None):
 def _simplex_keys(mesh):
     """Geometric keys: sorted vertex coordinates of each simplex, rounded to
     9 decimals."""
-    v = np.round(mesh.vertices[mesh.simplices], 9)
-    keys = []
-    for simplex in v:
-        rows = sorted(tuple(row) for row in simplex)
-        keys.append(tuple(rows))
-    return keys
+    return [tuple(sorted(map(tuple, s))) for s in np.round(mesh.vertices[mesh.simplices], 9)]
 
 
 def decompose_integral(V_mesh, boundary_mesh):
     """Split an integral mesh varifold as d x (boundary) + remainder.
 
     d is the smallest multiplicity the varifold carries over the boundary
-    mesh (0 when any boundary simplex is absent).  Raises NonIntegralError
-    for multiplicities more than 1e-9 from an integer and DecompositionError
-    if the remainder would go negative.
+    mesh (0 when any boundary simplex is absent); a simplex the boundary mesh
+    lists k times owes d k.  Raises NonIntegralError for multiplicities more
+    than 1e-9 from an integer and DecompositionError if the remainder would
+    go negative.
     """
     frac = np.abs(V_mesh.multiplicity - np.round(V_mesh.multiplicity))
     if np.any(frac > 1e-9):
@@ -572,33 +579,27 @@ def decompose_integral(V_mesh, boundary_mesh):
         )
     mult = np.round(V_mesh.multiplicity).astype(int)
     v_keys = _simplex_keys(V_mesh)
-    index = {}
-    for i, key in enumerate(v_keys):
-        index[key] = index.get(key, 0) + mult[i]
-    b_keys = _simplex_keys(boundary_mesh)
-    d = min((index.get(key, 0) for key in b_keys), default=0)
+    carried = Counter()
+    for key, mu in zip(v_keys, mult):
+        carried[key] += mu
+    listed = Counter(_simplex_keys(boundary_mesh))
+    d = min((carried[key] for key in listed), default=0)
     if d == 0:
         return None, V_mesh, 0
-    remaining = dict.fromkeys(set(v_keys), 0)
-    for i, key in enumerate(v_keys):
-        remaining[key] += mult[i]
-    for key in b_keys:
-        remaining[key] = remaining.get(key, 0) - d
-        if remaining[key] < 0:
-            raise DecompositionError(
-                "boundary part exceeds the varifold: remainder would be negative"
-            )
-    # rebuild the remainder on the original mesh combinatorics
+    owed = {key: d * k for key, k in listed.items()}
+    if any(owed[key] > carried[key] for key in owed):
+        raise DecompositionError(
+            "boundary part exceeds the varifold: remainder would be negative"
+        )
+    # take what is owed from the first simplices that carry each key
     keep, new_mult = [], []
-    consumed = {key: d for key in b_keys}
-    for i, key in enumerate(v_keys):
-        take = min(consumed.get(key, 0), mult[i])
+    for i, (key, mu) in enumerate(zip(v_keys, mult)):
+        take = min(owed.get(key, 0), mu)
         if take:
-            consumed[key] -= take
-        left = mult[i] - take
-        if left > 0:
+            owed[key] -= take
+        if mu > take:
             keep.append(i)
-            new_mult.append(left)
+            new_mult.append(mu - take)
     W = SimplicialSurface(boundary_mesh.vertices, boundary_mesh.simplices,
                           d * np.ones(len(boundary_mesh.simplices)))
     if keep:

@@ -201,6 +201,20 @@ class TestBarrierField:
         np.testing.assert_array_equal(X.value(far), 0.0)
         np.testing.assert_array_equal(X.jacobian(far), 0.0)
 
+    def test_underflowed_phi_is_not_live(self, ball_bundle):
+        """Just below the cutoff phi underflows to an exact 0; X vanishes
+        there, so the point is not live."""
+        eps = ball_bundle.epsilon
+        u = np.array([0.5 * eps, eps - 1e-4, eps])
+        assert 0.0 < u[1] and np.exp(1.0 / (u[1] - eps)) == 0.0
+        k = len(u)
+        data = bar.TubeData(u=u, nu=np.tile([0.0, 0.0, -1.0], (k, 1)),
+                            curvatures=np.zeros((k, 2)), hess_u=np.zeros((k, 3, 3)),
+                            foot=np.zeros((k, 3)), valid=np.ones(k, dtype=bool))
+        live, phi = ball_bundle.field().live_phi(data)
+        assert live.tolist() == [True, False, False]
+        assert phi[0] > 0.0 and phi[1] == phi[2] == 0.0
+
     def test_inward_on_boundary_samples(self, ball_bundle, ball_domain):
         rng = np.random.default_rng(3)
         lo, hi = ball_domain.chart[:, 0], ball_domain.chart[:, 1]

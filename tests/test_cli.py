@@ -364,6 +364,46 @@ class TestInvalidMesh:
         assert captured.err.startswith("error:")
 
 
+class TestMalformedNumbers:
+    """A malformed number in an SVMESH file is a format error naming its
+    line, not a traceback."""
+
+    @pytest.mark.parametrize("text, line", [
+        (_TRIANGLE.format(x="abc", mult="1"), "vertex line 0"),
+        ("SVMESH 2 3\n3 1\n0 0 0.5\n0.1 0 0.5\n0 0.1 0.5\n0 1 2.5\n", "simplex line 0"),
+        ("SVMESH 2 3\n3 1\n0 0 0.5\n0.1 0 0.5\n0 0.1 0.5\n0 x 2\n", "simplex line 0"),
+        (_TRIANGLE.format(x="0", mult="two"), "simplex line 0"),
+    ], ids=["vertex_abc", "index_2.5", "index_x", "multiplicity_two"])
+    def test_first_variation_names_the_line(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.svmesh"
+        bad.write_text(text)
+        code = cli.main(["first-variation", "--mesh", str(bad), "--field", "x1,x2,x3"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error:") and line in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestDirectoryAsFile:
+    """A directory where a file is read or written is an error, not a
+    traceback."""
+
+    def test_directory_as_mesh(self, capsys, tmp_path):
+        code = cli.main(["first-variation", "--mesh", str(tmp_path), "--field", "x1,x2,x3"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_directory_as_out_mesh(self, capsys, tmp_path):
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=2, segments=16), path)
+        code = cli.main(["minimize", "--mesh", str(path), "--domain", "ball:1",
+                         "--out-mesh", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 class TestDecompose:
     def test_integral_split(self, capsys, tmp_path):
         bnd = meshes.icosphere_mesh(subdivisions=2)

@@ -164,16 +164,6 @@ def _combine(children):
 _exprs = st.recursive(_leaf, _combine, max_leaves=12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_exprs, st.integers(0, 2 ** 31 - 1))
-def test_roundtrip_through_source(src, seed):
-    """parse -> to_source -> parse preserves values on 1000 random points."""
-    e = ef.parse(src)
-    again = ef.parse(e.to_source())
-    pts = np.random.default_rng(seed).uniform(-2, 2, size=(1000, 3))
-    np.testing.assert_allclose(e.eval_at(pts), again.eval_at(pts), rtol=1e-12, atol=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(_exprs, st.integers(0, 2 ** 31 - 1))
 def test_mixed_partials_commute(src, seed):

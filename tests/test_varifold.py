@@ -120,6 +120,14 @@ class TestSVMesh:
         with pytest.raises(vf.VarifoldError, match="finite"):
             svmesh_loads(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("SVMESH 2 3\n-1 3\n0 1 2\n0 1 2\n", "count line"),
+        ("SVMESH -2 3\n1 1\n0 0 0\n0\n", "header"),
+    ], ids=["negative_count", "negative_m"])
+    def test_negative_size_is_a_format_error(self, text, line):
+        with pytest.raises(vf.MeshFormatError, match=line):
+            svmesh_loads(text)
+
     def test_zero_dimensional_mesh_rejected(self):
         with pytest.raises(vf.VarifoldError, match="m \\+ 1 >= 2"):
             svmesh_loads("SVMESH 0 3\n2 2\n0 0 0\n1 0 0\n0\n1\n")
@@ -641,6 +649,38 @@ class TestDecomposition:
             np.vstack([m.simplices + o for o, m in zip(offs, planes)]),
             np.concatenate([m.multiplicity for m in planes]))
         with pytest.raises(vf.NonIntegralError):
+            vf.decompose_integral(V, bnd)
+
+
+def _carried(*meshes_):
+    """Multiplicity carried per simplex, summed over meshes on one vertex array."""
+    total = {}
+    for mesh in meshes_:
+        for simplex, mu in zip(mesh.simplices.tolist(), mesh.multiplicity):
+            key = tuple(sorted(simplex))
+            total[key] = total.get(key, 0.0) + mu
+    return total
+
+
+class TestRepeatedBoundarySimplex:
+    """A boundary mesh that lists a simplex k times owes d k of it."""
+
+    VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [1.0, 1.0, 0.5], [2.0, 2.0, 2.0]])
+    A, B, C = [0, 1, 2], [1, 2, 3], [2, 3, 4]
+
+    def test_parts_sum_to_the_varifold(self):
+        V = vf.SimplicialSurface(self.VERTS, [self.A, self.B, self.C], [1.0, 2.0, 1.0])
+        bnd = vf.SimplicialSurface(self.VERTS, [self.A, self.B, self.B])
+        W, Wp, d = vf.decompose_integral(V, bnd)
+        assert d == 1
+        assert _carried(W, Wp) == _carried(V)
+        assert Wp.simplices.tolist() == [self.C]
+
+    def test_listed_more_often_than_carried_is_an_error(self):
+        V = vf.SimplicialSurface(self.VERTS, [self.A, self.B], [1.0, 2.0])
+        bnd = vf.SimplicialSurface(self.VERTS, [self.B, self.B, self.B])
+        with pytest.raises(vf.DecompositionError):
             vf.decompose_integral(V, bnd)
 
 
