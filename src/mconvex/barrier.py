@@ -288,6 +288,7 @@ class BarrierBundle:
 
 TUBE_LATTICE = 12  # cells per chart axis whose centres tube_curvatures projects
 TUBE_CHUNK = 32    # points in the first chunk tube_curvatures evaluates
+GRID_CHUNK = 32768  # flat grid indices per verify_barrier task
 
 
 def tube_curvatures(sigma, chart, clears):
@@ -534,14 +535,6 @@ class BarrierReport:
                 fh.write(",".join(repr(float(v)) for v in pt) + f",{float(mg)!r}\n")
 
 
-def chart_grid(chart, resolution):
-    axes = [
-        np.linspace(lo, hi, resolution) for lo, hi in np.asarray(chart, dtype=float)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def verify_barrier(
     bundle,
     grid_resolution=50,
@@ -558,55 +551,71 @@ def verify_barrier(
     is assembled and no eigensolver runs.  Points at or beyond the cutoff,
     and the live points where phi underflows to 0, contribute an exact zero.
     The report carries the worst margin and its location, the first in grid
-    order among equal margins; a grid with no live point checked nothing and
-    does not pass.  Each grid point is evaluated in the tube at most once,
-    and not at all where ``SigmaSurface.misses`` shows that no foot of Sigma
-    lies within eps / c of it (its margin is then 0).
+    order among equal margins (a NaN margin is the worst); a grid with no
+    live point checked nothing and does not pass.  Each grid point is
+    evaluated in the tube at most once, and not at all where
+    ``SigmaSurface.misses`` shows that no foot of Sigma lies within eps / c
+    of it (its margin is then 0).
+
+    The grid is never built whole.  Each task takes GRID_CHUNK consecutive
+    flat grid indices, makes their points from the axes, keeps those in N and
+    evaluates them; it returns its counts and its worst margin and point, and
+    its points and margins only with ``keep_margins``.  A margin depends on
+    its point alone, so memory is bounded by the chunk and ``threads``, not
+    by ``grid_resolution``, and the report is the same at every ``threads``.
     """
     b = bundle
     if not 1 <= b.m <= 3:
         raise ValueError(f"m must be in [1, 3], got {b.m}")
     X = b.field()
-    pts = chart_grid(b.chart, grid_resolution)
-    pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
+    axes = [np.linspace(lo, hi, grid_resolution) for lo, hi in np.asarray(b.chart, dtype=float)]
+    shape = (grid_resolution,) * len(axes)
+    size = grid_resolution ** len(axes)
 
-    def margins_for(chunk):
-        out = np.zeros(len(chunk))
-        live = np.zeros(len(chunk), dtype=bool)
-        cand = X.reaches_tube(chunk)
-        if not np.any(cand):
-            return out, live
-        data = tube_eval(b.sigma, chunk[cand])
-        on, _ = X.live_phi(data)
-        live[cand] = on
-        # barriers exist only for g = c^2 * euclidean: the top-m trace of
-        # Q = c^2 phi S over g-orthonormal m-frames is phi times the sum of
-        # the m largest eigenvalues of S
-        normal = -(b.epsilon - data.u[on]) ** -2.0
-        spectrum = np.sort(np.concatenate([-data.curvatures[on], normal[:, None]], axis=-1))
-        out[live] = (np.sum(spectrum[:, 3 - b.m:], axis=-1) + b.eta) / (1.0 + b.K)
-        return out, live
+    def chunk_result(start):
+        index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, size)), shape)
+        pts = np.stack([ax[i] for ax, i in zip(axes, index)], axis=-1)
+        pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
+        if len(pts) == 0:
+            return None
+        out = np.zeros(len(pts))
+        live = np.zeros(len(pts), dtype=bool)
+        cand = X.reaches_tube(pts)
+        if np.any(cand):
+            data = tube_eval(b.sigma, pts[cand])
+            on, _ = X.live_phi(data)
+            live[cand] = on
+            # barriers exist only for g = c^2 * euclidean: the top-m trace of
+            # Q = c^2 phi S over g-orthonormal m-frames is phi times the sum of
+            # the m largest eigenvalues of S
+            normal = -(b.epsilon - data.u[on]) ** -2.0
+            spectrum = np.sort(np.concatenate([-data.curvatures[on], normal[:, None]], axis=-1))
+            out[live] = (np.sum(spectrum[:, 3 - b.m:], axis=-1) + b.eta) / (1.0 + b.K)
+        worst = int(np.argmax(out))
+        # the worst point as a list, not a view that would hold the chunk
+        return (len(pts), int(np.count_nonzero(live)), out[worst], pts[worst].tolist(),
+                pts if keep_margins else None, out if keep_margins else None)
 
-    if len(pts) == 0:
-        raise GeometryError("verification grid is empty")
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        results = list(ex.map(margins_for, np.array_split(pts, threads * 8)))
-    margins = np.concatenate([r[0] for r in results])
-    live = np.concatenate([r[1] for r in results])
-    worst = int(np.argmax(margins))
-    n_tube = int(np.count_nonzero(live))
-    report = BarrierReport(
-        passed=bool(margins[worst] <= tolerance and n_tube > 0),
-        worst_margin=float(margins[worst]),
-        worst_point=pts[worst].tolist(),
-        n_grid=len(pts),
+        results = [r for r in ex.map(chunk_result, range(0, size, GRID_CHUNK)) if r is not None]
+    if not results:
+        raise GeometryError("verification grid is empty")
+    n_grid, n_live, worst_margins, worst_points, points, margins = zip(*results)
+    # chunks come in grid order, so argmax over their worst margins keeps the
+    # first of equal margins, and a NaN
+    worst = int(np.argmax(worst_margins))
+    n_tube = sum(n_live)
+    return BarrierReport(
+        passed=bool(worst_margins[worst] <= tolerance and n_tube > 0),
+        worst_margin=float(worst_margins[worst]),
+        worst_point=worst_points[worst],
+        n_grid=sum(n_grid),
         n_tube=n_tube,
         epsilon=b.epsilon,
         K=b.K,
         eta=b.eta,
         m=b.m,
         tolerance=tolerance,
-        margins=margins if keep_margins else None,
-        points=pts if keep_margins else None,
+        margins=np.concatenate(margins) if keep_margins else None,
+        points=np.concatenate(points) if keep_margins else None,
     )
-    return report

@@ -538,7 +538,8 @@ def newton_level_project(f, x, tol=1e-12):
             raise VanishingGradientError("vanishing gradient during projection")
         y = y - (r / g2)[..., None] * g
     else:
-        if np.any(np.abs(f.value(y)) > tol):
+        # a NaN residual fails this test too
+        if not np.all(np.abs(f.value(y)) <= tol):
             raise GeometryError("level-set projection did not converge")
     return y[0] if single else y
 

@@ -1,6 +1,7 @@
 """Barrier construction and verification tests."""
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mconvex import geometry as geo
 from mconvex import harness as hz
 from mconvex import varifold as vf
 
-from testkit import ConstantVectorField, inward_normal, position_field
+from testkit import ConstantVectorField, chart_grid, inward_normal, position_field
 
 
 class TestCutoff:
@@ -429,11 +430,66 @@ class TestVerification:
         assert np.max(rep.margins[live]) <= -0.01
         assert np.all(np.abs(rep.margins[live] - oracle[live]) <= 1e-12 * scale[live])
 
-    def test_thread_count_invariance(self, ball_bundle):
-        r1 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=1)
-        r2 = bar.verify_barrier(ball_bundle, grid_resolution=25, threads=4)
-        assert r1.worst_margin == r2.worst_margin
-        assert r1.worst_point == r2.worst_point
+    def test_thread_count_invariance(self, ball_bundle, monkeypatch):
+        """The same report, byte for byte, at every thread count and chunk
+        size, with the points of the whole grid in N in grid order."""
+        b = ball_bundle
+        default = bar.GRID_CHUNK
+        for chunk, grid in [(default, 40), (7, 12)]:
+            monkeypatch.setattr(bar, "GRID_CHUNK", default)
+            ref = bar.verify_barrier(b, grid_resolution=grid, keep_margins=True)
+            pts = chart_grid(b.chart, grid)
+            assert ref.points.tobytes() == pts[b.domain.contains(pts)].tobytes()
+            assert ref.n_tube > 0
+            monkeypatch.setattr(bar, "GRID_CHUNK", chunk)
+            assert len(pts) % chunk != 0 and len(pts) > chunk
+            for threads in (1, 2, 3):
+                rep = bar.verify_barrier(b, grid_resolution=grid, threads=threads,
+                                         keep_margins=True)
+                assert rep.to_dict() == ref.to_dict()
+                assert rep.margins.tobytes() == ref.margins.tobytes()
+                assert rep.points.tobytes() == ref.points.tobytes()
+
+    def test_chart_outside_N_is_an_empty_grid(self, ball_bundle):
+        b = dataclasses.replace(ball_bundle, chart=np.array([[2.0, 3.0]] * 3))
+        with pytest.raises(geo.GeometryError, match="verification grid is empty"):
+            bar.verify_barrier(b, grid_resolution=10)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_nan_margin_is_the_worst_and_fails(self, ball_bundle, monkeypatch, chunk):
+        """A NaN margin at one live point, after larger finite margins in
+        grid order, is reported as the worst and fails the certificate."""
+        b = ball_bundle
+        rep = bar.verify_barrier(b, grid_resolution=12, keep_margins=True)
+        live = np.flatnonzero(rep.margins != 0.0)
+        target = rep.points[live[len(live) // 2]]
+        assert np.any(rep.margins[:live[len(live) // 2]] > np.max(rep.margins[live]))
+        tube_eval = bar.tube_eval
+
+        def poisoned(sigma, x):
+            data = tube_eval(sigma, x)
+            data.curvatures[np.all(x == target, axis=-1)] = np.nan
+            return data
+
+        monkeypatch.setattr(bar, "tube_eval", poisoned)
+        if chunk is not None:
+            monkeypatch.setattr(bar, "GRID_CHUNK", chunk)
+        bad = bar.verify_barrier(b, grid_resolution=12, threads=2)
+        assert not bad.passed
+        assert np.isnan(bad.worst_margin)
+        assert bad.worst_point == target.tolist()
+        assert (bad.n_grid, bad.n_tube) == (rep.n_grid, rep.n_tube)
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, ball_bundle):
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                bar.verify_barrier(ball_bundle, grid_resolution=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(120) <= 1.5 * peak(60)
 
 
 @pytest.fixture(scope="module")
@@ -455,7 +511,7 @@ class TestTubeExclusion:
     def test_dropped_points_are_not_live(self, name, request, theorem5_cap):
         b = request.getfixturevalue(name)
         cap_atoms = vf.varifold_from_mesh(theorem5_cap).points
-        pts = np.concatenate([bar.chart_grid(b.chart, 30), cap_atoms])
+        pts = np.concatenate([chart_grid(b.chart, 30), cap_atoms])
         X = b.field()
         live, phi, value, S = X.from_tube(bar.tube_eval(b.sigma, pts))
         dropped = b.sigma.misses(pts, b.epsilon / b.sigma.c)
@@ -468,7 +524,7 @@ class TestTubeExclusion:
     def test_levelset_domain_drops_nothing(self, ellipsoid_bundle, monkeypatch):
         b = ellipsoid_bundle
         assert b.domain.u0.lipschitz is None
-        pts = bar.chart_grid(b.chart, 20)
+        pts = chart_grid(b.chart, 20)
         assert not np.any(b.sigma.misses(pts, b.epsilon / b.sigma.c))
         seen = []
         tube_eval = bar.tube_eval

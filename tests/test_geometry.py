@@ -321,6 +321,17 @@ class TestDomain:
         y = geo.newton_level_project(ball_domain.u0, x)
         np.testing.assert_allclose(y, [0.0, 0.0, 1.0], atol=1e-10)
 
+    def test_newton_level_project_refuses_a_nan_field(self):
+        class NaNField(geo.ScalarField):
+            def value(self, x):
+                return np.full(np.shape(x)[:-1], np.nan)
+
+            def gradient(self, x):
+                return np.ones(np.shape(x))
+
+        with pytest.raises(geo.GeometryError, match="did not converge"):
+            geo.newton_level_project(NaNField(), np.zeros((2, 3)))
+
 
 # ---------------------------------------------------------------------------
 # finite-difference oracles

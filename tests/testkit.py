@@ -69,6 +69,13 @@ def field_magnitude(X, metric=None):
     return lambda pts: metric.norm(pts, X.value(pts))
 
 
+def chart_grid(chart, resolution):
+    """All resolution^n points of the chart's grid, in C order."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in np.asarray(chart, dtype=float)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def square_mesh(side=1.0, center=(0.5, 0.5, 0.0), divisions=1, multiplicity=1.0):
     """Axis-aligned square in the plane z = center_z."""
     cx, cy, cz = np.asarray(center, dtype=float)
