@@ -12,12 +12,14 @@ eigenvalue sum of the symmetrized covariant differential of X stays below
 Barriers exist for the euclidean metric and for constant multiples
 g = c^2 * euclidean of it; Sigma converts every tube quantity to metric units
 with c, and any other metric is refused.  Foot points are exact euclidean
-projections onto Sigma.  At a foot, Sigma's principal curvatures kappa_i,
-its Gauss curvature sigma_2 and its second fundamental form B_t (on
-P = I - nu nu^T) come from the closed-form level-set kernel
-``geometry.sigma_shape`` (R. Goldman, "Curvature formulas for implicit
-curves and surfaces", CAGD 2005), the one that also gives the boundary's
-curvatures at p.  The parallel surface at distance u has the curvatures
+projections onto Sigma, by Newton's method on the KKT system: each step is
+solved in closed form through the adjugate of I + lambda Hess w, and w's
+value, gradient and Hessian are evaluated together, once per point per step.
+At a foot, Sigma's principal curvatures kappa_i, its Gauss curvature sigma_2
+and its second fundamental form B_t (on P = I - nu nu^T) come from the
+closed-form level-set kernel ``geometry.sigma_shape`` (R. Goldman, "Curvature
+formulas for implicit curves and surfaces", CAGD 2005), the one that also
+gives the boundary's curvatures at p.  The parallel surface at distance u has the curvatures
 k_i = kappa_i / (1 - u kappa_i) (A. Gray, *Tubes*, 2nd ed., 2004), and the
 euclidean Hessian of u is -(B_t - u sigma_2 P) / ((1 - u kappa_1)(1 - u kappa_2)).
 So S = grad X / phi has the known spectrum {-k_1, -k_2, -(eps - u)^-2}, and
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +75,17 @@ def cutoff(t, eps):
 
 # |w| at most this at a foot point that ``SigmaSurface.project`` accepts
 FOOT_TOLERANCE = 1e-9
+
+
+class Projection(NamedTuple):
+    """``SigmaSurface.project``'s result: the foot, whether it was accepted,
+    w at the input point, and w's gradient and Hessian at the foot."""
+
+    foot: np.ndarray
+    ok: np.ndarray
+    w_x: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
 
 @dataclass
@@ -126,74 +140,89 @@ class SigmaSurface:
         return self.domain.u0.value(x) - L * radius + gap**4 > FOOT_TOLERANCE
 
     def project(self, x):
-        """Euclidean closest point on {w = 0}.
+        """Euclidean closest point on {w = 0}, by Newton's method on the KKT
+        system of min |y - x|^2 / 2 subject to w(y) = 0.
 
-        Returns ``(foot, ok)``; ``ok`` is False where the KKT Newton
-        iteration failed to converge in 60 steps (point outside the tube) or
-        met a singular system.  A point stops iterating as soon as its own
-        KKT residual is at most 1e-12; only the others are assembled and
-        solved.
+        Returns a ``Projection``.  ``ok`` is False where the iteration failed
+        to converge in 60 steps (point outside the tube) or met a singular
+        system.  A point stops iterating as soon as its own KKT residual is
+        at most 1e-12; only the others take a step (``_kkt_step``).  w's
+        value, gradient and Hessian come from one ``w.jet`` per point per
+        step: the jet at x starts the iteration, and each point's last jet,
+        at its final y, serves the acceptance test and is returned.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
         n = pts.shape[-1]
-        y = pts.copy()
-        gw = self.w.gradient(y)
-        lam = self.w.value(y) / np.maximum(
-            np.einsum("...i,...i->...", gw, gw), 1e-20
-        )
+        w_x, g, h = self.w.jet(pts)
+        lam = w_x / np.maximum(np.einsum("...i,...i->...", g, g), 1e-20)
         max_step = 0.25 * self.domain.chart_diameter()
         ok = np.ones(len(pts), dtype=bool)
-        active = np.arange(len(pts))
+        # the points still iterating: index, start, y, lambda and w's jet at
+        # y; a point that stops leaves its y, lambda and jet in ``final``
+        run = [np.arange(len(pts)), pts, pts, lam, w_x, g, h]
+        final = [np.empty_like(a) for a in run[2:]]
+
+        def retire(rows, stay):
+            if np.all(stay):
+                return rows
+            for f, a in zip(final, rows[2:]):
+                f[rows[0][~stay]] = a[~stay]
+            return [a[stay] for a in rows]
+
         for _ in range(60):
-            ya, la = y[active], lam[active]
-            gw = self.w.gradient(ya)
-            res_y = ya - pts[active] + la[:, None] * gw
-            res = np.concatenate([res_y, self.w.value(ya)[:, None]], axis=-1)
+            idx, x0, y, lam, w, g, h = run
+            res = np.concatenate([y - x0 + lam[:, None] * g, w[:, None]], axis=-1)
             moving = np.linalg.norm(res, axis=-1) > 1e-12
-            if not np.any(moving):
+            idx, x0, y, lam, w, g, h = run = retire(run, moving)
+            if len(idx) == 0:
                 break
-            active, ya, la, gw, res = (
-                active[moving], ya[moving], la[moving], gw[moving], res[moving]
-            )
-            J = np.zeros((len(active), n + 1, n + 1))
-            J[:, :n, :n] = np.eye(n) + la[:, None, None] * self.w.hessian(ya)
-            J[:, :n, n] = gw
-            J[:, n, :n] = gw
-            step, solved = _solve_rows(J, res)
-            ok[active[~solved]] = False
-            active, step = active[solved], step[solved]
+            step, solved = _kkt_step(lam, h, g, res[moving])
+            ok[idx[~solved]] = False
+            idx, x0, y, lam, w, g, h = retire(run, solved)
+            step = step[solved]
             # damp overlong steps; keeps far-away starts from exploding
             norms = np.linalg.norm(step[:, :n], axis=-1)
             scale = np.minimum(1.0, max_step / np.maximum(norms, 1e-300))
             step = step * scale[:, None]
-            y[active] -= step[:, :n]
-            lam[active] -= step[:, n]
-        final = np.abs(self.w.value(y))
-        grad_final = self.w.gradient(y)
-        align = y - pts + lam[:, None] * grad_final
-        ok = ok & (final <= FOOT_TOLERANCE) & (np.linalg.norm(align, axis=-1) <= 1e-7)
+            y = y - step[:, :n]
+            run = [idx, x0, y, lam - step[:, n], *self.w.jet(y)]
+        retire(run, np.zeros(len(run[0]), dtype=bool))
+        y, lam, w, g, h = final
+        align = y - pts + lam[:, None] * g
+        ok = ok & (np.abs(w) <= FOOT_TOLERANCE) & (np.linalg.norm(align, axis=-1) <= 1e-7)
         ok = ok & np.all(np.isfinite(y), axis=-1)
-        return y.reshape(x.shape), ok.reshape(x.shape[:-1])
+        batch = x.shape[:-1]
+        return Projection(y.reshape(x.shape), ok.reshape(batch), w_x.reshape(batch),
+                          g.reshape(x.shape), h.reshape(batch + (n, n)))
 
 
-def _solve_rows(J, rhs):
-    """Solve the batch ``J s = rhs``; returns ``(s, solved)``.
+def _kkt_step(lam, H, g, res):
+    """Newton step ``s`` of the KKT system [[A, g], [g^T, 0]] s = res, with
+    A = I + lam sym(H), in closed form; returns ``(s, solved)``.
 
-    A singular system fails only its own row: ``solved`` is False there and
-    the row of ``s`` is zero.
+    With adj(A) the adjugate, s_lam = (g^T adj(A) r_y - det(A) r_w) /
+    (g^T adj(A) g) and s_y = (adj(A) r_y - s_lam adj(A) g) / det(A).  A
+    singular system (det(A) = 0 or g^T adj(A) g = 0) divides by zero, so a
+    step that is not finite marks it; such a row fails alone: ``solved`` is
+    False there and the row of ``s`` is zero.
     """
-    try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    step = np.zeros_like(rhs)
-    solved = np.ones(len(J), dtype=bool)
-    for i in range(len(J)):
-        try:
-            step[i] = np.linalg.solve(J[i], rhs[i])
-        except np.linalg.LinAlgError:
-            solved[i] = False
+    A = np.eye(3) + lam[:, None, None] * (0.5 * (H + np.swapaxes(H, -1, -2)))
+    a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
+    d, e, f = A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1).reshape(-1, 3, 3)
+    det = a * c00 + b * c01 + c * c02
+    r_y, r_w = res[:, :3], res[:, 3]
+    adj_g = np.einsum("kij,kj->ki", adj, g)
+    adj_r = np.einsum("kij,kj->ki", adj, r_y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_lam = (np.einsum("ki,ki->k", g, adj_r) - det * r_w) / np.einsum("ki,ki->k", g, adj_g)
+        s_y = (adj_r - s_lam[:, None] * adj_g) / det[:, None]
+    step = np.concatenate([s_y, s_lam[:, None]], axis=-1)
+    solved = np.all(np.isfinite(step), axis=-1)
+    step[~solved] = 0.0
     return step, solved
 
 
@@ -226,15 +255,17 @@ def tube_eval(sigma, x):
     """
     x = np.asarray(x, dtype=float)
     c = sigma.c
-    foot, ok = sigma.project(x)
-    w_x = sigma.w.value(x)
+    foot, ok, w_x, grad, hess = sigma.project(x)
     sgn = np.where(w_x >= 0.0, 1.0, -1.0)
     diff = x - foot
     d_e = np.linalg.norm(diff, axis=-1)
     u_e = sgn * d_e
 
-    at = np.where(ok[..., None], foot, sigma.p)
-    shp = sigma_shape(sigma.w.gradient(at), sigma.w.hessian(at))
+    # a point without a foot takes w's jet at p; it is not valid
+    _, grad_p, hess_p = sigma.w.jet(sigma.p)
+    grad = np.where(ok[..., None], grad, grad_p)
+    hess = np.where(ok[..., None, None], hess, hess_p)
+    shp = sigma_shape(grad, hess)
     denom = 1.0 - u_e[..., None] * shp.kappa
     valid = ok & np.all(denom > 0.05, axis=-1)
     denom = np.where(denom > 0.05, denom, 1.0)
@@ -322,12 +353,12 @@ def tube_curvatures(sigma, chart, clears):
     kept = []
     start, size = 0, TUBE_CHUNK
     while start < len(pts):
-        foot, ok = sigma.project(pts[start:start + size])
+        proj = sigma.project(pts[start:start + size])
         start, size = start + size, 2 * size
-        foot = foot[ok]
-        if len(foot) == 0:
+        ok = proj.ok
+        if not np.any(ok):
             continue
-        kappa = sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa / sigma.c
+        kappa = sigma_shape(proj.grad[ok], proj.hess[ok]).kappa / sigma.c
         if not clears(kappa):
             return None
         kept.append(kappa)

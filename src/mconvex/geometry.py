@@ -63,6 +63,12 @@ class ScalarField:
         """Coordinate second partials, shape ``(..., n, n)``."""
         raise NotImplementedError
 
+    def jet(self, x):
+        """``(value(x), gradient(x), hessian(x))``; fields whose three
+        outputs share work override this to compute it once, with results
+        equal to the separate methods bit for bit."""
+        return self.value(x), self.gradient(x), self.hessian(x)
+
 
 class ExprArray:
     """Expressions in x1 .. xn laid out as an array of any shape.
@@ -170,6 +176,12 @@ class DistanceField(ScalarField):
         proj = np.diag(self.mask) - u[..., :, None] * u[..., None, :]
         return -proj / r[..., None, None]
 
+    def jet(self, x):
+        d, r = self._r(x, need_derivatives=True)
+        u = d / r[..., None]
+        proj = np.diag(self.mask) - u[..., :, None] * u[..., None, :]
+        return self.radius - r, -u, -proj / r[..., None, None]
+
 
 class QuarticGapField(ScalarField):
     """((x-p)^T G (x-p))^2, the fourth power of the G-norm distance to p."""
@@ -197,6 +209,16 @@ class QuarticGapField(ScalarField):
         outer = gd[..., :, None] * gd[..., None, :]
         return 4.0 * s[..., None, None] * self.gram + 8.0 * outer
 
+    def jet(self, x):
+        d = np.asarray(x, dtype=float) - self.p
+        # value's own contraction for s, so that the value matches bit for bit
+        s_value = np.einsum("...i,ij,...j->...", d, self.gram, d)
+        gd = d @ self.gram.T
+        s = np.einsum("...i,...i->...", d, gd)
+        outer = gd[..., :, None] * gd[..., None, :]
+        return (s_value * s_value, 4.0 * s[..., None] * gd,
+                4.0 * s[..., None, None] * self.gram + 8.0 * outer)
+
 
 class SumField(ScalarField):
     def __init__(self, fields):
@@ -211,6 +233,10 @@ class SumField(ScalarField):
 
     def hessian(self, x):
         return sum(f.hessian(x) for f in self.fields)
+
+    def jet(self, x):
+        jets = [f.jet(x) for f in self.fields]
+        return tuple(sum(j[k] for j in jets) for k in range(3))
 
 
 # --------------------------------------------------------------------------

@@ -482,7 +482,10 @@ def metric_area_gradient(mesh, metric=None):
 def first_variation(V, X, metric=None):
     """delta V(X) = sum of weights x trace of the covariant gradient on P."""
     metric = metric or geo.metric_euclidean(V.points.shape[1])
-    A = geo.covariant_from_jacobian(*X.evaluate(V.points), V.points, metric)
+    if metric.constant_factor() is not None:
+        A = X.jacobian(V.points)  # no Christoffel term, so X's value is not needed
+    else:
+        A = geo.covariant_from_jacobian(*X.evaluate(V.points), V.points, metric)
     return _first_variation(V, A, metric)
 
 

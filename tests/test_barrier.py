@@ -165,7 +165,7 @@ class TestProjection:
         # the balls a few of these points never converge
         far = b.p + 1.5 * (2.0 * rng.random((1000, 3)) - 1.0)
         pts = np.concatenate([near, far])
-        foot, ok = b.sigma.project(pts)
+        foot, ok = b.sigma.project(pts)[:2]
         ref_foot, ref_ok = _full_batch_project(b.sigma, pts)
         np.testing.assert_array_equal(ok, ref_ok)
         assert np.any(ok)
@@ -176,12 +176,109 @@ class TestProjection:
     def test_singular_system_fails_only_its_point(self, ball_domain, north_pole):
         sigma = bar.SigmaSurface(ball_domain, north_pole)
         pts = np.array([[0.1, 0.0, 0.95], [0.0, 0.2, 0.9], [-0.1, 0.1, 1.05]])
-        expect, expect_ok = sigma.project(pts)
+        expect, expect_ok = sigma.project(pts)[:2]
         assert np.all(expect_ok)
         sigma.w = _VanishingAt(sigma.w, pts[1])
-        foot, ok = sigma.project(pts)
+        foot, ok = sigma.project(pts)[:2]
         np.testing.assert_array_equal(ok, [True, False, True])
         np.testing.assert_array_equal(foot[ok], expect[ok])
+
+
+    def test_returns_w_at_x_and_the_jet_at_the_foot(self, ball_bundle, tube_points):
+        proj = ball_bundle.sigma.project(tube_points)
+        w = ball_bundle.sigma.w
+        assert np.any(proj.ok)
+        np.testing.assert_array_equal(proj.w_x, w.value(tube_points))
+        np.testing.assert_array_equal(proj.grad, w.gradient(proj.foot))
+        np.testing.assert_array_equal(proj.hess, w.hessian(proj.foot))
+
+
+class _CountingField(geo.ScalarField):
+    """w that counts its calls, and the points its jet sees."""
+
+    def __init__(self, w):
+        self.w, self.n = w, w.n
+        self.calls = []
+        self.jet_points = 0
+
+    def value(self, x):
+        self.calls.append("value")
+        return self.w.value(x)
+
+    def gradient(self, x):
+        self.calls.append("gradient")
+        return self.w.gradient(x)
+
+    def hessian(self, x):
+        self.calls.append("hessian")
+        return self.w.hessian(x)
+
+    def jet(self, x):
+        self.jet_points += len(np.reshape(x, (-1, self.n)))
+        return self.w.jet(x)
+
+
+def test_tube_eval_evaluates_w_once_per_point_per_step(ball_domain, north_pole, tube_points,
+                                                       monkeypatch):
+    sigma = bar.SigmaSurface(ball_domain, north_pole)
+    sigma.w = _CountingField(sigma.w)
+    steps = []
+    kkt_step = bar._kkt_step
+
+    def counting(lam, H, g, res):
+        step, solved = kkt_step(lam, H, g, res)
+        steps.append(np.count_nonzero(solved))
+        return step, solved
+
+    monkeypatch.setattr(bar, "_kkt_step", counting)
+    data = bar.tube_eval(sigma, tube_points)
+    assert np.all(data.valid)
+    assert sigma.w.calls == []
+    # the jet at each x, one per point per Newton step, and one at p
+    assert len(steps) >= 2
+    assert sigma.w.jet_points == len(tube_points) + sum(steps) + 1
+
+
+def _kkt_systems(rng, k):
+    """k random KKT systems: lambda in [-0.5, 0.5], symmetric H with entries
+    up to 5, |g| in [0.1, 10]."""
+    lam = rng.uniform(-0.5, 0.5, k)
+    H = rng.uniform(-5.0, 5.0, (k, 3, 3))
+    H = 0.5 * (H + np.swapaxes(H, -1, -2))
+    g = rng.normal(size=(k, 3))
+    g *= (10.0 ** rng.uniform(-1.0, 1.0, k) / np.linalg.norm(g, axis=-1))[:, None]
+    return lam, H, g, rng.normal(size=(k, 4))
+
+
+def _lapack_step(lam, H, g, res):
+    J = np.zeros((len(lam), 4, 4))
+    J[:, :3, :3] = np.eye(3) + lam[:, None, None] * H
+    J[:, :3, 3] = g
+    J[:, 3, :3] = g
+    return np.linalg.solve(J, res[..., None])[..., 0]
+
+
+class TestKKTStep:
+    def test_matches_lapack(self):
+        lam, H, g, res = _kkt_systems(np.random.default_rng(11), 2000)
+        step, solved = bar._kkt_step(lam, H, g, res)
+        ref = _lapack_step(lam, H, g, res)
+        assert np.all(solved)
+        err = np.linalg.norm(step - ref, axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+
+    def test_singular_and_nan_rows_fail_alone(self):
+        lam, H, g, res = _kkt_systems(np.random.default_rng(12), 40)
+        g[3] = 0.0
+        res[7, 2] = np.nan
+        step, solved = bar._kkt_step(lam, H, g, res)
+        expect = np.ones(40, dtype=bool)
+        expect[[3, 7]] = False
+        np.testing.assert_array_equal(solved, expect)
+        np.testing.assert_array_equal(step[~expect], 0.0)
+        ref = _lapack_step(lam[expect], H[expect], g[expect], res[expect])
+        err = np.linalg.norm(step[expect] - ref, axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
 
 
 class TestBarrierField:
@@ -564,7 +661,7 @@ def _lattice(chart, p):
 def _lattice_kappa(sigma, chart):
     """Reference: Sigma's curvatures (metric units) at the feet of the whole
     lattice, projected in one batch (no early stop)."""
-    foot, ok = sigma.project(_lattice(chart, sigma.p))
+    foot, ok = sigma.project(_lattice(chart, sigma.p))[:2]
     if not np.any(ok):
         raise bar.TubeError("no Sigma feet found inside the chart")
     foot = foot[ok]
@@ -714,7 +811,10 @@ class TestTubeSample:
 
         def no_feet(sigma, x, **kw):
             seen.append(len(x))
-            return np.asarray(x, dtype=float), np.zeros(len(x), dtype=bool)
+            x = np.asarray(x, dtype=float)
+            k = len(x)
+            return bar.Projection(x, np.zeros(k, dtype=bool), np.zeros(k),
+                                  np.zeros((k, 3)), np.zeros((k, 3, 3)))
 
         monkeypatch.setattr(bar.SigmaSurface, "project", no_feet)
         sigma = bar.SigmaSurface(ball_domain, north_pole)
@@ -740,7 +840,7 @@ def _sigma_feet(sigma, rng, axis):
         on_axis = np.stack([0.0 * z, 0.0 * z, z], axis=-1)
         near = np.stack(np.broadcast_arrays(rho[:, None], 0.3 * rho[:, None], z), axis=-1)
         pts = np.concatenate([pts, on_axis, near.reshape(-1, 3)])
-    foot, ok = sigma.project(pts)
+    foot, ok = sigma.project(pts)[:2]
     return pts[ok], foot[ok]
 
 

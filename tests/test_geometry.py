@@ -305,6 +305,30 @@ class TestExprArray:
             build()
 
 
+_GRAM = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 0.8]])
+
+_JET_FIELDS = {
+    "sphere": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3]),
+    "cylinder": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3], axes=[0, 1]),
+    "quartic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], _GRAM),
+    "linear": lambda: geo.LinearField([0.5, -1.0, 2.0]),
+    "sum": lambda: geo.SumField([geo.DistanceField(1.0, np.zeros(3)),
+                                 geo.QuarticGapField([0.0, 0.0, 1.0], _GRAM)]),
+    "expr": lambda: geo.ExprScalarField("sin(x1)*x2 + x3^3 - x1*x3", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_JET_FIELDS))
+def test_jet_equals_the_separate_methods(name):
+    f = _JET_FIELDS[name]()
+    x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(5, 7, 3))
+    value, gradient, hessian = f.jet(x)
+    np.testing.assert_array_equal(value, f.value(x))
+    np.testing.assert_array_equal(gradient, f.gradient(x))
+    np.testing.assert_array_equal(hessian, f.hessian(x))
+    assert (value.shape, gradient.shape, hessian.shape) == ((5, 7), (5, 7, 3), (5, 7, 3, 3))
+
+
 class TestDomain:
     def test_contains_and_boundary(self, ball_domain):
         assert ball_domain.contains(np.zeros(3))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mconvex import barrier as bar
+from mconvex import exprfield as ef
 from mconvex import geometry as geo
 from mconvex import meshes
 from mconvex import minimizer as mz
@@ -293,6 +294,27 @@ class TestFirstVariation:
         rot = LinearVectorField(np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 0]]))
         assert abs(vf.first_variation(V, const)) <= 1e-9
         assert abs(vf.first_variation(V, rot)) <= 1e-9
+
+    @pytest.mark.parametrize("metric", _CONSTANT_FACTOR)
+    def test_constant_factor_metric_evaluates_no_value_entry(self, unit_disk_mesh, metric,
+                                                            monkeypatch):
+        # without Christoffel symbols the covariant gradient is the jacobian
+        V = vf.varifold_from_mesh(unit_disk_mesh)
+        X = geo.ExprVectorField(["x2", "0 - x1", "x3^2"], 3)
+        evaluated = []
+        eval_at = ef.Expression.eval_at
+
+        def counting(expr, points):
+            evaluated.append(repr(expr))
+            return eval_at(expr, points)
+
+        monkeypatch.setattr(ef.Expression, "eval_at", counting)
+        dv = vf.first_variation(V, X, metric)
+        monkeypatch.undo()
+        assert not {repr(e) for e in X._value.flat} & set(evaluated)
+        assert len(evaluated) == len(X._jacobian._distinct)
+        A = geo.covariant_from_jacobian(*X.evaluate(V.points), V.points, metric)
+        assert dv == vf._first_variation(V, A, metric)
 
     def test_weight_integral(self, unit_disk_mesh):
         V = vf.varifold_from_mesh(unit_disk_mesh)
