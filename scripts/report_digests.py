@@ -20,7 +20,10 @@ The torus, the ellipsoid, the matrix metric and the non-constant conformal
 metric are read through expressions.  Two trees print the same lines
 exactly when their reports are byte-identical.
 
-    PYTHONPATH=src python scripts/report_digests.py
+``report_digests.txt`` beside this script holds the expected lines; a change
+that moves a report updates that file and says why.
+
+    PYTHONPATH=src python scripts/report_digests.py | diff scripts/report_digests.txt -
 """
 import contextlib
 import hashlib

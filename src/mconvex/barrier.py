@@ -103,6 +103,8 @@ class SigmaSurface:
     w: ScalarField = field(init=False)
     c: float = field(init=False)
     gram: np.ndarray = field(init=False)
+    gram_norm: float = field(init=False)
+    jet_p: tuple = field(init=False)
 
     def __post_init__(self):
         c = self.domain.metric.constant_factor()
@@ -116,27 +118,35 @@ class SigmaSurface:
         if self.p.shape != (3,):
             raise GeometryError("barrier construction needs a point of R^3")
         self.gram = np.asarray(self.domain.metric.matrix(self.p), dtype=float)
+        # sqrt(lambda_max(G)): the G-length of a euclidean unit vector is at most this
+        self.gram_norm = float(np.sqrt(np.max(np.linalg.eigvalsh(self.gram))))
         self.w = SumField([self.domain.u0, QuarticGapField(self.p, self.gram)])
+        self.jet_p = self.w.jet(self.p)
 
     def misses(self, x, radius):
         """True where no accepted foot can lie within euclidean ``radius`` of x.
 
-        On the ball B(x, radius), w(z) >= u0(x) - L radius
-        + (|x - p|_G - sqrt(lambda_max(G)) radius)_+^4, with L the Lipschitz
-        constant of u0 and G the quartic gram; where that bound exceeds
-        FOOT_TOLERANCE, no z in the ball passes ``project``'s acceptance
-        test.  Accepted feet have |w| near the Newton tolerance 1e-12, far
-        below FOOT_TOLERANCE, so rounding in the bound cannot drop a point
-        that has one.  A u0 without a Lipschitz constant marks no point.
+        Let B be the bounding box of the points x widened by ``radius`` and L
+        a Lipschitz constant of u0 on B (``ScalarField.lipschitz``).  On the
+        ball B(x, radius), inside B, w(z) >= u0(x) - L radius
+        + (|x - p|_G - sqrt(lambda_max(G)) radius)_+^4, with G the quartic
+        gram; where that bound exceeds FOOT_TOLERANCE, no z in the ball
+        passes ``project``'s acceptance test.  Accepted feet have |w| near the
+        Newton tolerance 1e-12, far below FOOT_TOLERANCE, so rounding in the
+        bound cannot drop a point that has one.  Where u0 has no Lipschitz
+        bound on B, no point is marked.
         """
         x = np.asarray(x, dtype=float)
-        L = self.domain.u0.lipschitz
+        flat = x.reshape(-1, x.shape[-1])
+        L = None
+        if len(flat):
+            L = self.domain.u0.lipschitz(np.nextafter(flat.min(axis=0) - radius, -np.inf),
+                                         np.nextafter(flat.max(axis=0) + radius, np.inf))
         if L is None:
             return np.zeros(x.shape[:-1], dtype=bool)
         d = x - self.p
         dist_g = np.sqrt(np.einsum("...i,ij,...j->...", d, self.gram, d))
-        reach = np.sqrt(np.max(np.linalg.eigvalsh(self.gram))) * radius
-        gap = np.maximum(dist_g - reach, 0.0)
+        gap = np.maximum(dist_g - self.gram_norm * radius, 0.0)
         return self.domain.u0.value(x) - L * radius + gap**4 > FOOT_TOLERANCE
 
     def project(self, x):
@@ -153,77 +163,80 @@ class SigmaSurface:
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
-        n = pts.shape[-1]
         w_x, g, h = self.w.jet(pts)
         lam = w_x / np.maximum(np.einsum("...i,...i->...", g, g), 1e-20)
         max_step = 0.25 * self.domain.chart_diameter()
         ok = np.ones(len(pts), dtype=bool)
-        # the points still iterating: index, start, y, lambda and w's jet at
-        # y; a point that stops leaves its y, lambda and jet in ``final``
-        run = [np.arange(len(pts)), pts, pts, lam, w_x, g, h]
-        final = [np.empty_like(a) for a in run[2:]]
-
-        def retire(rows, stay):
-            if np.all(stay):
-                return rows
-            for f, a in zip(final, rows[2:]):
-                f[rows[0][~stay]] = a[~stay]
-            return [a[stay] for a in rows]
-
+        # every point's y, lambda and w's jet at y; each step writes its
+        # running rows back, so a point that stops keeps its last values.  The
+        # jet at x fills them: w is a SumField, whose jet returns new arrays
+        foot, lam_f, w_f, g_f, h_f = pts.copy(), lam, w_x.copy(), g, h
+        idx, x0, y, w = np.arange(len(pts)), pts, pts, w_x
         for _ in range(60):
-            idx, x0, y, lam, w, g, h = run
-            res = np.concatenate([y - x0 + lam[:, None] * g, w[:, None]], axis=-1)
-            moving = np.linalg.norm(res, axis=-1) > 1e-12
-            idx, x0, y, lam, w, g, h = run = retire(run, moving)
+            r_y = y - x0 + lam[:, None] * g
+            r0, r1, r2 = r_y[:, 0], r_y[:, 1], r_y[:, 2]
+            moving = np.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + w * w) > 1e-12
+            if not np.all(moving):
+                idx, x0, y, r_y, w, lam, g, h = (
+                    a[moving] for a in (idx, x0, y, r_y, w, lam, g, h))
             if len(idx) == 0:
                 break
-            step, solved = _kkt_step(lam, h, g, res[moving])
-            ok[idx[~solved]] = False
-            idx, x0, y, lam, w, g, h = retire(run, solved)
-            step = step[solved]
+            s_y, s_lam, solved = _kkt_step(lam, h, g, r_y, w)
+            if not np.all(solved):
+                ok[idx[~solved]] = False
+                idx, x0, y, lam, s_y, s_lam = (
+                    a[solved] for a in (idx, x0, y, lam, s_y, s_lam))
             # damp overlong steps; keeps far-away starts from exploding
-            norms = np.linalg.norm(step[:, :n], axis=-1)
+            s0, s1, s2 = s_y[:, 0], s_y[:, 1], s_y[:, 2]
+            norms = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
             scale = np.minimum(1.0, max_step / np.maximum(norms, 1e-300))
-            step = step * scale[:, None]
-            y = y - step[:, :n]
-            run = [idx, x0, y, lam - step[:, n], *self.w.jet(y)]
-        retire(run, np.zeros(len(run[0]), dtype=bool))
-        y, lam, w, g, h = final
-        align = y - pts + lam[:, None] * g
-        ok = ok & (np.abs(w) <= FOOT_TOLERANCE) & (np.linalg.norm(align, axis=-1) <= 1e-7)
-        ok = ok & np.all(np.isfinite(y), axis=-1)
+            y = y - s_y * scale[:, None]
+            lam = lam - s_lam * scale
+            w, g, h = self.w.jet(y)
+            foot[idx], lam_f[idx], w_f[idx], g_f[idx], h_f[idx] = y, lam, w, g, h
+        align = foot - pts + lam_f[:, None] * g_f
+        ok = ok & (np.abs(w_f) <= FOOT_TOLERANCE) & (np.linalg.norm(align, axis=-1) <= 1e-7)
+        ok = ok & np.all(np.isfinite(foot), axis=-1)
         batch = x.shape[:-1]
-        return Projection(y.reshape(x.shape), ok.reshape(batch), w_x.reshape(batch),
-                          g.reshape(x.shape), h.reshape(batch + (n, n)))
+        return Projection(foot.reshape(x.shape), ok.reshape(batch), w_x.reshape(batch),
+                          g_f.reshape(x.shape), h_f.reshape(batch + h_f.shape[-2:]))
 
 
-def _kkt_step(lam, H, g, res):
-    """Newton step ``s`` of the KKT system [[A, g], [g^T, 0]] s = res, with
-    A = I + lam sym(H), in closed form; returns ``(s, solved)``.
+def _kkt_step(lam, H, g, r_y, r_w):
+    """Newton step of the KKT system [[A, g], [g^T, 0]] (s_y, s_lam) =
+    (r_y, r_w), with A = I + lam sym(H), in closed form on the six entries of
+    A; returns ``(s_y, s_lam, solved)``.
 
     With adj(A) the adjugate, s_lam = (g^T adj(A) r_y - det(A) r_w) /
     (g^T adj(A) g) and s_y = (adj(A) r_y - s_lam adj(A) g) / det(A).  A
     singular system (det(A) = 0 or g^T adj(A) g = 0) divides by zero, so a
     step that is not finite marks it; such a row fails alone: ``solved`` is
-    False there and the row of ``s`` is zero.
+    False there and its step is zero.
     """
-    A = np.eye(3) + lam[:, None, None] * (0.5 * (H + np.swapaxes(H, -1, -2)))
-    a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
-    d, e, f = A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
+    a = 1.0 + lam * H[:, 0, 0]
+    d = 1.0 + lam * H[:, 1, 1]
+    f = 1.0 + lam * H[:, 2, 2]
+    b = lam * (0.5 * (H[:, 0, 1] + H[:, 1, 0]))
+    c = lam * (0.5 * (H[:, 0, 2] + H[:, 2, 0]))
+    e = lam * (0.5 * (H[:, 1, 2] + H[:, 2, 1]))
     c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
     c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
-    adj = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1).reshape(-1, 3, 3)
     det = a * c00 + b * c01 + c * c02
-    r_y, r_w = res[:, :3], res[:, 3]
-    adj_g = np.einsum("kij,kj->ki", adj, g)
-    adj_r = np.einsum("kij,kj->ki", adj, r_y)
+    g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
+    r0, r1, r2 = r_y[:, 0], r_y[:, 1], r_y[:, 2]
+    ag0, ag1, ag2 = (c00 * g0 + c01 * g1 + c02 * g2, c01 * g0 + c11 * g1 + c12 * g2,
+                     c02 * g0 + c12 * g1 + c22 * g2)
+    ar0, ar1, ar2 = (c00 * r0 + c01 * r1 + c02 * r2, c01 * r0 + c11 * r1 + c12 * r2,
+                     c02 * r0 + c12 * r1 + c22 * r2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s_lam = (np.einsum("ki,ki->k", g, adj_r) - det * r_w) / np.einsum("ki,ki->k", g, adj_g)
-        s_y = (adj_r - s_lam[:, None] * adj_g) / det[:, None]
-    step = np.concatenate([s_y, s_lam[:, None]], axis=-1)
-    solved = np.all(np.isfinite(step), axis=-1)
-    step[~solved] = 0.0
-    return step, solved
+        s_lam = (g0 * ar0 + g1 * ar1 + g2 * ar2 - det * r_w) / (g0 * ag0 + g1 * ag1 + g2 * ag2)
+        s0, s1, s2 = ((ar0 - s_lam * ag0) / det, (ar1 - s_lam * ag1) / det,
+                      (ar2 - s_lam * ag2) / det)
+    solved = np.isfinite(s_lam) & np.isfinite(s0) & np.isfinite(s1) & np.isfinite(s2)
+    s_y = np.stack([s0, s1, s2], axis=-1)
+    s_lam[~solved] = 0.0
+    s_y[~solved] = 0.0
+    return s_y, s_lam, solved
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +275,7 @@ def tube_eval(sigma, x):
     u_e = sgn * d_e
 
     # a point without a foot takes w's jet at p; it is not valid
-    _, grad_p, hess_p = sigma.w.jet(sigma.p)
+    _, grad_p, hess_p = sigma.jet_p
     grad = np.where(ok[..., None], grad, grad_p)
     hess = np.where(ok[..., None, None], hess, hess_p)
     shp = sigma_shape(grad, hess)

@@ -8,12 +8,17 @@ and evaluation is pure, so they may be shared freely across threads.
 
 Evaluation never returns silent NaN/inf: arguments outside a function's
 domain raise :class:`EvalDomainError`.  Each function is one row of
-``_FUNCTIONS`` (its evaluation with the domain check, and its derivative) and
-each binary operator one entry of ``_OPERATORS``.
+``_FUNCTIONS`` (its evaluation with the domain check, its derivative, and its
+interval rule) and each binary operator one entry of ``_OPERATORS``, with its
+interval rule in ``_INTERVAL_OPERATORS``.
+
+``Expression.interval_at`` encloses an expression's values over boxes by
+interval arithmetic (R. E. Moore, *Interval Analysis*, 1966), rounded outward.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -73,6 +78,26 @@ class Expression:
             values = np.full(points.shape[:-1], values)
         return values
 
+    def interval(self, box):
+        """Enclosure ``(lo, hi)`` over a box given as a sequence of
+        ``(lo, hi)`` coordinate pairs; NaN bounds mark no enclosure."""
+        raise NotImplementedError
+
+    def interval_at(self, lo, hi):
+        """Enclose the values over the boxes [lo, hi] of shape ``(..., n)``.
+
+        Returns ``(lo, hi)`` of shape ``(...)``: every value at a point of a
+        box lies in its enclosure.  A box on which the expression leaves a
+        function's domain (a divisor interval that holds 0, say) gets NaN
+        bounds, and one whose enclosure is unbounded gets infinite bounds.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        box = tuple((lo[..., i], hi[..., i]) for i in range(lo.shape[-1]))
+        with np.errstate(all="ignore"):
+            bounds = self.interval(box)
+        return tuple(np.broadcast_to(b, lo.shape[:-1]) for b in bounds)
+
     def diff(self, var_index):
         raise NotImplementedError
 
@@ -91,6 +116,10 @@ class Const(Expression):
     def eval(self, coords):
         return np.asarray(self.value, dtype=float)
 
+    def interval(self, box):
+        v = np.asarray(self.value, dtype=float)
+        return v, v
+
     def diff(self, var_index):
         return Const(0.0)
 
@@ -101,6 +130,9 @@ class Var(Expression):
 
     def eval(self, coords):
         return np.asarray(coords[self.index], dtype=float)
+
+    def interval(self, box):
+        return box[self.index]
 
     def diff(self, var_index):
         return Const(1.0 if var_index == self.index else 0.0)
@@ -115,6 +147,10 @@ class Neg(Expression):
 
     def eval(self, coords):
         return -self.arg.eval(coords)
+
+    def interval(self, box):
+        lo, hi = self.arg.interval(box)
+        return -hi, -lo
 
     def diff(self, var_index):
         return Neg(self.arg.diff(var_index))
@@ -136,6 +172,9 @@ class Func(Expression):
 
     def eval(self, coords):
         return _FUNCTIONS[self.name][0](self.arg.eval(coords))
+
+    def interval(self, box):
+        return _FUNCTIONS[self.name][2](*self.arg.interval(box))
 
     def diff(self, var_index):
         inner = _FUNCTIONS[self.name][1](self.arg)
@@ -162,6 +201,9 @@ class BinOp(Expression):
 
     def eval(self, coords):
         return _OPERATORS[self.op](self.left.eval(coords), self.right.eval(coords))
+
+    def interval(self, box):
+        return _INTERVAL_OPERATORS[self.op](self.left.interval(box), self.right.interval(box))
 
     def diff(self, var_index):
         a, b = self.left, self.right
@@ -268,19 +310,111 @@ def _exp(a):
     return out
 
 
+# --------------------------------------------------------------------------
+# interval rules: each takes and returns enclosures (lo, hi); NaN marks none
+
+
+def _outward(lo, hi):
+    """[lo, hi] widened by one ulp at each end (``np.nextafter``).  Each rule
+    computes its ends with one correctly rounded operation or one library
+    function accurate to within an ulp, so the exact result lies inside."""
+    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+
+
+def _none_where(bad, lo, hi):
+    """No enclosure (NaN) on the boxes marked ``bad``."""
+    return np.where(bad, np.nan, lo), np.where(bad, np.nan, hi)
+
+
+def _hull(*ends):
+    """The outward-rounded hull of values computed at a box's ends; a NaN
+    among them makes the hull NaN."""
+    return _outward(functools.reduce(np.minimum, ends), functools.reduce(np.maximum, ends))
+
+
+def _interval_add(a, b):
+    return _outward(a[0] + b[0], a[1] + b[1])
+
+
+def _interval_sub(a, b):
+    return _outward(a[0] - b[1], a[1] - b[0])
+
+
+def _interval_mul(a, b):
+    return _hull(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+
+
+def _interval_div(a, b):
+    return _none_where((b[0] <= 0) & (b[1] >= 0),
+                       *_hull(a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]))
+
+
+def _interval_pow(a, b):
+    """a^c for a constant c is monotone on a box of one sign, so the ends
+    give it; an even power of a box across 0 has least value 0.  Where the
+    exponent is not constant, a^b = exp(b log a) on a > 0."""
+    lo, hi = a
+    if not (np.ndim(b[0]) == 0 and b[0] == b[1]):
+        return _interval_exp(*_interval_mul(b, _interval_log(lo, hi)))
+    c = float(b[0])
+    out_lo, out_hi = _hull(np.power(lo, c), np.power(hi, c))
+    if c != math.floor(c):
+        # a fractional power of a negative base, or zero to a negative one
+        return _none_where((lo < 0) | ((lo <= 0) & (c < 0)), out_lo, out_hi)
+    if c < 0:
+        return _none_where((lo <= 0) & (hi >= 0), out_lo, out_hi)
+    if c % 2 == 0:
+        out_lo = np.where((lo < 0) & (hi > 0), 0.0, out_lo)
+    return out_lo, out_hi
+
+
+def _interval_increasing(fn, outside=lambda lo: False):
+    """The rule of an increasing function: its values at the ends, and no
+    enclosure where ``outside(lo)`` says that the box leaves its domain."""
+    return lambda lo, hi: _none_where(outside(lo), *_outward(fn(lo), fn(hi)))
+
+
+_interval_exp = _interval_increasing(np.exp)
+_interval_log = _interval_increasing(np.log, lambda lo: lo <= 0)
+
+
+def _interval_periodic(fn, peak):
+    """The rule of sin (``peak`` pi/2) or cos (``peak`` 0): the values at the
+    ends, raised to 1 where the box may hold a point peak + 2 pi k and
+    lowered to -1 where it may hold peak + pi + 2 pi k.  "May" errs towards
+    holding one, and boxes wider than a period or beyond 1e6 get [-1, 1]."""
+    def holds(lo, hi, t):
+        # the slack, in periods, is far above the quotients' rounding for |x| <= 1e6
+        slack = 1e-9
+        return (np.floor((hi - t) / (2.0 * np.pi) + slack)
+                >= np.ceil((lo - t) / (2.0 * np.pi) - slack))
+
+    def rule(lo, hi):
+        out_lo, out_hi = _hull(fn(lo), fn(hi))
+        whole = (hi - lo >= 2.0 * np.pi) | (np.maximum(np.abs(lo), np.abs(hi)) > 1e6)
+        out_hi = np.where(whole | holds(lo, hi, peak), 1.0, np.minimum(out_hi, 1.0))
+        out_lo = np.where(whole | holds(lo, hi, peak + np.pi), -1.0, np.maximum(out_lo, -1.0))
+        return out_lo, out_hi
+    return rule
+
+
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": _divide, "^": _safe_pow}
+_INTERVAL_OPERATORS = {"+": _interval_add, "-": _interval_sub, "*": _interval_mul,
+                       "/": _interval_div, "^": _interval_pow}
 
 # name -> (evaluation with its domain check, derivative with respect to the
-# argument a, to be multiplied by a' in the chain rule)
+# argument a, to be multiplied by a' in the chain rule, interval rule)
 _FUNCTIONS = {
-    "sin": (np.sin, lambda a: Func("cos", a)),
-    "cos": (np.cos, lambda a: Neg(Func("sin", a))),
-    "exp": (_exp, lambda a: Func("exp", a)),
-    "log": (_log, lambda a: BinOp("/", Const(1.0), a)),
-    "sqrt": (_sqrt, lambda a: BinOp("/", Const(0.5), Func("sqrt", a))),
+    "sin": (np.sin, lambda a: Func("cos", a), _interval_periodic(np.sin, 0.5 * np.pi)),
+    "cos": (np.cos, lambda a: Neg(Func("sin", a)), _interval_periodic(np.cos, 0.0)),
+    "exp": (_exp, lambda a: Func("exp", a), _interval_exp),
+    "log": (_log, lambda a: BinOp("/", Const(1.0), a), _interval_log),
+    "sqrt": (_sqrt, lambda a: BinOp("/", Const(0.5), Func("sqrt", a)),
+             _interval_increasing(np.sqrt, lambda lo: lo < 0)),
     "tanh": (np.tanh,
-             lambda a: BinOp("-", Const(1.0), BinOp("^", Func("tanh", a), Const(2.0)))),
+             lambda a: BinOp("-", Const(1.0), BinOp("^", Func("tanh", a), Const(2.0))),
+             _interval_increasing(np.tanh)),
 }
 
 

@@ -43,14 +43,14 @@ class BoundaryError(GeometryError):
 
 
 class ScalarField:
-    """Scalar function on the chart with first and second derivatives.
-
-    ``lipschitz`` is a euclidean Lipschitz constant of the value on all of
-    R^n, or None where none is known.
-    """
+    """Scalar function on the chart with first and second derivatives."""
 
     n: int
-    lipschitz: float | None = None
+
+    def lipschitz(self, lo, hi):
+        """A euclidean Lipschitz constant of the value on the box [lo, hi],
+        or None where none is known."""
+        return None
 
     def value(self, x):
         raise NotImplementedError
@@ -111,6 +111,18 @@ class ExprScalarField(ScalarField):
         self._hessian = self._gradient.diff()
         self.expr = self._value.flat[0]
 
+    def lipschitz(self, lo, hi):
+        """|grad| bounded on the box through an enclosure of each partial
+        (``Expression.interval_at``); None where one has no finite enclosure."""
+        bounds = []
+        for partial in self._gradient.flat:
+            p_lo, p_hi = partial.interval_at(lo, hi)
+            bounds.append(np.maximum(-p_lo, p_hi))  # a NaN end stays NaN
+        if not np.all(np.isfinite(bounds)):
+            return None
+        # the slack covers the rounding of the three squares, the sum and the root
+        return float(np.sqrt(np.sum(np.square(bounds)))) * (1.0 + 1e-12)
+
     def value(self, x):
         return self._value.eval_at(x)
 
@@ -127,7 +139,9 @@ class LinearField(ScalarField):
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
         self.n = self.a.shape[0]
-        self.lipschitz = float(np.linalg.norm(self.a))
+
+    def lipschitz(self, lo, hi):
+        return float(np.linalg.norm(self.a))
 
     def value(self, x):
         return np.asarray(x)[..., :] @ self.a
@@ -146,14 +160,15 @@ class DistanceField(ScalarField):
     signed distance to a sphere, or with ``axes`` a subset to a round
     cylinder whose axis is spanned by the other coordinates."""
 
-    lipschitz = 1.0
-
     def __init__(self, radius, center, axes=None):
         self.radius = float(radius)
         self.center = np.asarray(center, dtype=float)
         self.n = self.center.shape[0]
         self.mask = (np.ones(self.n) if axes is None
                      else np.isin(np.arange(self.n), axes).astype(float))
+
+    def lipschitz(self, lo, hi):
+        return 1.0
 
     def _r(self, x, need_derivatives=False):
         d = (np.asarray(x, dtype=float) - self.center) * self.mask

@@ -192,6 +192,47 @@ class TestProjection:
         np.testing.assert_array_equal(proj.grad, w.gradient(proj.foot))
         np.testing.assert_array_equal(proj.hess, w.hessian(proj.foot))
 
+    def test_unconverged_foot_off_sigma_is_refused(self, monkeypatch):
+        """|w| = 2e-7 at the last y: FOOT_TOLERANCE alone refuses it."""
+        sigma = bar.SigmaSurface(geo.domain_halfspace(), np.zeros(3))
+        pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.1, 0.05], [0.3, -0.2, -0.2]])
+        sigma.w = _FlickeringPlane()
+        assert np.all(sigma.project(pts).ok)
+        sigma.w = _FlickeringPlane(offset=1e-7)
+        proj = sigma.project(pts)
+        np.testing.assert_allclose(proj.foot[:, :2], pts[:, :2], rtol=0, atol=1e-12)
+        assert not np.any(proj.ok)
+        monkeypatch.setattr(bar, "FOOT_TOLERANCE", 1e-6)
+        assert np.all(sigma.project(pts).ok)
+
+    def test_unaligned_foot_on_sigma_is_refused(self):
+        """The last y lies on Sigma (|w| <= 1e-10), but y - x is not along
+        grad w there (|y - x + lambda grad w| is 1e-6 to 6e-6): refused."""
+        sigma = bar.SigmaSurface(geo.domain_halfspace(), np.zeros(3))
+        pts = np.array([[0.1, 0.2, 0.3], [-0.4, 0.1, 0.05], [0.3, -0.2, -0.2]])
+        sigma.w = _FlickeringPlane(tilt=1e-5)
+        proj = sigma.project(pts)
+        assert np.all(np.abs(proj.foot[:, 2]) <= 1e-10)
+        np.testing.assert_allclose(proj.foot[:, :2], pts[:, :2], rtol=0, atol=1e-5)
+        assert not np.any(proj.ok)
+
+
+class _FlickeringPlane(geo.ScalarField):
+    """w = x3 seen through a jet that alternates on every call: its value is
+    offset by +-``offset`` and its gradient tilted by +-``tilt`` along x1.
+    Newton's iteration then never converges: it ends next to the plane with
+    |w| about 2 offset, or on it with y - x off grad w by about 2 lambda tilt."""
+
+    def __init__(self, offset=0.0, tilt=0.0):
+        self.n, self.offset, self.tilt, self.sign = 3, offset, tilt, 1.0
+
+    def jet(self, x):
+        x = np.asarray(x, dtype=float)
+        self.sign = -self.sign
+        g = np.zeros_like(x)
+        g[..., 0], g[..., 2] = self.sign * self.tilt, 1.0
+        return x[..., 2] + self.sign * self.offset, g, np.zeros(x.shape + (3,))
+
 
 class _CountingField(geo.ScalarField):
     """w that counts its calls, and the points its jet sees."""
@@ -225,18 +266,19 @@ def test_tube_eval_evaluates_w_once_per_point_per_step(ball_domain, north_pole, 
     steps = []
     kkt_step = bar._kkt_step
 
-    def counting(lam, H, g, res):
-        step, solved = kkt_step(lam, H, g, res)
+    def counting(lam, H, g, r_y, r_w):
+        s_y, s_lam, solved = kkt_step(lam, H, g, r_y, r_w)
         steps.append(np.count_nonzero(solved))
-        return step, solved
+        return s_y, s_lam, solved
 
     monkeypatch.setattr(bar, "_kkt_step", counting)
     data = bar.tube_eval(sigma, tube_points)
     assert np.all(data.valid)
     assert sigma.w.calls == []
-    # the jet at each x, one per point per Newton step, and one at p
+    # the jet at each x and one per point per Newton step; the jet at p is
+    # Sigma's own, taken once when it is built
     assert len(steps) >= 2
-    assert sigma.w.jet_points == len(tube_points) + sum(steps) + 1
+    assert sigma.w.jet_points == len(tube_points) + sum(steps)
 
 
 def _kkt_systems(rng, k):
@@ -258,10 +300,17 @@ def _lapack_step(lam, H, g, res):
     return np.linalg.solve(J, res[..., None])[..., 0]
 
 
+def _kkt_step(lam, H, g, res):
+    """``bar._kkt_step`` on the stacked right-hand side (r_y, r_w), its step
+    stacked as (s_y, s_lam)."""
+    s_y, s_lam, solved = bar._kkt_step(lam, H, g, res[:, :3], res[:, 3])
+    return np.concatenate([s_y, s_lam[:, None]], axis=-1), solved
+
+
 class TestKKTStep:
     def test_matches_lapack(self):
         lam, H, g, res = _kkt_systems(np.random.default_rng(11), 2000)
-        step, solved = bar._kkt_step(lam, H, g, res)
+        step, solved = _kkt_step(lam, H, g, res)
         ref = _lapack_step(lam, H, g, res)
         assert np.all(solved)
         err = np.linalg.norm(step - ref, axis=-1)
@@ -271,13 +320,23 @@ class TestKKTStep:
         lam, H, g, res = _kkt_systems(np.random.default_rng(12), 40)
         g[3] = 0.0
         res[7, 2] = np.nan
-        step, solved = bar._kkt_step(lam, H, g, res)
+        step, solved = _kkt_step(lam, H, g, res)
         expect = np.ones(40, dtype=bool)
         expect[[3, 7]] = False
         np.testing.assert_array_equal(solved, expect)
         np.testing.assert_array_equal(step[~expect], 0.0)
         ref = _lapack_step(lam[expect], H[expect], g[expect], res[expect])
         err = np.linalg.norm(step[expect] - ref, axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+
+    def test_symmetrizes_H(self):
+        """A uses sym(H): moving mass between H_ij and H_ji changes nothing."""
+        lam, H, g, res = _kkt_systems(np.random.default_rng(13), 200)
+        skew = np.random.default_rng(14).uniform(-1.0, 1.0, H.shape)
+        step, solved = _kkt_step(lam, H + (skew - np.swapaxes(skew, -1, -2)), g, res)
+        ref = _lapack_step(lam, H, g, res)
+        assert np.all(solved)
+        err = np.linalg.norm(step - ref, axis=-1)
         assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
 
 
@@ -600,15 +659,33 @@ def cylinder_bundle():
     return bar.build_barrier(geo.domain_cylinder(1.0), np.array([1.0, 0.0, 0.0]), m=2)
 
 
+@pytest.fixture(scope="module")
+def expr_ball_bundle(north_pole):
+    """The unit ball written as an expression."""
+    dom = geo.domain_levelset("1 - sqrt(x1^2 + x2^2 + x3^2)", [[-2.0, 2.0]] * 3)
+    return bar.build_barrier(dom, north_pole, m=2)
+
+
+@pytest.fixture(scope="module")
+def torus_bundle():
+    """The torus of tube radius 1 about the circle of radius 3, at its inner
+    equator, where it is 2-convex but not convex."""
+    dom = geo.domain_levelset("1 - (sqrt(x1^2 + x2^2) - 3)^2 - x3^2", [[-4.5, 4.5]] * 3)
+    return bar.build_barrier(dom, np.array([2.0, 0.0, 0.0]), m=2)
+
+
 class TestTubeExclusion:
     """Points whose eps/c-ball Sigma provably misses skip the tube."""
 
     @pytest.mark.parametrize("name", ["ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
-                                      "cylinder_bundle", "theorem5_bundle"])
+                                      "cylinder_bundle", "theorem5_bundle", "ellipsoid_bundle",
+                                      "expr_ball_bundle", "torus_bundle"])
     def test_dropped_points_are_not_live(self, name, request, theorem5_cap):
         b = request.getfixturevalue(name)
-        cap_atoms = vf.varifold_from_mesh(theorem5_cap).points
-        pts = np.concatenate([chart_grid(b.chart, 30), cap_atoms])
+        pts = chart_grid(b.chart, 30)
+        # the cap sits on the torus's axis, where its partials have no bound
+        if name != "torus_bundle":
+            pts = np.concatenate([pts, vf.varifold_from_mesh(theorem5_cap).points])
         X = b.field()
         live, phi, value, S = X.from_tube(bar.tube_eval(b.sigma, pts))
         dropped = b.sigma.misses(pts, b.epsilon / b.sigma.c)
@@ -618,11 +695,12 @@ class TestTubeExclusion:
         assert np.array_equal(got_value, value)
         assert np.array_equal(got_J, phi[..., None, None] * S)
 
-    def test_levelset_domain_drops_nothing(self, ellipsoid_bundle, monkeypatch):
+    def test_expression_screen_drops_points_and_changes_no_value(self, ellipsoid_bundle,
+                                                                 monkeypatch):
         b = ellipsoid_bundle
-        assert b.domain.u0.lipschitz is None
         pts = chart_grid(b.chart, 20)
-        assert not np.any(b.sigma.misses(pts, b.epsilon / b.sigma.c))
+        dropped = b.sigma.misses(pts, b.epsilon / b.sigma.c)
+        assert 0 < np.count_nonzero(dropped) < len(pts)
         seen = []
         tube_eval = bar.tube_eval
 
@@ -631,9 +709,42 @@ class TestTubeExclusion:
             return tube_eval(sigma, x)
 
         monkeypatch.setattr(bar, "tube_eval", counting)
-        b.field().evaluate(pts)
-        assert seen == [len(pts)]
+        value, J = b.field().evaluate(pts)
+        # without the screen: u0 with no Lipschitz bound
+        monkeypatch.setattr(b.domain.u0, "lipschitz", lambda lo, hi: None)
+        ref_value, ref_J = b.field().evaluate(pts)
+        assert seen == [len(pts) - np.count_nonzero(dropped), len(pts)]
+        assert np.array_equal(value, ref_value) and np.array_equal(J, ref_J)
 
+    def test_bound_is_read_on_the_widened_box(self, ellipsoid_bundle, monkeypatch):
+        """One bound per call, on a box that holds the radius-ball of every point."""
+        b = ellipsoid_bundle
+        pts = chart_grid(b.chart, 9)
+        radius = b.epsilon / b.sigma.c
+        boxes = []
+        lipschitz = b.domain.u0.lipschitz
+
+        def recording(lo, hi):
+            boxes.append((lo, hi))
+            return lipschitz(lo, hi)
+
+        monkeypatch.setattr(b.domain.u0, "lipschitz", recording)
+        b.sigma.misses(pts, radius)
+        [(lo, hi)] = boxes
+        assert np.all(lo <= pts.min(axis=0) - radius) and np.all(hi >= pts.max(axis=0) + radius)
+        np.testing.assert_allclose(lo, pts.min(axis=0) - radius, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(hi, pts.max(axis=0) + radius, rtol=0, atol=1e-15)
+
+    def test_no_gradient_enclosure_drops_nothing(self, expr_ball_bundle, ball_bundle):
+        """On a box that holds the origin, the expression ball's partials
+        divide by sqrt(x1^2 + x2^2 + x3^2), whose enclosure holds 0: no bound,
+        and no point dropped, though the same points are dropped on ball:1."""
+        b = expr_ball_bundle
+        pts = chart_grid(np.array([[-1.2, 1.2]] * 3), 12)
+        radius = b.epsilon / b.sigma.c
+        assert b.domain.u0.lipschitz(pts.min(axis=0) - radius, pts.max(axis=0) + radius) is None
+        assert not np.any(b.sigma.misses(pts, radius))
+        assert np.any(ball_bundle.sigma.misses(pts, radius))
     def test_single_point(self, ball_bundle):
         b = ball_bundle
         X = b.field()

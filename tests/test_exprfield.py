@@ -1,4 +1,6 @@
-"""Parser, evaluator, and symbolic-derivative tests for the expression DSL."""
+"""Parser, evaluator, symbolic-derivative and interval tests for the expression DSL."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,110 @@ class TestDifferentiation:
         h = 1e-6
         fd = (e.eval_at(pts + [h, 0]) - e.eval_at(pts - [h, 0])) / (2 * h)
         assert d0.eval_at(pts) == pytest.approx(fd, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# interval enclosures
+
+# every node type, each power rule, and the functions; two variables
+_INTERVAL_SOURCES = [
+    "2.5", "x1", "-x1", "x1 + x2", "x1 - x2", "x1 * x2", "x1 / x2",
+    "x1^2", "x1^4", "x1^3", "x1^0", "x1^0.5", "x1^1.5", "x1^-1", "x1^-2", "x1^-0.5", "x2^x1",
+    "sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "sqrt(x1)", "tanh(x1)",
+    "sin(3*x1) * x2^2 - sqrt(x1^2 + x2^2) / (1 + x2^2)",
+]
+
+
+def _random_boxes(rng, count, scale):
+    """Boxes in the plane: random centres in [-scale, scale]^2 and half-widths
+    from scale/1000 to scale, so that many straddle 0; a tenth are points."""
+    centre = rng.uniform(-scale, scale, (count, 2))
+    half = scale * 10.0 ** rng.uniform(-3.0, 0.0, (count, 2))
+    half[: count // 10] = 0.0
+    return centre - half, centre + half
+
+
+def _samples(rng, lo, hi, k=40):
+    """k points of the box [lo, hi]: its corners, its point nearest the
+    origin (0 itself where the box straddles it), and random ones."""
+    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+    inner = lo + (hi - lo) * rng.random((k, 2))
+    return np.concatenate([corners, np.clip(0.0, lo, hi)[None], inner])
+
+
+class TestIntervals:
+    @pytest.mark.parametrize("src", _INTERVAL_SOURCES)
+    def test_sampled_values_lie_inside(self, src):
+        e = ef.parse(src).fold()
+        rng = np.random.default_rng(_INTERVAL_SOURCES.index(src))
+        enclosed = 0
+        for scale in (0.5, 3.0, 8.0):
+            lo, hi = _random_boxes(rng, 60, scale)
+            e_lo, e_hi = e.interval_at(lo, hi)
+            assert e_lo.shape == e_hi.shape == (60,)
+            for b in range(60):
+                if np.isnan(e_lo[b]) or np.isnan(e_hi[b]):
+                    continue
+                enclosed += 1
+                # an enclosure claims the box lies inside the domain
+                values = e.eval_at(_samples(rng, lo[b], hi[b]))
+                assert np.all((e_lo[b] <= values) & (values <= e_hi[b])), (lo[b], hi[b])
+        assert enclosed >= 60
+
+    @pytest.mark.parametrize("src, leaves", [
+        ("x1 / x2", lambda lo, hi: (lo[:, 1] <= 0) & (hi[:, 1] >= 0)),
+        ("log(x1)", lambda lo, hi: lo[:, 0] <= 0),
+        ("sqrt(x1)", lambda lo, hi: lo[:, 0] < 0),
+        ("x1^0.5", lambda lo, hi: lo[:, 0] < 0),
+        ("x1^-0.5", lambda lo, hi: lo[:, 0] <= 0),
+        ("x1^-1", lambda lo, hi: (lo[:, 0] <= 0) & (hi[:, 0] >= 0)),
+        ("x1^-2", lambda lo, hi: (lo[:, 0] <= 0) & (hi[:, 0] >= 0)),
+        ("x2^x1", lambda lo, hi: lo[:, 1] <= 0),
+        ("x1^2", lambda lo, hi: np.zeros(len(lo), dtype=bool)),
+    ])
+    def test_no_enclosure_exactly_where_the_box_leaves_the_domain(self, src, leaves):
+        rng = np.random.default_rng(3)
+        lo, hi = _random_boxes(rng, 400, 2.0)
+        lo[40:60], hi[40:60] = 0.0, np.abs(hi[40:60])  # boxes with an end at 0
+        e_lo, e_hi = ef.parse(src).interval_at(lo, hi)
+        bad = leaves(lo, hi)
+        assert 0 < np.count_nonzero(bad) < len(bad) or src == "x1^2"
+        np.testing.assert_array_equal(np.isnan(e_lo), bad)
+        np.testing.assert_array_equal(np.isnan(e_hi), bad)
+
+    def test_even_power_of_a_box_across_zero_starts_at_zero(self):
+        lo, hi = ef.parse("x1^2").interval_at(np.array([[-1.0]]), np.array([[2.0]]))
+        assert lo[0] <= 0.0 and hi[0] >= 4.0
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_arithmetic_encloses_the_exact_result(self, op):
+        """On point boxes the exact rational result of a rounded operation
+        lies inside: the ends are rounded outward."""
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(2, 500)) * 10.0 ** rng.uniform(-3, 3, (2, 500))
+        pts = np.stack([a, b], axis=-1)
+        lo, hi = ef.parse(f"x1 {op} x2").interval_at(pts, pts)
+        exact = {"+": Fraction.__add__, "-": Fraction.__sub__, "*": Fraction.__mul__,
+                 "/": Fraction.__truediv__}[op]
+        for i in range(500):
+            r = exact(Fraction(a[i]), Fraction(b[i]))
+            assert Fraction(lo[i]) <= r <= Fraction(hi[i])
+
+    def test_sqrt_encloses_the_exact_root(self):
+        rng = np.random.default_rng(8)
+        a = rng.random(500) * 10.0 ** rng.uniform(-3, 3, 500)
+        lo, hi = ef.parse("sqrt(x1)").interval_at(a[:, None], a[:, None])
+        for i in range(500):
+            assert Fraction(lo[i]) ** 2 <= Fraction(a[i]) <= Fraction(hi[i]) ** 2
+
+    def test_unbounded_enclosure_is_infinite(self):
+        lo, hi = ef.parse("exp(x1)").interval_at(np.array([[0.0]]), np.array([[1e6]]))
+        assert lo[0] >= 0.0 and hi[0] == np.inf
+
+    def test_constant_broadcasts_to_the_boxes(self):
+        lo, hi = ef.parse("2").interval_at(np.zeros((4, 3)), np.ones((4, 3)))
+        assert lo.shape == hi.shape == (4,)
+        assert np.all(lo <= 2.0) and np.all(hi >= 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,47 @@ def test_jet_equals_the_separate_methods(name):
     assert (value.shape, gradient.shape, hessian.shape) == ((5, 7), (5, 7, 3), (5, 7, 3, 3))
 
 
+_LIPSCHITZ_FIELDS = {
+    "sphere": _JET_FIELDS["sphere"],
+    "cylinder": _JET_FIELDS["cylinder"],
+    "linear": _JET_FIELDS["linear"],
+    "expr": _JET_FIELDS["expr"],
+    "ellipsoid": lambda: geo.ExprScalarField("1 - x1^2/4 - x2^2/4 - x3^2", 3),
+    "torus": lambda: geo.ExprScalarField("1 - (sqrt(x1^2 + x2^2) - 3)^2 - x3^2", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIPSCHITZ_FIELDS))
+def test_lipschitz_bounds_the_gradient_on_its_box(name):
+    """On random boxes clear of the plane x1 = 0 (so of the torus's axis), the
+    bound is at least every sampled |grad|, and chords obey it too."""
+    f = _LIPSCHITZ_FIELDS[name]()
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        centre = rng.uniform(-2.0, 2.0, 3)
+        centre[0] = 0.6 + 1.5 * rng.random()
+        half = 0.5 * rng.random(3)
+        lo, hi = centre - half, centre + half
+        L = f.lipschitz(lo, hi)
+        assert L is not None
+        x = lo + (hi - lo) * rng.random((200, 3))
+        # the computed |grad| carries its own rounding
+        assert np.all(np.linalg.norm(f.gradient(x), axis=-1) <= L * (1.0 + 1e-12))
+        chord = np.abs(f.value(x[1:]) - f.value(x[:-1]))
+        assert np.all(chord <= L * np.linalg.norm(x[1:] - x[:-1], axis=-1) + 1e-12)
+
+
+def test_lipschitz_values_and_unknowns():
+    box = (-np.ones(3), np.ones(3))
+    assert geo.DistanceField(1.0, np.zeros(3)).lipschitz(*box) == 1.0
+    assert geo.LinearField([3.0, 0.0, 4.0]).lipschitz(*box) == 5.0
+    assert geo.QuarticGapField(np.zeros(3), _GRAM).lipschitz(*box) is None
+    # the partials divide by sqrt(x1^2 + x2^2 + x3^2), whose enclosure holds 0
+    assert geo.ExprScalarField("1 - sqrt(x1^2 + x2^2 + x3^2)", 3).lipschitz(*box) is None
+    assert geo.ExprScalarField("1 - sqrt(x1^2 + x2^2 + x3^2)", 3).lipschitz(
+        np.array([0.5, -1.0, -1.0]), np.ones(3)) is not None
+
+
 class TestDomain:
     def test_contains_and_boundary(self, ball_domain):
         assert ball_domain.contains(np.zeros(3))
