@@ -13,17 +13,21 @@ Barriers exist for the euclidean metric and for constant multiples
 g = c^2 * euclidean of it; Sigma converts every tube quantity to metric units
 with c, and any other metric is refused.  Foot points are exact euclidean
 projections onto Sigma, by Newton's method on the KKT system: each step is
-solved in closed form through the adjugate of I + lambda Hess w, and w's
-value, gradient and Hessian are evaluated together, once per point per step.
-At a foot, Sigma's principal curvatures kappa_i, its Gauss curvature sigma_2
-and its second fundamental form B_t (on P = I - nu nu^T) come from the
-closed-form level-set kernel ``geometry.sigma_shape`` (R. Goldman, "Curvature
-formulas for implicit curves and surfaces", CAGD 2005), the one that also
-gives the boundary's curvatures at p.  The parallel surface at distance u has the curvatures
-k_i = kappa_i / (1 - u kappa_i) (A. Gray, *Tubes*, 2nd ed., 2004), and the
-euclidean Hessian of u is -(B_t - u sigma_2 P) / ((1 - u kappa_1)(1 - u kappa_2)).
-So S = grad X / phi has the known spectrum {-k_1, -k_2, -(eps - u)^-2}, and
-the grid check sums its m largest entries without an eigensolver.
+solved in closed form through the adjugate of I + lambda Hess w, and w's jet
+(``ScalarField.jet``: the value, the three partials and the six entries of
+the symmetric Hessian, each a 1-D array over the points) is evaluated once
+per point per step on the coordinate arrays.  At a foot, Sigma's principal
+curvatures kappa_i, its Gauss curvature sigma_2 and its second fundamental
+form B_t (on P = I - nu nu^T) come from the closed-form level-set kernel
+``geometry.sigma_shape`` (R. Goldman, "Curvature formulas for implicit
+curves and surfaces", CAGD 2005), the one that also gives the boundary's
+curvatures at p, which reads the jet's components as they are.  The parallel
+surface at distance u has the curvatures k_i = kappa_i / (1 - u kappa_i)
+(A. Gray, *Tubes*, 2nd ed., 2004), and the euclidean Hessian of u is
+-(B_t - u sigma_2 P) / ((1 - u kappa_1)(1 - u kappa_2)).  So S = grad X / phi
+has the known spectrum {-k_1, -k_2, -(eps - u)^-2}, and the grid check sums
+its m largest entries without an eigensolver: it reads u and the k_i alone,
+and the normal and Hess u are built only where X's Jacobian is asked for.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .geometry import (
     QuarticGapField,
     VectorField,
     sigma_shape,
+    unstack,
 )
 
 
@@ -79,13 +84,15 @@ FOOT_TOLERANCE = 1e-9
 
 class Projection(NamedTuple):
     """``SigmaSurface.project``'s result: the foot, whether it was accepted,
-    w at the input point, and w's gradient and Hessian at the foot."""
+    w at the input point, and w's jet at the foot in ``ScalarField.jet``'s
+    layout: the three gradient components and the six ``_PAIRS`` entries of
+    the Hessian, each of the batch shape."""
 
     foot: np.ndarray
     ok: np.ndarray
     w_x: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
+    grad: tuple
+    hess: tuple
 
 
 @dataclass
@@ -121,10 +128,11 @@ class SigmaSurface:
         # sqrt(lambda_max(G)): the G-length of a euclidean unit vector is at most this
         self.gram_norm = float(np.sqrt(np.max(np.linalg.eigvalsh(self.gram))))
         self.w = SumField([self.domain.u0, QuarticGapField(self.p, self.gram)])
-        self.jet_p = self.w.jet(self.p)
+        self.jet_p = self.w.jet(unstack(self.p))
 
-    def misses(self, x, radius):
-        """True where no accepted foot can lie within euclidean ``radius`` of x.
+    def misses(self, x, u0_x, radius):
+        """True where no accepted foot can lie within euclidean ``radius`` of x,
+        given u0's values ``u0_x`` at x.
 
         Let B be the bounding box of the points x widened by ``radius`` and L
         a Lipschitz constant of u0 on B (``ScalarField.lipschitz``).  On the
@@ -147,7 +155,7 @@ class SigmaSurface:
         d = x - self.p
         dist_g = np.sqrt(np.einsum("...i,ij,...j->...", d, self.gram, d))
         gap = np.maximum(dist_g - self.gram_norm * radius, 0.0)
-        return self.domain.u0.value(x) - L * radius + gap**4 > FOOT_TOLERANCE
+        return u0_x - L * radius + gap**4 > FOOT_TOLERANCE
 
     def project(self, x):
         """Euclidean closest point on {w = 0}, by Newton's method on the KKT
@@ -156,56 +164,62 @@ class SigmaSurface:
         Returns a ``Projection``.  ``ok`` is False where the iteration failed
         to converge in 60 steps (point outside the tube) or met a singular
         system.  A point stops iterating as soon as its own KKT residual is
-        at most 1e-12; only the others take a step (``_kkt_step``).  w's
-        value, gradient and Hessian come from one ``w.jet`` per point per
-        step: the jet at x starts the iteration, and each point's last jet,
-        at its final y, serves the acceptance test and is returned.
+        at most 1e-12; only the others take a step (``_kkt_step``).  The
+        iteration runs on coordinate arrays, and w's jet comes from one
+        ``w.jet`` per point per step: the jet at x starts the iteration, and
+        each point's last jet, at its final y, serves the acceptance test and
+        is returned.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
-        w_x, g, h = self.w.jet(pts)
-        lam = w_x / np.maximum(np.einsum("...i,...i->...", g, g), 1e-20)
+        start = tuple(np.ascontiguousarray(pts.T))
+        w_x, g, h = self.w.jet(start)
+        lam = w_x / np.maximum((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2], 1e-20)
         max_step = 0.25 * self.domain.chart_diameter()
         ok = np.ones(len(pts), dtype=bool)
         # every point's y, lambda and w's jet at y; each step writes its
         # running rows back, so a point that stops keeps its last values.  The
         # jet at x fills them: w is a SumField, whose jet returns new arrays
-        foot, lam_f, w_f, g_f, h_f = pts.copy(), lam, w_x.copy(), g, h
-        idx, x0, y, w = np.arange(len(pts)), pts, pts, w_x
+        foot = [xi.copy() for xi in start]
+        lam_f, w_f, g_f, h_f = lam, w_x.copy(), g, h
+        idx, x0, y, w = np.arange(len(pts)), start, start, w_x
         for _ in range(60):
-            r_y = y - x0 + lam[:, None] * g
-            r0, r1, r2 = r_y[:, 0], r_y[:, 1], r_y[:, 2]
+            r_y = [yi - xi + lam * gi for yi, xi, gi in zip(y, x0, g)]
+            r0, r1, r2 = r_y
             moving = np.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + w * w) > 1e-12
             if not np.all(moving):
-                idx, x0, y, r_y, w, lam, g, h = (
-                    a[moving] for a in (idx, x0, y, r_y, w, lam, g, h))
+                idx, w, lam = idx[moving], w[moving], lam[moving]
+                x0, y, r_y, g, h = ([a[moving] for a in arrays] for arrays in (x0, y, r_y, g, h))
             if len(idx) == 0:
                 break
             s_y, s_lam, solved = _kkt_step(lam, h, g, r_y, w)
             if not np.all(solved):
                 ok[idx[~solved]] = False
-                idx, x0, y, lam, s_y, s_lam = (
-                    a[solved] for a in (idx, x0, y, lam, s_y, s_lam))
+                idx, lam, s_lam = idx[solved], lam[solved], s_lam[solved]
+                x0, y, s_y = ([a[solved] for a in arrays] for arrays in (x0, y, s_y))
             # damp overlong steps; keeps far-away starts from exploding
-            s0, s1, s2 = s_y[:, 0], s_y[:, 1], s_y[:, 2]
+            s0, s1, s2 = s_y
             norms = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
             scale = np.minimum(1.0, max_step / np.maximum(norms, 1e-300))
-            y = y - s_y * scale[:, None]
+            y = [yi - si * scale for yi, si in zip(y, s_y)]
             lam = lam - s_lam * scale
             w, g, h = self.w.jet(y)
-            foot[idx], lam_f[idx], w_f[idx], g_f[idx], h_f[idx] = y, lam, w, g, h
-        align = foot - pts + lam_f[:, None] * g_f
-        ok = ok & (np.abs(w_f) <= FOOT_TOLERANCE) & (np.linalg.norm(align, axis=-1) <= 1e-7)
-        ok = ok & np.all(np.isfinite(foot), axis=-1)
+            for rows, values in zip((*foot, lam_f, w_f, *g_f, *h_f), (*y, lam, w, *g, *h)):
+                rows[idx] = values
+        a0, a1, a2 = (fi - xi + lam_f * gi for fi, xi, gi in zip(foot, start, g_f))
+        ok = ok & (np.abs(w_f) <= FOOT_TOLERANCE) & (np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) <= 1e-7)
+        ok = ok & np.isfinite(foot[0]) & np.isfinite(foot[1]) & np.isfinite(foot[2])
         batch = x.shape[:-1]
-        return Projection(foot.reshape(x.shape), ok.reshape(batch), w_x.reshape(batch),
-                          g_f.reshape(x.shape), h_f.reshape(batch + h_f.shape[-2:]))
+        return Projection(np.stack(foot, axis=-1).reshape(x.shape), ok.reshape(batch),
+                          w_x.reshape(batch), tuple(a.reshape(batch) for a in g_f),
+                          tuple(a.reshape(batch) for a in h_f))
 
 
-def _kkt_step(lam, H, g, r_y, r_w):
+def _kkt_step(lam, h, g, r_y, r_w):
     """Newton step of the KKT system [[A, g], [g^T, 0]] (s_y, s_lam) =
-    (r_y, r_w), with A = I + lam sym(H), in closed form on the six entries of
-    A; returns ``(s_y, s_lam, solved)``.
+    (r_y, r_w), with A = I + lam H, in closed form on the six entries of A;
+    H comes as its six ``_PAIRS`` entries h, g and r_y as components.
+    Returns ``(s_y, s_lam, solved)``, s_y as components.
 
     With adj(A) the adjugate, s_lam = (g^T adj(A) r_y - det(A) r_w) /
     (g^T adj(A) g) and s_y = (adj(A) r_y - s_lam adj(A) g) / det(A).  A
@@ -213,29 +227,27 @@ def _kkt_step(lam, H, g, r_y, r_w):
     step that is not finite marks it; such a row fails alone: ``solved`` is
     False there and its step is zero.
     """
-    a = 1.0 + lam * H[:, 0, 0]
-    d = 1.0 + lam * H[:, 1, 1]
-    f = 1.0 + lam * H[:, 2, 2]
-    b = lam * (0.5 * (H[:, 0, 1] + H[:, 1, 0]))
-    c = lam * (0.5 * (H[:, 0, 2] + H[:, 2, 0]))
-    e = lam * (0.5 * (H[:, 1, 2] + H[:, 2, 1]))
+    h00, h11, h22, h01, h02, h12 = h
+    a = 1.0 + lam * h00
+    d = 1.0 + lam * h11
+    f = 1.0 + lam * h22
+    b, c, e = lam * h01, lam * h02, lam * h12
     c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
     c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
     det = a * c00 + b * c01 + c * c02
-    g0, g1, g2 = g[:, 0], g[:, 1], g[:, 2]
-    r0, r1, r2 = r_y[:, 0], r_y[:, 1], r_y[:, 2]
+    g0, g1, g2 = g
+    r0, r1, r2 = r_y
     ag0, ag1, ag2 = (c00 * g0 + c01 * g1 + c02 * g2, c01 * g0 + c11 * g1 + c12 * g2,
                      c02 * g0 + c12 * g1 + c22 * g2)
     ar0, ar1, ar2 = (c00 * r0 + c01 * r1 + c02 * r2, c01 * r0 + c11 * r1 + c12 * r2,
                      c02 * r0 + c12 * r1 + c22 * r2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s_lam = (g0 * ar0 + g1 * ar1 + g2 * ar2 - det * r_w) / (g0 * ag0 + g1 * ag1 + g2 * ag2)
-        s0, s1, s2 = ((ar0 - s_lam * ag0) / det, (ar1 - s_lam * ag1) / det,
-                      (ar2 - s_lam * ag2) / det)
-    solved = np.isfinite(s_lam) & np.isfinite(s0) & np.isfinite(s1) & np.isfinite(s2)
-    s_y = np.stack([s0, s1, s2], axis=-1)
-    s_lam[~solved] = 0.0
-    s_y[~solved] = 0.0
+        s_y = ((ar0 - s_lam * ag0) / det, (ar1 - s_lam * ag1) / det,
+               (ar2 - s_lam * ag2) / det)
+    solved = np.isfinite(s_lam) & np.isfinite(s_y[0]) & np.isfinite(s_y[1]) & np.isfinite(s_y[2])
+    for s in (s_lam, *s_y):
+        s[~solved] = 0.0
     return s_y, s_lam, solved
 
 
@@ -247,21 +259,42 @@ def _kkt_step(lam, H, g, r_y, r_w):
 class TubeData:
     """Per-point geometric data of the signed-distance foliation of Sigma.
 
-    Quantities are in metric units; ``nu`` carries chart coordinates of the
-    g-unit normal and ``curvatures`` the principal curvatures of the level
-    set through each point, ascending.
+    ``u`` is in metric units and ``curvatures`` are the principal curvatures
+    of the level set through each point, ascending, in metric units; ``c``,
+    ``u_e`` (u in euclidean units), ``denom`` (the 1 - u_e kappa_i, 1 where a
+    point is not valid) and ``foot_shape`` (Sigma's shape at the feet, in
+    euclidean units) are what ``nu`` and ``hess_u`` are built from, on each
+    read and never before.
     """
 
     u: np.ndarray
-    nu: np.ndarray
     curvatures: np.ndarray
-    hess_u: np.ndarray  # coordinate Hessian of u
     foot: np.ndarray
     valid: np.ndarray
+    c: float
+    u_e: np.ndarray
+    denom: np.ndarray
+    foot_shape: geo.SigmaShape
+
+    @property
+    def nu(self):
+        """Chart coordinates of the g-unit normal, shape ``(..., 3)``."""
+        return np.stack(self.foot_shape.nu, axis=-1) / self.c
+
+    @property
+    def hess_u(self):
+        """Coordinate Hessian of u, shape ``(..., 3, 3)``: c times the
+        euclidean -(B_t - u_e sigma_2 P) / ((1 - u_e kappa_1)(1 - u_e kappa_2))."""
+        shp = self.foot_shape
+        nu, t = shp.nu, self.u_e * shp.sigma2
+        scale = self.denom[..., 0] * self.denom[..., 1]
+        entries = [self.c * (-(bt - t * ((1.0 if i == j else 0.0) - nu[i] * nu[j])) / scale)
+                   for (i, j), bt in zip(geo._PAIRS, shp.Bt)]
+        return geo.symmetric_matrix(entries)
 
 
 def tube_eval(sigma, x):
-    """Evaluate distance/normal/curvature data at points ``x``.
+    """Evaluate distance/curvature data at points ``x``.
 
     Exact up to the Newton projection tolerance; euclidean quantities are
     converted to metric units with Sigma's constant c.
@@ -270,32 +303,19 @@ def tube_eval(sigma, x):
     c = sigma.c
     foot, ok, w_x, grad, hess = sigma.project(x)
     sgn = np.where(w_x >= 0.0, 1.0, -1.0)
-    diff = x - foot
-    d_e = np.linalg.norm(diff, axis=-1)
-    u_e = sgn * d_e
+    u_e = sgn * np.linalg.norm(x - foot, axis=-1)
 
     # a point without a foot takes w's jet at p; it is not valid
     _, grad_p, hess_p = sigma.jet_p
-    grad = np.where(ok[..., None], grad, grad_p)
-    hess = np.where(ok[..., None, None], hess, hess_p)
-    shp = sigma_shape(grad, hess)
+    shp = sigma_shape([np.where(ok, a, a_p) for a, a_p in zip(grad, grad_p)],
+                      [np.where(ok, a, a_p) for a, a_p in zip(hess, hess_p)])
     denom = 1.0 - u_e[..., None] * shp.kappa
-    valid = ok & np.all(denom > 0.05, axis=-1)
-    denom = np.where(denom > 0.05, denom, 1.0)
+    clear = denom > 0.05
+    valid = ok & np.all(clear, axis=-1)
+    denom = np.where(clear, denom, 1.0)
     # curvatures stay ascending: t -> k/(1-tk) is monotone in k for 1-tk>0
-    k_e = shp.kappa / denom
-    nu_e = shp.nu
-    P = np.eye(3) - nu_e[..., :, None] * nu_e[..., None, :]
-    hess_u_e = -(shp.Bt - (u_e * shp.sigma2)[..., None, None] * P) / (
-        denom[..., 0] * denom[..., 1])[..., None, None]
-    return TubeData(
-        u=c * u_e,
-        nu=nu_e / c,
-        curvatures=k_e / c,
-        hess_u=c * hess_u_e,
-        foot=foot,
-        valid=valid,
-    )
+    return TubeData(u=c * u_e, curvatures=shp.kappa / denom / c, foot=foot, valid=valid,
+                    c=c, u_e=u_e, denom=denom, foot_shape=shp)
 
 
 # --------------------------------------------------------------------------
@@ -371,7 +391,7 @@ def tube_curvatures(sigma, chart, clears):
         ok = proj.ok
         if not np.any(ok):
             continue
-        kappa = sigma_shape(proj.grad[ok], proj.hess[ok]).kappa / sigma.c
+        kappa = sigma_shape([a[ok] for a in proj.grad], [a[ok] for a in proj.hess]).kappa / sigma.c
         if not clears(kappa):
             return None
         kept.append(kappa)
@@ -496,22 +516,24 @@ class BarrierVectorField(VectorField):
         c = b.sigma.c
         live, phi = self.live_phi(data)
         u_safe = np.where(live, data.u, 0.0)
-        value = np.where(live[..., None], phi[..., None] * data.nu, 0.0)
-        nu_e = data.nu * c  # euclidean unit normal
+        nu = data.nu
+        value = np.where(live[..., None], phi[..., None] * nu, 0.0)
+        nu_e = nu * c  # euclidean unit normal
         outer = nu_e[..., :, None] * nu_e[..., None, :]
         # phi'/phi = -(u - eps)^-2; data.hess_u is the coordinate Hessian of
         # u = c * u_e, hence the c^2
         S = (-(u_safe - b.epsilon) ** -2)[..., None, None] * outer + data.hess_u / c**2
         return live, phi, value, np.where(live[..., None, None], S, 0.0)
 
-    def reaches_tube(self, x):
-        """False where the eps/c-ball of x provably misses Sigma.
+    def reaches_tube(self, x, u0_x):
+        """False where the eps/c-ball of x provably misses Sigma, given u0's
+        values ``u0_x`` at x.
 
         A live point has a foot within euclidean distance eps / c, so only
         the other points need to go to tube_eval.
         """
         b = self.bundle
-        return ~b.sigma.misses(x, b.epsilon / b.sigma.c)
+        return ~b.sigma.misses(x, u0_x, b.epsilon / b.sigma.c)
 
     def evaluate(self, x):
         """X and its jacobian phi S; each point reaches the tube at most once,
@@ -521,7 +543,7 @@ class BarrierVectorField(VectorField):
         pts = x.reshape(-1, n)
         value = np.zeros((len(pts), n))
         J = np.zeros((len(pts), n, n))
-        cand = self.reaches_tube(pts)
+        cand = self.reaches_tube(pts, self.bundle.domain.u0.value(pts))
         if np.any(cand):
             _, phi, value[cand], S = self.from_tube(tube_eval(self.bundle.sigma, pts[cand]))
             J[cand] = phi[..., None, None] * S
@@ -619,12 +641,15 @@ def verify_barrier(
     def chunk_result(start):
         index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, size)), shape)
         pts = np.stack([ax[i] for ax, i in zip(axes, index)], axis=-1)
-        pts = pts[np.asarray(b.domain.contains(pts), dtype=bool)]
+        # u0 once per point: the values that decide N also feed the screen
+        u0 = b.domain.u0.value(pts)
+        inside = (u0 >= 0.0) & b.domain.in_chart(pts)
+        pts, u0 = pts[inside], u0[inside]
         if len(pts) == 0:
             return None
         out = np.zeros(len(pts))
         live = np.zeros(len(pts), dtype=bool)
-        cand = X.reaches_tube(pts)
+        cand = X.reaches_tube(pts, u0)
         if np.any(cand):
             data = tube_eval(b.sigma, pts[cand])
             on, _ = X.live_phi(data)

@@ -39,6 +39,35 @@ class BoundaryError(GeometryError):
 
 
 # --------------------------------------------------------------------------
+# coordinate arrays and symmetric entries
+
+
+# the entries (i, j), i <= j, that stand for a symmetric 3 x 3 matrix
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def unstack(a):
+    """The arrays ``a[..., 0], ..., a[..., n-1]``: points as coordinate arrays."""
+    a = np.asarray(a, dtype=float)
+    return tuple(a[..., i] for i in range(a.shape[-1]))
+
+
+def sym_entries(H):
+    """The ``_PAIRS`` entries of (H + H^T) / 2 for 3 x 3 matrices H, exact
+    where H is symmetric."""
+    H = np.asarray(H, dtype=float)
+    return tuple(0.5 * (H[..., i, j] + H[..., j, i]) for i, j in _PAIRS)
+
+
+def symmetric_matrix(entries):
+    """The symmetric 3 x 3 matrices, shape ``(..., 3, 3)``, with the given
+    ``_PAIRS`` entries."""
+    e = dict(zip(_PAIRS, entries))
+    return np.stack([np.stack([_entry(e, i, j) for j in range(3)], axis=-1)
+                     for i in range(3)], axis=-2)
+
+
+# --------------------------------------------------------------------------
 # scalar fields
 
 
@@ -63,11 +92,17 @@ class ScalarField:
         """Coordinate second partials, shape ``(..., n, n)``."""
         raise NotImplementedError
 
-    def jet(self, x):
-        """``(value(x), gradient(x), hessian(x))``; fields whose three
-        outputs share work override this to compute it once, with results
-        equal to the separate methods bit for bit."""
-        return self.value(x), self.gradient(x), self.hessian(x)
+    def jet(self, y):
+        """Value, gradient and Hessian on R^3 at the points with coordinate
+        arrays ``y = (y1, y2, y3)``: ``(value, (d_1, d_2, d_3), (H_11, H_22,
+        H_33, H_12, H_13, H_23))``, each array of the batch shape, with the
+        Hessian's six entries in ``_PAIRS`` order.  The entries are those of
+        sym(Hess) = (Hess + Hess^T) / 2, so they are symmetric by contract.
+        This default packs ``value``, ``gradient`` and ``hessian``; fields
+        whose outputs share work override it to compute them once on the
+        coordinate arrays, with results equal to the packed ones bit for bit."""
+        x = np.stack(y, axis=-1)
+        return self.value(x), unstack(self.gradient(x)), sym_entries(self.hessian(x))
 
 
 class ExprArray:
@@ -92,6 +127,16 @@ class ExprArray:
         self._slot = [slots.setdefault(repr(e), len(slots)) for e in self.flat]
         self._distinct = list({repr(e): e for e in self.flat}.values())
 
+    def eval_coords(self, y):
+        """The entries in flat order at the points with coordinate arrays y,
+        each of the batch shape; each distinct entry is evaluated once."""
+        shape = np.shape(y[0])
+        distinct = []
+        for e in self._distinct:
+            v = e.eval(y)
+            distinct.append(v if np.shape(v) == shape else np.full(shape, v))
+        return [distinct[i] for i in self._slot]
+
     def eval_at(self, x):
         distinct = [e.eval_at(x) for e in self._distinct]
         values = np.stack([distinct[i] for i in self._slot], axis=-1)
@@ -110,6 +155,13 @@ class ExprScalarField(ScalarField):
         self._gradient = self._value.diff()
         self._hessian = self._gradient.diff()
         self.expr = self._value.flat[0]
+        if n == 3:
+            # the jet's expressions: the value, the partials and, for each
+            # pair of _PAIRS, H_ij and H_ji, which are evaluated together once
+            H = self._hessian.flat
+            self._jet = ExprArray([self.expr] + self._gradient.flat
+                                  + [H[3 * i + j] for i, j in _PAIRS]
+                                  + [H[3 * j + i] for i, j in _PAIRS], 3)
 
     def lipschitz(self, lo, hi):
         """|grad| bounded on the box through an enclosure of each partial
@@ -132,6 +184,14 @@ class ExprScalarField(ScalarField):
     def hessian(self, x):
         return self._hessian.eval_at(x)
 
+    def jet(self, y):
+        values = self._jet.eval_coords(y)
+        upper, lower = values[4:10], values[10:]
+        # H_ij and H_ji as distinct trees may round apart; as one tree they
+        # are one array, and its entry is that array
+        hess = tuple(a if a is b else 0.5 * (a + b) for a, b in zip(upper, lower))
+        return values[0], tuple(values[1:4]), hess
+
 
 class LinearField(ScalarField):
     """a . x"""
@@ -143,8 +203,11 @@ class LinearField(ScalarField):
     def lipschitz(self, lo, hi):
         return float(np.linalg.norm(self.a))
 
+    def _value(self, y):
+        return sum(ai * yi for ai, yi in zip(self.a, y))
+
     def value(self, x):
-        return np.asarray(x)[..., :] @ self.a
+        return self._value(unstack(x))
 
     def gradient(self, x):
         x = np.asarray(x)
@@ -153,6 +216,11 @@ class LinearField(ScalarField):
     def hessian(self, x):
         x = np.asarray(x)
         return np.zeros(x.shape[:-1] + (self.n, self.n))
+
+    def jet(self, y):
+        shape = np.shape(y[0])
+        return (self._value(y), tuple(np.full(shape, ai) for ai in self.a),
+                tuple(np.zeros(shape) for _ in _PAIRS))
 
 
 class DistanceField(ScalarField):
@@ -191,15 +259,21 @@ class DistanceField(ScalarField):
         proj = np.diag(self.mask) - u[..., :, None] * u[..., None, :]
         return -proj / r[..., None, None]
 
-    def jet(self, x):
-        d, r = self._r(x, need_derivatives=True)
-        u = d / r[..., None]
-        proj = np.diag(self.mask) - u[..., :, None] * u[..., None, :]
-        return self.radius - r, -u, -proj / r[..., None, None]
+    def jet(self, y):
+        # the arithmetic of _r, gradient and hessian, on the coordinate arrays
+        d = [(yi - ci) * mi for yi, ci, mi in zip(y, self.center, self.mask)]
+        r = np.sqrt(sum(di * di for di in d))
+        if np.any(r < 1e-14):
+            raise VanishingGradientError("distance field differentiated on its center set")
+        u = [di / r for di in d]
+        hess = tuple(-((self.mask[i] if i == j else 0.0) - u[i] * u[j]) / r for i, j in _PAIRS)
+        return self.radius - r, tuple(-ui for ui in u), hess
 
 
 class QuarticGapField(ScalarField):
-    """((x-p)^T G (x-p))^2, the fourth power of the G-norm distance to p."""
+    """((x-p)^T G (x-p))^2 on R^3, the fourth power of the G-norm distance to
+    p.  The value, gradient and Hessian are the jet's, which takes all of
+    them from one contraction s = d^T (G d), d = x - p."""
 
     def __init__(self, p, gram):
         self.p = np.asarray(p, dtype=float)
@@ -207,32 +281,21 @@ class QuarticGapField(ScalarField):
         self.n = self.p.shape[0]
 
     def value(self, x):
-        d = np.asarray(x, dtype=float) - self.p
-        s = np.einsum("...i,ij,...j->...", d, self.gram, d)
-        return s * s
+        return self.jet(unstack(x))[0]
 
     def gradient(self, x):
-        d = np.asarray(x, dtype=float) - self.p
-        gd = d @ self.gram.T
-        s = np.einsum("...i,...i->...", d, gd)
-        return 4.0 * s[..., None] * gd
+        return np.stack(self.jet(unstack(x))[1], axis=-1)
 
     def hessian(self, x):
-        d = np.asarray(x, dtype=float) - self.p
-        gd = d @ self.gram.T
-        s = np.einsum("...i,...i->...", d, gd)
-        outer = gd[..., :, None] * gd[..., None, :]
-        return 4.0 * s[..., None, None] * self.gram + 8.0 * outer
+        return symmetric_matrix(self.jet(unstack(x))[2])
 
-    def jet(self, x):
-        d = np.asarray(x, dtype=float) - self.p
-        # value's own contraction for s, so that the value matches bit for bit
-        s_value = np.einsum("...i,ij,...j->...", d, self.gram, d)
-        gd = d @ self.gram.T
-        s = np.einsum("...i,...i->...", d, gd)
-        outer = gd[..., :, None] * gd[..., None, :]
-        return (s_value * s_value, 4.0 * s[..., None] * gd,
-                4.0 * s[..., None, None] * self.gram + 8.0 * outer)
+    def jet(self, y):
+        d = [yi - pi for yi, pi in zip(y, self.p)]
+        gd = [sum(gij * dj for gij, dj in zip(row, d)) for row in self.gram]
+        s = sum(di * gdi for di, gdi in zip(d, gd))
+        t = 4.0 * s
+        return (s * s, tuple(t * gdi for gdi in gd),
+                tuple(t * self.gram[i, j] + 8.0 * (gd[i] * gd[j]) for i, j in _PAIRS))
 
 
 class SumField(ScalarField):
@@ -249,9 +312,10 @@ class SumField(ScalarField):
     def hessian(self, x):
         return sum(f.hessian(x) for f in self.fields)
 
-    def jet(self, x):
-        jets = [f.jet(x) for f in self.fields]
-        return tuple(sum(j[k] for j in jets) for k in range(3))
+    def jet(self, y):
+        values, grads, hessians = zip(*(f.jet(y) for f in self.fields))
+        return (sum(values), tuple(sum(parts) for parts in zip(*grads)),
+                tuple(sum(parts) for parts in zip(*hessians)))
 
 
 # --------------------------------------------------------------------------
@@ -393,20 +457,17 @@ def bilinear_form_Q(X, x, metric):
 class SigmaShape:
     """Shape of a level surface {w = const} in R^3, in euclidean units.
 
-    ``nu`` is the unit normal grad w / |grad w|, ``kappa`` the principal
-    curvatures (ascending) with respect to it, ``Bt`` the second fundamental
-    form P (-Hess w / |grad w|) P as a 3 x 3 matrix, and ``sigma2`` the
-    Gauss curvature kappa_1 kappa_2.
+    ``nu`` is the unit normal grad w / |grad w| as its three components,
+    ``kappa`` the principal curvatures (ascending, shape ``(..., 2)``) with
+    respect to it, ``Bt`` the second fundamental form P (-Hess w / |grad w|) P
+    as its six ``_PAIRS`` entries, and ``sigma2`` the Gauss curvature
+    kappa_1 kappa_2.
     """
 
-    nu: np.ndarray
+    nu: tuple
     kappa: np.ndarray
-    Bt: np.ndarray
+    Bt: tuple
     sigma2: np.ndarray
-
-
-# the entries (i, j), i <= j, that stand for a symmetric 3 x 3 matrix
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 def _entry(M, i, j):
@@ -421,12 +482,14 @@ def _quadratic(M, v):
                          + (M[0, 2] * (v[0] * v[2]) + M[1, 2] * (v[1] * v[2])))
 
 
-def sigma_shape(g, H):
-    """Closed-form shape of the level surface of w in R^3 with gradient g and
-    Hessian H at the same points.
+def sigma_shape(g, h):
+    """Closed-form shape of the level surface of w in R^3 from the components
+    g = (g_1, g_2, g_3) of its gradient and the six ``_PAIRS`` entries h of
+    its symmetric Hessian H at the same points (``ScalarField.jet``'s
+    layout; ``unstack`` and ``sym_entries`` give it from full arrays).
 
-    With H symmetrized, nu = g / |g|, P = I - nu nu^T and B_t = P (-H / |g|) P,
-    the principal curvatures have the invariants (R. Goldman, "Curvature
+    With nu = g / |g|, P = I - nu nu^T and B_t = P (-H / |g|) P, the
+    principal curvatures have the invariants (R. Goldman, "Curvature
     formulas for implicit curves and surfaces", CAGD 2005)
 
         sigma_1 = kappa_1 + kappa_2 = (g^T H g - |g|^2 tr H) / |g|^3,
@@ -440,10 +503,8 @@ def sigma_shape(g, H):
     a coordinate, permutes addends or negates terms exactly: mirror-symmetric
     inputs give bit-equal curvatures.
     """
-    g = np.asarray(g, dtype=float)
-    H = np.asarray(H, dtype=float)
-    v = (g[..., 0], g[..., 1], g[..., 2])
-    a = {(i, j): 0.5 * (H[..., i, j] + H[..., j, i]) for i, j in _PAIRS}
+    v = tuple(g)
+    a = dict(zip(_PAIRS, h))
     n2 = (v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]
     if np.any(n2 <= 1e-24):
         raise VanishingGradientError("level-set function has vanishing gradient")
@@ -464,20 +525,16 @@ def sigma_shape(g, H):
            for i in range(3)]
     beta = _quadratic(B, nu)
     half = 0.5 * sigma1
-    Bt, T2 = {}, {}  # B_t and the squared entries of B_t - (sigma_1 / 2) P
+    Bt, T2 = [], {}  # B_t and the squared entries of B_t - (sigma_1 / 2) P
     for i, j in _PAIRS:
         nn = nu[i] * nu[j]
-        Bt[i, j] = (B[i, j] - (nu[i] * Bnu[j] + Bnu[i] * nu[j])) + beta * nn
-        t = Bt[i, j] - half * (1.0 - nn) if i == j else Bt[i, j] + half * nn
+        bt = (B[i, j] - (nu[i] * Bnu[j] + Bnu[i] * nu[j])) + beta * nn
+        t = bt - half * (1.0 - nn) if i == j else bt + half * nn
+        Bt.append(bt)
         T2[i, j] = t * t
     root = np.sqrt(0.5 * _quadratic(T2, (1.0, 1.0, 1.0)))
-    return SigmaShape(
-        nu=np.stack(nu, axis=-1),
-        kappa=np.stack([half - root, half + root], axis=-1),
-        Bt=np.stack([np.stack([_entry(Bt, i, j) for j in range(3)], axis=-1)
-                     for i in range(3)], axis=-2),
-        sigma2=sigma2,
-    )
+    return SigmaShape(nu=nu, kappa=np.stack([half - root, half + root], axis=-1),
+                      Bt=tuple(Bt), sigma2=sigma2)
 
 
 def levelset_shape(f, x, metric):
@@ -500,12 +557,12 @@ def levelset_shape(f, x, metric):
     H = f.hessian(x)
     c = metric.constant_factor()
     if c is not None:
-        return sigma_shape(df, H).kappa / c
+        return sigma_shape(unstack(df), sym_entries(H)).kappa / c
     gam = christoffel(metric, x)  # raises MetricError where g is not SPD
     Hc = H - np.einsum("...kij,...k->...ij", gam, df)
     Li = np.linalg.inv(np.linalg.cholesky(metric.matrix(x)))
     df_w = np.einsum("...ij,...j->...i", Li, df)
-    return sigma_shape(df_w, Li @ Hc @ np.swapaxes(Li, -1, -2)).kappa
+    return sigma_shape(unstack(df_w), sym_entries(Li @ Hc @ np.swapaxes(Li, -1, -2))).kappa
 
 
 def top_m_eigensum(S, m):
@@ -549,11 +606,13 @@ class Domain:
     def boundary_tolerance(self):
         return 1e-9 * self.chart_diameter()
 
+    def in_chart(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.all((x >= self.chart[:, 0]) & (x <= self.chart[:, 1]), axis=-1)
+
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        inside = self.u0.value(x) >= 0.0
-        in_chart = np.all((x >= self.chart[:, 0]) & (x <= self.chart[:, 1]), axis=-1)
-        return inside & in_chart
+        return (self.u0.value(x) >= 0.0) & self.in_chart(x)
 
     def on_boundary(self, p):
         return np.abs(self.u0.value(p)) < self.boundary_tolerance

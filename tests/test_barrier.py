@@ -189,8 +189,12 @@ class TestProjection:
         w = ball_bundle.sigma.w
         assert np.any(proj.ok)
         np.testing.assert_array_equal(proj.w_x, w.value(tube_points))
-        np.testing.assert_array_equal(proj.grad, w.gradient(proj.foot))
-        np.testing.assert_array_equal(proj.hess, w.hessian(proj.foot))
+        grad, hess = w.gradient(proj.foot), w.hessian(proj.foot)
+        assert len(proj.grad) == 3 and len(proj.hess) == 6
+        for k in range(3):
+            np.testing.assert_array_equal(proj.grad[k], grad[:, k])
+        for (i, j), entry in zip(geo._PAIRS, proj.hess):
+            np.testing.assert_array_equal(entry, hess[:, i, j])
 
     def test_unconverged_foot_off_sigma_is_refused(self, monkeypatch):
         """|w| = 2e-7 at the last y: FOOT_TOLERANCE alone refuses it."""
@@ -226,12 +230,11 @@ class _FlickeringPlane(geo.ScalarField):
     def __init__(self, offset=0.0, tilt=0.0):
         self.n, self.offset, self.tilt, self.sign = 3, offset, tilt, 1.0
 
-    def jet(self, x):
-        x = np.asarray(x, dtype=float)
+    def jet(self, y):
         self.sign = -self.sign
-        g = np.zeros_like(x)
-        g[..., 0], g[..., 2] = self.sign * self.tilt, 1.0
-        return x[..., 2] + self.sign * self.offset, g, np.zeros(x.shape + (3,))
+        shape = np.shape(y[2])
+        g = (np.full(shape, self.sign * self.tilt), np.zeros(shape), np.ones(shape))
+        return y[2] + self.sign * self.offset, g, tuple(np.zeros(shape) for _ in range(6))
 
 
 class _CountingField(geo.ScalarField):
@@ -254,9 +257,9 @@ class _CountingField(geo.ScalarField):
         self.calls.append("hessian")
         return self.w.hessian(x)
 
-    def jet(self, x):
-        self.jet_points += len(np.reshape(x, (-1, self.n)))
-        return self.w.jet(x)
+    def jet(self, y):
+        self.jet_points += np.size(y[0])
+        return self.w.jet(y)
 
 
 def test_tube_eval_evaluates_w_once_per_point_per_step(ball_domain, north_pole, tube_points,
@@ -266,8 +269,8 @@ def test_tube_eval_evaluates_w_once_per_point_per_step(ball_domain, north_pole, 
     steps = []
     kkt_step = bar._kkt_step
 
-    def counting(lam, H, g, r_y, r_w):
-        s_y, s_lam, solved = kkt_step(lam, H, g, r_y, r_w)
+    def counting(lam, h, g, r_y, r_w):
+        s_y, s_lam, solved = kkt_step(lam, h, g, r_y, r_w)
         steps.append(np.count_nonzero(solved))
         return s_y, s_lam, solved
 
@@ -301,10 +304,13 @@ def _lapack_step(lam, H, g, res):
 
 
 def _kkt_step(lam, H, g, res):
-    """``bar._kkt_step`` on the stacked right-hand side (r_y, r_w), its step
+    """``bar._kkt_step`` on the six ``_PAIRS`` entries of the symmetric H and
+    the components of g and of the right-hand side (r_y, r_w), its step
     stacked as (s_y, s_lam)."""
-    s_y, s_lam, solved = bar._kkt_step(lam, H, g, res[:, :3], res[:, 3])
-    return np.concatenate([s_y, s_lam[:, None]], axis=-1), solved
+    h = tuple(H[:, i, j] for i, j in geo._PAIRS)
+    s_y, s_lam, solved = bar._kkt_step(lam, h, geo.unstack(g), geo.unstack(res[:, :3]),
+                                       res[:, 3])
+    return np.stack([*s_y, s_lam], axis=-1), solved
 
 
 class TestKKTStep:
@@ -327,16 +333,6 @@ class TestKKTStep:
         np.testing.assert_array_equal(step[~expect], 0.0)
         ref = _lapack_step(lam[expect], H[expect], g[expect], res[expect])
         err = np.linalg.norm(step[expect] - ref, axis=-1)
-        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
-
-    def test_symmetrizes_H(self):
-        """A uses sym(H): moving mass between H_ij and H_ji changes nothing."""
-        lam, H, g, res = _kkt_systems(np.random.default_rng(13), 200)
-        skew = np.random.default_rng(14).uniform(-1.0, 1.0, H.shape)
-        step, solved = _kkt_step(lam, H + (skew - np.swapaxes(skew, -1, -2)), g, res)
-        ref = _lapack_step(lam, H, g, res)
-        assert np.all(solved)
-        err = np.linalg.norm(step - ref, axis=-1)
         assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
 
 
@@ -364,10 +360,9 @@ class TestBarrierField:
         eps = ball_bundle.epsilon
         u = np.array([0.5 * eps, eps - 1e-4, eps])
         assert 0.0 < u[1] and np.exp(1.0 / (u[1] - eps)) == 0.0
-        k = len(u)
-        data = bar.TubeData(u=u, nu=np.tile([0.0, 0.0, -1.0], (k, 1)),
-                            curvatures=np.zeros((k, 2)), hess_u=np.zeros((k, 3, 3)),
-                            foot=np.zeros((k, 3)), valid=np.ones(k, dtype=bool))
+        # live_phi reads u and valid alone
+        data = bar.tube_eval(ball_bundle.sigma, np.tile(ball_bundle.p, (len(u), 1)))
+        data = dataclasses.replace(data, u=u, valid=np.ones(len(u), dtype=bool))
         live, phi = ball_bundle.field().live_phi(data)
         assert live.tolist() == [True, False, False]
         assert phi[0] > 0.0 and phi[1] == phi[2] == 0.0
@@ -559,7 +554,7 @@ class TestVerification:
         # grid points are distinct, so no point reached the tube twice
         assert len(reached) == len(evaluated)
         assert reached <= {tuple(q) for q in rep.points}
-        candidates = ~b.sigma.misses(rep.points, b.epsilon / b.sigma.c)
+        candidates = b.field().reaches_tube(rep.points, b.domain.u0.value(rep.points))
         assert len(evaluated) == np.count_nonzero(candidates) < rep.n_grid
         live = b.field().from_tube(bar.tube_eval(b.sigma, rep.points))[0]
         assert rep.n_tube > 0
@@ -688,7 +683,7 @@ class TestTubeExclusion:
             pts = np.concatenate([pts, vf.varifold_from_mesh(theorem5_cap).points])
         X = b.field()
         live, phi, value, S = X.from_tube(bar.tube_eval(b.sigma, pts))
-        dropped = b.sigma.misses(pts, b.epsilon / b.sigma.c)
+        dropped = b.sigma.misses(pts, b.domain.u0.value(pts), b.epsilon / b.sigma.c)
         assert np.any(live) and np.any(dropped)
         assert not np.any(live & dropped)
         got_value, got_J = X.evaluate(pts)
@@ -699,7 +694,7 @@ class TestTubeExclusion:
                                                                  monkeypatch):
         b = ellipsoid_bundle
         pts = chart_grid(b.chart, 20)
-        dropped = b.sigma.misses(pts, b.epsilon / b.sigma.c)
+        dropped = b.sigma.misses(pts, b.domain.u0.value(pts), b.epsilon / b.sigma.c)
         assert 0 < np.count_nonzero(dropped) < len(pts)
         seen = []
         tube_eval = bar.tube_eval
@@ -729,7 +724,7 @@ class TestTubeExclusion:
             return lipschitz(lo, hi)
 
         monkeypatch.setattr(b.domain.u0, "lipschitz", recording)
-        b.sigma.misses(pts, radius)
+        b.sigma.misses(pts, b.domain.u0.value(pts), radius)
         [(lo, hi)] = boxes
         assert np.all(lo <= pts.min(axis=0) - radius) and np.all(hi >= pts.max(axis=0) + radius)
         np.testing.assert_allclose(lo, pts.min(axis=0) - radius, rtol=0, atol=1e-15)
@@ -743,8 +738,8 @@ class TestTubeExclusion:
         pts = chart_grid(np.array([[-1.2, 1.2]] * 3), 12)
         radius = b.epsilon / b.sigma.c
         assert b.domain.u0.lipschitz(pts.min(axis=0) - radius, pts.max(axis=0) + radius) is None
-        assert not np.any(b.sigma.misses(pts, radius))
-        assert np.any(ball_bundle.sigma.misses(pts, radius))
+        assert not np.any(b.sigma.misses(pts, b.domain.u0.value(pts), radius))
+        assert np.any(ball_bundle.sigma.misses(pts, ball_bundle.domain.u0.value(pts), radius))
     def test_single_point(self, ball_bundle):
         b = ball_bundle
         X = b.field()
@@ -753,6 +748,108 @@ class TestTubeExclusion:
             ref_value, ref_J = X.evaluate(q[None, :])
             assert value.shape == (3,) and J.shape == (3, 3)
             assert np.array_equal(value, ref_value[0]) and np.array_equal(J, ref_J[0])
+
+
+def test_tube_guard_refuses_points_near_the_focal_point(ball_bundle):
+    """On ball:1 the points (0, 0, 0.02) and (0, 0, 0.04) project to p, where
+    kappa = (1, 1), with u = 0.98 and 0.96: 1 - u kappa is 0.02 and 0.04,
+    below the guard 0.05, so they are not valid.  (0, 0, 0.06) clears it."""
+    b = ball_bundle
+    data = bar.tube_eval(b.sigma, np.array([[0.0, 0.0, 0.02], [0.0, 0.0, 0.04],
+                                            [0.0, 0.0, 0.06]]))
+    np.testing.assert_allclose(data.foot, np.tile(b.p, (3, 1)), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(data.u, [0.98, 0.96, 0.94], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(data.foot_shape.kappa, 1.0, rtol=0, atol=1e-9)
+    assert data.valid.tolist() == [False, False, True]
+
+
+def test_verify_barrier_builds_no_normal_and_no_hess_u(ball_bundle, tube_points, monkeypatch):
+    """The grid margin reads u and the curvatures alone; the normal and
+    Hess u are built only where X's Jacobian is asked for."""
+    built = []
+    for name in ("nu", "hess_u"):
+        fget = getattr(bar.TubeData, name).fget
+
+        def counting(data, fget=fget, name=name):
+            built.append(name)
+            return fget(data)
+
+        monkeypatch.setattr(bar.TubeData, name, property(counting))
+    rep = bar.verify_barrier(ball_bundle, grid_resolution=30, threads=2)
+    assert rep.n_tube > 0 and built == []
+    ball_bundle.field().evaluate(tube_points)
+    assert sorted(built) == ["hess_u", "nu"]
+
+
+def test_u0_is_evaluated_once_per_grid_point(ellipsoid_bundle, monkeypatch):
+    """The chunk's u0 values decide N and feed the screen: the 60^3 chart
+    points of the grid-60 ellipsoid are seen once, the in-N ones not again."""
+    b = ellipsoid_bundle
+    seen = []
+    value = b.domain.u0.value
+
+    def counting(x):
+        seen.append(len(x))
+        return value(x)
+
+    monkeypatch.setattr(b.domain.u0, "value", counting)
+    rep = bar.verify_barrier(b, grid_resolution=60, threads=2)
+    assert rep.passed and 0 < rep.n_grid < 60 ** 3
+    assert sum(seen) == 60 ** 3
+
+
+def _reference_evaluate(b, x):
+    """X and its Jacobian built as full 3 x 3 stacks: Sigma's shape from
+    w.gradient and w.hessian at the feet (w's jet at p where there is no
+    foot), nu_e, P = I - nu_e nu_e^T, B_t and Hess u =
+    -c (B_t - u_e sigma_2 P) / ((1 - u_e kappa_1)(1 - u_e kappa_2)) at every
+    point that reaches the tube, then S and phi S."""
+    X, sigma, c = b.field(), b.sigma, b.sigma.c
+    value, J = np.zeros_like(x), np.zeros(x.shape + (3,))
+    cand = X.reaches_tube(x, b.domain.u0.value(x))
+    q = x[cand]
+    proj = sigma.project(q)
+    feet = np.where(proj.ok[:, None], proj.foot, sigma.p)
+    shp = bar.sigma_shape(geo.unstack(sigma.w.gradient(feet)),
+                          geo.sym_entries(sigma.w.hessian(feet)))
+    u_e = np.where(proj.w_x >= 0.0, 1.0, -1.0) * np.linalg.norm(q - proj.foot, axis=-1)
+    denom = 1.0 - u_e[:, None] * shp.kappa
+    valid = proj.ok & np.all(denom > 0.05, axis=-1)
+    denom = np.where(denom > 0.05, denom, 1.0)
+    nu_e = np.stack(shp.nu, axis=-1)
+    P = np.eye(3) - nu_e[:, :, None] * nu_e[:, None, :]
+    hess_u_e = -(geo.symmetric_matrix(shp.Bt) - (u_e * shp.sigma2)[:, None, None] * P) / (
+        denom[:, 0] * denom[:, 1])[:, None, None]
+    u, nu, hess_u = c * u_e, nu_e / c, c * hess_u_e
+    tube = valid & (u >= 0.0) & (u < b.epsilon)
+    phi = np.where(tube, bar.cutoff(np.where(tube, u, 0.0), b.epsilon), 0.0)
+    live = tube & (phi > 0.0)
+    nu_c = nu * c
+    S = ((-(np.where(live, u, 0.0) - b.epsilon) ** -2)[:, None, None]
+         * (nu_c[:, :, None] * nu_c[:, None, :]) + hess_u / c**2)
+    value[cand] = np.where(live[:, None], phi[:, None] * nu, 0.0)
+    J[cand] = phi[:, None, None] * np.where(live[:, None, None], S, 0.0)
+    return value, J
+
+
+@pytest.mark.parametrize("name", ["ball_bundle", "scaled_ball_bundle", "ellipsoid_bundle",
+                                  "family2_bundle"])
+def test_evaluate_equals_the_full_matrix_reference(name, request):
+    """X.evaluate, which builds nu and Hess u from the jet's components, is
+    bit-equal to the reference that builds them as full matrices."""
+    b = request.getfixturevalue(name)
+    x = np.concatenate([chart_grid(b.chart, 16), b.p + 0.3 * (chart_grid(b.chart, 6) - b.p)])
+    value, J = b.field().evaluate(x)
+    ref_value, ref_J = _reference_evaluate(b, x)
+    assert np.count_nonzero(np.any(value != 0.0, axis=-1)) > 100
+    assert np.array_equal(value, ref_value) and np.array_equal(J, ref_J)
+
+
+@pytest.fixture(scope="module")
+def family2_bundle(north_pole):
+    """theorem3's family metric i = 2, 1.25 times euclidean: c = sqrt(1.25)
+    is not a power of 2, so dividing by c and multiplying back rounds."""
+    return bar.build_barrier(_family_domain(2), north_pole, m=2)
 
 
 # --------------------------------------------------------------------------
@@ -776,7 +873,12 @@ def _lattice_kappa(sigma, chart):
     if not np.any(ok):
         raise bar.TubeError("no Sigma feet found inside the chart")
     foot = foot[ok]
-    return bar.sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot)).kappa / sigma.c
+    return _shape_at(sigma.w, foot).kappa / sigma.c
+
+
+def _shape_at(w, foot):
+    """``sigma_shape`` from w's gradient and Hessian arrays at the feet."""
+    return bar.sigma_shape(geo.unstack(w.gradient(foot)), geo.sym_entries(w.hessian(foot)))
 
 
 def _segment_end(sigma, chart):
@@ -892,10 +994,10 @@ class TestTubeSample:
         p = np.array(p)
         sigma_shape = bar.sigma_shape
 
-        def nan_far_from_p(g, H):
-            shp = sigma_shape(g, H)
+        def nan_far_from_p(g, h):
+            shp = sigma_shape(g, h)
             # Sigma's normal at p is -e3; it tilts by about the distance from p
-            far = np.hypot(g[:, 0], g[:, 1]) > 0.12 * np.linalg.norm(g, axis=-1)
+            far = np.hypot(g[0], g[1]) > 0.12 * np.linalg.norm(np.stack(g, axis=-1), axis=-1)
             return dataclasses.replace(shp, kappa=np.where(far[:, None], np.nan, shp.kappa))
 
         monkeypatch.setattr(bar, "sigma_shape", nan_far_from_p)
@@ -925,7 +1027,8 @@ class TestTubeSample:
             x = np.asarray(x, dtype=float)
             k = len(x)
             return bar.Projection(x, np.zeros(k, dtype=bool), np.zeros(k),
-                                  np.zeros((k, 3)), np.zeros((k, 3, 3)))
+                                  tuple(np.zeros(k) for _ in range(3)),
+                                  tuple(np.zeros(k) for _ in range(6)))
 
         monkeypatch.setattr(bar.SigmaSurface, "project", no_feet)
         sigma = bar.SigmaSurface(ball_domain, north_pole)
@@ -963,10 +1066,10 @@ class TestSigmaShape:
         dom, p = _SAMPLE_DOMAINS[name]
         sigma = bar.SigmaSurface(dom, np.array(p))
         _, foot = _sigma_feet(sigma, np.random.default_rng(2), "ball" in name)
-        shp = bar.sigma_shape(sigma.w.gradient(foot), sigma.w.hessian(foot))
+        shp = _shape_at(sigma.w, foot)
         ref = levelset_eigh(sigma.w, foot, geo.metric_euclidean(3))
         assert np.all(np.abs(shp.kappa - ref.values) <= 1e-12 * (1.0 + np.abs(ref.values)))
-        np.testing.assert_allclose(shp.nu, ref.normal, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.stack(shp.nu, axis=-1), ref.normal, rtol=0, atol=1e-15)
         np.testing.assert_allclose(shp.sigma2, np.prod(ref.values, axis=-1), rtol=0,
                                    atol=1e-12 * (1.0 + np.max(np.abs(ref.values)) ** 2))
 
@@ -991,7 +1094,7 @@ class TestSigmaShape:
 
     def test_refuses_a_vanishing_gradient(self):
         with pytest.raises(geo.VanishingGradientError):
-            geo.sigma_shape(np.zeros(3), np.eye(3))
+            geo.sigma_shape(geo.unstack(np.zeros(3)), geo.sym_entries(np.eye(3)))
 
     def test_barrier_outside_r3_refused(self):
         dom = geo.domain_ball(1.0, n=2)
@@ -1025,13 +1128,16 @@ class TestMirrorTies:
         rep = bar.verify_barrier(b, grid_resolution=30, keep_margins=True)
         foot = bar.tube_eval(b.sigma, rep.points[rep.margins != 0.0]).foot
         g, H = b.sigma.w.gradient(foot), b.sigma.w.hessian(foot)
-        ref = bar.sigma_shape(g, H)
+        ref = bar.sigma_shape(geo.unstack(g), geo.sym_entries(H))
+        ref_Bt = geo.symmetric_matrix(ref.Bt)
         for perm, signs in _MIRRORS:
             P, s = list(perm), np.asarray(signs, float)
-            img = bar.sigma_shape((g * s)[:, P], (H * s[:, None] * s)[:, P][:, :, P])
+            img = bar.sigma_shape(geo.unstack((g * s)[:, P]),
+                                  geo.sym_entries((H * s[:, None] * s)[:, P][:, :, P]))
             assert np.array_equal(img.kappa, ref.kappa)
             assert np.array_equal(img.sigma2, ref.sigma2)
-            assert np.array_equal(img.Bt, (ref.Bt * s[:, None] * s)[:, P][:, :, P])
+            assert np.array_equal(geo.symmetric_matrix(img.Bt),
+                                  (ref_Bt * s[:, None] * s)[:, P][:, :, P])
 
     def test_halfspace_worst_point_is_first_of_its_ties(self, halfspace_bundle):
         rep = bar.verify_barrier(halfspace_bundle, grid_resolution=60, threads=2,

@@ -320,13 +320,35 @@ _JET_FIELDS = {
 
 @pytest.mark.parametrize("name", list(_JET_FIELDS))
 def test_jet_equals_the_separate_methods(name):
+    """The jet on coordinate arrays is the separate methods' value, gradient
+    components and Hessian entries, bit for bit; each Hessian is symmetric
+    bit for bit, so its entries are read as they are."""
     f = _JET_FIELDS[name]()
     x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(5, 7, 3))
-    value, gradient, hessian = f.jet(x)
+    value, gradient, hessian = f.jet(geo.unstack(x))
+    G, H = f.gradient(x), f.hessian(x)
     np.testing.assert_array_equal(value, f.value(x))
-    np.testing.assert_array_equal(gradient, f.gradient(x))
-    np.testing.assert_array_equal(hessian, f.hessian(x))
-    assert (value.shape, gradient.shape, hessian.shape) == ((5, 7), (5, 7, 3), (5, 7, 3, 3))
+    assert np.array_equal(H, np.swapaxes(H, -1, -2))
+    assert len(gradient) == 3 and len(hessian) == 6
+    for k in range(3):
+        np.testing.assert_array_equal(gradient[k], G[..., k])
+    for (i, j), entry in zip(geo._PAIRS, hessian):
+        np.testing.assert_array_equal(entry, H[..., i, j])
+    assert {np.shape(a) for a in (value, *gradient, *hessian)} == {(5, 7)}
+
+
+def test_jet_symmetrizes_mirror_entries_that_are_distinct_trees():
+    """The torus's H_12 and H_21 are distinct expressions; the jet returns
+    their mean, as ``sym_entries`` of the Hessian does."""
+    f = geo.ExprScalarField("1 - (sqrt(x1^2 + x2^2) - 3)^2 - x3^2", 3)
+    H_trees = f._hessian.flat
+    assert repr(H_trees[1]) != repr(H_trees[3])
+    x = np.random.default_rng(6).uniform(1.0, 4.0, size=(40, 3))
+    _, _, hessian = f.jet(geo.unstack(x))
+    H = f.hessian(x)
+    assert not np.array_equal(H[:, 0, 1], H[:, 1, 0])
+    for a, b in zip(hessian, geo.sym_entries(H)):
+        np.testing.assert_array_equal(a, b)
 
 
 _LIPSCHITZ_FIELDS = {
