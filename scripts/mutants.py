@@ -24,6 +24,7 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BARRIER = "src/mconvex/barrier.py"
 KKT = "tests/test_barrier.py::TestKKTStep::test_matches_lapack"
+TUBE = "tests/test_barrier.py::TestTubeSample::"
 
 
 class Mutant(NamedTuple):
@@ -62,6 +63,25 @@ MUTANTS = (
            " np.inf))",
            "lipschitz(flat.min(axis=0), flat.max(axis=0))",
            ("tests/test_barrier.py::TestTubeExclusion::test_bound_is_read_on_the_widened_box",)),
+    Mutant("epsilon_is_T", BARRIER,
+           "eps = min(K ** -0.5, T)",
+           "eps = T",
+           (TUBE + "test_epsilon_is_K_to_the_minus_half_below_T",)),
+    # theorem3's family i = 2 has a chart whose head clears and whose rest fails
+    Mutant("probe_skips_the_rest", BARRIER,
+           "sigma.project(lattice[TUBE_CHUNK:])",
+           "sigma.project(lattice[:0])",
+           (TUBE + "test_family_bundle_matches_one_batch_sample[2-0.0]",
+            TUBE + "test_family_bundle_matches_one_batch_sample[2-1.0]")),
+    Mutant("probe_reads_another_head", BARRIER,
+           "kappa = head_kappa[i]",
+           "kappa = head_kappa[i - 1]",
+           (TUBE + "test_bundle_matches_one_batch_sample[ball-2-0.0-7]",
+            TUBE + "test_family_bundle_matches_one_batch_sample[2-1.0]")),
+    Mutant("probe_error_not_retried", BARRIER,
+           "        if len(charts) == 1:",
+           "        if True:",
+           (TUBE + "test_probe_error_past_the_kept_chart_is_not_raised",)),
 )
 
 

@@ -177,17 +177,25 @@ class SigmaSurface:
         lam = w_x / np.maximum((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2], 1e-20)
         max_step = 0.25 * self.domain.chart_diameter()
         ok = np.ones(len(pts), dtype=bool)
-        # every point's y, lambda and w's jet at y; each step writes its
-        # running rows back, so a point that stops keeps its last values.  The
-        # jet at x fills them: w is a SumField, whose jet returns new arrays
-        foot = [xi.copy() for xi in start]
-        lam_f, w_f, g_f, h_f = lam, w_x.copy(), g, h
+        # every point's y, lambda and w's jet at y, written once, when the
+        # point stops: it converges, its KKT solve fails or the steps run out.
+        # The first lambda and the jet at x hold their rows until then: w is a
+        # SumField, whose jet returns new arrays
+        foot = [np.empty(len(pts)) for _ in range(3)]
+        lam_f, w_f, g_f, h_f = lam, np.empty(len(pts)), g, h
+
+        def stop(keep=slice(None)):
+            # the running rows ``keep`` of idx stop here
+            for out, values in zip((*foot, lam_f, w_f, *g_f, *h_f), (*y, lam, w, *g, *h)):
+                out[idx[keep]] = values[keep]
+
         idx, x0, y, w = np.arange(len(pts)), start, start, w_x
         for _ in range(60):
             r_y = [yi - xi + lam * gi for yi, xi, gi in zip(y, x0, g)]
             r0, r1, r2 = r_y
             moving = np.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + w * w) > 1e-12
             if not np.all(moving):
+                stop(~moving)
                 idx, w, lam = idx[moving], w[moving], lam[moving]
                 x0, y, r_y, g, h = ([a[moving] for a in arrays] for arrays in (x0, y, r_y, g, h))
             if len(idx) == 0:
@@ -195,6 +203,7 @@ class SigmaSurface:
             s_y, s_lam, solved = _kkt_step(lam, h, g, r_y, w)
             if not np.all(solved):
                 ok[idx[~solved]] = False
+                stop(~solved)
                 idx, lam, s_lam = idx[solved], lam[solved], s_lam[solved]
                 x0, y, s_y = ([a[solved] for a in arrays] for arrays in (x0, y, s_y))
             # damp overlong steps; keeps far-away starts from exploding
@@ -204,8 +213,8 @@ class SigmaSurface:
             y = [yi - si * scale for yi, si in zip(y, s_y)]
             lam = lam - s_lam * scale
             w, g, h = self.w.jet(y)
-            for rows, values in zip((*foot, lam_f, w_f, *g_f, *h_f), (*y, lam, w, *g, *h)):
-                rows[idx] = values
+        else:
+            stop()
         a0, a1, a2 = (fi - xi + lam_f * gi for fi, xi, gi in zip(foot, start, g_f))
         ok = ok & (np.abs(w_f) <= FOOT_TOLERANCE) & (np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) <= 1e-7)
         ok = ok & np.isfinite(foot[0]) & np.isfinite(foot[1]) & np.isfinite(foot[2])
@@ -331,8 +340,8 @@ class BarrierBundle:
     ``tube_ksum_min`` is the least kappa_1 + ... + kappa_m of Sigma at the
     feet of that chart's lattice (``tube_curvatures``): the least sum on each
     normal segment, which is at its foot.  A chart is kept only once every
-    foot is evaluated; the charts rejected before it stopped at their first
-    failing chunk.
+    foot is evaluated; each chart rejected before it stopped at its probe
+    head or after its whole lattice.
     """
 
     domain: Domain
@@ -351,53 +360,90 @@ class BarrierBundle:
 
 
 TUBE_LATTICE = 12  # cells per chart axis whose centres tube_curvatures projects
-TUBE_CHUNK = 32    # points in the first chunk tube_curvatures evaluates
+TUBE_CHUNK = 32    # points of each chart's lattice in its probe head
+TUBE_PROBE = 4     # shrink-loop charts whose heads one probe projects
 GRID_CHUNK = 32768  # flat grid indices per verify_barrier task
 
 
-def tube_curvatures(sigma, chart, clears):
-    """Sigma's principal curvatures at the feet of a fixed chart lattice.
+def _ordered_lattices(sigma, charts):
+    """The fixed lattice of each chart, shape ``(len(charts), L, n)``: the
+    TUBE_LATTICE^n cell centres, the 2^n corners and p, nearest Sigma first.
 
-    The lattice is the TUBE_LATTICE^n cell centres of the chart, its 2^n
-    corners and p.  Each point is projected onto Sigma; feet just outside the
-    chart are kept, since the verification grid reaches them through the
-    tube.  Returns the ascending curvatures kappa_i at every foot, in metric
-    units: the curvatures at t = 0 of the normal segments, from which
-    ``build_barrier`` bounds the whole segment.
-
-    The points go in chunks of doubling size (32, 64, ...), nearest Sigma
-    first: in layers a quarter of the chart wide by the first-order distance
-    |w| / |grad w|, and in C order within a layer.  A point near Sigma takes
-    few Newton steps, and a layer in C order starts on a chart face, far from
-    p, where a chart that fails has its failing feet.  As soon as ``clears``
-    is False on a chunk's curvature lists the call returns None.  "No feet"
-    is raised only once the whole lattice has none.
+    The order is by layers a quarter of the chart wide in the first-order
+    distance |w| / |grad w|, from one ``w.jet`` over every chart's lattice,
+    and in C order within a layer.  A point near Sigma takes few Newton
+    steps, and a layer in C order starts on a chart face, far from p, where a
+    chart that fails has its failing feet.
     """
     p = sigma.p
-    lo, hi = chart[:, 0], chart[:, 1]
-    n = len(lo)
+    n = len(p)
     cells = (np.indices((TUBE_LATTICE,) * n).reshape(n, -1).T + 0.5) / TUBE_LATTICE
-    corners = np.stack(np.meshgrid(*chart, indexing="ij"), axis=-1).reshape(-1, n)
-    pts = np.concatenate([lo + (hi - lo) * cells, corners, p[None, :]])
-    slope = np.linalg.norm(sigma.w.gradient(pts), axis=-1)
+    lattices = np.stack([
+        np.concatenate([chart[:, 0] + (chart[:, 1] - chart[:, 0]) * cells,
+                        np.stack(np.meshgrid(*chart, indexing="ij"), axis=-1).reshape(-1, n),
+                        p[None, :]])
+        for chart in charts])
+    value, (g0, g1, g2), _ = sigma.w.jet(tuple(np.ascontiguousarray(lattices.reshape(-1, n).T)))
+    slope = np.sqrt(g0 * g0 + g1 * g1 + g2 * g2).reshape(len(charts), -1)
+    width = np.min(charts[:, :, 1] - charts[:, :, 0], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        layer = np.floor(4.0 * np.abs(sigma.w.value(pts)) / (slope * np.min(hi - lo)))
-    pts = pts[np.argsort(layer, kind="stable")]
-    kept = []
-    start, size = 0, TUBE_CHUNK
-    while start < len(pts):
-        proj = sigma.project(pts[start:start + size])
-        start, size = start + size, 2 * size
-        ok = proj.ok
-        if not np.any(ok):
+        layer = np.floor(4.0 * np.abs(value.reshape(slope.shape)) / (slope * width[:, None]))
+    order = np.argsort(layer, axis=-1, kind="stable")
+    return np.take_along_axis(lattices, order[..., None], axis=1)
+
+
+def _foot_kappa(sigma, proj):
+    """Sigma's ascending curvatures, in metric units, at the accepted feet of
+    a ``Projection`` of a flat batch, in the batch's order."""
+    ok = proj.ok
+    return sigma_shape([a[ok] for a in proj.grad], [a[ok] for a in proj.hess]).kappa / sigma.c
+
+
+def tube_curvatures(sigma, charts, clears):
+    """The first of ``charts`` whose lattice clears, as ``(index, kappa)``,
+    or None when none does.
+
+    ``kappa`` holds Sigma's ascending principal curvatures, in metric units,
+    at every foot of the chart's lattice (``_ordered_lattices``): the
+    curvatures at t = 0 of the normal segments, from which ``build_barrier``
+    bounds the whole segment.  Feet just outside the chart are kept, since
+    the verification grid reaches them through the tube.
+
+    One probe projects the heads of all the charts, the first TUBE_CHUNK
+    points of each lattice, in one ``project`` call.  The charts are then
+    taken in order: one whose head has a curvature list on which ``clears``
+    is False is skipped, and the first other one has the rest of its lattice
+    projected in one call; it is returned if ``clears`` holds on all of its
+    feet.  "No feet" is raised once a whole lattice has none.  Each foot
+    depends on its own point alone, so this gives what projecting the
+    charts one whole lattice at a time would; only a ``GeometryError`` of
+    the probe is batch-wide, and then the charts are probed one at a time,
+    so no chart past the one returned can make the call fail.
+    """
+    try:
+        lattices = _ordered_lattices(sigma, charts)
+        heads = sigma.project(lattices[:, :TUBE_CHUNK].reshape(-1, lattices.shape[-1]))
+        feet = np.count_nonzero(heads.ok.reshape(len(charts), -1), axis=-1)
+        head_kappa = np.split(_foot_kappa(sigma, heads), np.cumsum(feet)[:-1])
+    except GeometryError:
+        if len(charts) == 1:
+            raise
+        # the error may come from a chart that the charts before it make moot
+        for i, chart in enumerate(charts):
+            found = tube_curvatures(sigma, chart[None], clears)
+            if found is not None:
+                return i, found[1]
+        return None
+    for i, lattice in enumerate(lattices):
+        kappa = head_kappa[i]
+        if len(kappa) and not clears(kappa):
             continue
-        kappa = sigma_shape([a[ok] for a in proj.grad], [a[ok] for a in proj.hess]).kappa / sigma.c
-        if not clears(kappa):
-            return None
-        kept.append(kappa)
-    if not kept:
-        raise TubeError("no Sigma feet found inside the chart")
-    return np.concatenate(kept)
+        kappa = np.concatenate([kappa, _foot_kappa(sigma, sigma.project(lattice[TUBE_CHUNK:]))])
+        if not len(kappa):
+            raise TubeError("no Sigma feet found inside the chart")
+        if clears(kappa):
+            return i, kappa
+    return None
 
 
 def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
@@ -413,8 +459,12 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     and is shrunk by 0.7 until every foot of its lattice (``tube_curvatures``)
     has kappa_1 + ... + kappa_m above eta (with 2% of the slack at p to
     spare), mirroring the "sufficiently small ball around p" step of the
-    underlying construction.  A chart is rejected at the first chunk of its
-    lattice with a sum that is not above that goal (a NaN sum included).
+    underlying construction.  A sum that is not above that goal (a NaN sum
+    included) rejects its chart.  The 18 shrunken charts go to
+    ``tube_curvatures`` TUBE_PROBE at a time, and the first that clears is
+    kept; a build with no slack to shrink for (kappa_1 + ... + kappa_m at p
+    not above eta, which only ``enforce_hypothesis=False`` lets through)
+    keeps its first chart and probes no other.
     Along the normal segment from a foot, k_i(t) = kappa_i / (1 - t kappa_i)
     rises with t (Gray, *Tubes*), so the least sum is at the foot: that is
     ``tube_ksum_min``.  The largest |k_i| is at t = 0 or at t = T, with T
@@ -446,12 +496,16 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
         # a NaN sum does not clear its chart, so it shrinks the chart too
         return not shrinkable or np.min(np.sum(kappa[..., :m], axis=-1)) > goal
 
-    for _ in range(18):
-        chart = np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1)
-        kappa = tube_curvatures(sigma, chart, clears)
-        if kappa is not None:
-            break
+    charts = []
+    for _ in range(18 if shrinkable else 1):
+        charts.append(np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1))
         w *= 0.7
+    charts = np.stack(charts)
+    for start in range(0, len(charts), TUBE_PROBE):
+        found = tube_curvatures(sigma, charts[start:start + TUBE_PROBE], clears)
+        if found is not None:
+            chart, kappa = charts[start + found[0]], found[1]
+            break
     else:
         raise TubeError("tube radius collapsed before the convexity inequality held")
 

@@ -935,19 +935,28 @@ def _family_domain(i):
     return geo.Domain(hz.metric_family(i), ball.u0, ball.chart)
 
 
-class TestTubeSample:
-    """A rejected chart stops at its first failing chunk; every bundle stays
-    bitwise the one the one-batch lattice gives, and its K and
-    ``tube_ksum_min`` hold on every normal segment of the kept chart."""
+# (log2 TUBE_CHUNK, TUBE_PROBE): each head size at the default probe, then at
+# one chart and at all 18 charts per probe
+_SPLITS = ([pytest.param(c, bar.TUBE_PROBE, id=str(c)) for c in (0, 1, 7)]
+           + [pytest.param(c, probe, id=f"{c}-probe{probe}") for probe in (1, 18)
+              for c in (0, 1, 7)])
 
-    @pytest.mark.parametrize("chunk_log2", [0, 1, 7])
+
+class TestTubeSample:
+    """A rejected chart stops at its probe head or after its whole lattice;
+    every bundle stays bitwise the one the one-batch lattice gives, and its K
+    and ``tube_ksum_min`` hold on every normal segment of the kept chart."""
+
+    @pytest.mark.parametrize("chunk_log2, probe", _SPLITS)
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("name", list(_SAMPLE_DOMAINS))
-    def test_bundle_matches_one_batch_sample(self, name, m, h, chunk_log2, monkeypatch):
-        # the early stop must not depend on how the lattice is chunked: first
-        # chunks of 1, 2 and 128 points
+    def test_bundle_matches_one_batch_sample(self, name, m, h, chunk_log2, probe, monkeypatch):
+        # the early stop must not depend on how the lattice is split: heads
+        # of 1, 2 and 128 points, and probes of one chart, TUBE_PROBE charts
+        # or all 18 of the shrink loop
         monkeypatch.setattr(bar, "TUBE_CHUNK", 2 ** chunk_log2)
+        monkeypatch.setattr(bar, "TUBE_PROBE", probe)
         dom, p = _SAMPLE_DOMAINS[name]
         _assert_same_bundle(dom, np.array(p), m, h)
 
@@ -1004,7 +1013,8 @@ class TestTubeSample:
         _, _, ksum_min, chart = _assert_same_bundle(dom, p, 2, 0.0)
         assert np.isfinite(ksum_min) and np.all(chart[:, 1] - chart[:, 0] < 0.24)
 
-    def test_rejected_charts_project_a_prefix(self, ball_domain, north_pole, monkeypatch):
+    @staticmethod
+    def _count_projections(monkeypatch):
         seen = []
         project = bar.SigmaSurface.project
 
@@ -1013,10 +1023,60 @@ class TestTubeSample:
             return project(sigma, x, **kw)
 
         monkeypatch.setattr(bar.SigmaSurface, "project", counting)
-        bar.build_barrier(ball_domain, north_pole, m=2)
+        return seen
+
+    def test_rejected_charts_project_a_prefix(self, ball_domain, north_pole, monkeypatch):
+        chart = _one_batch_bundle(ball_domain, north_pole, 2, 0.0)[3]
+        seen = self._count_projections(monkeypatch)
+        b = bar.build_barrier(ball_domain, north_pole, m=2)
         n_lattice = bar.TUBE_LATTICE ** 3 + 2 ** 3 + 1
-        # four charts, three rejected: the one-batch lattice projects 4 x 1737
-        assert n_lattice <= sum(seen) < 2 * n_lattice
+        # four charts, three rejected at their heads: one probe of the four
+        # heads, then the rest of the fourth chart's lattice; the one-batch
+        # lattice projects 4 x 1737 points
+        assert np.array_equal(b.chart, chart)
+        assert seen == [bar.TUBE_PROBE * bar.TUBE_CHUNK, n_lattice - bar.TUBE_CHUNK]
+
+    def test_unshrinkable_build_projects_one_lattice(self, monkeypatch):
+        """The halfspace control has no slack to shrink for: its first chart
+        is kept, and only its lattice is projected."""
+        seen = self._count_projections(monkeypatch)
+        bar.build_barrier(geo.domain_halfspace(), np.zeros(3), m=2, enforce_hypothesis=False)
+        assert sum(seen) == bar.TUBE_LATTICE ** 3 + 2 ** 3 + 1
+
+    def test_probe_error_past_the_kept_chart_is_not_raised(self, ball_domain, north_pole,
+                                                           monkeypatch):
+        """A probe over all 18 charts that raises for the smallest ones (as
+        ``DistanceField.jet`` does for a whole batch) is retried a chart at a
+        time, so the build still keeps the fourth chart."""
+        K, eps, ksum_min, chart = _one_batch_bundle(ball_domain, north_pole, 2, 0.0)
+        # the lattices of the charts 10 or more shrinks past the kept one lie
+        # within this of p; the kept chart's lattice and Newton iterates do not
+        reach = 0.7 ** 10 * 0.5 * np.min(chart[:, 1] - chart[:, 0])
+        raised = []
+        project = bar.SigmaSurface.project
+
+        def refusing(sigma, x, **kw):
+            gap = np.max(np.abs(np.asarray(x) - sigma.p), axis=-1)
+            if np.any((gap > 0.0) & (gap <= reach)):
+                raised.append(len(x))
+                raise geo.VanishingGradientError("a point of a chart past the kept one")
+            return project(sigma, x, **kw)
+
+        monkeypatch.setattr(bar, "TUBE_PROBE", 18)
+        monkeypatch.setattr(bar.SigmaSurface, "project", refusing)
+        b = bar.build_barrier(ball_domain, north_pole, m=2, enforce_hypothesis=False)
+        assert raised == [18 * bar.TUBE_CHUNK]
+        for got, want in zip((b.K, b.epsilon, b.tube_ksum_min, b.chart),
+                             (K, eps, ksum_min, chart)):
+            assert np.array_equal(got, want)
+
+    def test_epsilon_is_K_to_the_minus_half_below_T(self):
+        """epsilon = min(K^{-1/2}, T): on the torus at m = 1 K^{-1/2} < T,
+        and epsilon is K^{-1/2}, so epsilon^{-2} >= K holds."""
+        dom = geo.domain_levelset("1 - (sqrt(x1^2 + x2^2) - 3)^2 - x3^2", [[-4.5, 4.5]] * 3)
+        b = bar.build_barrier(dom, np.array([2.0, 0.0, 0.0]), 1, enforce_hypothesis=False)
+        assert b.K ** -0.5 < _segment_end(b.sigma, b.chart)
+        assert b.epsilon == b.K ** -0.5
 
     def test_no_feet_raised_after_the_whole_sample(self, ball_domain, north_pole,
                                                    monkeypatch):
@@ -1034,7 +1094,7 @@ class TestTubeSample:
         sigma = bar.SigmaSurface(ball_domain, north_pole)
         chart = np.stack([north_pole - 0.1, north_pole + 0.1], axis=-1)
         with pytest.raises(bar.TubeError, match="no Sigma feet"):
-            bar.tube_curvatures(sigma, chart, lambda kappa: False)
+            bar.tube_curvatures(sigma, chart[None], lambda kappa: False)
         assert sum(seen) == bar.TUBE_LATTICE ** 3 + 2 ** 3 + 1
 
 
