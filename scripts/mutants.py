@@ -23,8 +23,10 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BARRIER = "src/mconvex/barrier.py"
+GEOMETRY = "src/mconvex/geometry.py"
 KKT = "tests/test_barrier.py::TestKKTStep::test_matches_lapack"
 TUBE = "tests/test_barrier.py::TestTubeSample::"
+JET = "tests/test_geometry.py::test_jet_equals_the_separate_methods"
 
 
 class Mutant(NamedTuple):
@@ -82,6 +84,19 @@ MUTANTS = (
            "        if len(charts) == 1:",
            "        if True:",
            (TUBE + "test_probe_error_past_the_kept_chart_is_not_raised",)),
+    Mutant("focal_point_not_refused", BARRIER,
+           "    if np.any(denom <= 0.0):",
+           "    if False:",
+           (TUBE + "test_K_bounds_every_segment_or_the_build_is_refused[10.0-None]",)),
+    # the jets' derivatives are checked against central differences
+    Mutant("quartic_jet_hessian", GEOMETRY,
+           "8.0 * (gd[i] * gd[j])",
+           "4.0 * (gd[i] * gd[j])",
+           (JET + "[quartic]", JET + "[sum]")),
+    Mutant("distance_jet_hessian", GEOMETRY,
+           "-((self.mask[i] if i == j else 0.0) - u[i] * u[j]) / r",
+           "-(0.0 - u[i] * u[j]) / r",
+           (JET + "[sphere]", JET + "[cylinder]", JET + "[sum]")),
 )
 
 

@@ -468,8 +468,9 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     Along the normal segment from a foot, k_i(t) = kappa_i / (1 - t kappa_i)
     rises with t (Gray, *Tubes*), so the least sum is at the foot: that is
     ``tube_ksum_min``.  The largest |k_i| is at t = 0 or at t = T, with T
-    half the metric distance from p to the chart faces, and 1 - T kappa_i
-    clipped at 0.1; K is 1.25 times the larger.  epsilon is then
+    half the metric distance from p to the chart faces; K is 1.25 times the
+    larger.  A segment with 1 - T kappa_i <= 0 reaches a focal point, where
+    no K bounds k_i, and the build is refused with TubeError.  epsilon is then
     min(K^{-1/2}, T), so the segments cover the tube.
     """
     p = np.asarray(p, dtype=float)
@@ -511,7 +512,10 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
 
     T = 0.5 * sigma.c * float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
     ksum_min = float(np.min(np.sum(kappa[..., :m], axis=-1)))
-    k_end = kappa / np.maximum(1.0 - T * kappa, 0.1)
+    denom = 1.0 - T * kappa
+    if np.any(denom <= 0.0):
+        raise TubeError("a normal segment of length T reaches a focal point of Sigma")
+    k_end = kappa / denom
     K = 1.25 * float(np.max(np.abs([kappa, k_end])))
     if not 0 < K <= 1e4:
         raise TubeError(f"no usable curvature bound: K = {K:.3g}")

@@ -4,7 +4,8 @@ Everything is evaluated pointwise and batched: points are arrays of shape
 ``(..., n)`` and all operations broadcast over the leading axes.  Scalar and
 vector fields expose exact first and second derivatives, either symbolically
 (expression-backed fields) or in closed form (built-in distance fields), so
-curvature computations carry no finite-difference noise.
+curvature computations carry no finite-difference noise; a scalar field
+computes them in one place, its ``jet``.
 
 Sign conventions: a boundary-defining function ``u0`` is nonnegative inside
 the domain, its metric gradient is the inward normal, and the shape operator
@@ -72,7 +73,9 @@ def symmetric_matrix(entries):
 
 
 class ScalarField:
-    """Scalar function on the chart with first and second derivatives."""
+    """Scalar function on the chart.  ``value`` is its cheap path; every
+    derivative comes from ``jet``, which ``gradient`` and ``hessian`` only
+    repack."""
 
     n: int
 
@@ -84,25 +87,24 @@ class ScalarField:
     def value(self, x):
         raise NotImplementedError
 
-    def gradient(self, x):
-        """Coordinate partials, shape ``(..., n)``."""
-        raise NotImplementedError
-
-    def hessian(self, x):
-        """Coordinate second partials, shape ``(..., n, n)``."""
-        raise NotImplementedError
-
     def jet(self, y):
         """Value, gradient and Hessian on R^3 at the points with coordinate
         arrays ``y = (y1, y2, y3)``: ``(value, (d_1, d_2, d_3), (H_11, H_22,
         H_33, H_12, H_13, H_23))``, each array of the batch shape, with the
         Hessian's six entries in ``_PAIRS`` order.  The entries are those of
         sym(Hess) = (Hess + Hess^T) / 2, so they are symmetric by contract.
-        This default packs ``value``, ``gradient`` and ``hessian``; fields
-        whose outputs share work override it to compute them once on the
-        coordinate arrays, with results equal to the packed ones bit for bit."""
-        x = np.stack(y, axis=-1)
-        return self.value(x), unstack(self.gradient(x)), sym_entries(self.hessian(x))
+        This is the field's one derivative code; its value equals
+        ``value``'s bit for bit."""
+        raise NotImplementedError
+
+    def gradient(self, x):
+        """Coordinate partials, shape ``(..., 3)``: the jet's, stacked."""
+        return np.stack(self.jet(unstack(x))[1], axis=-1)
+
+    def hessian(self, x):
+        """Coordinate second partials, shape ``(..., 3, 3)``: the jet's
+        entries as symmetric matrices."""
+        return symmetric_matrix(self.jet(unstack(x))[2])
 
 
 class ExprArray:
@@ -152,22 +154,21 @@ class ExprScalarField(ScalarField):
     def __init__(self, expr, n):
         self.n = n
         self._value = ExprArray(expr, n)
-        self._gradient = self._value.diff()
-        self._hessian = self._gradient.diff()
         self.expr = self._value.flat[0]
-        if n == 3:
-            # the jet's expressions: the value, the partials and, for each
-            # pair of _PAIRS, H_ij and H_ji, which are evaluated together once
-            H = self._hessian.flat
-            self._jet = ExprArray([self.expr] + self._gradient.flat
-                                  + [H[3 * i + j] for i, j in _PAIRS]
-                                  + [H[3 * j + i] for i, j in _PAIRS], 3)
+        partials = self._value.diff()
+        self._partials = partials.flat
+        # the jet's expressions: the value, the partials and, for each pair
+        # of _PAIRS, H_ij and H_ji, which are evaluated together once
+        H = partials.diff().flat
+        self._jet = ExprArray([self.expr] + partials.flat
+                              + [H[3 * i + j] for i, j in _PAIRS]
+                              + [H[3 * j + i] for i, j in _PAIRS], n)
 
     def lipschitz(self, lo, hi):
         """|grad| bounded on the box through an enclosure of each partial
         (``Expression.interval_at``); None where one has no finite enclosure."""
         bounds = []
-        for partial in self._gradient.flat:
+        for partial in self._partials:
             p_lo, p_hi = partial.interval_at(lo, hi)
             bounds.append(np.maximum(-p_lo, p_hi))  # a NaN end stays NaN
         if not np.all(np.isfinite(bounds)):
@@ -177,12 +178,6 @@ class ExprScalarField(ScalarField):
 
     def value(self, x):
         return self._value.eval_at(x)
-
-    def gradient(self, x):
-        return self._gradient.eval_at(x)
-
-    def hessian(self, x):
-        return self._hessian.eval_at(x)
 
     def jet(self, y):
         values = self._jet.eval_coords(y)
@@ -209,14 +204,6 @@ class LinearField(ScalarField):
     def value(self, x):
         return self._value(unstack(x))
 
-    def gradient(self, x):
-        x = np.asarray(x)
-        return np.broadcast_to(self.a, x.shape).copy()
-
-    def hessian(self, x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (self.n, self.n))
-
     def jet(self, y):
         shape = np.shape(y[0])
         return (self._value(y), tuple(np.full(shape, ai) for ai in self.a),
@@ -238,29 +225,12 @@ class DistanceField(ScalarField):
     def lipschitz(self, lo, hi):
         return 1.0
 
-    def _r(self, x, need_derivatives=False):
-        d = (np.asarray(x, dtype=float) - self.center) * self.mask
-        r = np.linalg.norm(d, axis=-1)
-        if need_derivatives and np.any(r < 1e-14):
-            raise VanishingGradientError("distance field differentiated on its center set")
-        return d, r
-
     def value(self, x):
-        _, r = self._r(x)
-        return self.radius - r
-
-    def gradient(self, x):
-        d, r = self._r(x, need_derivatives=True)
-        return -d / r[..., None]
-
-    def hessian(self, x):
-        d, r = self._r(x, need_derivatives=True)
-        u = d / r[..., None]
-        proj = np.diag(self.mask) - u[..., :, None] * u[..., None, :]
-        return -proj / r[..., None, None]
+        d = (np.asarray(x, dtype=float) - self.center) * self.mask
+        return self.radius - np.linalg.norm(d, axis=-1)
 
     def jet(self, y):
-        # the arithmetic of _r, gradient and hessian, on the coordinate arrays
+        # value has no singularity; the derivatives have one on the center set
         d = [(yi - ci) * mi for yi, ci, mi in zip(y, self.center, self.mask)]
         r = np.sqrt(sum(di * di for di in d))
         if np.any(r < 1e-14):
@@ -272,8 +242,8 @@ class DistanceField(ScalarField):
 
 class QuarticGapField(ScalarField):
     """((x-p)^T G (x-p))^2 on R^3, the fourth power of the G-norm distance to
-    p.  The value, gradient and Hessian are the jet's, which takes all of
-    them from one contraction s = d^T (G d), d = x - p."""
+    p.  The value is the jet's, which takes it and the derivatives from one
+    contraction s = d^T (G d), d = x - p."""
 
     def __init__(self, p, gram):
         self.p = np.asarray(p, dtype=float)
@@ -282,12 +252,6 @@ class QuarticGapField(ScalarField):
 
     def value(self, x):
         return self.jet(unstack(x))[0]
-
-    def gradient(self, x):
-        return np.stack(self.jet(unstack(x))[1], axis=-1)
-
-    def hessian(self, x):
-        return symmetric_matrix(self.jet(unstack(x))[2])
 
     def jet(self, y):
         d = [yi - pi for yi, pi in zip(y, self.p)]
@@ -306,11 +270,8 @@ class SumField(ScalarField):
     def value(self, x):
         return sum(f.value(x) for f in self.fields)
 
-    def gradient(self, x):
-        return sum(f.gradient(x) for f in self.fields)
-
-    def hessian(self, x):
-        return sum(f.hessian(x) for f in self.fields)
+    # bench/tracer.py wraps the entry in this class's own namespace
+    hessian = ScalarField.hessian
 
     def jet(self, y):
         values, grads, hessians = zip(*(f.jet(y) for f in self.fields))
@@ -553,11 +514,11 @@ def levelset_shape(f, x, metric):
     if metric.n != 3:
         raise GeometryError("level-set curvatures need a metric on R^3")
     x = np.asarray(x, dtype=float)
-    df = f.gradient(x)
-    H = f.hessian(x)
+    _, g, h = f.jet(unstack(x))
     c = metric.constant_factor()
     if c is not None:
-        return sigma_shape(unstack(df), sym_entries(H)).kappa / c
+        return sigma_shape(g, h).kappa / c
+    df, H = np.stack(g, axis=-1), symmetric_matrix(h)
     gam = christoffel(metric, x)  # raises MetricError where g is not SPD
     Hc = H - np.einsum("...kij,...k->...ij", gam, df)
     Li = np.linalg.inv(np.linalg.cholesky(metric.matrix(x)))

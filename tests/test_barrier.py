@@ -141,17 +141,14 @@ class _VanishingAt(geo.ScalarField):
     def __init__(self, w, q):
         self.w, self.q, self.n = w, np.asarray(q, dtype=float), w.n
 
-    def _at_q(self, x):
-        return np.all(np.asarray(x) == self.q, axis=-1)
-
     def value(self, x):
         return self.w.value(x)
 
-    def gradient(self, x):
-        return np.where(self._at_q(x)[..., None], 0.0, self.w.gradient(x))
-
-    def hessian(self, x):
-        return np.where(self._at_q(x)[..., None, None], 0.0, self.w.hessian(x))
+    def jet(self, y):
+        value, grad, hess = self.w.jet(y)
+        at_q = np.all([yi == qi for yi, qi in zip(y, self.q)], axis=0)
+        return (value, tuple(np.where(at_q, 0.0, a) for a in grad),
+                tuple(np.where(at_q, 0.0, a) for a in hess))
 
 
 class TestProjection:
@@ -906,7 +903,10 @@ def _one_batch_bundle(domain, p, m, h):
     else:
         raise bar.TubeError("tube radius collapsed")
     T = _segment_end(sigma, chart)
-    k_end = kappa / np.maximum(1.0 - T * kappa, 0.1)
+    denom = 1.0 - T * kappa
+    if np.any(denom <= 0.0):
+        raise bar.TubeError("focal point")
+    k_end = kappa / denom
     K = 1.25 * max(float(np.max(np.abs(kappa))), float(np.max(np.abs(k_end))))
     return K, min(K ** -0.5, T), ksum_min, chart
 
@@ -1077,6 +1077,25 @@ class TestTubeSample:
         b = bar.build_barrier(dom, np.array([2.0, 0.0, 0.0]), 1, enforce_hypothesis=False)
         assert b.K ** -0.5 < _segment_end(b.sigma, b.chart)
         assert b.epsilon == b.K ** -0.5
+
+    @pytest.mark.parametrize("kappa, K",
+                             [(1.0, 1.25 * (1.0 / 0.8125)), (5.0, 100.0), (10.0, None)])
+    def test_K_bounds_every_segment_or_the_build_is_refused(self, ball_domain, north_pole,
+                                                            monkeypatch, kappa, K):
+        """On ball:1's first chart T = 0.1875.  K is 1.25 max |kappa / (1 -
+        T kappa)| while 1 - T kappa > 0 (0.8125 and 0.0625 here); at kappa =
+        10 it is -0.875, the segment reaches a focal point, and the build is
+        refused where a clip of 1 - T kappa at 0.1 gave K = 125."""
+        def curvatures(sigma, charts, clears):
+            assert _segment_end(sigma, charts[0]) == 0.1875
+            return 0, np.full((1, 2), kappa)
+
+        monkeypatch.setattr(bar, "tube_curvatures", curvatures)
+        if K is None:
+            with pytest.raises(bar.TubeError, match="focal point"):
+                bar.build_barrier(ball_domain, north_pole, m=2)
+        else:
+            assert bar.build_barrier(ball_domain, north_pole, m=2).K == K
 
     def test_no_feet_raised_after_the_whole_sample(self, ball_domain, north_pole,
                                                    monkeypatch):

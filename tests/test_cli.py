@@ -528,15 +528,6 @@ class TestScenarioCommand:
         assert doc["report"] == {"status": "passed"}
         assert called == [("theorem4", 0.0)]
 
-        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py"
-        spec = importlib.util.spec_from_file_location("run_scenarios", path)
-        runner = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(runner)
-        monkeypatch.setattr(sys, "argv", [str(path)])
-        called.clear()
-        assert runner.main() == 0
-        assert called == list(hz.SCENARIO_H.items())
-
 
 class TestOutputContract:
     def test_schema_and_key_order(self, capsys):
