@@ -24,9 +24,14 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BARRIER = "src/mconvex/barrier.py"
 GEOMETRY = "src/mconvex/geometry.py"
+HARNESS = "src/mconvex/harness.py"
+VARIFOLD = "src/mconvex/varifold.py"
 KKT = "tests/test_barrier.py::TestKKTStep::test_matches_lapack"
 TUBE = "tests/test_barrier.py::TestTubeSample::"
 JET = "tests/test_geometry.py::test_jet_equals_the_separate_methods"
+LOWERING = "tests/test_varifold.py::TestCachedLowering::test_cached_lowering_equals_the_direct_formula"
+HAUSDORFF = ("tests/test_harness.py::TestHausdorffOracle::"
+             "test_equals_the_full_norm_matrix_across_blocks")
 
 
 class Mutant(NamedTuple):
@@ -60,10 +65,9 @@ MUTANTS = (
            "clear = denom > 0.0",
            ("tests/test_barrier.py::test_tube_guard_refuses_points_near_the_focal_point",)),
     Mutant("misses_box_not_widened", BARRIER,
-           "lipschitz(np.nextafter(flat.min(axis=0) - radius, -np.inf),\n"
-           "                                         np.nextafter(flat.max(axis=0) + radius,"
-           " np.inf))",
-           "lipschitz(flat.min(axis=0), flat.max(axis=0))",
+           "lipschitz(np.nextafter(lo - radius, -np.inf),\n"
+           "                                         np.nextafter(hi + radius, np.inf))",
+           "lipschitz(lo, hi)",
            ("tests/test_barrier.py::TestTubeExclusion::test_bound_is_read_on_the_widened_box",)),
     Mutant("epsilon_is_T", BARRIER,
            "eps = min(K ** -0.5, T)",
@@ -90,13 +94,33 @@ MUTANTS = (
            (TUBE + "test_K_bounds_every_segment_or_the_build_is_refused[10.0-None]",)),
     # the jets' derivatives are checked against central differences
     Mutant("quartic_jet_hessian", GEOMETRY,
-           "8.0 * (gd[i] * gd[j])",
-           "4.0 * (gd[i] * gd[j])",
+           "t * self.gram[i, j] + 8.0 * (gd[i] * gd[j])",
+           "t * self.gram[i, j] + 4.0 * (gd[i] * gd[j])",
            (JET + "[quartic]", JET + "[sum]")),
     Mutant("distance_jet_hessian", GEOMETRY,
            "-((self.mask[i] if i == j else 0.0) - u[i] * u[j]) / r",
            "-(0.0 - u[i] * u[j]) / r",
            (JET + "[sphere]", JET + "[cylinder]", JET + "[sum]")),
+    Mutant("quartic_isotropic_signed_zero", GEOMETRY,
+           "else 8.0 * (gd[i] * gd[j]) + 0.0 for i, j in _PAIRS)",
+           "else 8.0 * (gd[i] * gd[j]) for i, j in _PAIRS)",
+           tuple(f"tests/test_geometry.py::"
+                 f"test_isotropic_quartic_matches_the_full_sums_bit_for_bit[{g}]"
+                 for g in (1.0, 0.25, 1.25))),
+    # the scenario shortcuts are checked bit for bit against their direct forms
+    Mutant("lowering_frames_not_scaled", VARIFOLD,
+           "np.repeat(mesh.euclidean_frames / c, Q, axis=0)",
+           "np.repeat(mesh.euclidean_frames, Q, axis=0)",
+           (LOWERING + "[half]", LOWERING + "[sqrt1.25]")),
+    Mutant("bounded_mc_sums_reached_atoms", VARIFOLD,
+           "dv = float(np.sum(V.weights * terms))",
+           "dv = float(np.sum(V.weights[reached] * terms[reached]))",
+           ("tests/test_varifold.py::TestMinimizingChecks::"
+            "test_bounded_mc_on_a_partly_reached_cap_equals_the_all_atoms_sum",)),
+    Mutant("hausdorff_min_wrong_axis", HARNESS,
+           "np.max(np.min(d2, axis=1))",
+           "np.max(np.min(d2, axis=0))",
+           tuple(f"{HAUSDORFF}[{rows}-{n}]" for rows in (1, 7, 64) for n in (2, 3, 4))),
 )
 
 
@@ -145,11 +169,11 @@ def main():
             apply(src, mutant)
             code, failed = run_tests(src, mutant.tests)
         if code not in (0, 1):
-            print(f"{mutant.name:24s} pytest exit {code}")
+            print(f"{mutant.name:30s} pytest exit {code}")
             return 2
         killed = code == 1 and failed == set(mutant.tests)
         survivors += not killed
-        print(f"{mutant.name:24s} {'killed' if killed else 'SURVIVED'}"
+        print(f"{mutant.name:30s} {'killed' if killed else 'SURVIVED'}"
               + ("" if killed else f" (failed: {sorted(failed)})"))
     return 1 if survivors else 0
 

@@ -41,7 +41,7 @@ def main():
         vf.write_svmesh(final, args.out_mesh)
 
     bundle = bar.build_barrier(domain, p, m=2)
-    ex = hz.exclusion(vf.varifold_from_mesh(final, domain.metric), final, bundle)
+    ex = hz.exclusion(final, bundle)
     print(f"converged={report.converged} iterations={report.iterations} "
           f"residual={report.residual:.3e}")
     print(f"final area = {report.final_area:.8f} (flat polygon: "

@@ -111,6 +111,7 @@ class SigmaSurface:
     c: float = field(init=False)
     gram: np.ndarray = field(init=False)
     gram_norm: float = field(init=False)
+    gap: QuarticGapField = field(init=False)
     jet_p: tuple = field(init=False)
 
     def __post_init__(self):
@@ -127,7 +128,8 @@ class SigmaSurface:
         self.gram = np.asarray(self.domain.metric.matrix(self.p), dtype=float)
         # sqrt(lambda_max(G)): the G-length of a euclidean unit vector is at most this
         self.gram_norm = float(np.sqrt(np.max(np.linalg.eigvalsh(self.gram))))
-        self.w = SumField([self.domain.u0, QuarticGapField(self.p, self.gram)])
+        self.gap = QuarticGapField(self.p, self.gram)
+        self.w = SumField([self.domain.u0, self.gap])
         self.jet_p = self.w.jet(unstack(self.p))
 
     def misses(self, x, u0_x, radius):
@@ -145,15 +147,16 @@ class SigmaSurface:
         bound on B, no point is marked.
         """
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
+        y = unstack(x)
         L = None
-        if len(flat):
-            L = self.domain.u0.lipschitz(np.nextafter(flat.min(axis=0) - radius, -np.inf),
-                                         np.nextafter(flat.max(axis=0) + radius, np.inf))
+        if x.size:
+            lo = np.array([yi.min() for yi in y])
+            hi = np.array([yi.max() for yi in y])
+            L = self.domain.u0.lipschitz(np.nextafter(lo - radius, -np.inf),
+                                         np.nextafter(hi + radius, np.inf))
         if L is None:
             return np.zeros(x.shape[:-1], dtype=bool)
-        d = x - self.p
-        dist_g = np.sqrt(np.einsum("...i,ij,...j->...", d, self.gram, d))
+        dist_g = np.sqrt(self.gap.squared_distance(y))
         gap = np.maximum(dist_g - self.gram_norm * radius, 0.0)
         return u0_x - L * radius + gap**4 > FOOT_TOLERANCE
 

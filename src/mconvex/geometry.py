@@ -221,18 +221,25 @@ class DistanceField(ScalarField):
         self.n = self.center.shape[0]
         self.mask = (np.ones(self.n) if axes is None
                      else np.isin(np.arange(self.n), axes).astype(float))
+        self._masked = axes is not None  # a sphere's offsets skip its all-ones mask
 
     def lipschitz(self, lo, hi):
         return 1.0
 
+    def _offsets(self, y):
+        """The masked offsets d = (y - c) * mask and |d|, summed per
+        coordinate in the order ``np.linalg.norm`` does."""
+        d = [yi - ci for yi, ci in zip(y, self.center)]
+        if self._masked:
+            d = [di * mi for di, mi in zip(d, self.mask)]
+        return d, np.sqrt(sum(di * di for di in d))
+
     def value(self, x):
-        d = (np.asarray(x, dtype=float) - self.center) * self.mask
-        return self.radius - np.linalg.norm(d, axis=-1)
+        return self.radius - self._offsets(unstack(x))[1]
 
     def jet(self, y):
         # value has no singularity; the derivatives have one on the center set
-        d = [(yi - ci) * mi for yi, ci, mi in zip(y, self.center, self.mask)]
-        r = np.sqrt(sum(di * di for di in d))
+        d, r = self._offsets(y)
         if np.any(r < 1e-14):
             raise VanishingGradientError("distance field differentiated on its center set")
         u = [di / r for di in d]
@@ -242,24 +249,45 @@ class DistanceField(ScalarField):
 
 class QuarticGapField(ScalarField):
     """((x-p)^T G (x-p))^2 on R^3, the fourth power of the G-norm distance to
-    p.  The value is the jet's, which takes it and the derivatives from one
-    contraction s = d^T (G d), d = x - p."""
+    p.  The value and the derivatives come from one contraction
+    s = d^T (G d), d = x - p, which ``squared_distance`` returns.  Whether
+    G = g I is decided once, at construction; then the zero off-diagonal
+    products are skipped, and adding 0.0 keeps the sign of every zero that
+    the full sums give."""
 
     def __init__(self, p, gram):
         self.p = np.asarray(p, dtype=float)
         self.gram = np.asarray(gram, dtype=float)
         self.n = self.p.shape[0]
+        g = self.gram[0, 0]
+        self.isotropic = float(g) if np.array_equal(self.gram, g * np.eye(self.n)) else None
+
+    def _contract(self, y):
+        d = [yi - pi for yi, pi in zip(y, self.p)]
+        g = self.isotropic
+        if g is None:
+            gd = [sum(gij * dj for gij, dj in zip(row, d)) for row in self.gram]
+        else:
+            gd = [g * di + 0.0 for di in d]
+        return gd, sum(di * gdi for di, gdi in zip(d, gd))
+
+    def squared_distance(self, y):
+        """(y - p)^T G (y - p) at the points with coordinate arrays y."""
+        return self._contract(y)[1]
 
     def value(self, x):
-        return self.jet(unstack(x))[0]
+        s = self.squared_distance(unstack(x))
+        return s * s
 
     def jet(self, y):
-        d = [yi - pi for yi, pi in zip(y, self.p)]
-        gd = [sum(gij * dj for gij, dj in zip(row, d)) for row in self.gram]
-        s = sum(di * gdi for di, gdi in zip(d, gd))
+        gd, s = self._contract(y)
         t = 4.0 * s
-        return (s * s, tuple(t * gdi for gdi in gd),
-                tuple(t * self.gram[i, j] + 8.0 * (gd[i] * gd[j]) for i, j in _PAIRS))
+        if self.isotropic is None:
+            hess = tuple(t * self.gram[i, j] + 8.0 * (gd[i] * gd[j]) for i, j in _PAIRS)
+        else:
+            hess = tuple(t * self.isotropic + 8.0 * (gd[i] * gd[j]) if i == j
+                         else 8.0 * (gd[i] * gd[j]) + 0.0 for i, j in _PAIRS)
+        return s * s, tuple(t * gdi for gdi in gd), hess
 
 
 class SumField(ScalarField):

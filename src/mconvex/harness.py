@@ -37,8 +37,11 @@ class ScenarioError(Exception):
 def hausdorff_distance(A, B):
     """Symmetric Hausdorff distance between two finite point sets.
 
-    The distance matrix is formed in row blocks, so memory stays bounded for
-    large sets.
+    The squared distance matrix is formed in row blocks, so memory stays
+    bounded for large sets, summing the squared coordinate differences in
+    the order ``np.linalg.norm`` does; only the two largest nearest-point
+    distances are square-rooted, which gives the same result, since sqrt is
+    monotone and correctly rounded.
     """
     a = np.atleast_2d(np.asarray(A, float))
     b = np.atleast_2d(np.asarray(B, float))
@@ -46,12 +49,16 @@ def hausdorff_distance(A, B):
         raise ScenarioError("empty point set")
     rows = max(1, _BLOCK_ENTRIES // len(b))
     d_ab = 0.0
-    to_a = np.full(len(b), np.inf)  # distance from each point of b to a
+    to_a = np.full(len(b), np.inf)  # squared distance from each point of b to a
     for start in range(0, len(a), rows):
-        d = np.linalg.norm(a[start:start + rows, None, :] - b[None, :, :], axis=-1)
-        d_ab = max(d_ab, float(np.max(np.min(d, axis=1))))
-        np.minimum(to_a, np.min(d, axis=0), out=to_a)
-    return max(d_ab, float(np.max(to_a)))
+        block = a[start:start + rows]
+        d2 = np.zeros((len(block), len(b)))
+        for a_k, b_k in zip(block.T, b.T):
+            diff = a_k[:, None] - b_k
+            d2 += diff * diff
+        d_ab = max(d_ab, float(np.max(np.min(d2, axis=1))))
+        np.minimum(to_a, np.min(d2, axis=0), out=to_a)
+    return float(np.sqrt(max(d_ab, float(np.max(to_a)))))
 
 
 @dataclass
@@ -134,11 +141,15 @@ def _minimize(mesh, domain):
     return mz.minimize(problem)
 
 
-def exclusion(V, mesh, bundle):
-    """Support distance of V from p, chord tolerance (twice the metric length
-    c * max_edge of the longest edge of the mesh V came from) and exclusion
-    margin, dist - (epsilon - chord_tol); all three in metric units."""
-    dist = vf.support_distance(V.points, bundle.p, bundle.domain.metric)
+def exclusion(mesh, bundle):
+    """Support distance from p of mesh's varifold under the barrier's metric,
+    chord tolerance (twice the metric length c * max_edge of the mesh's
+    longest edge) and exclusion margin, dist - (epsilon - chord_tol); all
+    three in metric units.  The metric is c^2 * euclidean, so the varifold's
+    atoms sit at the mesh's euclidean quadrature points, which are read
+    without building frames."""
+    points, _ = mesh.quadrature(2)
+    dist = vf.support_distance(points, bundle.p, bundle.domain.metric)
     chord_tol = bundle.sigma.c * 2.0 * mesh.max_edge_length()
     return {
         "support_distance": float(dist),
@@ -151,16 +162,14 @@ def exclusion(V, mesh, bundle):
 def _minimize_and_exclude(mesh, bundle):
     """Minimize mesh under the barrier's metric; returns (mesh, report, exclusion)."""
     final, report = _minimize(mesh, bundle.domain)
-    V = vf.varifold_from_mesh(final, bundle.domain.metric)
-    return final, report, exclusion(V, final, bundle)
+    return final, report, exclusion(final, bundle)
 
 
 def _bounded_mc_and_exclude(mesh, bundle, h):
     """check_bounded_mc of mesh against the barrier field; returns (check, exclusion)."""
     metric = bundle.domain.metric
-    V = vf.varifold_from_mesh(mesh, metric)
-    mc = vf.check_bounded_mc(V, bundle.field(), h, metric)
-    return mc, exclusion(V, mesh, bundle)
+    mc = vf.check_bounded_mc(vf.varifold_from_mesh(mesh, metric), bundle.field(), h, metric)
+    return mc, exclusion(mesh, bundle)
 
 
 def scenario_theorem1(cfg):

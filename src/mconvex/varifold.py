@@ -11,10 +11,8 @@ mean curvature, and the boundary decomposition of integral varifolds.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -52,9 +50,10 @@ class SimplicialSurface:
     ``simplices`` holds (m+1)-tuples of 0-based vertex indices and
     ``multiplicity`` one positive real per simplex (integers in integral
     mode).  The three arrays are read-only (writable inputs are copied), and
-    so are the ``volumes`` and ``laplacian`` that a mesh keeps once computed;
-    they cannot go stale, since a moved mesh is a new one, from
-    ``with_vertices``.
+    so is what a mesh keeps once computed: its ``volumes``, ``laplacian``,
+    ``euclidean_frames``, ``max_edge_length`` and each order's euclidean
+    ``quadrature``.  None of it can go stale, since a moved mesh is a new
+    one, from ``with_vertices``.
     """
 
     vertices: np.ndarray
@@ -117,14 +116,46 @@ class SimplicialSurface:
         edges.flags.writeable = w.flags.writeable = False
         return edges, w
 
-    def max_edge_length(self):
-        v = self.vertices[self.simplices]
+    @cached_property
+    def euclidean_frames(self):
+        """Euclidean orthonormal frames of the simplices, shape (F, m, n): the
+        edge vectors, Gram-Schmidted."""
+        frames = _metric_frames(self.edge_matrices(), None)
+        frames.flags.writeable = False
+        return frames
+
+    @cached_property
+    def _quadratures(self):
+        return {}
+
+    def quadrature(self, order=2):
+        """Euclidean quadrature nodes of ``order``'s rule, kept per order:
+        points ``(F*Q, n)`` and weights multiplicity x quadrature weight x
+        simplex volume ``(F*Q,)``, in simplex-major order."""
+        if order not in self._quadratures:
+            nodes, wq = _quadrature(self.m, order)
+            vols = self.volumes
+            F, Q = len(self.simplices), len(wq)
+            points = np.einsum("qb,fbn->fqn", nodes, self.vertices[self.simplices])
+            points = points.reshape(F * Q, self.n)
+            weights = np.repeat(self.multiplicity, Q) * np.tile(wq, F) * np.repeat(vols, Q)
+            points.flags.writeable = weights.flags.writeable = False
+            self._quadratures[order] = points, weights
+        return self._quadratures[order]
+
+    @cached_property
+    def _max_edge_length(self):
+        v = [self.vertices[:, k][self.simplices] for k in range(self.n)]  # (F, m+1) each
         m1 = self.m + 1
-        best = 0.0
+        best = 0.0  # the largest squared length, summed per coordinate as norm does
         for i in range(m1):
             for j in range(i + 1, m1):
-                best = max(best, float(np.max(np.linalg.norm(v[:, i] - v[:, j], axis=-1))))
-        return best
+                best = max(best, float(np.max(sum(np.square(vk[:, i] - vk[:, j]) for vk in v))))
+        return float(np.sqrt(best))
+
+    def max_edge_length(self):
+        """Euclidean length of the mesh's longest edge."""
+        return self._max_edge_length
 
     def boundary_vertices(self):
         """Indices of the vertices on the mesh boundary: those of the facets
@@ -138,7 +169,7 @@ class SimplicialSurface:
 
     def with_vertices(self, vertices):
         """The same simplices and multiplicities on new vertices: a new mesh,
-        which computes its own volumes and Laplacian."""
+        which computes and keeps its own volumes, Laplacian and lowerings."""
         return SimplicialSurface(vertices, self.simplices, self.multiplicity)
 
 
@@ -293,43 +324,32 @@ def _quadrature(m, order):
 @dataclass
 class _MeshQuadrature:
     """Quadrature nodes of a mesh and the metric data shared by the lowering,
-    the area and its vertex gradient.
+    the area and its vertex gradient under a metric with no constant factor.
 
-    ``c`` is the constant factor of a metric g = c^2 * euclidean, with ``g``
-    and ``gram`` None; otherwise ``c`` is None, ``g`` is ``(F, Q, n, n)`` and
-    ``gram`` the metric Gram matrices ``(F, Q, m, m)``.  ``weights`` is
-    multiplicity x quadrature weight x metric m-volume, one per node in
-    simplex-major order.
+    ``g`` is ``(F, Q, n, n)`` and ``gram`` the metric Gram matrices
+    ``(F, Q, m, m)``.  ``weights`` is multiplicity x quadrature weight x
+    metric m-volume, one per node in simplex-major order.
     """
 
     nodes: np.ndarray    # (Q, m+1) barycentric
     points: np.ndarray   # (F*Q, n)
     E: np.ndarray        # (F, m, n) edge vectors
-    c: Optional[float]
-    g: Optional[np.ndarray]
-    gram: Optional[np.ndarray]
+    g: np.ndarray
+    gram: np.ndarray
     weights: np.ndarray  # (F*Q,)
 
 
 def _mesh_quadrature(mesh, metric, order):
-    vols = mesh.volumes
     nodes, wq = _quadrature(mesh.m, order)
-    v = mesh.vertices[mesh.simplices]          # (F, m+1, n)
-    pts = np.einsum("qb,fbn->fqn", nodes, v)   # (F, Q, n)
+    flat, _ = mesh.quadrature(order)
     E = mesh.edge_matrices()                   # (F, m, n)
-    F, Q = pts.shape[:2]
-    flat = pts.reshape(F * Q, mesh.n)
-    weights = np.repeat(mesh.multiplicity, Q) * np.tile(wq, F)
-    c = metric.constant_factor()
-    if c is not None:
-        # metric m-volume = c^m x euclidean volume
-        weights = c ** mesh.m * (weights * np.repeat(vols, Q))
-        return _MeshQuadrature(nodes, flat, E, c, None, None, weights)
+    F, Q = len(E), len(wq)
     g = metric.matrix(flat).reshape(F, Q, mesh.n, mesh.n)
     gram = np.einsum("fae,fqec,fbc->fqab", E, g, E)
     fact = np.prod(np.arange(1, mesh.m + 1))
+    weights = np.repeat(mesh.multiplicity, Q) * np.tile(wq, F)
     weights = weights * (np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / fact).ravel()
-    return _MeshQuadrature(nodes, flat, E, None, g, gram, weights)
+    return _MeshQuadrature(nodes, flat, E, g, gram, weights)
 
 
 def _metric_frames(E, g):
@@ -359,18 +379,26 @@ def varifold_from_mesh(mesh, metric=None, order=2):
 
     Atom weight = multiplicity x quadrature weight x metric m-volume of the
     simplex evaluated at the node (so curved-metric area is integrated with
-    the same rule).  Under g = c^2 * euclidean the frames are the euclidean
-    ones divided by c.
+    the same rule).  Under g = c^2 * euclidean the lowering is the mesh's
+    euclidean one, ``quadrature`` and ``euclidean_frames``, with its weights
+    times c^m and its frames divided by c.
     """
     metric = metric or geo.metric_euclidean(mesh.n)
-    quad = _mesh_quadrature(mesh, metric, order)
-    E = np.repeat(quad.E, len(quad.nodes), axis=0)
-    if quad.c is not None:
-        frames = _metric_frames(E, None) / quad.c
+    c = metric.constant_factor()
+    if c is not None:
+        points, weights = mesh.quadrature(order)
+        weights = c ** mesh.m * weights
+        Q = len(_quadrature(mesh.m, order)[1])
+        frames = np.repeat(mesh.euclidean_frames / c, Q, axis=0)
     else:
-        frames = _metric_frames(E, quad.g.reshape(len(quad.points), mesh.n, mesh.n))
-    keep = quad.weights > 0
-    return DiscreteVarifold(mesh.m, quad.points[keep], frames[keep], quad.weights[keep])
+        quad = _mesh_quadrature(mesh, metric, order)
+        points, weights = quad.points, quad.weights
+        frames = _metric_frames(np.repeat(quad.E, len(quad.nodes), axis=0),
+                                quad.g.reshape(len(points), mesh.n, mesh.n))
+    keep = weights > 0
+    if not np.all(keep):
+        points, frames, weights = points[keep], frames[keep], weights[keep]
+    return DiscreteVarifold(mesh.m, points, frames, weights)
 
 
 def area(mesh, metric=None, order=2):
@@ -380,7 +408,11 @@ def area(mesh, metric=None, order=2):
     without building the frames.
     """
     metric = metric or geo.metric_euclidean(mesh.n)
-    weights = _mesh_quadrature(mesh, metric, order).weights
+    c = metric.constant_factor()
+    if c is not None:
+        weights = c ** mesh.m * mesh.quadrature(order)[1]
+    else:
+        weights = _mesh_quadrature(mesh, metric, order).weights
     return float(np.sum(weights[weights > 0]))
 
 
@@ -491,13 +523,16 @@ def first_variation(V, X, metric=None):
 
 def _first_variation(V, A, metric):
     """Weighted sum of the traces of A (``[f, k, i]``) over the atom planes."""
+    return float(np.sum(V.weights * _plane_traces(V.frames, A, V.points, metric)))
+
+
+def _plane_traces(frames, A, points, metric):
+    """The trace of A (``[f, k, i]``) over each atom's plane, in the metric."""
     c = metric.constant_factor()
     if c is not None:
-        terms = c * c * np.einsum("fae,fek,fak->f", V.frames, A, V.frames)
-    else:
-        g = metric.matrix(V.points)
-        terms = np.einsum("fae,fec,fck,fak->f", V.frames, g, A, V.frames)
-    return float(np.sum(V.weights * terms))
+        return c * c * np.einsum("fae,fek,fak->f", frames, A, frames)
+    g = metric.matrix(points)
+    return np.einsum("fae,fec,fck,fak->f", frames, g, A, frames)
 
 
 def weight_integral(V, f):
@@ -511,17 +546,22 @@ def check_bounded_mc(V, X, h, metric=None):
     tolerance 1e-6 x total weight x max(max |X|, 1).
 
     X and its jacobian are evaluated once at the atoms and shared by the
-    first variation, the mass of |X| and the tolerance.  ``n_live``
-    counts the atoms where X does not vanish; for a barrier field these are
-    the atoms of the open tube where phi(u) > 0, and 0 means the check is
-    vacuous.
+    first variation, the mass of |X| and the tolerance.  The plane traces
+    are taken only at the atoms where the covariant gradient A is not zero;
+    the others contribute an exact 0, and the weighted sum runs over every
+    atom as in ``first_variation``.  ``n_live`` counts the atoms where X
+    does not vanish; for a barrier field these are the atoms of the open
+    tube where phi(u) > 0, and 0 means the check is vacuous.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     metric = metric or geo.metric_euclidean(V.points.shape[1])
     vals, J = X.evaluate(V.points)
     A = geo.covariant_from_jacobian(vals, J, V.points, metric)
-    dv = _first_variation(V, A, metric)
+    reached = np.any(A != 0.0, axis=(-2, -1))
+    terms = np.zeros(len(V.weights))
+    terms[reached] = _plane_traces(V.frames[reached], A[reached], V.points[reached], metric)
+    dv = float(np.sum(V.weights * terms))
     mass = weight_integral(V, lambda pts: metric.norm(pts, vals))
     value = dv + h * mass
     tolerance = 1e-6 * V.total_weight * max(float(np.max(np.linalg.norm(vals, axis=-1))), 1.0)
@@ -559,10 +599,19 @@ def mesh_mean_curvature(mesh, metric=None):
     return H, interior
 
 
-def _simplex_keys(mesh):
-    """Geometric keys: sorted vertex coordinates of each simplex, rounded to
-    9 decimals."""
-    return [tuple(sorted(map(tuple, s))) for s in np.round(mesh.vertices[mesh.simplices], 9)]
+def _simplex_keys(*meshes):
+    """Geometric keys, one integer per simplex of each mesh: simplices whose
+    vertex coordinates, rounded to 9 decimals, are the same set of points
+    get the same key.  Each simplex's rows are sorted lexicographically by
+    their rank among all rows (``np.unique``), and the sorted rank tuples are
+    ranked in turn; -0.0 and 0.0 are one coordinate."""
+    corners = [np.round(mesh.vertices[mesh.simplices], 9) + 0.0 for mesh in meshes]
+    n = meshes[0].n
+    _, rows = np.unique(np.concatenate([c.reshape(-1, n) for c in corners]), axis=0,
+                        return_inverse=True)
+    rows = np.sort(rows.reshape(-1, corners[0].shape[1]), axis=1)
+    _, keys = np.unique(rows, axis=0, return_inverse=True)
+    return np.split(keys.ravel(), np.cumsum([len(c) for c in corners])[:-1])
 
 
 def decompose_integral(V_mesh, boundary_mesh):
@@ -570,9 +619,9 @@ def decompose_integral(V_mesh, boundary_mesh):
 
     d is the smallest multiplicity the varifold carries over the boundary
     mesh (0 when any boundary simplex is absent); a simplex the boundary mesh
-    lists k times owes d k.  Raises NonIntegralError for multiplicities more
-    than 1e-9 from an integer and DecompositionError if the remainder would
-    go negative.
+    lists k times owes d k, taken from the first simplices that carry its
+    key.  Raises NonIntegralError for multiplicities more than 1e-9 from an
+    integer and DecompositionError if the remainder would go negative.
     """
     frac = np.abs(V_mesh.multiplicity - np.round(V_mesh.multiplicity))
     if np.any(frac > 1e-9):
@@ -581,33 +630,35 @@ def decompose_integral(V_mesh, boundary_mesh):
             f"multiplicities deviate from integers by up to {worst:.3g}"
         )
     mult = np.round(V_mesh.multiplicity).astype(int)
-    v_keys = _simplex_keys(V_mesh)
-    carried = Counter()
-    for key, mu in zip(v_keys, mult):
-        carried[key] += mu
-    listed = Counter(_simplex_keys(boundary_mesh))
-    d = min((carried[key] for key in listed), default=0)
+    if (V_mesh.m, V_mesh.n) != (boundary_mesh.m, boundary_mesh.n) or not len(
+            boundary_mesh.simplices):
+        return None, V_mesh, 0  # no boundary simplex can be carried
+    v_keys, b_keys = _simplex_keys(V_mesh, boundary_mesh)
+    n_keys = int(max(v_keys.max(initial=-1), b_keys.max())) + 1
+    carried = np.zeros(n_keys, dtype=int)
+    np.add.at(carried, v_keys, mult)
+    listed = np.bincount(b_keys, minlength=n_keys)
+    d = int(np.min(carried[listed > 0]))
     if d == 0:
         return None, V_mesh, 0
-    owed = {key: d * k for key, k in listed.items()}
-    if any(owed[key] > carried[key] for key in owed):
+    owed = d * listed
+    if np.any(owed > carried):
         raise DecompositionError(
             "boundary part exceeds the varifold: remainder would be negative"
         )
-    # take what is owed from the first simplices that carry each key
-    keep, new_mult = [], []
-    for i, (key, mu) in enumerate(zip(v_keys, mult)):
-        take = min(owed.get(key, 0), mu)
-        if take:
-            owed[key] -= take
-        if mu > take:
-            keep.append(i)
-            new_mult.append(mu - take)
+    # what the earlier simplices of the same key carry, in simplex order
+    order = np.argsort(v_keys, kind="stable")
+    before = np.cumsum(mult[order]) - mult[order]
+    group = np.searchsorted(v_keys[order], v_keys[order])  # first slot of each key
+    earlier = np.empty_like(mult)
+    earlier[order] = before - before[group]
+    take = np.clip(owed[v_keys] - earlier, 0, mult)
+    keep = mult > take
     W = SimplicialSurface(boundary_mesh.vertices, boundary_mesh.simplices,
                           d * np.ones(len(boundary_mesh.simplices)))
-    if keep:
+    if np.any(keep):
         Wp = SimplicialSurface(V_mesh.vertices, V_mesh.simplices[keep],
-                               np.asarray(new_mult, dtype=float))
+                               (mult - take)[keep].astype(float))
     else:
         Wp = None
     return W, Wp, d

@@ -311,6 +311,7 @@ _JET_FIELDS = {
     "sphere": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3]),
     "cylinder": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3], axes=[0, 1]),
     "quartic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], _GRAM),
+    "quartic_isotropic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], 1.25 * np.eye(3)),
     "linear": lambda: geo.LinearField([0.5, -1.0, 2.0]),
     "sum": lambda: geo.SumField([geo.DistanceField(1.0, np.zeros(3)),
                                  geo.QuarticGapField([0.0, 0.0, 1.0], _GRAM)]),
@@ -356,6 +357,49 @@ def test_jet_symmetrizes_mirror_entries_that_are_distinct_trees():
     assert not np.array_equal(a, b)
     _, _, hessian = f.jet(geo.unstack(x))
     np.testing.assert_array_equal(hessian[3], 0.5 * (a + b))
+
+
+def _bits(arrays):
+    return [(np.asarray(a).dtype, np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+
+
+def _points_with_zero_offsets():
+    """Sample points, some on the coordinate planes through (0, 0, 1) and a few
+    with -0.0 coordinates, so that offsets of both signed zeros occur."""
+    x = np.random.default_rng(8).uniform(-2.0, 2.0, size=(60, 3))
+    x[::3, 0] = 0.0
+    x[1::4, 1] = -0.0
+    x[2::5, 2] = 1.0
+    x[::7, :2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("g", [1.0, 0.25, 1.25])
+def test_isotropic_quartic_matches_the_full_sums_bit_for_bit(g):
+    """Skipping the zero products of G = g I changes no bit, signed zeros
+    included, of the jet, the value or the squared distance."""
+    fast = geo.QuarticGapField([0.0, 0.0, 1.0], g * np.eye(3))
+    full = geo.QuarticGapField([0.0, 0.0, 1.0], g * np.eye(3))
+    assert fast.isotropic == g
+    full.isotropic = None
+    x = _points_with_zero_offsets()
+    y = geo.unstack(x)
+    (v1, g1, h1), (v2, g2, h2) = fast.jet(y), full.jet(y)
+    assert _bits([v1, *g1, *h1]) == _bits([v2, *g2, *h2])
+    assert _bits([fast.value(x), fast.squared_distance(y)]) == _bits(
+        [full.value(x), full.squared_distance(y)])
+    d = x - fast.p
+    assert _bits([fast.squared_distance(y)]) == _bits(
+        [np.einsum("...i,ij,...j->...", d, fast.gram, d)])
+
+
+@pytest.mark.parametrize("axes", [None, (0, 1)])
+def test_distance_value_matches_the_norm_bit_for_bit(axes):
+    f = geo.DistanceField(1.0, [0.0, 0.0, 1.0], axes=axes)
+    x = _points_with_zero_offsets()
+    for pts in (x, x[0], x.reshape(6, 10, 3)):
+        want = f.radius - np.linalg.norm((pts - f.center) * f.mask, axis=-1)
+        assert _bits([f.value(pts)]) == _bits([want])
 
 
 _LIPSCHITZ_FIELDS = {

@@ -46,6 +46,26 @@ class TestHausdorff:
         assert hz.hausdorff_distance(A, B) == whole
 
 
+def _brute_hausdorff(A, B):
+    """The Hausdorff distance from the whole norm matrix."""
+    d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=-1)
+    return float(max(np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0))))
+
+
+class TestHausdorffOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_equals_the_full_norm_matrix_across_blocks(self, n, rows, monkeypatch):
+        rng = np.random.default_rng(n)
+        scale = np.array([1e-3, 1.0, 1e3, 7.0])[:n]  # coordinates of unlike sizes
+        A = rng.normal(size=(150, n)) * scale
+        B = rng.normal(size=(90, n)) * scale + 0.25
+        # blocks of `rows` rows of the first set; 150 and 90 are no multiple of 64
+        monkeypatch.setattr(hz, "_BLOCK_ENTRIES", rows * len(B))
+        for a, b in ((A, B), (B, A), (A[:1], B), (A[:40], B)):
+            assert hz.hausdorff_distance(a, b) == _brute_hausdorff(a, b)
+
+
 class TestRefusals:
     def test_halfspace_refused(self):
         cfg = hz.ScenarioConfig(domain=geo.domain_halfspace(), p=[0.0, 0.0, 0.0])
@@ -183,7 +203,7 @@ class TestExclusion:
         assert c == 0.5
         mesh = meshes.disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=4, segments=24)
         V = vf.varifold_from_mesh(mesh, b.domain.metric)
-        ex = hz.exclusion(V, mesh, b)
+        ex = hz.exclusion(mesh, b)
         dist = c * float(np.min(np.linalg.norm(V.points - b.p, axis=-1)))
         chord = c * 2.0 * mesh.max_edge_length()
         assert ex == {"support_distance": dist, "epsilon": b.epsilon,

@@ -205,6 +205,82 @@ class TestFromMesh:
             getattr(vf, fn)(vf.SimplicialSurface(verts, np.array(simplices)))
 
 
+def _bits(a):
+    """dtype, shape and bytes: equal exactly when the arrays are bit for bit."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _direct_lowering(mesh, c, order):
+    """The constant-factor lowering from its formula, node by node: points,
+    frames Gram-Schmidted on the repeated edge vectors and divided by c, and
+    weights c^m x multiplicity x quadrature weight x volume."""
+    nodes, wq = vf._quadrature(mesh.m, order)
+    F, Q = len(mesh.simplices), len(wq)
+    points = np.einsum("qb,fbn->fqn", nodes, mesh.vertices[mesh.simplices]).reshape(F * Q, -1)
+    frames = vf._metric_frames(np.repeat(mesh.edge_matrices(), Q, axis=0), None) / c
+    weights = c ** mesh.m * (np.repeat(mesh.multiplicity, Q) * np.tile(wq, F)
+                             * np.repeat(mesh.volumes, Q))
+    return points, frames, weights
+
+
+# g = c^2 * euclidean, written as the matrix c^2 I so that c is exact
+_CACHED_C = [pytest.param(c, id=name)
+             for c, name in ((1.0, "1"), (0.5, "half"), (np.sqrt(1.25), "sqrt1.25"))]
+
+
+def _scaled_metric(c):
+    g = repr(float(c * c))
+    return geo.MetricField([g, "0", "0", g, "0", g])
+
+
+class TestCachedLowering:
+    """A mesh keeps its euclidean lowering; under g = c^2 * euclidean a
+    lowering reads it."""
+
+    @pytest.mark.parametrize("c", _CACHED_C)
+    def test_cached_lowering_equals_the_direct_formula(self, c):
+        metric = _scaled_metric(c)
+        assert metric.constant_factor() == c
+        mesh = _jittered_disk()
+        for order in (1, 2, 4):
+            for _ in range(2):  # the second lowering reads the cache
+                V = vf.varifold_from_mesh(mesh, metric, order)
+                points, frames, weights = _direct_lowering(mesh, c, order)
+                assert _bits(V.points) == _bits(points)
+                assert _bits(V.frames) == _bits(frames)
+                assert _bits(V.weights) == _bits(weights)
+                assert vf.area(mesh, metric, order) == float(np.sum(weights))
+
+    def test_cache_is_kept_per_order_and_read_only(self):
+        mesh = _jittered_disk()
+        points, weights = mesh.quadrature(2)
+        assert mesh.quadrature(2)[0] is points and mesh.quadrature(4)[0] is not points
+        for a in (points, weights, mesh.euclidean_frames):
+            assert not a.flags.writeable
+        assert vf.varifold_from_mesh(mesh).points is points
+
+    def test_a_moved_mesh_gets_a_fresh_cache(self):
+        mesh = _jittered_disk()
+        before = [a.copy() for a in (*mesh.quadrature(2), mesh.euclidean_frames)]
+        edge = mesh.max_edge_length()
+        moved = mesh.with_vertices(1.5 * mesh.vertices + 0.1)
+        V = vf.varifold_from_mesh(moved)
+        for got, want in zip((V.points, V.frames, V.weights), _direct_lowering(moved, 1.0, 2)):
+            assert _bits(got) == _bits(want)
+        assert moved.max_edge_length() == pytest.approx(1.5 * edge, rel=1e-14)
+        # the first mesh's cache is untouched
+        for got, want in zip((*mesh.quadrature(2), mesh.euclidean_frames), before):
+            assert _bits(got) == _bits(want)
+
+    def test_max_edge_length_equals_the_longest_norm(self):
+        mesh = _jittered_disk()
+        v = mesh.vertices[mesh.simplices]
+        lengths = [np.linalg.norm(v[:, i] - v[:, j], axis=-1)
+                   for i, j in itertools.combinations(range(3), 2)]
+        assert mesh.max_edge_length() == float(np.max(lengths))
+
+
 def _jittered_disk():
     """A 37-vertex disk with jittered vertices and multiplicities 1 to 3."""
     mesh = meshes.disk_mesh(radius=0.4, center=(0.1, 0.0, 0.5), rings=3, segments=12)
@@ -514,6 +590,28 @@ class TestMinimizingChecks:
         assert rep["n_live"] == np.count_nonzero(nonzero) > 0
         assert rep["mass_X"] > 0.0
 
+    def test_bounded_mc_on_a_partly_reached_cap_equals_the_all_atoms_sum(self, theorem5_bundle):
+        # the tangent radius-0.8 sphere, finer: 400 of its 9600 atoms lie
+        # beyond the tube, and summing the 9200 reached terms alone rounds
+        # differently from the sum over every atom
+        mesh = meshes.sphere_cap_mesh(radius=0.8, center=(0.0, 0.0, 0.2),
+                                      z_range=(0.9, 0.9999), rings=20, segments=80)
+        V = vf.varifold_from_mesh(mesh)
+        X = theorem5_bundle.field()
+        rep = vf.check_bounded_mc(V, X, 1.0)
+        A = X.jacobian(V.points)
+        reached = np.any(A != 0.0, axis=(-2, -1))
+        assert 0 < np.count_nonzero(reached) < len(V.points)
+        assert rep["delta_V"] == vf._first_variation(V, A, geo.metric_euclidean())
+
+    def test_bounded_mc_under_a_varying_metric_equals_the_all_atoms_sum(self, unit_disk_mesh):
+        metric = geo.metric_conformal("0.1*x1")
+        V = vf.varifold_from_mesh(unit_disk_mesh, metric)
+        X = BumpVectorField(np.array([0.2, 0.0, 0.0]), 0.4, np.array([0, 0, 1.0]))
+        assert 0 < np.count_nonzero(np.any(X.value(V.points) != 0.0, axis=-1)) < len(V.points)
+        rep = vf.check_bounded_mc(V, X, 0.5, metric)
+        assert rep["delta_V"] == vf.first_variation(V, X, metric)
+
     def test_sphere_saturates_bounded_mc(self):
         # radius m/h sphere (|H| = h) flowed inward: dV(X) = -h * mass(X)
         h = 2.0
@@ -672,6 +770,102 @@ class TestDecomposition:
             np.concatenate([m.multiplicity for m in planes]))
         with pytest.raises(vf.NonIntegralError):
             vf.decompose_integral(V, bnd)
+
+
+def _decompose_by_loop(V_mesh, boundary_mesh):
+    """``decompose_integral`` as a loop over tuple keys and Counters: the
+    oracle of the array version."""
+    from collections import Counter
+
+    def keys(mesh):
+        return [tuple(sorted(map(tuple, s))) for s in np.round(mesh.vertices[mesh.simplices], 9)]
+
+    mult = np.round(V_mesh.multiplicity).astype(int)
+    v_keys = keys(V_mesh)
+    carried = Counter()
+    for key, mu in zip(v_keys, mult):
+        carried[key] += mu
+    listed = Counter(keys(boundary_mesh))
+    d = min((carried[key] for key in listed), default=0)
+    if d == 0:
+        return None, V_mesh, 0
+    owed = {key: d * k for key, k in listed.items()}
+    assert all(owed[key] <= carried[key] for key in owed)
+    keep, new_mult = [], []
+    for i, (key, mu) in enumerate(zip(v_keys, mult)):
+        take = min(owed.get(key, 0), mu)
+        if take:
+            owed[key] -= take
+        if mu > take:
+            keep.append(i)
+            new_mult.append(mu - take)
+    W = vf.SimplicialSurface(boundary_mesh.vertices, boundary_mesh.simplices,
+                             d * np.ones(len(boundary_mesh.simplices)))
+    Wp = (vf.SimplicialSurface(V_mesh.vertices, V_mesh.simplices[keep],
+                               np.asarray(new_mult, dtype=float)) if keep else None)
+    return W, Wp, d
+
+
+def _theorem4_varifold():
+    """theorem4's integral varifold: the unit icosphere twice and a sphere of
+    radius 0.4 once, and the unit icosphere as its boundary mesh."""
+    boundary = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
+    interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
+    V = vf.SimplicialSurface(
+        np.vstack([boundary.vertices, interior.vertices]),
+        np.vstack([boundary.simplices, interior.simplices + len(boundary.vertices)]),
+        np.concatenate([2 * np.ones(len(boundary.simplices)), np.ones(len(interior.simplices))]))
+    return V, boundary
+
+
+def _shuffled(mesh, rng):
+    """The same simplices with the vertices renumbered, the simplices
+    reordered and each simplex's corners permuted."""
+    perm = rng.permutation(len(mesh.vertices))
+    order = rng.permutation(len(mesh.simplices))
+    tris = np.argsort(perm)[mesh.simplices[order]]
+    tris = np.take_along_axis(tris, rng.permuted(np.tile(np.arange(tris.shape[1]),
+                                                         (len(tris), 1)), axis=1), axis=1)
+    return vf.SimplicialSurface(mesh.vertices[perm], tris, mesh.multiplicity[order])
+
+
+def _split_duplicates(mesh, rng):
+    """mesh with every simplex listed twice, its multiplicity split in two
+    random integer parts, the copies in random order."""
+    mult = mesh.multiplicity.astype(int)
+    first = rng.integers(0, mult + 1)
+    both = np.concatenate([first, mult - first]).astype(float)
+    tris = np.vstack([mesh.simplices, mesh.simplices])
+    kept = both > 0
+    order = rng.permutation(np.count_nonzero(kept))
+    return vf.SimplicialSurface(mesh.vertices, tris[kept][order], both[kept][order])
+
+
+class TestDecompositionOracle:
+    """The array decomposition equals the loop over tuple keys, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["theorem4", "shuffled", "split"])
+    def test_equals_the_loop(self, case):
+        V, boundary = _theorem4_varifold()
+        rng = np.random.default_rng(7)
+        if case == "shuffled":
+            V, boundary = _shuffled(V, rng), _shuffled(boundary, rng)
+        elif case == "split":
+            # boundary simplices carrying 2 to 4, so that some keep a remainder
+            extra = np.zeros(len(V.simplices))
+            extra[:len(boundary.simplices)] = rng.integers(0, 3, len(boundary.simplices))
+            V = vf.SimplicialSurface(V.vertices, V.simplices, V.multiplicity + extra)
+            V = _split_duplicates(_shuffled(V, rng), rng)
+        got, want = vf.decompose_integral(V, boundary), _decompose_by_loop(V, boundary)
+        assert got[2] == want[2] == 2 and type(got[2]) is int
+        for g, w in zip(got[:2], want[:2]):
+            for name in ("vertices", "simplices", "multiplicity"):
+                assert _bits(getattr(g, name)) == _bits(getattr(w, name))
+
+    def test_boundary_of_another_dimension_is_not_carried(self):
+        V, _ = _theorem4_varifold()
+        W, Wp, d = vf.decompose_integral(V, chord_polyline([0, 0, 1.0], [1.0, 0, 0]))
+        assert (W, Wp, d) == (None, V, 0)
 
 
 def _carried(*meshes_):
