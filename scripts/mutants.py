@@ -73,17 +73,28 @@ MUTANTS = (
            "eps = min(K ** -0.5, T)",
            "eps = T",
            (TUBE + "test_epsilon_is_K_to_the_minus_half_below_T",)),
-    # theorem3's family i = 2 has a chart whose head clears and whose rest fails
+    # a kept chart's cells move its bundle: ball:1 at m = 1, the ellipsoid and
+    # the cylinder at h = 1; a lattice with no feet is one with no cells either
     Mutant("probe_skips_the_rest", BARRIER,
-           "sigma.project(lattice[TUBE_CHUNK:])",
-           "sigma.project(lattice[:0])",
-           (TUBE + "test_family_bundle_matches_one_batch_sample[2-0.0]",
-            TUBE + "test_family_bundle_matches_one_batch_sample[2-1.0]")),
+           "sigma.project(_cells(chart))",
+           "sigma.project(_cells(chart)[:0])",
+           (TUBE + "test_bundle_matches_one_batch_sample[ball-1-1.0]",
+            TUBE + "test_bundle_matches_one_batch_sample[ellipsoid-2-1.0]",
+            TUBE + "test_bundle_matches_one_batch_sample[cylinder-2-1.0]",
+            TUBE + "test_no_feet_raised_after_the_whole_sample")),
     Mutant("probe_reads_another_head", BARRIER,
-           "kappa = head_kappa[i]",
-           "kappa = head_kappa[i - 1]",
-           (TUBE + "test_bundle_matches_one_batch_sample[ball-2-0.0-7]",
+           "zip(charts, head_kappa)",
+           "zip(charts, head_kappa[-1:] + head_kappa[:-1])",
+           (TUBE + "test_bundle_matches_one_batch_sample[ball-2-0.0]",
             TUBE + "test_family_bundle_matches_one_batch_sample[2-1.0]")),
+    # the head is eight cells on the chart's middle line (6, 6, 0..7) and p:
+    # their feet lie near p, so a chart that fails clears its head there
+    Mutant("head_is_not_the_corners", BARRIER,
+           'np.stack(np.meshgrid(*chart, indexing="ij"), axis=-1).reshape(-1, len(p))',
+           "_cells(chart)[936:944]",
+           tuple(TUBE + f"test_build_makes_two_projections[{name}]"
+                 for name in ["ball", "ellipsoid", "cylinder"]
+                 + [f"family_{i}-{h}" for i in range(11) for h in (0.0, 1.0)])),
     Mutant("probe_error_not_retried", BARRIER,
            "        if len(charts) == 1:",
            "        if True:",

@@ -343,8 +343,8 @@ class BarrierBundle:
     ``tube_ksum_min`` is the least kappa_1 + ... + kappa_m of Sigma at the
     feet of that chart's lattice (``tube_curvatures``): the least sum on each
     normal segment, which is at its foot.  A chart is kept only once every
-    foot is evaluated; each chart rejected before it stopped at its probe
-    head or after its whole lattice.
+    foot is evaluated; each chart rejected before it stopped at its head,
+    its corners and p, or after its whole lattice.
     """
 
     domain: Domain
@@ -363,36 +363,22 @@ class BarrierBundle:
 
 
 TUBE_LATTICE = 12  # cells per chart axis whose centres tube_curvatures projects
-TUBE_CHUNK = 32    # points of each chart's lattice in its probe head
-TUBE_PROBE = 4     # shrink-loop charts whose heads one probe projects
 GRID_CHUNK = 32768  # flat grid indices per verify_barrier task
 
 
-def _ordered_lattices(sigma, charts):
-    """The fixed lattice of each chart, shape ``(len(charts), L, n)``: the
-    TUBE_LATTICE^n cell centres, the 2^n corners and p, nearest Sigma first.
+def _heads(p, charts):
+    """The head of each chart's lattice, flat, chart by chart: its 2^n
+    corners and p, the lattice points farthest from p and p itself."""
+    corners = [np.stack(np.meshgrid(*chart, indexing="ij"), axis=-1).reshape(-1, len(p))
+               for chart in charts]
+    return np.concatenate([np.concatenate([c, p[None]]) for c in corners])
 
-    The order is by layers a quarter of the chart wide in the first-order
-    distance |w| / |grad w|, from one ``w.jet`` over every chart's lattice,
-    and in C order within a layer.  A point near Sigma takes few Newton
-    steps, and a layer in C order starts on a chart face, far from p, where a
-    chart that fails has its failing feet.
-    """
-    p = sigma.p
-    n = len(p)
+
+def _cells(chart):
+    """The rest of a chart's lattice: its TUBE_LATTICE^n cell centres."""
+    n = len(chart)
     cells = (np.indices((TUBE_LATTICE,) * n).reshape(n, -1).T + 0.5) / TUBE_LATTICE
-    lattices = np.stack([
-        np.concatenate([chart[:, 0] + (chart[:, 1] - chart[:, 0]) * cells,
-                        np.stack(np.meshgrid(*chart, indexing="ij"), axis=-1).reshape(-1, n),
-                        p[None, :]])
-        for chart in charts])
-    value, (g0, g1, g2), _ = sigma.w.jet(tuple(np.ascontiguousarray(lattices.reshape(-1, n).T)))
-    slope = np.sqrt(g0 * g0 + g1 * g1 + g2 * g2).reshape(len(charts), -1)
-    width = np.min(charts[:, :, 1] - charts[:, :, 0], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        layer = np.floor(4.0 * np.abs(value.reshape(slope.shape)) / (slope * width[:, None]))
-    order = np.argsort(layer, axis=-1, kind="stable")
-    return np.take_along_axis(lattices, order[..., None], axis=1)
+    return chart[:, 0] + (chart[:, 1] - chart[:, 0]) * cells
 
 
 def _foot_kappa(sigma, proj):
@@ -406,26 +392,27 @@ def tube_curvatures(sigma, charts, clears):
     """The first of ``charts`` whose lattice clears, as ``(index, kappa)``,
     or None when none does.
 
-    ``kappa`` holds Sigma's ascending principal curvatures, in metric units,
-    at every foot of the chart's lattice (``_ordered_lattices``): the
+    A chart's lattice is its head (``_heads``: the 2^n corners and p) and its
+    cells (``_cells``).  ``kappa`` holds Sigma's ascending principal
+    curvatures, in metric units, at every foot of the chart's lattice: the
     curvatures at t = 0 of the normal segments, from which ``build_barrier``
     bounds the whole segment.  Feet just outside the chart are kept, since
     the verification grid reaches them through the tube.
 
-    One probe projects the heads of all the charts, the first TUBE_CHUNK
-    points of each lattice, in one ``project`` call.  The charts are then
-    taken in order: one whose head has a curvature list on which ``clears``
-    is False is skipped, and the first other one has the rest of its lattice
-    projected in one call; it is returned if ``clears`` holds on all of its
-    feet.  "No feet" is raised once a whole lattice has none.  Each foot
-    depends on its own point alone, so this gives what projecting the
-    charts one whole lattice at a time would; only a ``GeometryError`` of
-    the probe is batch-wide, and then the charts are probed one at a time,
-    so no chart past the one returned can make the call fail.
+    One probe projects the heads of all the charts in one ``project`` call.
+    The corners are the lattice points farthest from p, and their feet are
+    where the curvature sum falls first as a chart grows.  The charts are then taken in order: one
+    whose head has a curvature list on which ``clears`` is False is skipped,
+    and the first other one has its cells built and projected in one call;
+    it is returned if ``clears`` holds on all of its feet.  "No feet" is
+    raised once a whole lattice has none.  Each foot depends on its own point
+    alone, so this gives what projecting the charts one whole lattice at a
+    time would; only a ``GeometryError`` of the probe is batch-wide, and then
+    the charts are probed one at a time, so no chart past the one returned
+    can make the call fail.
     """
     try:
-        lattices = _ordered_lattices(sigma, charts)
-        heads = sigma.project(lattices[:, :TUBE_CHUNK].reshape(-1, lattices.shape[-1]))
+        heads = sigma.project(_heads(sigma.p, charts))
         feet = np.count_nonzero(heads.ok.reshape(len(charts), -1), axis=-1)
         head_kappa = np.split(_foot_kappa(sigma, heads), np.cumsum(feet)[:-1])
     except GeometryError:
@@ -437,11 +424,10 @@ def tube_curvatures(sigma, charts, clears):
             if found is not None:
                 return i, found[1]
         return None
-    for i, lattice in enumerate(lattices):
-        kappa = head_kappa[i]
+    for i, (chart, kappa) in enumerate(zip(charts, head_kappa)):
         if len(kappa) and not clears(kappa):
             continue
-        kappa = np.concatenate([kappa, _foot_kappa(sigma, sigma.project(lattice[TUBE_CHUNK:]))])
+        kappa = np.concatenate([kappa, _foot_kappa(sigma, sigma.project(_cells(chart)))])
         if not len(kappa):
             raise TubeError("no Sigma feet found inside the chart")
         if clears(kappa):
@@ -464,10 +450,11 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
     spare), mirroring the "sufficiently small ball around p" step of the
     underlying construction.  A sum that is not above that goal (a NaN sum
     included) rejects its chart.  The 18 shrunken charts go to
-    ``tube_curvatures`` TUBE_PROBE at a time, and the first that clears is
-    kept; a build with no slack to shrink for (kappa_1 + ... + kappa_m at p
-    not above eta, which only ``enforce_hypothesis=False`` lets through)
-    keeps its first chart and probes no other.
+    ``tube_curvatures`` in one call, which probes all of them at their
+    corners in one projection, and the first that clears is kept; a build
+    with no slack to shrink for (kappa_1 + ... + kappa_m at p not above eta,
+    which only ``enforce_hypothesis=False`` lets through) keeps its first
+    chart and probes no other.
     Along the normal segment from a foot, k_i(t) = kappa_i / (1 - t kappa_i)
     rises with t (Gray, *Tubes*), so the least sum is at the foot: that is
     ``tube_ksum_min``.  The largest |k_i| is at t = 0 or at t = T, with T
@@ -505,13 +492,10 @@ def build_barrier(domain, p, m, eta=None, h=0.0, enforce_hypothesis=True):
         charts.append(np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1))
         w *= 0.7
     charts = np.stack(charts)
-    for start in range(0, len(charts), TUBE_PROBE):
-        found = tube_curvatures(sigma, charts[start:start + TUBE_PROBE], clears)
-        if found is not None:
-            chart, kappa = charts[start + found[0]], found[1]
-            break
-    else:
+    found = tube_curvatures(sigma, charts, clears)
+    if found is None:
         raise TubeError("tube radius collapsed before the convexity inequality held")
+    chart, kappa = charts[found[0]], found[1]
 
     T = 0.5 * sigma.c * float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
     ksum_min = float(np.min(np.sum(kappa[..., :m], axis=-1)))

@@ -384,6 +384,8 @@ def varifold_from_mesh(mesh, metric=None, order=2):
     times c^m and its frames divided by c.
     """
     metric = metric or geo.metric_euclidean(mesh.n)
+    if metric.n != mesh.n:
+        raise VarifoldError(f"the mesh lies in R^{mesh.n}, the metric is on R^{metric.n}")
     c = metric.constant_factor()
     if c is not None:
         points, weights = mesh.quadrature(order)

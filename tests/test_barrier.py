@@ -935,28 +935,15 @@ def _family_domain(i):
     return geo.Domain(hz.metric_family(i), ball.u0, ball.chart)
 
 
-# (log2 TUBE_CHUNK, TUBE_PROBE): each head size at the default probe, then at
-# one chart and at all 18 charts per probe
-_SPLITS = ([pytest.param(c, bar.TUBE_PROBE, id=str(c)) for c in (0, 1, 7)]
-           + [pytest.param(c, probe, id=f"{c}-probe{probe}") for probe in (1, 18)
-              for c in (0, 1, 7)])
-
-
 class TestTubeSample:
-    """A rejected chart stops at its probe head or after its whole lattice;
-    every bundle stays bitwise the one the one-batch lattice gives, and its K
+    """A rejected chart stops at its head (its corners and p) or after its
+    whole lattice; every bundle stays bitwise the one the one-batch lattice gives, and its K
     and ``tube_ksum_min`` hold on every normal segment of the kept chart."""
 
-    @pytest.mark.parametrize("chunk_log2, probe", _SPLITS)
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("name", list(_SAMPLE_DOMAINS))
-    def test_bundle_matches_one_batch_sample(self, name, m, h, chunk_log2, probe, monkeypatch):
-        # the early stop must not depend on how the lattice is split: heads
-        # of 1, 2 and 128 points, and probes of one chart, TUBE_PROBE charts
-        # or all 18 of the shrink loop
-        monkeypatch.setattr(bar, "TUBE_CHUNK", 2 ** chunk_log2)
-        monkeypatch.setattr(bar, "TUBE_PROBE", probe)
+    def test_bundle_matches_one_batch_sample(self, name, m, h):
         dom, p = _SAMPLE_DOMAINS[name]
         _assert_same_bundle(dom, np.array(p), m, h)
 
@@ -1025,16 +1012,17 @@ class TestTubeSample:
         monkeypatch.setattr(bar.SigmaSurface, "project", counting)
         return seen
 
-    def test_rejected_charts_project_a_prefix(self, ball_domain, north_pole, monkeypatch):
-        chart = _one_batch_bundle(ball_domain, north_pole, 2, 0.0)[3]
+    @pytest.mark.parametrize("domain, p, h", (
+        [pytest.param(dom, p, 0.0, id=name) for name, (dom, p) in _SAMPLE_DOMAINS.items()]
+        + [pytest.param(_family_domain(i), (0.0, 0.0, 1.0), h, id=f"family_{i}-{h}")
+           for i in range(11) for h in (0.0, 1.0)]))
+    def test_build_makes_two_projections(self, domain, p, h, monkeypatch):
+        """One probe of every chart's corners and p, then the cells of the
+        kept chart: every chart rejected before it is rejected at its head."""
         seen = self._count_projections(monkeypatch)
-        b = bar.build_barrier(ball_domain, north_pole, m=2)
-        n_lattice = bar.TUBE_LATTICE ** 3 + 2 ** 3 + 1
-        # four charts, three rejected at their heads: one probe of the four
-        # heads, then the rest of the fourth chart's lattice; the one-batch
-        # lattice projects 4 x 1737 points
-        assert np.array_equal(b.chart, chart)
-        assert seen == [bar.TUBE_PROBE * bar.TUBE_CHUNK, n_lattice - bar.TUBE_CHUNK]
+        b = bar.build_barrier(domain, np.array(p), m=2, h=h, enforce_hypothesis=False)
+        charts = 18 if b.kappa_sum_p > b.eta else 1
+        assert seen == [charts * (2 ** 3 + 1), bar.TUBE_LATTICE ** 3]
 
     def test_unshrinkable_build_projects_one_lattice(self, monkeypatch):
         """The halfspace control has no slack to shrink for: its first chart
@@ -1062,10 +1050,9 @@ class TestTubeSample:
                 raise geo.VanishingGradientError("a point of a chart past the kept one")
             return project(sigma, x, **kw)
 
-        monkeypatch.setattr(bar, "TUBE_PROBE", 18)
         monkeypatch.setattr(bar.SigmaSurface, "project", refusing)
         b = bar.build_barrier(ball_domain, north_pole, m=2, enforce_hypothesis=False)
-        assert raised == [18 * bar.TUBE_CHUNK]
+        assert raised == [18 * (2 ** 3 + 1)]
         for got, want in zip((b.K, b.epsilon, b.tube_ksum_min, b.chart),
                              (K, eps, ksum_min, chart)):
             assert np.array_equal(got, want)

@@ -364,6 +364,27 @@ class TestInvalidMesh:
         assert captured.err.startswith("error:")
 
 
+class TestAmbientDimension:
+    """A mesh whose ambient dimension is not the domain's or the metric's is
+    an error: the planar minimize reported ``converged``, and the planar
+    first variation under a conformal metric ended in a reshape traceback."""
+
+    @pytest.mark.parametrize("text, command, extra", [
+        ("SVMESH 2 2\n3 1\n0 0\n0.1 0\n0 0.1\n0 1 2\n", "minimize", ["--domain", "ball:1"]),
+        ("SVMESH 1 4\n2 1\n0 0 0.5 0\n0.1 0 0.5 0\n0 1\n", "minimize", ["--domain", "ball:1"]),
+        ("SVMESH 2 2\n3 1\n0 0\n0.1 0\n0 0.1\n0 1 2\n", "first-variation",
+         ["--field", "x1,x2", "--metric", "conformal:0.1*x1"]),
+    ], ids=["minimize-planar", "minimize-R4", "first-variation-planar"])
+    def test_rejected_as_an_error(self, capsys, tmp_path, text, command, extra):
+        path = tmp_path / "mesh.svmesh"
+        path.write_text(text)
+        code = cli.main([command, "--mesh", str(path), *extra])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error:") and "R^" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestMalformedNumbers:
     """A malformed number in an SVMESH file is a format error naming its
     line, not a traceback."""
