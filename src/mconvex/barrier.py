@@ -401,15 +401,15 @@ def tube_curvatures(sigma, charts, clears):
 
     One probe projects the heads of all the charts in one ``project`` call.
     The corners are the lattice points farthest from p, and their feet are
-    where the curvature sum falls first as a chart grows.  The charts are then taken in order: one
-    whose head has a curvature list on which ``clears`` is False is skipped,
-    and the first other one has its cells built and projected in one call;
-    it is returned if ``clears`` holds on all of its feet.  "No feet" is
-    raised once a whole lattice has none.  Each foot depends on its own point
-    alone, so this gives what projecting the charts one whole lattice at a
-    time would; only a ``GeometryError`` of the probe is batch-wide, and then
-    the charts are probed one at a time, so no chart past the one returned
-    can make the call fail.
+    where the curvature sum falls first as a chart grows.  The charts are
+    then taken in order: one whose head has a curvature list on which
+    ``clears`` is False is skipped, and the first other one has its cells
+    built and projected in one call; it is returned if ``clears`` holds on
+    all of its feet.  "No feet" is raised once a whole lattice has none.
+    Each foot depends on its own point alone, so this gives what projecting
+    the charts one whole lattice at a time would; only a ``GeometryError``
+    of the probe is batch-wide, and then the charts are probed one at a
+    time, so no chart past the one returned can make the call fail.
     """
     try:
         heads = sigma.project(_heads(sigma.p, charts))

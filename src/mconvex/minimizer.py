@@ -38,7 +38,8 @@ class MinimizeProblem:
 
     def __post_init__(self):
         if self.mesh.n != self.domain.n:
-            raise MinimizeError(f"the mesh lies in R^{self.mesh.n}, the domain in R^{self.domain.n}")
+            raise MinimizeError(
+                f"the mesh lies in R^{self.mesh.n}, the domain in R^{self.domain.n}")
         self.anchored = np.unique(np.asarray(self.anchored, dtype=int))
         nv = len(self.mesh.vertices)
         if np.any((self.anchored < 0) | (self.anchored >= nv)):

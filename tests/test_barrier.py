@@ -937,8 +937,9 @@ def _family_domain(i):
 
 class TestTubeSample:
     """A rejected chart stops at its head (its corners and p) or after its
-    whole lattice; every bundle stays bitwise the one the one-batch lattice gives, and its K
-    and ``tube_ksum_min`` hold on every normal segment of the kept chart."""
+    whole lattice; every bundle stays bitwise the one the one-batch lattice
+    gives, and its K and ``tube_ksum_min`` hold on every normal segment of
+    the kept chart."""
 
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("m", [1, 2])
@@ -1021,6 +1022,7 @@ class TestTubeSample:
         kept chart: every chart rejected before it is rejected at its head."""
         seen = self._count_projections(monkeypatch)
         b = bar.build_barrier(domain, np.array(p), m=2, h=h, enforce_hypothesis=False)
+        # a build with no slack to shrink for (the halfspace) has one chart
         charts = 18 if b.kappa_sum_p > b.eta else 1
         assert seen == [charts * (2 ** 3 + 1), bar.TUBE_LATTICE ** 3]
 
