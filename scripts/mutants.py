@@ -78,14 +78,14 @@ MUTANTS = (
     Mutant("probe_skips_the_rest", BARRIER,
            "sigma.project(_cells(chart))",
            "sigma.project(_cells(chart)[:0])",
-           (TUBE + "test_bundle_matches_one_batch_sample[ball-1-1.0]",
-            TUBE + "test_bundle_matches_one_batch_sample[ellipsoid-2-1.0]",
-            TUBE + "test_bundle_matches_one_batch_sample[cylinder-2-1.0]",
+           (TUBE + "test_bundle_matches_one_batch_sample[ball-1-1.0-7]",
+            TUBE + "test_bundle_matches_one_batch_sample[ellipsoid-2-1.0-7]",
+            TUBE + "test_bundle_matches_one_batch_sample[cylinder-2-1.0-7]",
             TUBE + "test_no_feet_raised_after_the_whole_sample")),
     Mutant("probe_reads_another_head", BARRIER,
            "zip(charts, head_kappa)",
            "zip(charts, head_kappa[-1:] + head_kappa[:-1])",
-           (TUBE + "test_bundle_matches_one_batch_sample[ball-2-0.0]",
+           (TUBE + "test_bundle_matches_one_batch_sample[ball-2-0.0-7]",
             TUBE + "test_family_bundle_matches_one_batch_sample[2-1.0]")),
     # the head is eight cells on the chart's middle line (6, 6, 0..7) and p:
     # their feet lie near p, so a chart that fails clears its head there

@@ -935,18 +935,60 @@ def _family_domain(i):
     return geo.Domain(hz.metric_family(i), ball.u0, ball.chart)
 
 
+def _split_projections(monkeypatch, head, probe):
+    """Make every ``SigmaSurface.project`` call project its points in pieces:
+    the first call (the probe of the charts' heads) in runs of ``probe``
+    charts' heads, and each run, like every later call, with its first
+    ``head`` points apart from the rest."""
+    project = bar.SigmaSurface.project
+    calls = []
+
+    def cat(fields):
+        if isinstance(fields[0], tuple):
+            return tuple(np.concatenate(c) for c in zip(*fields))
+        return np.concatenate(fields)
+
+    def split(sigma, x):
+        x = np.asarray(x, dtype=float)
+        run = probe * (2 ** x.shape[-1] + 1) if not calls else len(x)
+        calls.append(len(x))
+        pieces = []
+        for start in range(0, len(x), run):
+            pieces += [x[start:start + run][:head], x[start:start + run][head:]]
+        parts = [project(sigma, piece) for piece in pieces if len(piece)]
+        return bar.Projection(*(cat(f) for f in zip(*parts)))
+
+    monkeypatch.setattr(bar.SigmaSurface, "project", split)
+
+
+# (log2 head, charts per probe run): each head size with the probe in runs of
+# 4 charts, then in runs of one chart and of all 18 charts of the shrink loop
+_SPLITS = ([pytest.param(c, 4, id=str(c)) for c in (0, 1, 7)]
+           + [pytest.param(c, probe, id=f"{c}-probe{probe}") for probe in (1, 18)
+              for c in (0, 1, 7)])
+
+
 class TestTubeSample:
     """A rejected chart stops at its head (its corners and p) or after its
     whole lattice; every bundle stays bitwise the one the one-batch lattice
     gives, and its K and ``tube_ksum_min`` hold on every normal segment of
     the kept chart."""
 
+    @pytest.mark.parametrize("chunk_log2, probe", _SPLITS)
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("name", list(_SAMPLE_DOMAINS))
-    def test_bundle_matches_one_batch_sample(self, name, m, h):
+    def test_bundle_matches_one_batch_sample(self, name, m, h, chunk_log2, probe, monkeypatch):
+        # each foot depends on its own point alone, so the bundle must not
+        # depend on how the projections are split into Newton batches: heads
+        # of 1, 2 and 128 points, and probes in runs of one, 4 or 18 charts
         dom, p = _SAMPLE_DOMAINS[name]
-        _assert_same_bundle(dom, np.array(p), m, h)
+        p = np.array(p)
+        expect = _one_batch_bundle(dom, p, m, h)
+        _split_projections(monkeypatch, 2 ** chunk_log2, probe)
+        b = bar.build_barrier(dom, p, m, h=h, enforce_hypothesis=False)
+        for got, want in zip((b.K, b.epsilon, b.tube_ksum_min, b.chart), expect):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("i", range(11))
@@ -1012,6 +1054,16 @@ class TestTubeSample:
 
         monkeypatch.setattr(bar.SigmaSurface, "project", counting)
         return seen
+
+    def test_rejected_charts_project_a_prefix(self, ball_domain, north_pole, monkeypatch):
+        chart = _one_batch_bundle(ball_domain, north_pole, 2, 0.0)[3]
+        seen = self._count_projections(monkeypatch)
+        b = bar.build_barrier(ball_domain, north_pole, m=2)
+        # the fourth of the 18 charts is kept: one probe of the 18 heads, then
+        # the kept chart's cells; the three charts before it project only
+        # their heads, where the one-batch lattice projects 4 x 1737 points
+        assert np.array_equal(b.chart, chart)
+        assert seen == [18 * (2 ** 3 + 1), bar.TUBE_LATTICE ** 3]
 
     @pytest.mark.parametrize("domain, p, h", (
         [pytest.param(dom, p, 0.0, id=name) for name, (dom, p) in _SAMPLE_DOMAINS.items()]
