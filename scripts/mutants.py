@@ -30,6 +30,9 @@ KKT = "tests/test_barrier.py::TestKKTStep::test_matches_lapack"
 TUBE = "tests/test_barrier.py::TestTubeSample::"
 JET = "tests/test_geometry.py::test_jet_equals_the_separate_methods"
 LOWERING = "tests/test_varifold.py::TestCachedLowering::test_cached_lowering_equals_the_direct_formula"
+QUARTIC_ORACLE = tuple(f"tests/test_geometry.py::"
+                       f"test_isotropic_quartic_matches_the_full_sums_bit_for_bit[{g}]"
+                       for g in (1.0, 0.25, 1.25))
 HAUSDORFF = ("tests/test_harness.py::TestHausdorffOracle::"
              "test_equals_the_full_norm_matrix_across_blocks")
 
@@ -103,11 +106,13 @@ MUTANTS = (
            "    if np.any(denom <= 0.0):",
            "    if False:",
            (TUBE + "test_K_bounds_every_segment_or_the_build_is_refused[10.0-None]",)),
-    # the jets' derivatives are checked against central differences
+    # the jets' derivatives are checked against central differences, and the
+    # quartic's jet bit for bit against the full-gram sums
     Mutant("quartic_jet_hessian", GEOMETRY,
-           "t * self.gram[i, j] + 8.0 * (gd[i] * gd[j])",
-           "t * self.gram[i, j] + 4.0 * (gd[i] * gd[j])",
-           (JET + "[quartic]", JET + "[sum]")),
+           "t * self.g + 8.0 * (gd[i] * gd[j])",
+           "t * self.g + 4.0 * (gd[i] * gd[j])",
+           (JET + "[quartic]", JET + "[quartic_isotropic]", JET + "[sum]")
+           + QUARTIC_ORACLE),
     Mutant("distance_jet_hessian", GEOMETRY,
            "-((self.mask[i] if i == j else 0.0) - u[i] * u[j]) / r",
            "-(0.0 - u[i] * u[j]) / r",
@@ -115,9 +120,7 @@ MUTANTS = (
     Mutant("quartic_isotropic_signed_zero", GEOMETRY,
            "else 8.0 * (gd[i] * gd[j]) + 0.0 for i, j in _PAIRS)",
            "else 8.0 * (gd[i] * gd[j]) for i, j in _PAIRS)",
-           tuple(f"tests/test_geometry.py::"
-                 f"test_isotropic_quartic_matches_the_full_sums_bit_for_bit[{g}]"
-                 for g in (1.0, 0.25, 1.25))),
+           QUARTIC_ORACLE),
     # the scenario shortcuts are checked bit for bit against their direct forms
     Mutant("lowering_frames_not_scaled", VARIFOLD,
            "np.repeat(mesh.euclidean_frames / c, Q, axis=0)",

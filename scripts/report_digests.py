@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print a short sha256 digest of each ``--no-timestamp`` CLI report.
 
-Runs twenty-six fixed CLI inputs in process and prints one line per input:
+Runs twenty-eight fixed CLI inputs in process and prints one line per input:
 its name, the exit code and the first 16 hex digits of the sha256 of its
 report.  The inputs are every theorem scenario, theorem6 at h = 1.5,
 theorem1 and theorem5 under the constant conformal metric c = 1/2, nine
@@ -9,13 +9,15 @@ barrier-verify grids (the torus at m = 2 and at m = 1, which fails, among
 them, and the ball under c = 1/2 written both as conformal:0-log(2) and as
 the matrix 0.25 I, whose digests are equal), a convexity under a matrix
 metric, two barrier-build bundles at the top of the unit ball (euclidean,
-and under theorem3's family metric i = 2, 1.25 times euclidean), and six
-inputs that read meshes from temporary SVMESH files: four minimize runs
+and under theorem3's family metric i = 2, 1.25 times euclidean), and eight
+inputs that read meshes from temporary SVMESH files: five minimize runs
 (the 513-vertex bulged disk, the same disk stopped by ``--max-iterations
-1``, the 1537-vertex cap of the unit sphere and the 33-vertex bulged disk
-under the metric e^{0.2 x1} delta), the decomposition of theorem4's
-varifold over the unit sphere, and the first variation of (x2, -x1, x3^2)
-on the 289-vertex bulged disk under e^{0.2 x1} delta at quadrature order 4.
+1``, the 1537-vertex cap of the unit sphere, the 33-vertex bulged disk
+under the metric e^{0.2 x1} delta, and a bulged 33-vertex chord polyline,
+the one 1-dimensional mesh), the decomposition of theorem4's varifold over
+the unit sphere, and the first variation of (x2, -x1, x3^2) on the
+289-vertex bulged disk, under e^{0.2 x1} delta at quadrature order 4 and
+under the euclidean metric.
 The torus, the ellipsoid, the matrix metric and the non-constant conformal
 metric are read through expressions.  Two trees print the same lines
 exactly when their reports are byte-identical.
@@ -83,17 +85,12 @@ def sphere_cap():
     return disk.with_vertices((1.0 - 1e-4) * verts)
 
 
-def theorem4_pair():
-    """theorem4's varifold (the radius-1 icosphere at subdivision 3 with
-    multiplicity 2 plus the radius-0.4 icosphere at subdivision 2) and its
-    boundary, the radius-1 icosphere alone."""
-    boundary = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
-    interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
-    varifold = vf.SimplicialSurface(
-        np.vstack([boundary.vertices, interior.vertices]),
-        np.vstack([boundary.simplices, interior.simplices + len(boundary.vertices)]),
-        np.concatenate([2 * np.ones(len(boundary.simplices)), np.ones(len(interior.simplices))]))
-    return varifold, boundary
+def polyline():
+    """The chord from (-0.5, 0, 0.5) to (0.5, 0, 0.5) in 32 segments, its
+    interior lifted by 0.05 sin(pi t)."""
+    t = np.linspace(0.0, 1.0, 33)
+    verts = np.stack([t - 0.5, np.zeros(33), 0.5 + 0.05 * np.sin(np.pi * t)], axis=-1)
+    return vf.SimplicialSurface(verts, np.stack([np.arange(32), np.arange(1, 33)], axis=-1))
 
 
 def file_inputs(workdir):
@@ -111,13 +108,17 @@ def file_inputs(workdir):
                ("--metric", "conformal:0.1*x1", "--tolerance", "1e-5")))
     inputs = [(name, ("minimize", "--mesh", write(name, mesh), "--domain", "ball:1") + options)
               for name, mesh, options in starts]
-    varifold, boundary = theorem4_pair()
+    varifold, boundary = meshes.theorem4_varifold()
     inputs.append(("decompose_theorem4", ("decompose", "--mesh", write("theorem4", varifold),
                                           "--boundary-mesh", write("sphere", boundary))))
-    inputs.append(("first_var_conformal", ("first-variation",
-                                           "--mesh", write("bulged", meshes.bulged_disk_mesh()),
+    bulged = write("bulged", meshes.bulged_disk_mesh())
+    inputs.append(("first_var_conformal", ("first-variation", "--mesh", bulged,
                                            "--field", "x2,0-x1,x3^2",
                                            "--metric", "conformal:0.1*x1", "--order", "4")))
+    inputs.append(("first_var_euclidean", ("first-variation", "--mesh", bulged,
+                                           "--field", "x2,0-x1,x3^2")))
+    inputs.append(("minimize_polyline", ("minimize", "--mesh", write("polyline", polyline()),
+                                         "--domain", "ball:1")))
     return tuple(inputs)
 
 

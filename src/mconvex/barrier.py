@@ -109,8 +109,6 @@ class SigmaSurface:
     p: np.ndarray
     w: ScalarField = field(init=False)
     c: float = field(init=False)
-    gram: np.ndarray = field(init=False)
-    gram_norm: float = field(init=False)
     gap: QuarticGapField = field(init=False)
     jet_p: tuple = field(init=False)
 
@@ -125,10 +123,8 @@ class SigmaSurface:
         self.p = np.asarray(self.p, dtype=float)
         if self.p.shape != (3,):
             raise GeometryError("barrier construction needs a point of R^3")
-        self.gram = np.asarray(self.domain.metric.matrix(self.p), dtype=float)
-        # sqrt(lambda_max(G)): the G-length of a euclidean unit vector is at most this
-        self.gram_norm = float(np.sqrt(np.max(np.linalg.eigvalsh(self.gram))))
-        self.gap = QuarticGapField(self.p, self.gram)
+        # g(p) = c^2 I; its entry g_11 is read, not c * c, which can differ by an ulp
+        self.gap = QuarticGapField(self.p, self.domain.metric.matrix(self.p)[0, 0])
         self.w = SumField([self.domain.u0, self.gap])
         self.jet_p = self.w.jet(unstack(self.p))
 
@@ -139,12 +135,12 @@ class SigmaSurface:
         Let B be the bounding box of the points x widened by ``radius`` and L
         a Lipschitz constant of u0 on B (``ScalarField.lipschitz``).  On the
         ball B(x, radius), inside B, w(z) >= u0(x) - L radius
-        + (|x - p|_G - sqrt(lambda_max(G)) radius)_+^4, with G the quartic
-        gram; where that bound exceeds FOOT_TOLERANCE, no z in the ball
-        passes ``project``'s acceptance test.  Accepted feet have |w| near the
-        Newton tolerance 1e-12, far below FOOT_TOLERANCE, so rounding in the
-        bound cannot drop a point that has one.  Where u0 has no Lipschitz
-        bound on B, no point is marked.
+        + (|x - p|_g - c radius)_+^4; where that bound exceeds
+        FOOT_TOLERANCE, no z in the ball passes ``project``'s acceptance
+        test.  Accepted feet have |w| near the Newton tolerance 1e-12, far
+        below FOOT_TOLERANCE, so rounding in the bound cannot drop a point
+        that has one.  Where u0 has no Lipschitz bound on B, no point is
+        marked.
         """
         x = np.asarray(x, dtype=float)
         y = unstack(x)
@@ -157,7 +153,7 @@ class SigmaSurface:
         if L is None:
             return np.zeros(x.shape[:-1], dtype=bool)
         dist_g = np.sqrt(self.gap.squared_distance(y))
-        gap = np.maximum(dist_g - self.gram_norm * radius, 0.0)
+        gap = np.maximum(dist_g - self.c * radius, 0.0)
         return u0_x - L * radius + gap**4 > FOOT_TOLERANCE
 
     def project(self, x):

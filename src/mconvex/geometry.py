@@ -248,31 +248,24 @@ class DistanceField(ScalarField):
 
 
 class QuarticGapField(ScalarField):
-    """((x-p)^T G (x-p))^2 on R^3, the fourth power of the G-norm distance to
-    p.  The value and the derivatives come from one contraction
-    s = d^T (G d), d = x - p, which ``squared_distance`` returns.  Whether
-    G = g I is decided once, at construction; then the zero off-diagonal
-    products are skipped, and adding 0.0 keeps the sign of every zero that
-    the full sums give."""
+    """(g |x - p|^2)^2 on R^3, the fourth power of the distance to p under the
+    metric g I.  The value and the derivatives come from one contraction
+    s = d . (g d), d = x - p, which ``squared_distance`` returns.  Adding 0.0
+    to g d and to the off-diagonal Hessian entries keeps the signed zeros of
+    the pinned reports."""
 
-    def __init__(self, p, gram):
+    def __init__(self, p, g):
         self.p = np.asarray(p, dtype=float)
-        self.gram = np.asarray(gram, dtype=float)
+        self.g = float(g)
         self.n = self.p.shape[0]
-        g = self.gram[0, 0]
-        self.isotropic = float(g) if np.array_equal(self.gram, g * np.eye(self.n)) else None
 
     def _contract(self, y):
         d = [yi - pi for yi, pi in zip(y, self.p)]
-        g = self.isotropic
-        if g is None:
-            gd = [sum(gij * dj for gij, dj in zip(row, d)) for row in self.gram]
-        else:
-            gd = [g * di + 0.0 for di in d]
+        gd = [self.g * di + 0.0 for di in d]
         return gd, sum(di * gdi for di, gdi in zip(d, gd))
 
     def squared_distance(self, y):
-        """(y - p)^T G (y - p) at the points with coordinate arrays y."""
+        """g |y - p|^2 at the points with coordinate arrays y."""
         return self._contract(y)[1]
 
     def value(self, x):
@@ -282,11 +275,8 @@ class QuarticGapField(ScalarField):
     def jet(self, y):
         gd, s = self._contract(y)
         t = 4.0 * s
-        if self.isotropic is None:
-            hess = tuple(t * self.gram[i, j] + 8.0 * (gd[i] * gd[j]) for i, j in _PAIRS)
-        else:
-            hess = tuple(t * self.isotropic + 8.0 * (gd[i] * gd[j]) if i == j
-                         else 8.0 * (gd[i] * gd[j]) + 0.0 for i, j in _PAIRS)
+        hess = tuple(t * self.g + 8.0 * (gd[i] * gd[j]) if i == j
+                     else 8.0 * (gd[i] * gd[j]) + 0.0 for i, j in _PAIRS)
         return s * s, tuple(t * gdi for gdi in gd), hess
 
 

@@ -362,15 +362,7 @@ def scenario_theorem4(cfg):
     the boundary decomposition of integral varifolds."""
     _reads_no_h(cfg, "theorem4")
     domain = cfg.domain
-    boundary_mesh = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
-    interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
-    varifold_mesh = vf.SimplicialSurface(
-        np.vstack([boundary_mesh.vertices, interior.vertices]),
-        np.vstack([boundary_mesh.simplices,
-                   interior.simplices + len(boundary_mesh.vertices)]),
-        np.concatenate([2 * np.ones(len(boundary_mesh.simplices)),
-                        np.ones(len(interior.simplices))]),
-    )
+    varifold_mesh, boundary_mesh = meshes.theorem4_varifold()
     n = domain.n
     m = n - 1
     # (a) contact with a strictly mean-convex boundary point forces the

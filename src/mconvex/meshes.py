@@ -106,6 +106,18 @@ def icosphere_mesh(radius=1.0, center=(0.0, 0.0, 0.0), subdivisions=3):
     return SimplicialSurface(verts, faces)
 
 
+def theorem4_varifold():
+    """theorem4's varifold, the unit icosphere at multiplicity 2 plus the
+    radius-0.4 icosphere, and its boundary mesh, the unit icosphere."""
+    boundary = icosphere_mesh(radius=1.0, subdivisions=3)
+    interior = icosphere_mesh(radius=0.4, subdivisions=2)
+    varifold = SimplicialSurface(
+        np.vstack([boundary.vertices, interior.vertices]),
+        np.vstack([boundary.simplices, interior.simplices + len(boundary.vertices)]),
+        np.repeat([2.0, 1.0], [len(boundary.simplices), len(interior.simplices)]))
+    return varifold, boundary
+
+
 def sphere_cap_mesh(radius=2.0, center=(0.0, 0.0, -1.2), z_range=(0.68, 0.79),
                     rings=10, segments=80):
     """Band of a round sphere between two horizontal planes.

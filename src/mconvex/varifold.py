@@ -374,6 +374,14 @@ def _metric_frames(E, g):
     return frames
 
 
+def _mesh_metric(mesh, metric):
+    """``metric``, or the euclidean one when None, refused on another R^n than the mesh's."""
+    metric = metric or geo.metric_euclidean(mesh.n)
+    if metric.n != mesh.n:
+        raise VarifoldError(f"the mesh lies in R^{mesh.n}, the metric is on R^{metric.n}")
+    return metric
+
+
 def varifold_from_mesh(mesh, metric=None, order=2):
     """Lower a mesh to an atomic varifold: one atom per quadrature node.
 
@@ -383,9 +391,7 @@ def varifold_from_mesh(mesh, metric=None, order=2):
     euclidean one, ``quadrature`` and ``euclidean_frames``, with its weights
     times c^m and its frames divided by c.
     """
-    metric = metric or geo.metric_euclidean(mesh.n)
-    if metric.n != mesh.n:
-        raise VarifoldError(f"the mesh lies in R^{mesh.n}, the metric is on R^{metric.n}")
+    metric = _mesh_metric(mesh, metric)
     c = metric.constant_factor()
     if c is not None:
         points, weights = mesh.quadrature(order)
@@ -409,7 +415,7 @@ def area(mesh, metric=None, order=2):
     The same node weights and sum as ``varifold_from_mesh(...).total_weight``,
     without building the frames.
     """
-    metric = metric or geo.metric_euclidean(mesh.n)
+    metric = _mesh_metric(mesh, metric)
     c = metric.constant_factor()
     if c is not None:
         weights = c ** mesh.m * mesh.quadrature(order)[1]
@@ -426,7 +432,7 @@ def vertex_areas(mesh, metric=None):
     one, ``mesh.volumes``; otherwise it is the sum of its node weights in
     ``area``'s default quadrature.  A vertex in no simplex gets 0.
     """
-    metric = metric or geo.metric_euclidean(mesh.n)
+    metric = _mesh_metric(mesh, metric)
     c = metric.constant_factor()
     if c is not None:
         simplex = c ** mesh.m * mesh.volumes * mesh.multiplicity
@@ -492,7 +498,7 @@ def metric_area_gradient(mesh, metric=None):
     g = c^2 * euclidean the area is c^m times the euclidean one, whose
     gradient is ``area_vertex_gradient``.
     """
-    c = 1.0 if metric is None else metric.constant_factor()
+    c = 1.0 if metric is None else _mesh_metric(mesh, metric).constant_factor()
     if c is not None:
         return c ** mesh.m * area_vertex_gradient(mesh)
     quad = _mesh_quadrature(mesh, metric, 2)
@@ -586,7 +592,7 @@ def mesh_mean_curvature(mesh, metric=None):
     the euclidean vector divided by c^2 (so |H|_g is the euclidean |H| / c);
     other metrics are refused.
     """
-    c = 1.0 if metric is None else metric.constant_factor()
+    c = 1.0 if metric is None else _mesh_metric(mesh, metric).constant_factor()
     if c is None:
         raise VarifoldError("mean curvature needs a constant-factor metric")
     if mesh.m != 2:

@@ -305,16 +305,14 @@ class TestExprArray:
             build()
 
 
-_GRAM = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 0.8]])
-
 _JET_FIELDS = {
     "sphere": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3]),
     "cylinder": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3], axes=[0, 1]),
-    "quartic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], _GRAM),
-    "quartic_isotropic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], 1.25 * np.eye(3)),
+    "quartic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], 0.5),
+    "quartic_isotropic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], 1.25),
     "linear": lambda: geo.LinearField([0.5, -1.0, 2.0]),
     "sum": lambda: geo.SumField([geo.DistanceField(1.0, np.zeros(3)),
-                                 geo.QuarticGapField([0.0, 0.0, 1.0], _GRAM)]),
+                                 geo.QuarticGapField([0.0, 0.0, 1.0], 0.5)]),
     "expr": lambda: geo.ExprScalarField("sin(x1)*x2 + x3^3 - x1*x3", 3),
 }
 
@@ -374,23 +372,31 @@ def _points_with_zero_offsets():
     return x
 
 
+def _full_gram_jet(p, G, y):
+    """The quartic's jet for a general gram G, every product of G summed:
+    s = d^T (G d), the gradient 4 s G d and the Hessian 4 s G + 8 (G d)(G d)^T."""
+    d = [yi - pi for yi, pi in zip(y, p)]
+    gd = [sum(gij * dj for gij, dj in zip(row, d)) for row in G]
+    s = sum(di * gdi for di, gdi in zip(d, gd))
+    t = 4.0 * s
+    hess = tuple(t * G[i, j] + 8.0 * (gd[i] * gd[j]) for i, j in geo._PAIRS)
+    return s * s, tuple(t * gdi for gdi in gd), hess
+
+
 @pytest.mark.parametrize("g", [1.0, 0.25, 1.25])
 def test_isotropic_quartic_matches_the_full_sums_bit_for_bit(g):
-    """Skipping the zero products of G = g I changes no bit, signed zeros
-    included, of the jet, the value or the squared distance."""
-    fast = geo.QuarticGapField([0.0, 0.0, 1.0], g * np.eye(3))
-    full = geo.QuarticGapField([0.0, 0.0, 1.0], g * np.eye(3))
-    assert fast.isotropic == g
-    full.isotropic = None
+    """The scalar gap equals the full-gram sums with G = g I bit for bit,
+    signed zeros included, in the jet, the value and the squared distance."""
+    field = geo.QuarticGapField([0.0, 0.0, 1.0], g)
     x = _points_with_zero_offsets()
     y = geo.unstack(x)
-    (v1, g1, h1), (v2, g2, h2) = fast.jet(y), full.jet(y)
-    assert _bits([v1, *g1, *h1]) == _bits([v2, *g2, *h2])
-    assert _bits([fast.value(x), fast.squared_distance(y)]) == _bits(
-        [full.value(x), full.squared_distance(y)])
-    d = x - fast.p
-    assert _bits([fast.squared_distance(y)]) == _bits(
-        [np.einsum("...i,ij,...j->...", d, fast.gram, d)])
+    v, grad, hess = _full_gram_jet(field.p, g * np.eye(3), y)
+    value, gradient, hessian = field.jet(y)
+    assert _bits([value, *gradient, *hessian]) == _bits([v, *grad, *hess])
+    assert _bits([field.value(x)]) == _bits([v])
+    d = x - field.p
+    s = np.einsum("...i,ij,...j->...", d, g * np.eye(3), d)
+    assert _bits([field.squared_distance(y)]) == _bits([s])
 
 
 @pytest.mark.parametrize("axes", [None, (0, 1)])
@@ -436,7 +442,7 @@ def test_lipschitz_values_and_unknowns():
     box = (-np.ones(3), np.ones(3))
     assert geo.DistanceField(1.0, np.zeros(3)).lipschitz(*box) == 1.0
     assert geo.LinearField([3.0, 0.0, 4.0]).lipschitz(*box) == 5.0
-    assert geo.QuarticGapField(np.zeros(3), _GRAM).lipschitz(*box) is None
+    assert geo.QuarticGapField(np.zeros(3), 2.0).lipschitz(*box) is None
     # the partials divide by sqrt(x1^2 + x2^2 + x3^2), whose enclosure holds 0
     assert geo.ExprScalarField("1 - sqrt(x1^2 + x2^2 + x3^2)", 3).lipschitz(*box) is None
     assert geo.ExprScalarField("1 - sqrt(x1^2 + x2^2 + x3^2)", 3).lipschitz(

@@ -189,6 +189,19 @@ class TestFromMesh:
         assert bar.verify_barrier(b, grid_resolution=12).n_tube > 0
         assert calls == []
 
+    @pytest.mark.parametrize("metric", [geo.metric_euclidean(3), geo.metric_conformal("0.1*x1")],
+                             ids=["euclidean", "conformal_x1"])
+    @pytest.mark.parametrize("fn", ["varifold_from_mesh", "area", "vertex_areas",
+                                    "metric_area_gradient", "mesh_mean_curvature"])
+    def test_metric_on_another_space_is_refused(self, fn, metric):
+        # a planar triangle under a metric on R^3: the euclidean and constant
+        # factors returned numbers, x1's ended in a reshape or constant-factor error
+        mesh = vf.SimplicialSurface(np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]),
+                                    np.array([[0, 1, 2]]))
+        with pytest.raises(vf.VarifoldError,
+                           match=r"the mesh lies in R\^2, the metric is on R\^3"):
+            getattr(vf, fn)(mesh, metric)
+
     def test_degenerate_simplex_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
         mesh = vf.SimplicialSurface(verts, np.array([[0, 1, 2]]))
@@ -806,18 +819,6 @@ def _decompose_by_loop(V_mesh, boundary_mesh):
     return W, Wp, d
 
 
-def _theorem4_varifold():
-    """theorem4's integral varifold: the unit icosphere twice and a sphere of
-    radius 0.4 once, and the unit icosphere as its boundary mesh."""
-    boundary = meshes.icosphere_mesh(radius=1.0, subdivisions=3)
-    interior = meshes.icosphere_mesh(radius=0.4, subdivisions=2)
-    V = vf.SimplicialSurface(
-        np.vstack([boundary.vertices, interior.vertices]),
-        np.vstack([boundary.simplices, interior.simplices + len(boundary.vertices)]),
-        np.concatenate([2 * np.ones(len(boundary.simplices)), np.ones(len(interior.simplices))]))
-    return V, boundary
-
-
 def _shuffled(mesh, rng):
     """The same simplices with the vertices renumbered, the simplices
     reordered and each simplex's corners permuted."""
@@ -846,7 +847,7 @@ class TestDecompositionOracle:
 
     @pytest.mark.parametrize("case", ["theorem4", "shuffled", "split"])
     def test_equals_the_loop(self, case):
-        V, boundary = _theorem4_varifold()
+        V, boundary = meshes.theorem4_varifold()
         rng = np.random.default_rng(7)
         if case == "shuffled":
             V, boundary = _shuffled(V, rng), _shuffled(boundary, rng)
@@ -863,7 +864,7 @@ class TestDecompositionOracle:
                 assert _bits(getattr(g, name)) == _bits(getattr(w, name))
 
     def test_boundary_of_another_dimension_is_not_carried(self):
-        V, _ = _theorem4_varifold()
+        V, _ = meshes.theorem4_varifold()
         W, Wp, d = vf.decompose_integral(V, chord_polyline([0, 0, 1.0], [1.0, 0, 0]))
         assert (W, Wp, d) == (None, V, 0)
 
