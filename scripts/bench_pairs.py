@@ -11,8 +11,18 @@ tree, the base first on odd seeds and the head first on even ones:
 Every result is appended, as one set, to the ``--out`` JSON file (created if
 missing).  Per workload and end-to-end metric the script prints the two
 medians, the base's quartiles and the number of pairs where the head was
-lower.  It exits 1 if a run fails or reports anything but ``correct`` with 0
-failed.
+lower, then two verdicts (every end-to-end metric is better lower):
+
+- "gain shown" when the head is lower in at least 9/10 of the pairs and its
+  median is below the base's by more than the base's quartile spread, else
+  "gain not shown";
+- "worse than its bound" when the head's median exceeds the base's by more
+  than the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the base's
+  median); otherwise "unresolved" when the base's quartile spread is wider
+  than the bound and some head run is not below every base run, and "within
+  its bound" else.
+
+It exits 1 if a run fails or reports anything but ``correct`` with 0 failed.
 
     python scripts/bench_pairs.py --base HEAD~1 --head HEAD --workload scenarios \\
         --seeds 1-10 --seconds 25 --out BENCH_32.json
@@ -72,8 +82,35 @@ def run_once(tree, workload, seed, seconds):
     return row
 
 
+def bounds():
+    """Each end-to-end metric's bound from ``BENCHMARK.json``, a fraction of
+    the base's median."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def compare(base, head, bound):
+    """Paired runs of one lower-is-better metric: the medians, the base's
+    quartiles, the pairs where the head was lower, and the two verdicts."""
+    q = statistics.quantiles(base, n=4) if len(base) > 1 else [base[0]] * 3
+    med_b, med_h, spread = statistics.median(base), statistics.median(head), q[2] - q[0]
+    wins = sum(h < b for b, h in zip(base, head))
+    change = 100.0 * (med_h - med_b) / med_b if med_b else float("nan")
+    gain = wins >= 0.9 * len(base) and med_b - med_h > spread
+    if med_h - med_b > bound * med_b:
+        cost = "worse than its bound"
+    elif spread > bound * med_b and not max(head) < min(base):
+        cost = "unresolved"
+    else:
+        cost = "within its bound"
+    return (f"base {med_b:.4g} ({q[0]:.4g}-{q[2]:.4g}) -> head {med_h:.4g} ({change:+.1f}%); "
+            f"head lower in {wins}/{len(base)}; gain {'shown' if gain else 'not shown'}; "
+            f"{cost} ({100 * bound:.0f}%)")
+
+
 def summary(runs, workloads):
-    """One line per workload and metric: medians, base quartiles, head wins."""
+    """One line per workload and metric, as ``compare`` gives it."""
+    bound = bounds()
     lines = []
     for w in workloads:
         for metric in METRICS:
@@ -82,17 +119,9 @@ def summary(runs, workloads):
                 if r["workload"] == w and metric in r:
                     pairs.setdefault(r["seed"], {})[r["tree"]] = r[metric]
             both = [p for p in pairs.values() if len(p) == 2]
-            if not both:
-                continue
-            base = [p["base"] for p in both]
-            head = [p["head"] for p in both]
-            q = statistics.quantiles(base, n=4) if len(base) > 1 else [base[0]] * 3
-            wins = sum(p["head"] < p["base"] for p in both)
-            med_b, med_h = statistics.median(base), statistics.median(head)
-            change = 100.0 * (med_h - med_b) / med_b if med_b else float("nan")
-            lines.append(f"{w:12s} {metric:11s} base {med_b:.4g} ({q[0]:.4g}-{q[2]:.4g}) "
-                         f"-> head {med_h:.4g} ({change:+.1f}%); head lower in "
-                         f"{wins}/{len(both)}")
+            if both:
+                lines.append(f"{w:12s} {metric:11s} " + compare(
+                    [p["base"] for p in both], [p["head"] for p in both], bound[metric]))
     return lines
 
 

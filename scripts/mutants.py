@@ -33,6 +33,10 @@ LOWERING = "tests/test_varifold.py::TestCachedLowering::test_cached_lowering_equ
 QUARTIC_ORACLE = tuple(f"tests/test_geometry.py::"
                        f"test_isotropic_quartic_matches_the_full_sums_bit_for_bit[{g}]"
                        for g in (1.0, 0.25, 1.25))
+VERIFY = "tests/test_barrier.py::TestVerification::"
+CLOSED_FORM = tuple(f"{VERIFY}test_live_margins_match_closed_form[{name}]"
+                    for name in ("ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
+                                 "cylinder_bundle", "ellipsoid_bundle"))
 HAUSDORFF = ("tests/test_harness.py::TestHausdorffOracle::"
              "test_equals_the_full_norm_matrix_across_blocks")
 
@@ -106,6 +110,20 @@ MUTANTS = (
            "    if np.any(denom <= 0.0):",
            "    if False:",
            (TUBE + "test_K_bounds_every_segment_or_the_build_is_refused[10.0-None]",)),
+    # the bundles' m is 2: the margin's mid + hi is checked against the sort
+    Mutant("margin_network_mid_is_lo", BARRIER,
+           "return (0.0 + mid) + hi",
+           "return (0.0 + lo) + hi",
+           CLOSED_FORM),
+    Mutant("chart_test_dropped", BARRIER,
+           "axes.append(ax[(ax >= in_lo) & (ax <= in_hi)])",
+           "axes.append(ax)",
+           (VERIFY + "test_chart_past_the_domain_chart_keeps_the_points_of_N",)),
+    Mutant("fallback_jet_skipped", BARRIER,
+           "    if not np.all(ok):\n        # a point without a foot",
+           "    if False:\n        # a point without a foot",
+           ("tests/test_barrier.py::TestProjection::"
+            "test_point_without_a_foot_and_a_zero_gradient_is_invalid",)),
     # the jets' derivatives are checked against central differences, and the
     # quartic's jet bit for bit against the full-gram sums
     Mutant("quartic_jet_hessian", GEOMETRY,

@@ -32,7 +32,9 @@ and the normal and Hess u are built only where X's Jacobian is asked for.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -167,7 +169,9 @@ class SigmaSurface:
         iteration runs on coordinate arrays, and w's jet comes from one
         ``w.jet`` per point per step: the jet at x starts the iteration, and
         each point's last jet, at its final y, serves the acceptance test and
-        is returned.
+        is returned.  Only y, lambda and x are held across a ``w.jet`` call:
+        a step's jet, residual and Newton step live in ``advance`` alone, and
+        the rows it drops are released as it drops them.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, x.shape[-1])
@@ -183,26 +187,30 @@ class SigmaSurface:
         foot = [np.empty(len(pts)) for _ in range(3)]
         lam_f, w_f, g_f, h_f = lam, np.empty(len(pts)), g, h
 
-        def stop(keep=slice(None)):
-            # the running rows ``keep`` of idx stop here
+        def stop(w, g, h, keep=slice(None)):
+            # the running rows ``keep`` stop here, with w's jet (w, g, h) at y
             for out, values in zip((*foot, lam_f, w_f, *g_f, *h_f), (*y, lam, w, *g, *h)):
                 out[idx[keep]] = values[keep]
 
-        idx, x0, y, w = np.arange(len(pts)), start, start, w_x
-        for _ in range(60):
+        def advance(jet=None):
+            # one Newton step of the running rows from w's jet at y, evaluated
+            # here unless given; the rows that stop are written out, and the
+            # running state is rebound, so its old arrays go at once
+            nonlocal idx, x0, y, lam
+            w, g, h = self.w.jet(y) if jet is None else jet
             r_y = [yi - xi + lam * gi for yi, xi, gi in zip(y, x0, g)]
             r0, r1, r2 = r_y
             moving = np.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + w * w) > 1e-12
             if not np.all(moving):
-                stop(~moving)
+                stop(w, g, h, ~moving)
                 idx, w, lam = idx[moving], w[moving], lam[moving]
                 x0, y, r_y, g, h = ([a[moving] for a in arrays] for arrays in (x0, y, r_y, g, h))
             if len(idx) == 0:
-                break
+                return
             s_y, s_lam, solved = _kkt_step(lam, h, g, r_y, w)
             if not np.all(solved):
                 ok[idx[~solved]] = False
-                stop(~solved)
+                stop(w, g, h, ~solved)
                 idx, lam, s_lam = idx[solved], lam[solved], s_lam[solved]
                 x0, y, s_y = ([a[solved] for a in arrays] for arrays in (x0, y, s_y))
             # damp overlong steps; keeps far-away starts from exploding
@@ -211,9 +219,15 @@ class SigmaSurface:
             scale = np.minimum(1.0, max_step / np.maximum(norms, 1e-300))
             y = [yi - si * scale for yi, si in zip(y, s_y)]
             lam = lam - s_lam * scale
-            w, g, h = self.w.jet(y)
+
+        idx, x0, y = np.arange(len(pts)), start, start
+        for step in range(60):
+            if len(idx) == 0:
+                break
+            advance((w_x, g, h) if step == 0 else None)
         else:
-            stop()
+            if len(idx):
+                stop(*self.w.jet(y))
         a0, a1, a2 = (fi - xi + lam_f * gi for fi, xi, gi in zip(foot, start, g_f))
         ok = ok & (np.abs(w_f) <= FOOT_TOLERANCE) & (np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) <= 1e-7)
         ok = ok & np.isfinite(foot[0]) & np.isfinite(foot[1]) & np.isfinite(foot[2])
@@ -235,20 +249,8 @@ def _kkt_step(lam, h, g, r_y, r_w):
     step that is not finite marks it; such a row fails alone: ``solved`` is
     False there and its step is zero.
     """
-    h00, h11, h22, h01, h02, h12 = h
-    a = 1.0 + lam * h00
-    d = 1.0 + lam * h11
-    f = 1.0 + lam * h22
-    b, c, e = lam * h01, lam * h02, lam * h12
-    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
-    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
-    det = a * c00 + b * c01 + c * c02
+    det, (ag0, ag1, ag2), (ar0, ar1, ar2) = _adjugate_products(lam, h, (g, r_y))
     g0, g1, g2 = g
-    r0, r1, r2 = r_y
-    ag0, ag1, ag2 = (c00 * g0 + c01 * g1 + c02 * g2, c01 * g0 + c11 * g1 + c12 * g2,
-                     c02 * g0 + c12 * g1 + c22 * g2)
-    ar0, ar1, ar2 = (c00 * r0 + c01 * r1 + c02 * r2, c01 * r0 + c11 * r1 + c12 * r2,
-                     c02 * r0 + c12 * r1 + c22 * r2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s_lam = (g0 * ar0 + g1 * ar1 + g2 * ar2 - det * r_w) / (g0 * ag0 + g1 * ag1 + g2 * ag2)
         s_y = ((ar0 - s_lam * ag0) / det, (ar1 - s_lam * ag1) / det,
@@ -257,6 +259,28 @@ def _kkt_step(lam, h, g, r_y, r_w):
     for s in (s_lam, *s_y):
         s[~solved] = 0.0
     return s_y, s_lam, solved
+
+
+def _adjugate_products(lam, h, vectors):
+    """det(A) and adj(A) v for each of ``vectors`` (as components), A = I +
+    lam H; A's entries are released once its cofactors exist, and the
+    cofactors once the products do."""
+    (c00, c01, c02, c11, c12, c22), det = _cofactors(lam, h)
+    return (det, *[(c00 * v0 + c01 * v1 + c02 * v2, c01 * v0 + c11 * v1 + c12 * v2,
+                    c02 * v0 + c12 * v1 + c22 * v2) for v0, v1, v2 in vectors])
+
+
+def _cofactors(lam, h):
+    """The cofactors C_00, C_01, C_02, C_11, C_12, C_22 of the symmetric
+    A = I + lam H, and det(A)."""
+    h00, h11, h22, h01, h02, h12 = h
+    a = 1.0 + lam * h00
+    d = 1.0 + lam * h11
+    f = 1.0 + lam * h22
+    b, c, e = lam * h01, lam * h02, lam * h12
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    c11, c12, c22 = a * f - c * c, b * c - a * e, a * d - b * b
+    return (c00, c01, c02, c11, c12, c22), a * c00 + b * c01 + c * c02
 
 
 # --------------------------------------------------------------------------
@@ -310,13 +334,13 @@ def tube_eval(sigma, x):
     x = np.asarray(x, dtype=float)
     c = sigma.c
     foot, ok, w_x, grad, hess = sigma.project(x)
-    sgn = np.where(w_x >= 0.0, 1.0, -1.0)
-    u_e = sgn * np.linalg.norm(x - foot, axis=-1)
-
-    # a point without a foot takes w's jet at p; it is not valid
-    _, grad_p, hess_p = sigma.jet_p
-    shp = sigma_shape([np.where(ok, a, a_p) for a, a_p in zip(grad, grad_p)],
-                      [np.where(ok, a, a_p) for a, a_p in zip(hess, hess_p)])
+    u_e = np.where(w_x >= 0.0, 1.0, -1.0) * _distance(x, foot)
+    if not np.all(ok):
+        # a point without a foot takes w's jet at p; it is not valid
+        _, grad_p, hess_p = sigma.jet_p
+        grad = [np.where(ok, a, a_p) for a, a_p in zip(grad, grad_p)]
+        hess = [np.where(ok, a, a_p) for a, a_p in zip(hess, hess_p)]
+    shp = sigma_shape(grad, hess)
     denom = 1.0 - u_e[..., None] * shp.kappa
     clear = denom > 0.05
     valid = ok & np.all(clear, axis=-1)
@@ -324,6 +348,13 @@ def tube_eval(sigma, x):
     # curvatures stay ascending: t -> k/(1-tk) is monotone in k for 1-tk>0
     return TubeData(u=c * u_e, curvatures=shp.kappa / denom / c, foot=foot, valid=valid,
                     c=c, u_e=u_e, denom=denom, foot_shape=shp)
+
+
+def _distance(x, y):
+    """|x - y| over the last axis of 3-vectors, from the coordinate
+    differences summed in the order ``np.linalg.norm`` sums them."""
+    d0, d1, d2 = (xi - yi for xi, yi in zip(unstack(x), unstack(y)))
+    return np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +390,9 @@ class BarrierBundle:
 
 
 TUBE_LATTICE = 12  # cells per chart axis whose centres tube_curvatures projects
-GRID_CHUNK = 32768  # flat grid indices per verify_barrier task
+# grid points per verify_barrier task, as whole rows of the last axis (at
+# least one); chart membership is decided per axis, not per point
+GRID_CHUNK = 32768
 
 
 def _heads(p, charts):
@@ -630,17 +663,6 @@ class BarrierReport:
             "tolerance": float(self.tolerance),
         }
 
-    def write_margins(self, path):
-        """CSV with one ``x1,...,xn,margin`` row per grid point (needs a
-        report made with ``keep_margins``)."""
-        if self.margins is None:
-            raise ValueError("report was made without keep_margins")
-        with open(path, "w") as fh:
-            n = self.points.shape[-1]
-            fh.write(",".join(f"x{i + 1}" for i in range(n)) + ",margin\n")
-            for pt, mg in zip(self.points, self.margins):
-                fh.write(",".join(repr(float(v)) for v in pt) + f",{float(mg)!r}\n")
-
 
 def verify_barrier(
     bundle,
@@ -648,6 +670,7 @@ def verify_barrier(
     tolerance=1e-7,
     threads=1,
     keep_margins=False,
+    margins_csv=None,
 ):
     """Check Psi_X + eta |X| <= 0 on a chart grid intersected with N.
 
@@ -664,50 +687,73 @@ def verify_barrier(
     ``SigmaSurface.misses`` shows that no foot of Sigma lies within eps / c
     of it (its margin is then 0).
 
-    The grid is never built whole.  Each task takes GRID_CHUNK consecutive
-    flat grid indices, makes their points from the axes, keeps those in N and
-    evaluates them; it returns its counts and its worst margin and point, and
-    its points and margins only with ``keep_margins``.  A margin depends on
-    its point alone, so memory is bounded by the chunk and ``threads``, not
-    by ``grid_resolution``, and the report is the same at every ``threads``.
+    The grid is never built whole.  Chart membership is decided once per
+    axis: a grid point lies in the domain's chart exactly when each of its
+    coordinates does, so each axis keeps its own points in the chart.  Each
+    task takes GRID_CHUNK // grid_resolution (at least one) whole rows of the
+    last axis, makes their points by setting each row's leading coordinates
+    against that axis, keeps those in N and evaluates them; it returns its
+    counts and its worst margin and point, its points and margins only with
+    ``keep_margins``, and its rows of the ``margins_csv`` file only with a
+    path.  That file has one ``x1,...,xn,margin`` row per grid point in N,
+    in grid order, written chunk by chunk as the chunks arrive.  A margin
+    depends on its point alone, so memory is bounded by the chunk and
+    ``threads``, not by ``grid_resolution``, and the report is the same at
+    every ``threads``.
     """
     b = bundle
     if not 1 <= b.m <= 3:
         raise ValueError(f"m must be in [1, 3], got {b.m}")
     X = b.field()
-    axes = [np.linspace(lo, hi, grid_resolution) for lo, hi in np.asarray(b.chart, dtype=float)]
-    shape = (grid_resolution,) * len(axes)
-    size = grid_resolution ** len(axes)
+    axes = []
+    for (lo, hi), (in_lo, in_hi) in zip(np.asarray(b.chart, dtype=float), b.domain.chart):
+        ax = np.linspace(lo, hi, grid_resolution)
+        axes.append(ax[(ax >= in_lo) & (ax <= in_hi)])
+    *lead, last = axes
+    lead_shape = tuple(len(ax) for ax in lead)
+    n_rows = math.prod(lead_shape)
+    rows = max(1, GRID_CHUNK // max(grid_resolution, 1))  # a grid of 0 has no rows
 
-    def chunk_result(start):
-        index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, size)), shape)
-        pts = np.stack([ax[i] for ax, i in zip(axes, index)], axis=-1)
+    def points_in_n(first):
+        # the grid points in N of the rows from ``first``, in grid order, and
+        # which of them may reach the tube
+        index = np.unravel_index(np.arange(first, min(first + rows, n_rows)), lead_shape)
+        pts = np.empty((len(index[0]), len(last), len(axes)))
+        for j, (ax, i) in enumerate(zip(lead, index)):
+            pts[..., j] = ax[i][:, None]
+        pts[..., -1] = last
+        pts = pts.reshape(-1, len(axes))
         # u0 once per point: the values that decide N also feed the screen
         u0 = b.domain.u0.value(pts)
-        inside = (u0 >= 0.0) & b.domain.in_chart(pts)
-        pts, u0 = pts[inside], u0[inside]
+        inside = u0 >= 0.0
+        pts = pts[inside]
+        return pts, X.reaches_tube(pts, u0[inside])
+
+    def chunk_result(first):
+        pts, cand = points_in_n(first)
         if len(pts) == 0:
             return None
         out = np.zeros(len(pts))
         live = np.zeros(len(pts), dtype=bool)
-        cand = X.reaches_tube(pts, u0)
         if np.any(cand):
-            data = tube_eval(b.sigma, pts[cand])
-            on, _ = X.live_phi(data)
-            live[cand] = on
-            # barriers exist only for g = c^2 * euclidean: the top-m trace of
-            # Q = c^2 phi S over g-orthonormal m-frames is phi times the sum of
-            # the m largest eigenvalues of S
-            normal = -(b.epsilon - data.u[on]) ** -2.0
-            spectrum = np.sort(np.concatenate([-data.curvatures[on], normal[:, None]], axis=-1))
-            out[live] = (np.sum(spectrum[:, 3 - b.m:], axis=-1) + b.eta) / (1.0 + b.K)
+            out[cand], live[cand] = _live_margins(b, X, pts[cand])
         worst = int(np.argmax(out))
         # the worst point as a list, not a view that would hold the chunk
         return (len(pts), int(np.count_nonzero(live)), out[worst], pts[worst].tolist(),
-                pts if keep_margins else None, out if keep_margins else None)
+                pts if keep_margins else None, out if keep_margins else None,
+                _margin_rows(pts, out) if margins_csv else None)
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        results = [r for r in ex.map(chunk_result, range(0, size, GRID_CHUNK)) if r is not None]
+    results = []
+    with ThreadPoolExecutor(max_workers=threads) as ex, \
+            (open(margins_csv, "w") if margins_csv else nullcontext()) as fh:
+        if fh is not None:
+            fh.write(",".join(f"x{i + 1}" for i in range(len(axes))) + ",margin\n")
+        for result in ex.map(chunk_result, range(0, n_rows, rows)):
+            if result is not None:
+                *result, text = result
+                if fh is not None:
+                    fh.write(text)
+                results.append(result)
     if not results:
         raise GeometryError("verification grid is empty")
     n_grid, n_live, worst_margins, worst_points, points, margins = zip(*results)
@@ -729,3 +775,41 @@ def verify_barrier(
         margins=np.concatenate(margins) if keep_margins else None,
         points=np.concatenate(points) if keep_margins else None,
     )
+
+
+def _live_margins(b, X, x):
+    """``(margins, live)`` at the points x of a grid: the margin of
+    ``verify_barrier`` at the live points, 0 elsewhere."""
+    data = tube_eval(b.sigma, x)
+    live, _ = X.live_phi(data)
+    # barriers exist only for g = c^2 * euclidean: the top-m trace of
+    # Q = c^2 phi S over g-orthonormal m-frames is phi times the sum of
+    # the m largest eigenvalues of S
+    k = data.curvatures[live]
+    top = _top_sum(-k[:, 0], -k[:, 1], -(b.epsilon - data.u[live]) ** -2.0, b.m)
+    margins = np.zeros(len(x))
+    margins[live] = (top + b.eta) / (1.0 + b.K)
+    return margins, live
+
+
+def _top_sum(a, b, c, m):
+    """The sum of the m largest of a, b and c, pointwise: their order from a
+    min/max network, summed as ``np.sum`` sums the last m entries of their
+    sort, from 0.0 and in order (hi; mid + hi; (lo + mid) + hi), so that a
+    sum of -0.0 comes out as 0.0 there too.  A NaN anywhere makes every sum
+    NaN, as it sorts last."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid, hi = np.minimum(hi, c), np.maximum(hi, c)
+    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    if m == 1:
+        return 0.0 + hi
+    if m == 2:
+        return (0.0 + mid) + hi
+    return ((0.0 + lo) + mid) + hi
+
+
+def _margin_rows(points, margins):
+    """The CSV rows ``x1,...,xn,margin`` of the points and their margins,
+    each number the ``repr`` of its float."""
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in np.column_stack([points, margins]).tolist())

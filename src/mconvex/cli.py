@@ -176,10 +176,8 @@ def cmd_barrier_verify(args):
     _, bundle = _build(args, enforce=False)
     report = bar.verify_barrier(
         bundle, grid_resolution=grid, tolerance=args.tolerance,
-        threads=threads, keep_margins=args.out is not None,
+        threads=threads, margins_csv=args.out,
     )
-    if args.out:
-        report.write_margins(args.out)
     return _emit(args, "barrier-verify", report.passed, report.to_dict())
 
 

@@ -488,32 +488,40 @@ def sigma_shape(g, h):
     if np.any(n2 <= 1e-24):
         raise VanishingGradientError("level-set function has vanishing gradient")
     norm = np.sqrt(n2)
-    trace = (a[0, 0] + a[1, 1]) + a[2, 2]
-    adj = {(0, 0): a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2],
-           (1, 1): a[0, 0] * a[2, 2] - a[0, 2] * a[0, 2],
-           (2, 2): a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1],
-           (0, 1): a[0, 2] * a[1, 2] - a[0, 1] * a[2, 2],
-           (0, 2): a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1],
-           (1, 2): a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]}
-    sigma1 = (_quadratic(a, v) - n2 * trace) / (n2 * norm)
-    sigma2 = _quadratic(adj, v) / (n2 * n2)
-
+    sigma1 = (_quadratic(a, v) - n2 * ((a[0, 0] + a[1, 1]) + a[2, 2])) / (n2 * norm)
+    sigma2 = _quadratic(_adjugate(a), v) / (n2 * n2)
     nu = tuple(vi / norm for vi in v)
+    Bt = _tangential_form(a, nu, norm)
+    half = 0.5 * sigma1
+    T2 = {}  # the squared entries of B_t - (sigma_1 / 2) P
+    for (i, j), bt in zip(_PAIRS, Bt):
+        nn = nu[i] * nu[j]
+        t = bt - half * (1.0 - nn) if i == j else bt + half * nn
+        T2[i, j] = t * t
+    root = np.sqrt(0.5 * _quadratic(T2, (1.0, 1.0, 1.0)))
+    return SigmaShape(nu=nu, kappa=np.stack([half - root, half + root], axis=-1),
+                      Bt=Bt, sigma2=sigma2)
+
+
+def _adjugate(a):
+    """The ``_PAIRS`` entries of adj(H), H symmetric with the entries ``a``."""
+    return {(0, 0): a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2],
+            (1, 1): a[0, 0] * a[2, 2] - a[0, 2] * a[0, 2],
+            (2, 2): a[0, 0] * a[1, 1] - a[0, 1] * a[0, 1],
+            (0, 1): a[0, 2] * a[1, 2] - a[0, 1] * a[2, 2],
+            (0, 2): a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1],
+            (1, 2): a[0, 1] * a[0, 2] - a[0, 0] * a[1, 2]}
+
+
+def _tangential_form(a, nu, norm):
+    """The ``_PAIRS`` entries of B_t = P B P, B = -H / |g|, from H's entries
+    ``a``, the unit normal nu and |g|; B and B nu go once B_t is formed."""
     B = {ij: -a[ij] / norm for ij in _PAIRS}
     Bnu = [(_entry(B, i, 0) * nu[0] + _entry(B, i, 1) * nu[1]) + _entry(B, i, 2) * nu[2]
            for i in range(3)]
     beta = _quadratic(B, nu)
-    half = 0.5 * sigma1
-    Bt, T2 = [], {}  # B_t and the squared entries of B_t - (sigma_1 / 2) P
-    for i, j in _PAIRS:
-        nn = nu[i] * nu[j]
-        bt = (B[i, j] - (nu[i] * Bnu[j] + Bnu[i] * nu[j])) + beta * nn
-        t = bt - half * (1.0 - nn) if i == j else bt + half * nn
-        Bt.append(bt)
-        T2[i, j] = t * t
-    root = np.sqrt(0.5 * _quadratic(T2, (1.0, 1.0, 1.0)))
-    return SigmaShape(nu=nu, kappa=np.stack([half - root, half + root], axis=-1),
-                      Bt=tuple(Bt), sigma2=sigma2)
+    return tuple((B[i, j] - (nu[i] * Bnu[j] + Bnu[i] * nu[j])) + beta * (nu[i] * nu[j])
+                 for i, j in _PAIRS)
 
 
 def levelset_shape(f, x, metric):

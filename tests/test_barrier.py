@@ -180,6 +180,20 @@ class TestProjection:
         np.testing.assert_array_equal(ok, [True, False, True])
         np.testing.assert_array_equal(foot[ok], expect[ok])
 
+    def test_point_without_a_foot_and_a_zero_gradient_is_invalid(self, ball_domain,
+                                                                 north_pole):
+        """The point whose KKT solve fails keeps the jet at x, whose gradient
+        vanishes there: tube_eval reads w's jet at p for it instead, marks it
+        invalid and leaves the other points as they were."""
+        sigma = bar.SigmaSurface(ball_domain, north_pole)
+        pts = np.array([[0.1, 0.0, 0.95], [0.0, 0.2, 0.9], [-0.1, 0.1, 1.05]])
+        expect = bar.tube_eval(sigma, pts)
+        assert np.all(expect.valid)
+        sigma.w = _VanishingAt(sigma.w, pts[1])
+        data = bar.tube_eval(sigma, pts)
+        np.testing.assert_array_equal(data.valid, [True, False, True])
+        np.testing.assert_array_equal(data.curvatures[[0, 2]], expect.curvatures[[0, 2]])
+        np.testing.assert_array_equal(data.u[[0, 2]], expect.u[[0, 2]])
 
     def test_returns_w_at_x_and_the_jet_at_the_foot(self, ball_bundle, tube_points):
         proj = ball_bundle.sigma.project(tube_points)
@@ -557,10 +571,19 @@ class TestVerification:
         assert rep.n_tube > 0
         assert {tuple(q) for q in rep.points[live]} <= reached
 
-    @pytest.mark.parametrize("name", ["ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
-                                      "cylinder_bundle", "ellipsoid_bundle"])
-    def test_live_margins_match_closed_form(self, name, request):
+    # the bundles' own m is 2; m = 1 and 3 read the other two sums of the
+    # margin's min/max network, against the oracle's sort
+    @pytest.mark.parametrize("name, m", [
+        *(pytest.param(name, None, id=name)
+          for name in ["ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
+                       "cylinder_bundle", "ellipsoid_bundle"]),
+        *(pytest.param(name, m, id=f"{name}-m{m}")
+          for name in ["ball_bundle", "cylinder_bundle"] for m in (1, 3)),
+    ])
+    def test_live_margins_match_closed_form(self, name, m, request):
         b = request.getfixturevalue(name)
+        if m is not None:
+            b = dataclasses.replace(b, m=m)
         rep = bar.verify_barrier(b, grid_resolution=30, keep_margins=True)
         live, oracle, scale = _closed_form_margins(b, rep.points)
         assert np.count_nonzero(live) == rep.n_tube > 0
@@ -603,6 +626,31 @@ class TestVerification:
         with pytest.raises(geo.GeometryError, match="verification grid is empty"):
             bar.verify_barrier(b, grid_resolution=10)
 
+    def test_chart_past_the_domain_chart_keeps_the_points_of_N(self, halfspace_bundle):
+        """A chart made by hand to reach past the domain's chart: the grid
+        points are those of N, in grid order, and N ends at the domain's
+        chart even where u0 >= 0 goes on past it."""
+        b = dataclasses.replace(halfspace_bundle, chart=1.5 * halfspace_bundle.domain.chart)
+        rep = bar.verify_barrier(b, grid_resolution=15, keep_margins=True)
+        pts = chart_grid(b.chart, 15)
+        assert np.any(~b.domain.in_chart(pts) & (b.domain.u0.value(pts) >= 0.0))
+        assert rep.points.tobytes() == pts[b.domain.contains(pts)].tobytes()
+        assert rep.n_tube > 0
+
+    def test_margins_csv_holds_the_kept_points_and_margins(self, ball_bundle, tmp_path,
+                                                           monkeypatch):
+        """The CSV, written chunk by chunk from two threads, has one row per
+        point of the report, in grid order, each number its float's repr."""
+        ref = bar.verify_barrier(ball_bundle, grid_resolution=12, keep_margins=True)
+        monkeypatch.setattr(bar, "GRID_CHUNK", 7)
+        path = tmp_path / "margins.csv"
+        rep = bar.verify_barrier(ball_bundle, grid_resolution=12, threads=2, margins_csv=path)
+        assert rep.to_dict() == ref.to_dict() and rep.margins is None
+        header, *rows = path.read_text().splitlines()
+        assert header == "x1,x2,x3,margin"
+        assert rows == [",".join(repr(float(v)) for v in (*pt, mg))
+                        for pt, mg in zip(ref.points, ref.margins)]
+
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_nan_margin_is_the_worst_and_fails(self, ball_bundle, monkeypatch, chunk):
         """A NaN margin at one live point, after larger finite margins in
@@ -638,6 +686,51 @@ class TestVerification:
                 tracemalloc.stop()
 
         assert peak(120) <= 1.5 * peak(60)
+
+    def test_margins_csv_memory_does_not_grow_with_the_grid(self, ball_bundle, tmp_path,
+                                                            monkeypatch):
+        """The rows go to the file as their chunk arrives; none are kept."""
+        monkeypatch.setattr(bar, "GRID_CHUNK", 2048)
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                bar.verify_barrier(ball_bundle, grid_resolution=grid,
+                                   margins_csv=tmp_path / f"{grid}.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(60) <= 1.5 * peak(30)
+
+    def test_grid_100_peak_memory(self, ball_bundle):
+        """A grid-100 verification at one thread holds at most 4.8 MB at
+        once (traced): one chunk of whole rows and its tube evaluation."""
+        tracemalloc.start()
+        try:
+            bar.verify_barrier(ball_bundle, grid_resolution=100)
+            assert tracemalloc.get_traced_memory()[1] <= 4.8e6
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("layer", ["project", "tube_eval"])
+def test_peak_memory_per_point(ball_bundle, layer):
+    """At most 450 B per point held at once (traced) by the projection and
+    by the tube evaluation around it, on 8000 points of the bundle's chart:
+    a Newton step keeps only y, lambda and x across w's jet, and the
+    curvature kernel drops its adjugate and B once it has used them."""
+    b = ball_bundle
+    pts = chart_grid(b.chart, 20)
+    run = {"project": lambda: b.sigma.project(pts),
+           "tube_eval": lambda: bar.tube_eval(b.sigma, pts)}[layer]
+    assert np.all(b.sigma.project(pts).ok)
+    tracemalloc.start()
+    try:
+        run()
+        assert tracemalloc.get_traced_memory()[1] <= 450 * len(pts)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")

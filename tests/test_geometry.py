@@ -308,7 +308,7 @@ class TestExprArray:
 _JET_FIELDS = {
     "sphere": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3]),
     "cylinder": lambda: geo.DistanceField(1.0, [0.1, -0.2, 0.3], axes=[0, 1]),
-    "quartic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], 0.5),
+    "quartic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], 2.0),
     "quartic_isotropic": lambda: geo.QuarticGapField([0.0, 0.0, 1.0], 1.25),
     "linear": lambda: geo.LinearField([0.5, -1.0, 2.0]),
     "sum": lambda: geo.SumField([geo.DistanceField(1.0, np.zeros(3)),
@@ -333,14 +333,19 @@ def test_jet_equals_the_separate_methods(name):
     assert len(gradient) == 3 and len(hessian) == 6
     assert {np.shape(a) for a in (value, *gradient, *hessian)} == {(5, 7)}
     # one step of 1e-6 for both: the sum's sphere has a sample point 0.027
-    # from its centre, where a step of 1e-5 leaves a truncation error of 1e-6
+    # from its centre, where a step of 1e-5 leaves a truncation error of 1e-6.
+    # A difference of values of size F loses about 2e-16 F / 1e-6 = 2e-10 F
+    # to rounding, so each tolerance adds 1e-9 times the largest |value| it
+    # differences to its bound on the truncation error
     h = 1e-6 * np.eye(3)
+    atol = 1e-7 + 1e-9 * np.max(np.abs(value))
     for k in range(3):
         fd = (f.value(x + h[k]) - f.value(x - h[k])) / 2e-6
-        np.testing.assert_allclose(gradient[k], fd, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(gradient[k], fd, rtol=0, atol=atol)
+    atol = 1e-6 + 1e-9 * max(np.max(np.abs(a)) for a in gradient)
     for (i, j), entry in zip(geo._PAIRS, hessian):
         fd = (_partials(f, x + h[j])[i] - _partials(f, x - h[j])[i]) / 2e-6
-        np.testing.assert_allclose(entry, fd, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(entry, fd, rtol=0, atol=atol)
 
 
 def test_jet_symmetrizes_mirror_entries_that_are_distinct_trees():
