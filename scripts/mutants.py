@@ -26,6 +26,7 @@ BARRIER = "src/mconvex/barrier.py"
 GEOMETRY = "src/mconvex/geometry.py"
 HARNESS = "src/mconvex/harness.py"
 VARIFOLD = "src/mconvex/varifold.py"
+INDEX_SET = "tests/test_varifold.py::TestIndexSet::"
 KKT = "tests/test_barrier.py::TestKKTStep::test_matches_lapack"
 TUBE = "tests/test_barrier.py::TestTubeSample::"
 JET = "tests/test_geometry.py::test_jet_equals_the_separate_methods"
@@ -149,6 +150,19 @@ MUTANTS = (
            "dv = float(np.sum(V.weights[reached] * terms[reached]))",
            ("tests/test_varifold.py::TestMinimizingChecks::"
             "test_bounded_mc_on_a_partly_reached_cap_equals_the_all_atoms_sum",)),
+    # the index helper keeps the indices that no entry names
+    Mutant("index_set_keeps_zero_counts", VARIFOLD,
+           "np.flatnonzero(counts == 0 if complement else counts)",
+           "np.flatnonzero(counts == 0 if complement else counts >= 0)",
+           tuple(INDEX_SET + f"test_equals_unique_and_setdiff1d[{name}]"
+                 for name in ("repeats", "two_dims", "empty"))
+           + (INDEX_SET + "test_equals_unique_and_setdiff1d_on_any_indices",)),
+    # theorem3's property sample on the chart's lower faces: (ii) then fails
+    Mutant("u_sample_on_faces", BARRIER,
+           "+ 0.5) / count",
+           "+ 0.0) / count",
+           ("tests/test_harness.py::TestScenarios::test_theorem3_passes",
+            "tests/test_harness.py::TestUProperties::test_draws_no_random_numbers")),
     Mutant("hausdorff_min_wrong_axis", HARNESS,
            "np.max(np.min(d2, axis=1))",
            "np.max(np.min(d2, axis=0))",

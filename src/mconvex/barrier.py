@@ -32,7 +32,9 @@ and the normal and Hess u are built only where X's Jacobian is asked for.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -403,10 +405,10 @@ def _heads(p, charts):
     return np.concatenate([np.concatenate([c, p[None]]) for c in corners])
 
 
-def _cells(chart):
-    """The rest of a chart's lattice: its TUBE_LATTICE^n cell centres."""
+def _cells(chart, count=TUBE_LATTICE):
+    """The rest of a chart's lattice: its count^n cell centres."""
     n = len(chart)
-    cells = (np.indices((TUBE_LATTICE,) * n).reshape(n, -1).T + 0.5) / TUBE_LATTICE
+    cells = (np.indices((count,) * n).reshape(n, -1).T + 0.5) / count
     return chart[:, 0] + (chart[:, 1] - chart[:, 0]) * cells
 
 
@@ -696,10 +698,11 @@ def verify_barrier(
     counts and its worst margin and point, its points and margins only with
     ``keep_margins``, and its rows of the ``margins_csv`` file only with a
     path.  That file has one ``x1,...,xn,margin`` row per grid point in N,
-    in grid order, written chunk by chunk as the chunks arrive.  A margin
-    depends on its point alone, so memory is bounded by the chunk and
-    ``threads``, not by ``grid_resolution``, and the report is the same at
-    every ``threads``.
+    in grid order, written chunk by chunk as the chunks arrive.  Tasks are
+    handed to the threads in grid order, at most 2 * ``threads`` ahead of the
+    chunk being read.  A margin depends on its point alone, so memory is
+    bounded by the chunk and ``threads``, not by ``grid_resolution``, and the
+    report is the same at every ``threads``.
     """
     b = bundle
     if not 1 <= b.m <= 3:
@@ -744,11 +747,19 @@ def verify_barrier(
                 _margin_rows(pts, out) if margins_csv else None)
 
     results = []
+    firsts = iter(range(0, n_rows, rows))
     with ThreadPoolExecutor(max_workers=threads) as ex, \
             (open(margins_csv, "w") if margins_csv else nullcontext()) as fh:
         if fh is not None:
             fh.write(",".join(f"x{i + 1}" for i in range(len(axes))) + ",margin\n")
-        for result in ex.map(chunk_result, range(0, n_rows, rows)):
+        # at most 2 * threads tasks in flight, taken in grid order
+        pending = deque(ex.submit(chunk_result, first)
+                        for first in itertools.islice(firsts, 2 * threads))
+        while pending:
+            result = pending.popleft().result()
+            first = next(firsts, None)
+            if first is not None:
+                pending.append(ex.submit(chunk_result, first))
             if result is not None:
                 *result, text = result
                 if fh is not None:

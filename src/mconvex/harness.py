@@ -251,20 +251,22 @@ def _family_sweep(cfg, base, h, check):
 
 
 def _check_u_properties(bundle):
-    """Sampled checks of the auxiliary-function properties, on a fixed draw
-    of 4000 chart points.
+    """Sampled checks of the auxiliary-function properties, at those of the
+    chart's 16^n cell centres (``barrier._cells``) that lie in N.  No random
+    number is drawn.  The count is even, so every sample point lies strictly
+    inside the chart and off its middle planes, which hold p wherever the
+    chart is centred on p.
 
     (i) u(p) = 0 and u > 0 elsewhere on N; (ii) {u <= eps} is compact
     (closed + bounded inside the chart box); (iii) boundary curvature sums
     exceed eta on the sublevel set; (iv) Sigma's curvature sums exceed eta
     at the feet of the construction's chart lattice.
     """
-    rng = np.random.default_rng(0)
     domain = bundle.domain
     w = bundle.sigma.w
     p = bundle.p
     lo, hi = bundle.chart[:, 0], bundle.chart[:, 1]
-    pts = lo + (hi - lo) * rng.random((4000, len(lo)))
+    pts = bar._cells(bundle.chart, 16)
     pts = pts[np.asarray(domain.contains(pts), dtype=bool)]
     vals = w.value(pts)
     off_p = np.linalg.norm(pts - p, axis=-1) > 1e-6

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .varifold import SimplicialSurface
+from .varifold import SimplicialSurface, index_set
 
 
 def _orthonormal_complement(normal):
@@ -59,7 +59,7 @@ def bulged_disk_mesh(rings=6, segments=48, amplitude=0.05):
     lifted by ``amplitude * cos(pi r / 0.6)`` and its rim unchanged."""
     disk = disk_mesh(radius=0.3, center=(0.0, 0.0, 0.85), rings=rings, segments=segments)
     verts = disk.vertices.copy()
-    interior = np.setdiff1d(np.arange(len(verts)), disk.boundary_vertices())
+    interior = index_set(disk.boundary_vertices(), len(verts), complement=True)
     r = np.linalg.norm(verts[interior, :2], axis=1)
     verts[interior, 2] += amplitude * np.cos(np.pi * r / 0.6)
     return disk.with_vertices(verts)

@@ -40,10 +40,11 @@ class MinimizeProblem:
         if self.mesh.n != self.domain.n:
             raise MinimizeError(
                 f"the mesh lies in R^{self.mesh.n}, the domain in R^{self.domain.n}")
-        self.anchored = np.unique(np.asarray(self.anchored, dtype=int))
+        anchored = np.asarray(self.anchored, dtype=int)
         nv = len(self.mesh.vertices)
-        if np.any((self.anchored < 0) | (self.anchored >= nv)):
+        if np.any((anchored < 0) | (anchored >= nv)):
             raise MinimizeError(f"anchored vertex indices must lie in [0, {nv})")
+        self.anchored = vf.index_set(anchored, nv)
         anchors = self.mesh.vertices[self.anchored]
         inside = self.domain.u0.value(anchors)
         if np.any(inside <= self.domain.boundary_tolerance):

@@ -165,12 +165,22 @@ class SimplicialSurface:
         facets = np.sort(self.simplices[:, subsets], axis=-1).reshape(-1, m)
         dims = (len(self.vertices),) * m
         keys, counts = np.unique(np.ravel_multi_index(facets.T, dims), return_counts=True)
-        return np.unique(np.unravel_index(keys[counts == 1], dims))
+        return index_set(np.unravel_index(keys[counts == 1], dims), len(self.vertices))
 
     def with_vertices(self, vertices):
         """The same simplices and multiplicities on new vertices: a new mesh,
         which computes and keeps its own volumes, Laplacian and lowerings."""
         return SimplicialSurface(vertices, self.simplices, self.multiplicity)
+
+
+def index_set(idx, n, complement=False):
+    """The sorted distinct entries of the index array idx, whose entries lie
+    in [0, n), or with ``complement`` the indices in [0, n) that are not
+    among them.  Counted with ``bincount`` rather than found with
+    ``np.unique`` or ``np.setdiff1d``, which import ``numpy.ma`` to test for
+    a mask."""
+    counts = np.bincount(np.ravel(idx), minlength=n)
+    return np.flatnonzero(counts == 0 if complement else counts)
 
 
 def _read_only(a, dtype):
@@ -687,4 +697,4 @@ def support_distance(points, p, metric=None):
 
 def support_points(mesh):
     """The vertices referenced by a simplex: only those carry support."""
-    return mesh.vertices[np.unique(mesh.simplices.ravel())]
+    return mesh.vertices[index_set(mesh.simplices, len(mesh.vertices))]

@@ -676,6 +676,36 @@ class TestVerification:
         assert bad.worst_point == target.tolist()
         assert (bad.n_grid, bad.n_tube) == (rep.n_grid, rep.n_tube)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tasks_in_flight_are_bounded(self, ball_bundle, monkeypatch, threads):
+        """At most 2 * threads tasks are handed to the executor and not yet
+        read back, however many chunks the grid has."""
+        in_flight, most = 0, []
+
+        class Recording(bar.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                nonlocal in_flight
+                future = super().submit(fn, *args)
+                result = future.result
+
+                def read(timeout=None):
+                    nonlocal in_flight
+                    in_flight -= 1
+                    return result(timeout)
+
+                future.result = read
+                in_flight += 1
+                most.append(in_flight)
+                return future
+
+        ref = bar.verify_barrier(ball_bundle, grid_resolution=12)
+        monkeypatch.setattr(bar, "GRID_CHUNK", 12)
+        monkeypatch.setattr(bar, "ThreadPoolExecutor", Recording)
+        rep = bar.verify_barrier(ball_bundle, grid_resolution=12, threads=threads)
+        assert rep.to_dict() == ref.to_dict()
+        assert len(most) == 144 and in_flight == 0
+        assert max(most) == 2 * threads
+
     def test_peak_memory_does_not_grow_with_the_grid(self, ball_bundle):
         def peak(grid):
             tracemalloc.start()

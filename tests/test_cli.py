@@ -641,3 +641,23 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_scenarios_and_minimize_load_neither_numpy_random_nor_numpy_ma(tmp_path):
+    """numpy imports both lazily; no certificate needs either."""
+    path = tmp_path / "bulged.svmesh"
+    vf.write_svmesh(meshes.bulged_disk_mesh(rings=2, segments=16, amplitude=0.05), path)
+    runs = [["scenario", "--name", "theorem1"], ["scenario", "--name", "theorem3"],
+            ["scenario", "--name", "theorem5", "--h", "1"]]
+    runs.append(["minimize", "--mesh", str(path), "--domain", "ball:1"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import contextlib, io, sys\n"
+            "from mconvex import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        print(cli.main(argv + ['--no-timestamp']), file=sys.stderr)\n"
+            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stderr.split() == ["0", "0", "0", "0"]
+    assert proc.stdout.strip() == "[]"

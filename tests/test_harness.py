@@ -226,10 +226,17 @@ class TestUProperties:
         assert b.domain.contains(x[None])[0]
         assert b.sigma.w.value(x) <= b.epsilon
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4 (ii): the check tests random "
-                       "interior chart points against the chart faces, so it cannot fail")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4 (ii): the check tests interior "
+                       "chart lattice points against the chart faces, so it cannot fail")
     def test_compactness_check_sees_the_face(self, theorem3_limit_bundle):
         assert hz._check_u_properties(theorem3_limit_bundle)["ii"] is False
+
+    def test_draws_no_random_numbers(self, theorem3_limit_bundle, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_check_u_properties drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert hz._check_u_properties(theorem3_limit_bundle)["all"] is True
 
 
 class TestDeterminism:

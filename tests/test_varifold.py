@@ -747,6 +747,33 @@ class TestBoundaryVertices:
                                       _boundary_by_loop(theorem5_cap))
 
 
+class TestIndexSet:
+    """``index_set`` gives what ``np.unique`` and ``np.setdiff1d`` give."""
+
+    @pytest.mark.parametrize("idx, n", [
+        pytest.param([3, 0, 3, 7, 0, 0, 5], 8, id="repeats"),
+        pytest.param([[2, 2, 1], [1, 0, 2]], 4, id="two_dims"),
+        pytest.param(np.arange(6), 6, id="every_index"),
+        pytest.param(np.zeros(0, dtype=int), 5, id="empty"),
+        pytest.param(np.zeros(0, dtype=int), 0, id="empty_of_none"),
+    ])
+    def test_equals_unique_and_setdiff1d(self, idx, n):
+        idx = np.asarray(idx, dtype=int)
+        for got, want in [(vf.index_set(idx, n), np.unique(idx)),
+                          (vf.index_set(idx, n, complement=True),
+                           np.setdiff1d(np.arange(n), idx))]:
+            assert got.dtype.kind == "i"
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 19), max_size=40), st.integers(20, 25))
+    def test_equals_unique_and_setdiff1d_on_any_indices(self, idx, n):
+        idx = np.asarray(idx, dtype=int)
+        np.testing.assert_array_equal(vf.index_set(idx, n), np.unique(idx))
+        np.testing.assert_array_equal(vf.index_set(idx, n, complement=True),
+                                      np.setdiff1d(np.arange(n), idx))
+
+
 class TestDecomposition:
     def _combined(self, boundary, extra, mult):
         return vf.SimplicialSurface(
