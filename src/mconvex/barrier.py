@@ -406,7 +406,8 @@ def _heads(p, charts):
 
 
 def _cells(chart, count=TUBE_LATTICE):
-    """The rest of a chart's lattice: its count^n cell centres."""
+    """A chart's count^n cell centres; at TUBE_LATTICE, the rest of its
+    lattice."""
     n = len(chart)
     cells = (np.indices((count,) * n).reshape(n, -1).T + 0.5) / count
     return chart[:, 0] + (chart[:, 1] - chart[:, 0]) * cells

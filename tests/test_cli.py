@@ -653,11 +653,11 @@ def test_scenarios_and_minimize_load_neither_numpy_random_nor_numpy_ma(tmp_path)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = ("import contextlib, io, sys\n"
             "from mconvex import cli\n"
+            "codes = []\n"
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        print(cli.main(argv + ['--no-timestamp']), file=sys.stderr)\n"
-            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert proc.stderr.split() == ["0", "0", "0", "0"]
-    assert proc.stdout.strip() == "[]"
+            "        codes.append(cli.main(argv + ['--no-timestamp']))\n"
+            "print(codes, sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0, 0, 0] []"
