@@ -39,8 +39,6 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("grid_certify", "scenarios", "plateau")
-METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 
 
 def parse_seeds(text):
@@ -82,11 +80,14 @@ def run_once(tree, workload, seed, seconds):
     return row
 
 
-def bounds():
-    """Each end-to-end metric's bound from ``BENCHMARK.json``, a fraction of
-    the base's median."""
+def benchmark():
+    """``(workloads, bounds)`` from ``BENCHMARK.json``: the workload names,
+    and each end-to-end metric's bound, a fraction of the base's median, in
+    the file's order."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+        doc = json.load(fh)
+    return ([w["name"] for w in doc["workloads"]],
+            {m["name"]: m["bound"] for m in doc["end_to_end"]})
 
 
 def compare(base, head, bound):
@@ -108,12 +109,11 @@ def compare(base, head, bound):
             f"{cost} ({100 * bound:.0f}%)")
 
 
-def summary(runs, workloads):
+def summary(runs, workloads, bounds):
     """One line per workload and metric, as ``compare`` gives it."""
-    bound = bounds()
     lines = []
     for w in workloads:
-        for metric in METRICS:
+        for metric, bound in bounds.items():
             pairs = {}
             for r in runs:
                 if r["workload"] == w and metric in r:
@@ -121,21 +121,22 @@ def summary(runs, workloads):
             both = [p for p in pairs.values() if len(p) == 2]
             if both:
                 lines.append(f"{w:12s} {metric:11s} " + compare(
-                    [p["base"] for p in both], [p["head"] for p in both], bound[metric]))
+                    [p["base"] for p in both], [p["head"] for p in both], bound))
     return lines
 
 
 def main(argv=None):
+    all_workloads, bounds = benchmark()
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
     ap.add_argument("--head", default="HEAD", help="revision under test (default HEAD)")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeat for several; default all three")
+    ap.add_argument("--workload", action="append", choices=all_workloads,
+                    help="repeat for several; default every workload of BENCHMARK.json")
     ap.add_argument("--seeds", default="1-10", help='e.g. "1-10" or "3,5" (default 1-10)')
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--out", required=True, help="JSON file the set is appended to")
     args = ap.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
+    workloads = args.workload or all_workloads
     seeds = parse_seeds(args.seeds)
     revs = {"base": args.base, "head": args.head}
     sides = {side: f"{rev} ({git('rev-parse', '--short', rev)})" for side, rev in revs.items()}
@@ -172,7 +173,7 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    for line in summary(runs, workloads):
+    for line in summary(runs, workloads, bounds):
         print(line)
     if bad:
         print(f"{bad} run(s) failed or were not correct", file=sys.stderr)

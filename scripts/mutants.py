@@ -38,8 +38,7 @@ VERIFY = "tests/test_barrier.py::TestVerification::"
 CLOSED_FORM = tuple(f"{VERIFY}test_live_margins_match_closed_form[{name}]"
                     for name in ("ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
                                  "cylinder_bundle", "ellipsoid_bundle"))
-HAUSDORFF = ("tests/test_harness.py::TestHausdorffOracle::"
-             "test_equals_the_full_norm_matrix_across_blocks")
+HAUSDORFF = "tests/test_harness.py::TestHausdorffOracle::test_equals_the_full_norm_matrix"
 
 
 class Mutant(NamedTuple):
@@ -103,10 +102,6 @@ MUTANTS = (
            tuple(TUBE + f"test_build_makes_two_projections[{name}]"
                  for name in ["ball", "ellipsoid", "cylinder"]
                  + [f"family_{i}-{h}" for i in range(11) for h in (0.0, 1.0)])),
-    Mutant("probe_error_not_retried", BARRIER,
-           "        if len(charts) == 1:",
-           "        if True:",
-           (TUBE + "test_probe_error_past_the_kept_chart_is_not_raised",)),
     Mutant("focal_point_not_refused", BARRIER,
            "    if np.any(denom <= 0.0):",
            "    if False:",
@@ -116,6 +111,11 @@ MUTANTS = (
            "return (0.0 + mid) + hi",
            "return (0.0 + lo) + hi",
            CLOSED_FORM),
+    # a grid whose live margins all read 2e-7 passes at 1e-6
+    Mutant("margin_tolerance_loosened", BARRIER,
+           "MARGIN_TOLERANCE = 1e-7",
+           "MARGIN_TOLERANCE = 1e-6",
+           (VERIFY + "test_margin_twice_the_tolerance_fails",)),
     Mutant("chart_test_dropped", BARRIER,
            "axes.append(ax[(ax >= in_lo) & (ax <= in_hi)])",
            "axes.append(ax)",
@@ -166,7 +166,7 @@ MUTANTS = (
     Mutant("hausdorff_min_wrong_axis", HARNESS,
            "np.max(np.min(d2, axis=1))",
            "np.max(np.min(d2, axis=0))",
-           tuple(f"{HAUSDORFF}[{rows}-{n}]" for rows in (1, 7, 64) for n in (2, 3, 4))),
+           tuple(f"{HAUSDORFF}[{n}]" for n in (2, 3, 4))),
 )
 
 

@@ -395,6 +395,8 @@ TUBE_LATTICE = 12  # cells per chart axis whose centres tube_curvatures projects
 # grid points per verify_barrier task, as whole rows of the last axis (at
 # least one); chart membership is decided per axis, not per point
 GRID_CHUNK = 32768
+# the largest normalized margin that verify_barrier passes
+MARGIN_TOLERANCE = 1e-7
 
 
 def _heads(p, charts):
@@ -439,23 +441,11 @@ def tube_curvatures(sigma, charts, clears):
     built and projected in one call; it is returned if ``clears`` holds on
     all of its feet.  "No feet" is raised once a whole lattice has none.
     Each foot depends on its own point alone, so this gives what projecting
-    the charts one whole lattice at a time would; only a ``GeometryError``
-    of the probe is batch-wide, and then the charts are probed one at a
-    time, so no chart past the one returned can make the call fail.
+    the charts one whole lattice at a time would.
     """
-    try:
-        heads = sigma.project(_heads(sigma.p, charts))
-        feet = np.count_nonzero(heads.ok.reshape(len(charts), -1), axis=-1)
-        head_kappa = np.split(_foot_kappa(sigma, heads), np.cumsum(feet)[:-1])
-    except GeometryError:
-        if len(charts) == 1:
-            raise
-        # the error may come from a chart that the charts before it make moot
-        for i, chart in enumerate(charts):
-            found = tube_curvatures(sigma, chart[None], clears)
-            if found is not None:
-                return i, found[1]
-        return None
+    heads = sigma.project(_heads(sigma.p, charts))
+    feet = np.count_nonzero(heads.ok.reshape(len(charts), -1), axis=-1)
+    head_kappa = np.split(_foot_kappa(sigma, heads), np.cumsum(feet)[:-1])
     for i, (chart, kappa) in enumerate(zip(charts, head_kappa)):
         if len(kappa) and not clears(kappa):
             continue
@@ -648,7 +638,6 @@ class BarrierReport:
     K: float
     eta: float
     m: int
-    tolerance: float
     margins: np.ndarray | None = None
     points: np.ndarray | None = None
 
@@ -663,18 +652,12 @@ class BarrierReport:
             "K": float(self.K),
             "eta": float(self.eta),
             "m": int(self.m),
-            "tolerance": float(self.tolerance),
+            "tolerance": MARGIN_TOLERANCE,
         }
 
 
-def verify_barrier(
-    bundle,
-    grid_resolution=50,
-    tolerance=1e-7,
-    threads=1,
-    keep_margins=False,
-    margins_csv=None,
-):
+def verify_barrier(bundle, grid_resolution=50, threads=1, keep_margins=False,
+                   margins_csv=None):
     """Check Psi_X + eta |X| <= 0 on a chart grid intersected with N.
 
     Margins are normalized by phi(u) (1 + K).  At a live point, S = jacobian
@@ -684,11 +667,11 @@ def verify_barrier(
     is assembled and no eigensolver runs.  Points at or beyond the cutoff,
     and the live points where phi underflows to 0, contribute an exact zero.
     The report carries the worst margin and its location, the first in grid
-    order among equal margins (a NaN margin is the worst); a grid with no
-    live point checked nothing and does not pass.  Each grid point is
-    evaluated in the tube at most once, and not at all where
-    ``SigmaSurface.misses`` shows that no foot of Sigma lies within eps / c
-    of it (its margin is then 0).
+    order among equal margins (a NaN margin is the worst).  The grid passes
+    when that margin is at most MARGIN_TOLERANCE; a grid with no live point
+    checked nothing and does not pass.  Each grid point is evaluated in the
+    tube at most once, and not at all where ``SigmaSurface.misses`` shows
+    that no foot of Sigma lies within eps / c of it (its margin is then 0).
 
     The grid is never built whole.  Chart membership is decided once per
     axis: a grid point lies in the domain's chart exactly when each of its
@@ -774,7 +757,7 @@ def verify_barrier(
     worst = int(np.argmax(worst_margins))
     n_tube = sum(n_live)
     return BarrierReport(
-        passed=bool(worst_margins[worst] <= tolerance and n_tube > 0),
+        passed=bool(worst_margins[worst] <= MARGIN_TOLERANCE and n_tube > 0),
         worst_margin=float(worst_margins[worst]),
         worst_point=worst_points[worst],
         n_grid=sum(n_grid),
@@ -783,7 +766,6 @@ def verify_barrier(
         K=b.K,
         eta=b.eta,
         m=b.m,
-        tolerance=tolerance,
         margins=np.concatenate(margins) if keep_margins else None,
         points=np.concatenate(points) if keep_margins else None,
     )

@@ -170,14 +170,10 @@ def cmd_barrier_build(args):
 def cmd_barrier_verify(args):
     # hypothesis is deliberately not enforced here so that expected-failure
     # demonstrations (half-space) run and exit 2 on their bad margins
-    if not 0.0 <= args.tolerance < np.inf:
-        raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance}")
     grid, threads = _at_least_one("--grid", args.grid), _at_least_one("--threads", args.threads)
     _, bundle = _build(args, enforce=False)
     report = bar.verify_barrier(
-        bundle, grid_resolution=grid, tolerance=args.tolerance,
-        threads=threads, margins_csv=args.out,
-    )
+        bundle, grid_resolution=grid, threads=threads, margins_csv=args.out)
     return _emit(args, "barrier-verify", report.passed, report.to_dict())
 
 
@@ -311,7 +307,6 @@ def build_parser():
     sp = sub.add_parser("barrier-verify", help="verify the barrier inequality on a grid")
     _add_barrier_args(sp)
     sp.add_argument("--grid", type=int, default=50, help="at least 1")
-    sp.add_argument("--tolerance", type=float, default=1e-7, help="finite, nonnegative")
     sp.add_argument("--out", default=None, help="CSV of per-point margins")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker threads, at least 1 (default: cpu count)")

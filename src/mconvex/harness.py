@@ -20,9 +20,6 @@ from . import minimizer as mz
 from . import varifold as vf
 
 
-# entries of one row block of the distance matrix in hausdorff_distance
-_BLOCK_ENTRIES = 1 << 18
-
 # every scenario, run by scenario_<name>, with the mean-curvature bound h it
 # runs at when the caller gives none: theorem1, theorem3 and theorem4 read no h
 # and refuse a nonzero one; the default sphere cap of theorem5/6 has |H| = 1
@@ -37,8 +34,7 @@ class ScenarioError(Exception):
 def hausdorff_distance(A, B):
     """Symmetric Hausdorff distance between two finite point sets.
 
-    The squared distance matrix is formed in row blocks, so memory stays
-    bounded for large sets, summing the squared coordinate differences in
+    The squared distance matrix sums the squared coordinate differences in
     the order ``np.linalg.norm`` does; only the two largest nearest-point
     distances are square-rooted, which gives the same result, since sqrt is
     monotone and correctly rounded.
@@ -47,18 +43,11 @@ def hausdorff_distance(A, B):
     b = np.atleast_2d(np.asarray(B, float))
     if len(a) == 0 or len(b) == 0:
         raise ScenarioError("empty point set")
-    rows = max(1, _BLOCK_ENTRIES // len(b))
-    d_ab = 0.0
-    to_a = np.full(len(b), np.inf)  # squared distance from each point of b to a
-    for start in range(0, len(a), rows):
-        block = a[start:start + rows]
-        d2 = np.zeros((len(block), len(b)))
-        for a_k, b_k in zip(block.T, b.T):
-            diff = a_k[:, None] - b_k
-            d2 += diff * diff
-        d_ab = max(d_ab, float(np.max(np.min(d2, axis=1))))
-        np.minimum(to_a, np.min(d2, axis=0), out=to_a)
-    return float(np.sqrt(max(d_ab, float(np.max(to_a)))))
+    d2 = np.zeros((len(a), len(b)))
+    for a_k, b_k in zip(a.T, b.T):
+        diff = a_k[:, None] - b_k
+        d2 += diff * diff
+    return float(np.sqrt(max(np.max(np.min(d2, axis=1)), np.max(np.min(d2, axis=0)))))
 
 
 @dataclass

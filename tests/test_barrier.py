@@ -533,6 +533,21 @@ class TestVerification:
         rep = bar.verify_barrier(scaled_ball_bundle, grid_resolution=40)
         assert rep.passed
 
+    def test_margin_twice_the_tolerance_fails(self, ball_bundle, monkeypatch):
+        """A grid whose every live margin is 2 MARGIN_TOLERANCE does not
+        pass, and the report names the tolerance it was held to."""
+        live_margins = bar._live_margins
+
+        def above_tolerance(b, X, x):
+            margins, live = live_margins(b, X, x)
+            return np.where(live, 2e-7, margins), live
+
+        monkeypatch.setattr(bar, "_live_margins", above_tolerance)
+        rep = bar.verify_barrier(ball_bundle, grid_resolution=25)
+        assert rep.n_tube > 0 and rep.worst_margin == 2e-7
+        assert not rep.passed
+        assert rep.to_dict()["tolerance"] == bar.MARGIN_TOLERANCE == 1e-7
+
     def test_outside_cutoff_margin_zero(self, ball_bundle):
         rep = bar.verify_barrier(ball_bundle, grid_resolution=25, keep_margins=True)
         b = ball_bundle
@@ -1007,22 +1022,27 @@ def _segment_end(sigma, chart):
     return 0.5 * sigma.c * float(np.min(np.minimum(p - chart[:, 0], chart[:, 1] - p)))
 
 
+def _shrinking_charts(domain, p):
+    """The 18 charts of build_barrier's shrink loop, largest first."""
+    dlo, dhi = domain.chart[:, 0], domain.chart[:, 1]
+    w = 0.5 * float(np.min(np.maximum(np.minimum(p - dlo, dhi - p), 0.25 * (dhi - dlo))))
+    for _ in range(18):
+        yield np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1)
+        w *= 0.7
+
+
 def _one_batch_bundle(domain, p, m, h):
     """``(K, epsilon, tube_ksum_min, chart)`` of build_barrier's shrink loop
     (eta at its default, no hypothesis gate) run on the one-batch lattice."""
     kappa_sum, _, _ = geo.m_convexity(domain, p, m)
     eta = 0.5 * (h + kappa_sum)
     sigma = bar.SigmaSurface(domain, p)
-    dlo, dhi = domain.chart[:, 0], domain.chart[:, 1]
-    w = 0.5 * float(np.min(np.maximum(np.minimum(p - dlo, dhi - p), 0.25 * (dhi - dlo))))
     goal = eta + 0.02 * max(kappa_sum - eta, 0.0)
-    for _ in range(18):
-        chart = np.stack([np.maximum(p - w, dlo), np.minimum(p + w, dhi)], axis=-1)
+    for chart in _shrinking_charts(domain, p):
         kappa = _lattice_kappa(sigma, chart)
         ksum_min = float(np.min(np.sum(kappa[..., :m], axis=-1)))
         if not kappa_sum > eta or ksum_min > goal:
             break
-        w *= 0.7
     else:
         raise bar.TubeError("tube radius collapsed")
     T = _segment_end(sigma, chart)
@@ -1208,31 +1228,32 @@ class TestTubeSample:
         bar.build_barrier(geo.domain_halfspace(), np.zeros(3), m=2, enforce_hypothesis=False)
         assert sum(seen) == bar.TUBE_LATTICE ** 3 + 2 ** 3 + 1
 
-    def test_probe_error_past_the_kept_chart_is_not_raised(self, ball_domain, north_pole,
-                                                           monkeypatch):
-        """A probe over all 18 charts that raises for the smallest ones (as
-        ``DistanceField.jet`` does for a whole batch) is retried a chart at a
-        time, so the build still keeps the fourth chart."""
-        K, eps, ksum_min, chart = _one_batch_bundle(ball_domain, north_pole, 2, 0.0)
-        # the lattices of the charts 10 or more shrinks past the kept one lie
-        # within this of p; the kept chart's lattice and Newton iterates do not
-        reach = 0.7 ** 10 * 0.5 * np.min(chart[:, 1] - chart[:, 0])
-        raised = []
-        project = bar.SigmaSurface.project
-
-        def refusing(sigma, x, **kw):
-            gap = np.max(np.abs(np.asarray(x) - sigma.p), axis=-1)
-            if np.any((gap > 0.0) & (gap <= reach)):
-                raised.append(len(x))
-                raise geo.VanishingGradientError("a point of a chart past the kept one")
-            return project(sigma, x, **kw)
-
-        monkeypatch.setattr(bar.SigmaSurface, "project", refusing)
-        b = bar.build_barrier(ball_domain, north_pole, m=2, enforce_hypothesis=False)
-        assert raised == [18 * (2 ** 3 + 1)]
-        for got, want in zip((b.K, b.epsilon, b.tube_ksum_min, b.chart),
-                             (K, eps, ksum_min, chart)):
-            assert np.array_equal(got, want)
+    @pytest.mark.parametrize("R", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("shape", ["ball", "cylinder"])
+    def test_heads_stay_off_the_distance_centre_set(self, shape, R):
+        """``DistanceField.jet`` raises for a whole batch on its centre set
+        (the ball's centre, the cylinder's axis), but no chart head comes
+        within 0.1 R of it, so ``tube_curvatures`` probes every head in one
+        call and has no per-chart retry.  The boundary points are a
+        300-point Fibonacci lattice on the sphere and a 20 x 15 lattice in
+        theta and x3 on the cylinder."""
+        if shape == "ball":
+            dom = geo.domain_ball(R)
+            i = np.arange(300) + 0.5
+            x3 = 1.0 - 2.0 * i / 300
+            theta = np.pi * (3.0 - np.sqrt(5.0)) * i
+            r = np.sqrt(1.0 - x3 * x3)
+            boundary = R * np.stack([r * np.cos(theta), r * np.sin(theta), x3], axis=-1)
+        else:
+            dom = geo.domain_cylinder(R)
+            theta, x3 = np.meshgrid(2.0 * np.pi * (np.arange(20) + 0.5) / 20,
+                                    4.0 * (np.arange(15) + 0.5) / 15 - 2.0, indexing="ij")
+            boundary = np.stack([R * np.cos(theta), R * np.sin(theta), x3],
+                                axis=-1).reshape(-1, 3)
+        for p in boundary:
+            heads = bar._heads(p, np.stack(list(_shrinking_charts(dom, p))))
+            # u0 = R - the distance to the centre set
+            assert np.min(R - dom.u0.value(heads)) >= 0.1 * R
 
     def test_epsilon_is_K_to_the_minus_half_below_T(self):
         """epsilon = min(K^{-1/2}, T): on the torus at m = 1 K^{-1/2} < T,

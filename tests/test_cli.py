@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
+from mconvex import barrier as bar
 from mconvex import cli
 from mconvex import harness as hz
 from mconvex import meshes
@@ -116,6 +117,7 @@ class TestBarrier:
         assert code == cli.EXIT_ASSERTION
         assert not doc["passed"]
         assert doc["report"]["worst_margin"] > 0
+        assert doc["report"]["tolerance"] == bar.MARGIN_TOLERANCE
 
     def test_verify_ignores_seed(self, capsys):
         outs = []
@@ -165,10 +167,6 @@ class TestInputErrors:
         ("first-variation", "--mesh", "{mesh}", "--field", "x4,0,0"),
         ("barrier-build", *_BALL, "--m", "2", "--eta", "nan"),
         ("barrier-build", *_BALL, "--m", "2", "--h", "nan"),
-        ("barrier-verify", "--domain", "halfspace", "--p", "0,0,0", "--m", "2",
-         "--eta", "0.1", "--tolerance", "inf"),
-        ("barrier-verify", *_BALL, "--m", "2", "--tolerance", "nan"),
-        ("barrier-verify", *_BALL, "--m", "2", "--tolerance", "-0.5"),
         ("barrier-verify", *_BALL, "--m", "2", "--grid", "-5"),
         ("barrier-verify", *_BALL, "--m", "2", "--grid", "0"),
         ("scenario", "--name", "theorem1", "--grid", "-1"),
@@ -176,7 +174,6 @@ class TestInputErrors:
             "ball_abc", "ball_negative", "cylinder_two_radii", "levelset_one_bound",
             "levelset_reversed_chart", "levelset_superscript", "levelset_x4",
             "conformal_x4", "matrix_x5", "field_x4", "build_eta_nan", "build_h_nan",
-            "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
             "verify_grid_negative", "verify_grid_zero", "scenario_grid_negative"])
     def test_usage_error(self, capsys, tmp_path, argv):
         mesh = tmp_path / "disk.svmesh"
@@ -186,6 +183,15 @@ class TestInputErrors:
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_verify_has_no_tolerance_option(self, capsys):
+        """The grid check's tolerance is ``MARGIN_TOLERANCE``: no option can
+        loosen it until the halfspace control passes."""
+        code = cli.main(["barrier-verify", "--domain", "halfspace", "--p", "0,0,0", "--m", "2",
+                         "--eta", "0.1", "--grid", "60", "--tolerance", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert "--tolerance" in captured.err
 
     def test_grid_without_live_points_fails(self, capsys):
         # grid 2 checks the chart's corners only, none of them in the tube
@@ -209,12 +215,6 @@ class TestSignedValues:
                            "--grid", "10")
         assert code == cli.EXIT_PASS
         assert doc["report"]["eta"] == -1e-3
-
-    def test_negative_tolerance_reaches_its_own_check(self, capsys):
-        code = cli.main(["barrier-verify", *_BALL, "--m", "2", "--tolerance", "-1e-7"])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_USAGE and captured.out == ""
-        assert captured.err.startswith("error: --tolerance must be")
 
 
 class TestFirstVariation:
