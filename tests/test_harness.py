@@ -33,6 +33,12 @@ class TestHausdorff:
         assert hz.hausdorff_distance(np.zeros((1, 3)),
                                      np.array([[3.0, 4.0, 0.0]])) == 5.0
 
+    def test_nan_point_is_not_a_zero_distance(self):
+        A = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        B = np.array([[3.0, 4.0, 0.0]])
+        assert np.isnan(hz.hausdorff_distance(A, B))
+        assert np.isnan(hz.hausdorff_distance(B, A))
+
 
 def _brute_hausdorff(A, B):
     """The Hausdorff distance from the whole norm matrix."""
