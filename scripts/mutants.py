@@ -38,7 +38,8 @@ VERIFY = "tests/test_barrier.py::TestVerification::"
 CLOSED_FORM = tuple(f"{VERIFY}test_live_margins_match_closed_form[{name}]"
                     for name in ("ball_bundle", "scaled_ball_bundle", "halfspace_bundle",
                                  "cylinder_bundle", "ellipsoid_bundle"))
-HAUSDORFF = "tests/test_harness.py::TestHausdorffOracle::test_equals_the_full_norm_matrix"
+HAUSDORFF = ("tests/test_harness.py::TestHausdorffOracle::"
+             "test_equals_the_full_norm_matrix_across_blocks")
 
 
 class Mutant(NamedTuple):
@@ -166,7 +167,7 @@ MUTANTS = (
     Mutant("hausdorff_min_wrong_axis", HARNESS,
            "np.max(np.min(d2, axis=1))",
            "np.max(np.min(d2, axis=0))",
-           tuple(f"{HAUSDORFF}[{n}]" for n in (2, 3, 4))),
+           tuple(f"{HAUSDORFF}[{rows}-{n}]" for rows in (1, 7, 64) for n in (2, 3, 4))),
 )
 
 

@@ -284,8 +284,16 @@ def _add_barrier_args(sp):
     sp.add_argument("--h", type=float, default=0.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (an unknown option, a value of the wrong type)
+    start with ``error:`` as every other usage error does; the usage follows."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mconvex",
         description="Barrier constructions and maximum-principle checks for "
                     "minimal varieties in m-convex domains.",

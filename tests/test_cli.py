@@ -167,6 +167,10 @@ class TestInputErrors:
         ("first-variation", "--mesh", "{mesh}", "--field", "x4,0,0"),
         ("barrier-build", *_BALL, "--m", "2", "--eta", "nan"),
         ("barrier-build", *_BALL, "--m", "2", "--h", "nan"),
+        ("barrier-verify", "--domain", "halfspace", "--p", "0,0,0", "--m", "2",
+         "--eta", "0.1", "--tolerance", "inf"),
+        ("barrier-verify", *_BALL, "--m", "2", "--tolerance", "nan"),
+        ("barrier-verify", *_BALL, "--m", "2", "--tolerance", "-0.5"),
         ("barrier-verify", *_BALL, "--m", "2", "--grid", "-5"),
         ("barrier-verify", *_BALL, "--m", "2", "--grid", "0"),
         ("scenario", "--name", "theorem1", "--grid", "-1"),
@@ -174,6 +178,7 @@ class TestInputErrors:
             "ball_abc", "ball_negative", "cylinder_two_radii", "levelset_one_bound",
             "levelset_reversed_chart", "levelset_superscript", "levelset_x4",
             "conformal_x4", "matrix_x5", "field_x4", "build_eta_nan", "build_h_nan",
+            "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
             "verify_grid_negative", "verify_grid_zero", "scenario_grid_negative"])
     def test_usage_error(self, capsys, tmp_path, argv):
         mesh = tmp_path / "disk.svmesh"
@@ -215,6 +220,16 @@ class TestSignedValues:
                            "--grid", "10")
         assert code == cli.EXIT_PASS
         assert doc["report"]["eta"] == -1e-3
+
+    def test_negative_tolerance_reaches_its_own_check(self, capsys, tmp_path):
+        # minimize's --tolerance; barrier-verify has none
+        path = tmp_path / "bulged.svmesh"
+        vf.write_svmesh(meshes.bulged_disk_mesh(rings=2, segments=16), path)
+        code = cli.main(["minimize", "--mesh", str(path), "--domain", "ball:1",
+                         "--tolerance", "-1e-7"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error: --tolerance must be")
 
 
 class TestFirstVariation:

@@ -48,12 +48,14 @@ def _brute_hausdorff(A, B):
 
 class TestHausdorffOracle:
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_equals_the_full_norm_matrix(self, n):
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_equals_the_full_norm_matrix_across_blocks(self, n, rows):
         rng = np.random.default_rng(n)
         scale = np.array([1e-3, 1.0, 1e3, 7.0])[:n]  # coordinates of unlike sizes
         A = rng.normal(size=(150, n)) * scale
         B = rng.normal(size=(90, n)) * scale + 0.25
-        for a, b in ((A, B), (B, A), (A[:1], B), (A[:40], B)):
+        # the last two pairs take a block of `rows` leading points of one set
+        for a, b in ((A, B), (B, A), (A[:1], B), (A[:40], B), (A[:rows], B), (B, A[:rows])):
             assert hz.hausdorff_distance(a, b) == _brute_hausdorff(a, b)
 
 
